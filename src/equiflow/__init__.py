@@ -21,7 +21,8 @@ The modules split the work as follows:
   its great-circle scalar reduction, with energy bookkeeping.
 - ``scenarios``: slowly decaying tail families for initial data, the
   closed-form scale-history prediction, and the behavior classifier.
-- ``cli_io``: the ``equiflow`` command line driver and CSV/NPZ formats.
+- ``cli_io``: the ``equiflow`` command line driver, its CSV tables and
+  the plain-text snapshot format.
 """
 
 from .errors import (

@@ -319,7 +319,7 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
         raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
     meta: dict[str, str] = {}
     rows = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -329,7 +329,10 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
                 key, _, val = body.partition("=")
                 meta[key.strip()] = val.strip()
             continue
-        rows.append([float(p) for p in stripped.split()])
+        try:
+            rows.append([float(p) for p in stripped.split()])
+        except ValueError as exc:
+            raise ConfigError(f"snapshot {path}, line {lineno}: {exc}") from exc
     try:
         m = int(meta["m"])
         grid = build_grid(float(meta["rho_min"]), float(meta["rho_max"]), int(meta["n"]))
@@ -340,9 +343,11 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
         raise ConfigError(
             f"snapshot {path} has shape {data.shape}, expected ({grid.n}, 4)"
         )
-    if np.max(np.abs(data[:, 0] - grid.rho)) > 1e-9:
+    if not np.max(np.abs(data[:, 0] - grid.rho)) <= 1e-9:
         raise ConfigError(f"snapshot {path} nodes disagree with its grid metadata")
     v = data[:, 1:4]
+    if not np.isfinite(v).all():
+        raise NumericalError(f"snapshot {path} holds non-finite map values")
     radii = np.linalg.norm(v, axis=1)
     deviation = float(np.max(np.abs(radii - 1.0)))
     if deviation > 1e-6:

@@ -107,6 +107,10 @@ class FlowConfig:
             raise ValueError(f"flow coefficient needs Re a >= 0, got {a}")
         if not (self.dt0 > 0 and self.dt_max > 0 and self.ramp >= 0):
             raise ValueError("step-size parameters must be positive")
+        if not (self.max_outer >= 1 and self.max_newton >= 1):
+            raise ValueError("iteration caps max_outer and max_newton must be at least 1")
+        if not all(0 < tol < math.inf for tol in (self.outer_tol, self.newton_tol)):
+            raise ValueError("tolerances outer_tol and newton_tol must be finite and positive")
 
     def dt_at(self, t: float) -> float:
         return min(max(self.dt0, self.ramp * t), self.dt_max)

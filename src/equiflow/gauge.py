@@ -65,19 +65,60 @@ def _midpoints(field: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("j,ij...->i...", _MID6, field[idx])
 
 
-def _transport_frame(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
+def _cross3(a, b) -> list[float]:
+    """Cross product of two 3-sequences of floats (np.cross is slow on one)."""
+    return [
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    ]
+
+
+def _cell_propagators(v: np.ndarray, v_rho: np.ndarray, h: float) -> np.ndarray:
+    """Classical RK4 step of the transport rule across every cell at once.
+
+    The rule e' = -v (v_rho . e) is linear in e with real coefficients,
+    so the step across cell k (node k+1 to node k, signed width h) is a
+    real 3x3 matrix P_k acting on both legs of the frame.  Every stage
+    matrix is rank one, u w^T with u = -v and w = v_rho; the stages fold
+    into P_k = I + (h/6)(u1 w1^T + 2 u2 (w2' + w3')^T + u4 w4'^T), where
+    the primed rows carry the earlier stages and need only row dot
+    products.  Returns the (n-1, 3, 3) stack indexed by cell.
+    """
+    n = v.shape[0]
+    u1, w1 = -v[1:], v_rho[1:]
+    u2, w2 = -_midpoints(v, n), _midpoints(v_rho, n)
+    u4, w4 = -v[:-1], v_rho[:-1]
+    w2p = w2 + (0.5 * h * np.einsum("ij,ij->i", w2, u1))[:, None] * w1
+    w3p = w2 + (0.5 * h * np.einsum("ij,ij->i", w2, u2))[:, None] * w2p
+    w4p = w4 + (h * np.einsum("ij,ij->i", w4, u2))[:, None] * w3p
+    us = np.stack((u1, 2.0 * u2, u4), axis=2)
+    ws = np.stack((w1, w2p + w3p, w4p), axis=1)
+    prop = (h / 6.0) * (us @ ws)
+    prop[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    return prop
+
+
+def _transport_frame(
+    v: np.ndarray, grid: RadialGrid, v_rho: np.ndarray | None = None
+) -> np.ndarray:
     """Integrate the frame transport inward from the outer edge.
 
     Classical fourth-order explicit steps on the transport rule (the
-    frame tilts only along the map, by the rate the map turns); the
-    frame is re-orthonormalized every few nodes, and a drift beyond the
-    tolerance between renormalizations signals unresolved data.
+    frame tilts only along the map, by the rate the map turns).  The
+    rule is linear, so each cell's step is a 3x3 propagator, built for
+    all cells at once.  The steps are grouped into blocks of
+    _RENORM_EVERY cells, counted inward from the outer edge; the products
+    inside every block are formed together, and the blocks are chained
+    in order.  At each block end (and at the innermost node) the frame's
+    drift from orthonormality and tangency is checked, a drift beyond
+    the tolerance (or a non-finite frame) signalling unresolved data,
+    and the frame is re-orthonormalized.  v_rho is the radial derivative
+    of v, computed here when not given.
     """
     n = grid.n
-    v_rho = d_rho(v, grid)
-    vmid = _midpoints(v, n)
-    vrmid = _midpoints(v_rho, n)
-    e = np.empty((n, 3), dtype=complex)
+    if v_rho is None:
+        v_rho = d_rho(v, grid)
     # anchor the frame at the outer edge: the reference direction
     # projected onto the tangent plane there, so that slowly decaying
     # far fields (where the map has not yet reached the pole) still
@@ -85,51 +126,66 @@ def _transport_frame(v: np.ndarray, grid: RadialGrid) -> np.ndarray:
     vk = v[n - 1]
     re0 = np.array([1.0, 0.0, 0.0]) - vk[0] * vk
     scale = math.sqrt(re0 @ re0)
-    if scale < 1e-6:
+    if not scale >= 1e-6:
         raise GaugeError(
             "the map is within 1e-6 of the frame reference direction at "
-            "the outer edge; the transported frame is not defined"
+            "the outer edge, or not finite there; the transported frame "
+            "is not defined"
         )
     re0 /= scale
-    ec = re0 + 1j * np.cross(vk, re0)
-    e[n - 1] = ec
-    h = -grid.drho
-    since = 0
-    for k in range(n - 2, -1, -1):
-        k1 = -v[k + 1] * (v_rho[k + 1] @ ec)
-        e2 = ec + 0.5 * h * k1
-        k2 = -vmid[k] * (vrmid[k] @ e2)
-        e3 = ec + 0.5 * h * k2
-        k3 = -vmid[k] * (vrmid[k] @ e3)
-        e4 = ec + h * k3
-        k4 = -v[k] * (v_rho[k] @ e4)
-        ec = ec + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        since += 1
-        if since >= _RENORM_EVERY or k == 0:
-            re, im = ec.real.copy(), ec.imag.copy()
-            vk = v[k]
-            drift = max(
-                abs(float(re @ re) - 1.0),
-                abs(float(im @ im) - 1.0),
-                abs(float(re @ im)),
-                abs(float(re @ vk)),
-                abs(float(im @ vk)),
+
+    # step j runs across cell n-2-j; pad the last block with identities
+    steps = n - 1
+    nblocks = -(-steps // _RENORM_EVERY)
+    prop = np.empty((nblocks * _RENORM_EVERY, 3, 3))
+    prop[:steps] = _cell_propagators(v, v_rho, -grid.drho)[::-1]
+    prop[steps:] = np.eye(3)
+    # cum[b, i] carries the frame from the start of block b across its
+    # first i+1 steps
+    cum = prop.reshape(nblocks, _RENORM_EVERY, 3, 3)
+    for i in range(1, _RENORM_EVERY):
+        cum[:, i] = cum[:, i] @ cum[:, i - 1]
+
+    # chain the blocks: carry the frame across each, check its drift,
+    # re-orthonormalize; the block ends are the renormalization nodes
+    end_nodes = np.minimum(np.arange(1, nblocks + 1) * _RENORM_EVERY, steps)
+    v_end = v[n - 1 - end_nodes].tolist()
+    re, im = re0.tolist(), _cross3(vk, re0)
+    starts = []
+    for c, vb in zip(cum[:, -1].tolist(), v_end):
+        starts.append(re)
+        re = [ci[0] * re[0] + ci[1] * re[1] + ci[2] * re[2] for ci in c]
+        im = [ci[0] * im[0] + ci[1] * im[1] + ci[2] * im[2] for ci in c]
+        rv = re[0] * vb[0] + re[1] * vb[1] + re[2] * vb[2]
+        terms = (
+            abs(re[0] * re[0] + re[1] * re[1] + re[2] * re[2] - 1.0),
+            abs(im[0] * im[0] + im[1] * im[1] + im[2] * im[2] - 1.0),
+            abs(re[0] * im[0] + re[1] * im[1] + re[2] * im[2]),
+            abs(rv),
+            abs(im[0] * vb[0] + im[1] * vb[1] + im[2] * vb[2]),
+        )
+        # max() passes over a NaN that is not its first argument
+        drift = math.nan if math.isnan(sum(terms)) else max(terms)
+        if not drift <= _DRIFT_LIMIT:
+            raise GaugeError(
+                f"frame transport drifted by {drift:.2e} between "
+                "renormalizations: the map is not resolved on this grid"
             )
-            if drift > _DRIFT_LIMIT:
-                raise GaugeError(
-                    f"frame transport drifted by {drift:.2e} between "
-                    "renormalizations: the map is not resolved on this grid"
-                )
-            re -= (re @ vk) * vk
-            re /= math.sqrt(re @ re)
-            im = np.cross(vk, re)
-            ec = re + 1j * im
-            since = 0
-        e[k] = ec
+        re = [re[i] - rv * vb[i] for i in range(3)]
+        scale = math.sqrt(re[0] * re[0] + re[1] * re[1] + re[2] * re[2])
+        re = [x / scale for x in re]
+        im = _cross3(vb, re)
+
+    # real legs at every node; only they enter the final projection
+    legs = (cum @ np.asarray(starts)[:, None, :, None]).reshape(-1, 3)
+    e_re = np.empty((n, 3))
+    e_re[n - 1] = re0
+    e_re[: n - 1] = legs[:steps][::-1]
     # the integration error between renormalizations leaves a small
     # orthonormality defect at the in-between nodes; project it out
-    # everywhere at once (the transported phase is untouched)
-    re = e.real - np.einsum("ij,ij->i", e.real, v)[:, None] * v
+    # everywhere at once (the transported phase is untouched).  At the
+    # block ends this is the renormalization the chain applied.
+    re = e_re - np.einsum("ij,ij->i", e_re, v)[:, None] * v
     re /= np.linalg.norm(re, axis=1, keepdims=True)
     return re + 1j * np.cross(v, re)
 
@@ -185,8 +241,8 @@ def hasimoto_forward(
     if v.shape[0] != n:
         raise ConfigError("map and grid sizes differ")
 
-    e = _transport_frame(v, grid)
     v_rho = d_rho(v, grid)
+    e = _transport_frame(v, grid, v_rho)
     pk = -v * v[:, 2:3]
     pk[:, 2] += 1.0
     w = v_rho / grid.r[:, None] - (m / grid.r)[:, None] * pk

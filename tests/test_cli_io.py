@@ -131,6 +131,40 @@ def test_snapshot_errors(tmp_path):
         load_snapshot(off)
 
 
+def corrupt_snapshot(tmp_path, token):
+    """Stored snapshot with one map value of its middle row replaced."""
+    grid = build_grid(-8.0, 10.0, 256)
+    vmap, _ = build_initial_data(TailFamily("log_drift", kappa=-0.3), grid)
+    snap = tmp_path / "state.dat"
+    save_snapshot(snap, vmap, grid)
+    lines = snap.read_text().splitlines()
+    row = len(lines) - grid.n // 2
+    parts = lines[row].split()
+    parts[2] = token
+    lines[row] = " ".join(parts)
+    snap.write_text("\n".join(lines) + "\n")
+    return snap, row + 1
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_snapshot_is_numerical_error(tmp_path, capsys, token):
+    snap, _ = corrupt_snapshot(tmp_path, token)
+    with pytest.raises(NumericalError, match="non-finite"):
+        load_snapshot(snap)
+    cfg = write_config(tmp_path, snapshot=str(snap))
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_numeric_snapshot_is_config_error(tmp_path, capsys):
+    snap, lineno = corrupt_snapshot(tmp_path, "abc")
+    with pytest.raises(ConfigError, match=f"line {lineno}"):
+        load_snapshot(snap)
+    cfg = write_config(tmp_path, snapshot=str(snap))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"line {lineno}" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -77,6 +77,13 @@ def test_flow_config_validation():
         FlowConfig(a=-1.0 + 0.5j)
     with pytest.raises(ValueError, match="positive"):
         FlowConfig(dt0=0.0)
+    for caps in (dict(max_outer=0), dict(max_newton=0), dict(max_outer=-3)):
+        with pytest.raises(ValueError, match="at least 1"):
+            FlowConfig(**caps)
+    for bad in (0.0, -1e-12, math.nan, math.inf):
+        for key in ("outer_tol", "newton_tol"):
+            with pytest.raises(ValueError, match="finite and positive"):
+                FlowConfig(**{key: bad})
     cfg = FlowConfig(dt0=0.01, ramp=0.05, dt_max=500.0)
     assert cfg.dt_at(0.0) == 0.01
     assert cfg.dt_at(1.0) == 0.05

@@ -15,7 +15,11 @@ from equiflow.evolve_llg import (
     stationary_angle,
 )
 from equiflow.gauge import (
+    _DRIFT_LIMIT,
+    _RENORM_EVERY,
     GaugeState,
+    _midpoints,
+    _transport_frame,
     hasimoto_forward,
     phase_integral,
     qeq_rhs,
@@ -226,6 +230,81 @@ def test_gauge_error_on_unresolved_map(grid):
     rng = np.random.default_rng(3)
     v = rng.normal(size=(grid.n, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
+    with pytest.raises(GaugeError):
+        hasimoto_forward(SphereMap(v, 3), Mu(1.0, 0.0, 3), grid)
+
+
+def transport_frame_loop(v, grid):
+    """Reference transport: one RK4 step per cell on the frame itself.
+
+    The node-by-node loop that the batched propagators in
+    _transport_frame replace, kept to check them against.
+    """
+    n = grid.n
+    v_rho = d_rho(v, grid)
+    vmid = _midpoints(v, n)
+    vrmid = _midpoints(v_rho, n)
+    e = np.empty((n, 3), dtype=complex)
+    vk = v[n - 1]
+    re0 = np.array([1.0, 0.0, 0.0]) - vk[0] * vk
+    re0 /= math.sqrt(re0 @ re0)
+    ec = re0 + 1j * np.cross(vk, re0)
+    e[n - 1] = ec
+    h = -grid.drho
+    since = 0
+    for k in range(n - 2, -1, -1):
+        k1 = -v[k + 1] * (v_rho[k + 1] @ ec)
+        e2 = ec + 0.5 * h * k1
+        k2 = -vmid[k] * (vrmid[k] @ e2)
+        e3 = ec + 0.5 * h * k2
+        k3 = -vmid[k] * (vrmid[k] @ e3)
+        e4 = ec + h * k3
+        k4 = -v[k] * (v_rho[k] @ e4)
+        ec = ec + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        since += 1
+        if since >= _RENORM_EVERY or k == 0:
+            re, im = ec.real.copy(), ec.imag.copy()
+            vk = v[k]
+            drift = max(
+                abs(float(re @ re) - 1.0),
+                abs(float(im @ im) - 1.0),
+                abs(float(re @ im)),
+                abs(float(re @ vk)),
+                abs(float(im @ vk)),
+            )
+            assert drift <= _DRIFT_LIMIT
+            re -= (re @ vk) * vk
+            re /= math.sqrt(re @ re)
+            ec = re + 1j * np.cross(vk, re)
+            since = 0
+        e[k] = ec
+    re = e.real - np.einsum("ij,ij->i", e.real, v)[:, None] * v
+    re /= np.linalg.norm(re, axis=1, keepdims=True)
+    return re + 1j * np.cross(v, re)
+
+
+@pytest.mark.parametrize("n", [16, 1024, 2048, 2050])
+@pytest.mark.parametrize("m", [2, 3])
+def test_transport_matches_node_loop(n, m):
+    """Batched propagators reproduce the per-node RK4 loop to roundoff.
+
+    n = 16 is less than one renormalization block, n = 2050 leaves a
+    partial last block.  The products are summed in another order, so
+    the frames agree to a tolerance, not bit for bit.
+    """
+    g = build_grid(-0.2, 0.2, n) if n < _RENORM_EVERY + 2 else build_grid(-8.0, 16.0, n)
+    vm = perturbed_map(Mu(1.1, 0.7, m), g, amp_re=0.04, amp_im=0.02)
+    ref = transport_frame_loop(vm.v, g)
+    e = _transport_frame(vm.v, g)
+    assert np.abs(e - ref).max() <= 1e-13
+    assert np.array_equal(_transport_frame(vm.v, g, d_rho(vm.v, g)), e)
+
+
+@pytest.mark.parametrize("where", [0, 1000, 2047])
+def test_gauge_error_on_non_finite_map(grid, where):
+    """A NaN anywhere in the map stops the transport with GaugeError."""
+    v = h_profile(Mu(1.0, 0.0, 3), grid).h.copy()
+    v[where] = np.nan
     with pytest.raises(GaugeError):
         hasimoto_forward(SphereMap(v, 3), Mu(1.0, 0.0, 3), grid)
 
