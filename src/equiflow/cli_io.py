@@ -46,7 +46,13 @@ from .evolve_llg import (
     run_vector,
 )
 from .gauge import hasimoto_forward
-from .modulation import bump_phi, fit_mu, normal_form_correction, psi_and_c
+from .modulation import (
+    M1_UNSUPPORTED,
+    bump_phi,
+    fit_mu,
+    normal_form_correction,
+    psi_and_c,
+)
 from .radial_grid import RadialGrid, build_grid, norm
 from .scenarios import (
     BehaviorClass,
@@ -60,7 +66,7 @@ SCHEMA_VERSION = 1
 
 # every legal config key with its type, default, and documentation line
 _KEYS: dict[str, tuple[type, object, str]] = {
-    "m": (int, 2, "equivariance degree (m >= 1)"),
+    "m": (int, 2, "equivariance degree (m >= 2)"),
     "a_re": (float, 1.0, "dissipative flow coefficient a1 = Re a (>= 0)"),
     "a_im": (float, 0.0, "rotational flow coefficient a2 = Im a"),
     "rho_min": (float, -8.0, "lower log-radius bound of the grid"),
@@ -210,6 +216,7 @@ def parse_config(text: str) -> ExperimentConfig:
 
     a = complex(values["a_re"], values["a_im"])
     check(values["m"] >= 1, "m must be a positive integer")
+    check(values["m"] != 1, M1_UNSUPPORTED)
     check(a != 0, "a must be nonzero")
     check(values["a_re"] >= 0.0, "a1 = Re a must be nonnegative")
     check(
@@ -502,6 +509,9 @@ def _report(quiet: bool, message: str) -> None:
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
     """Run the flow, fit each record, and persist series plus snapshot."""
     vmap, grid, excess = _initial_data(cfg)
+    # parse_config rejects m = 1 in the config; a snapshot carries its own m
+    if vmap.m == 1:
+        raise ConfigError(M1_UNSUPPORTED)
     planar = (
         cfg.a.imag == 0.0
         and vmap.beta is not None

@@ -3,11 +3,14 @@
 Two solvers share one mesh and one run loop:
 
 * a vector scheme for the full three-component map, implicit midpoint in
-  time with the projection coefficients frozen and iterated to a fixed
-  point. The update direction is tangent at the midpoint, so every node
-  stays exactly on the unit sphere. Three nodes at each end are pinned,
-  which keeps every evolving row on the centered 6th-order stencil: the
-  spatial operator restricted to the evolving block is then an exactly
+  time. The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0,
+  with L the operator of laplace_operator; a chord iteration finds it
+  with one banded LU of I - (dt/2) P_a(v) L per step, so the band matrix
+  only steers the iteration and F alone fixes the result. The update
+  direction is tangent at the midpoint, so every node stays exactly on
+  the unit sphere. Three nodes at each end are pinned, which keeps
+  every evolving row on the centered 6th-order stencil: the spatial
+  operator restricted to the evolving block is then an exactly
   symmetric matrix, so the midpoint rule conserves the matching
   quadratic energy to solver tolerance when the flow is purely
   rotational (a = i) and dissipates it monotonically when Re a > 0.
@@ -40,9 +43,10 @@ import warnings
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
-from .harmonic_family import energy as map_energy
+from .harmonic_family import energy as map_energy, pa_apply
 from .radial_grid import _D2_CENTER, RadialGrid, banded_d2, d2_rho
 
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -71,7 +75,8 @@ class SphereMap:
 
     def check_unit(self, tol: float = 1e-8) -> None:
         err = float(np.max(np.abs(np.linalg.norm(self.v, axis=1) - 1.0)))
-        if err > tol:
+        # written so that a NaN error fails the check
+        if not err <= tol:
             raise ValueError(f"map leaves the unit sphere by {err:.3e}")
 
 
@@ -125,7 +130,9 @@ class RunSeries:
     energy[k] + dissipated[k] - energy[0] is an O(dt^2) residual for
     dissipative runs and a solver-tolerance residual for the
     conservative flow. Scalar runs record the quadrature map energy and
-    book dissipated as its exact decrement.
+    book dissipated as its exact decrement. iterations is the total
+    number of inner iterations: chord iterations for vector runs, Newton
+    iterations for scalar runs.
     """
 
     t: np.ndarray
@@ -136,16 +143,21 @@ class RunSeries:
     m: int
     a: complex
     beta: np.ndarray | None = None
+    iterations: int = 0
 
     def map_at(self, k: int) -> SphereMap:
         beta = None if self.beta is None else self.beta[k]
         return SphereMap(v=self.v[k], m=self.m, beta=beta)
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v|, nodewise."""
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def _pa_blocks(vhat: np.ndarray, a: complex) -> np.ndarray:
     """Per-node 3x3 matrices a1 (I - nn^T) + a2 [n]_x for n = vhat/|vhat|."""
-    nrm = np.linalg.norm(vhat, axis=1, keepdims=True)
-    nhat = vhat / nrm
+    nhat = _unit(vhat)
     n = vhat.shape[0]
     blocks = np.zeros((n, 3, 3))
     eye = np.eye(3)
@@ -204,39 +216,47 @@ def scheme_energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
 
 
 class _VectorWork:
-    """Cached per-grid pieces of the midpoint band matrix."""
+    """The midpoint band matrix of one grid, in LAPACK gbtrf storage.
+
+    Entry (r, c) of the 3n x 3n matrix sits at row 2 BAND + r - c of a
+    (3 BAND + 1)-row band array; the top BAND rows are left spare for the
+    fill-in of the factorization. The matrix is I - (dt/2) P_a L, L the
+    operator of laplace_operator, with identity rows pinning the
+    boundary nodes. __init__ stores where each entry of the evolving rows
+    lands in the Fortran-ordered array and its stencil weight, so
+    assemble is a product and a scatter. iterations counts the chord
+    iterations run with this work object.
+    """
 
     BAND = 11
 
     def __init__(self, grid: RadialGrid, m: int):
         self.grid = grid
-        self.m = m
-        self.taps = _D2_CENTER / grid.drho**2
-        self.decay = np.exp(-2.0 * grid.rho)
+        self.iterations = 0
+        U = self.BAND
+        off = np.arange(-3, 4)[:, None, None, None]
+        al = np.arange(3)[None, :, None, None]
+        be = np.arange(3)[None, None, :, None]
+        node = np.arange(N_PIN, grid.n - N_PIN)[None, None, None, :]
+        # entry (3 node + al, 3 (node + off) + be), indexed [off, al, be, node]
+        # so that the innermost axis of the product in assemble is long
+        rows = 2 * U + al - be - 3 * off
+        cols = 3 * (node + off) + be
+        self._flat = (cols * (3 * U + 1) + rows).reshape(-1)
+        # the entries of -L, indexed [off, 0, be, node]
+        taps = _D2_CENTER / grid.drho**2
+        planar = (off == 0) * float(m * m) * np.array([1.0, 1.0, 0.0])[be]
+        decay = np.exp(-2.0 * grid.rho)[node]
+        self._weights = decay * (planar - taps[off + 3])
 
     def assemble(self, pa: np.ndarray, dt: float) -> np.ndarray:
-        """Band matrix of I - (dt/2) Pa L over the 3n midpoint unknowns,
-        with identity rows pinning the boundary nodes."""
-        n = self.grid.n
+        """The band array of I - (dt/2) Pa L for the per-node blocks pa."""
         U = self.BAND
-        ab = np.zeros((2 * U + 1, 3 * n))
-        i = np.arange(N_PIN, n - N_PIN)
-        coef = 0.5 * dt * self.decay[i]
-        mm = float(self.m * self.m)
-        kdiag = (1.0, 1.0, 0.0)
-        for o in range(-3, 4):
-            base = coef * self.taps[o + 3]
-            for al in range(3):
-                for be in range(3):
-                    vals = -base * pa[i, al, be]
-                    if o == 0:
-                        vals = vals + coef * mm * kdiag[be] * pa[i, al, be]
-                        if al == be:
-                            vals = vals + 1.0
-                    ab[U + al - be - 3 * o, 3 * (i + o) + be] = vals
-        for node in (*range(N_PIN), *range(n - N_PIN, n)):
-            for c in range(3):
-                ab[U, 3 * node + c] = 1.0
+        ab = np.zeros((3 * U + 1, 3 * self.grid.n), order="F")
+        pa_t = np.ascontiguousarray(pa[N_PIN:-N_PIN].transpose(1, 2, 0))
+        vals = (0.5 * dt * pa_t) * self._weights
+        ab.reshape(-1, order="F")[self._flat] = vals.reshape(-1)
+        ab[2 * U] += 1.0
         return ab
 
 
@@ -252,7 +272,7 @@ def dissipation_rate(v: np.ndarray, grid: RadialGrid, m: int, a: complex) -> flo
     if a.real == 0:
         return 0.0
     lap = laplace_operator(v, grid, m)
-    pa_lap = np.einsum("nij,nj->ni", _pa_blocks(v, a), lap)
+    pa_lap = pa_apply(_unit(v), lap, a)
     w = grid.drho * np.exp(2.0 * grid.rho)
     return 2.0 * math.pi * float(w @ np.sum(lap * pa_lap, axis=1))
 
@@ -266,20 +286,34 @@ def step_vector(
     config: FlowConfig,
     work: _VectorWork | None = None,
 ) -> np.ndarray:
-    """One implicit midpoint step of the vector scheme."""
+    """One implicit midpoint step of the vector scheme.
+
+    The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0, L
+    from laplace_operator. The chord iteration factors the band matrix
+    J = I - (dt/2) P_a(v) L once and updates x <- x - J^{-1} F(x) from
+    x = v, whose first iterate is the Picard solve J^{-1} v. It stops
+    when the largest update falls below outer_tol; J only steers the
+    iteration, the fixed point is set by F. The pinned rows of J are
+    identity rows and F vanishes on them, so the pinned nodes stay put.
+    """
     if work is None:
         work = _VectorWork(grid, m)
     a = complex(config.a)
-    b = v.reshape(-1)
-    vhat = v
     U = _VectorWork.BAND
+    ab = work.assemble(_pa_blocks(v, a), dt)
+    lu, piv, info = dgbtrf(ab, U, U, overwrite_ab=True)
+    if info != 0:
+        raise StepError(f"midpoint band matrix is singular at t={t:.6g}, dt={dt:.3g}")
+    vmid = v
     for _ in range(config.max_outer):
-        pa = _pa_blocks(vhat, a)
-        ab = work.assemble(pa, dt)
-        vmid = solve_banded((U, U), ab, b).reshape(-1, 3)
-        delta = float(np.max(np.abs(vmid - vhat)))
-        vhat = vmid
-        if delta < config.outer_tol:
+        lap = laplace_operator(vmid, grid, m)
+        resid = vmid - v - 0.5 * dt * pa_apply(_unit(vmid), lap, a)
+        update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
+        work.iterations += 1
+        vmid = vmid - update.reshape(-1, 3)
+        delta = float(np.max(np.abs(update)))
+        # a non-finite update ends the loop; the finiteness check below reports it
+        if delta < config.outer_tol or not math.isfinite(delta):
             break
     else:
         raise StepError(
@@ -376,7 +410,7 @@ def run_vector(
         k += 1
     return RunSeries(
         t=times, v=snaps, energy=energies, dissipated=dissipated,
-        steps=steps, m=m, a=complex(config.a),
+        steps=steps, m=m, a=complex(config.a), iterations=work.iterations,
     )
 
 
@@ -418,12 +452,14 @@ def scalar_energy(beta: np.ndarray, grid: RadialGrid, m: int) -> float:
 
 
 class _ScalarWork:
-    """Per-grid cached pieces of the Crank-Nicolson Jacobian."""
+    """Per-grid cached pieces of the Crank-Nicolson Jacobian; iterations
+    counts the Newton iterations run with it."""
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
         self.grid = grid
         self.m = m
         self.a1 = a1
+        self.iterations = 0
         ab, l, u = banded_d2(grid)
         self.u = u
         # row index of slot (d, j) is d - u + j; clip only for the mask
@@ -471,6 +507,7 @@ def step_scalar(
         resid[0] = resid[-1] = 0.0
         ab = work.newton_matrix(new, dt)
         delta = solve_banded((work.u, work.u), ab, resid)
+        work.iterations += 1
         new = new - delta
         err = float(np.max(np.abs(delta)))
         if err < config.newton_tol:
@@ -525,4 +562,5 @@ def run_scalar(
     return RunSeries(
         t=times, v=snaps, energy=energies,
         dissipated=energies[0] - energies, steps=steps, m=m, a=a, beta=betas,
+        iterations=work.iterations,
     )

@@ -233,6 +233,8 @@ def hasimoto_forward(
     """
     if vmap.m != mu.m:
         raise ConfigError("map and parameters disagree on the degree m")
+    if not np.all(np.isfinite(vmap.v)):
+        raise GaugeError("map has non-finite values; no frame can be transported along it")
     vmap.check_unit()
     a = complex(a)
     v = vmap.v

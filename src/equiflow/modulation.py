@@ -332,6 +332,12 @@ def _h1sq_rdr_below(m: int, rho_edge: float) -> float:
     return total
 
 
+M1_UNSUPPORTED = (
+    "m = 1 is not supported: the adjoint window decays too slowly "
+    "to pair against the fields that arise"
+)
+
+
 def psi_and_c(phi: BumpProfile, m: int, grid: RadialGrid) -> PsiProfile:
     """Adjoint window profile and the ground-profile normalization.
 
@@ -343,10 +349,7 @@ def psi_and_c(phi: BumpProfile, m: int, grid: RadialGrid) -> PsiProfile:
     relative accuracy all the way to the last node.
     """
     if m == 1:
-        raise ConfigError(
-            "m = 1 is not supported: the adjoint window decays too slowly "
-            "to pair against the fields that arise"
-        )
+        raise ConfigError(M1_UNSUPPORTED)
     if phi.m != m:
         raise ConfigError("bump window was built for a different degree m")
     rho = grid.rho

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from equiflow import cli_io
 from equiflow.cli_io import (
     config_template,
     family_to_config,
@@ -14,6 +15,8 @@ from equiflow.cli_io import (
     save_snapshot,
 )
 from equiflow.errors import ConfigError, NumericalError
+from equiflow.evolve_llg import SphereMap
+from equiflow.harmonic_family import Mu, h_profile
 from equiflow.radial_grid import build_grid
 from equiflow.scenarios import TailFamily, build_initial_data
 
@@ -297,6 +300,25 @@ def test_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, a_re=-1.0)
     assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "code=2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["config", "snapshot"])
+def test_m1_rejected_before_any_compute(tmp_path, capsys, monkeypatch, source):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the solve ran for m = 1")
+
+    monkeypatch.setattr(cli_io, "run_vector", no_run)
+    monkeypatch.setattr(cli_io, "run_scalar", no_run)
+    if source == "config":
+        cfg = write_config(tmp_path, m=1, a_im=1.0, n=128, delta=0.02)
+    else:
+        grid = build_grid(-6.0, 6.0, 128)
+        snap = tmp_path / "m1.dat"
+        save_snapshot(snap, SphereMap(h_profile(Mu(1.0, 0.0, 1), grid).h, 1), grid)
+        cfg = write_config(tmp_path, a_im=1.0, snapshot=snap)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "code=2" in err and "m = 1 is not supported" in err
 
 
 def test_missing_config_file(tmp_path, capsys):

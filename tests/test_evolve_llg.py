@@ -6,11 +6,16 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
-from equiflow.errors import StepError
+from equiflow import evolve_llg
+from equiflow.errors import InstabilityError, StepError
 from equiflow.evolve_llg import (
+    N_PIN,
     FlowConfig,
     SphereMap,
+    _pa_blocks,
+    _VectorWork,
     beta_to_map,
     dissipation_rate,
     energy_identity_residual,
@@ -23,7 +28,7 @@ from equiflow.evolve_llg import (
     step_vector,
 )
 from equiflow.harmonic_family import Mu, energy, h_profile
-from equiflow.radial_grid import build_grid
+from equiflow.radial_grid import _D2_CENTER, build_grid
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +73,9 @@ def test_sphere_map_validation():
         SphereMap(v=v, m=0)
     with pytest.raises(ValueError, match="unit sphere"):
         SphereMap(v=1.01 * v, m=2).check_unit()
+    v[3, 0] = math.nan
+    with pytest.raises(ValueError, match="unit sphere"):
+        SphereMap(v=v, m=2).check_unit()
 
 
 def test_flow_config_validation():
@@ -207,6 +215,102 @@ def test_outer_iteration_stall_raises(grid, perturbed):
         run_vector(perturbed, grid, 3, FlowConfig(a=1.0, dt0=0.02, max_outer=1), t_end=0.1)
 
 
+def assemble_loop(grid, m, pa, dt):
+    """Reference band matrix of I - (dt/2) Pa L in solve_banded storage,
+    built slice by slice; _VectorWork.assemble replaces it with a scatter."""
+    n = grid.n
+    U = _VectorWork.BAND
+    ab = np.zeros((2 * U + 1, 3 * n))
+    i = np.arange(N_PIN, n - N_PIN)
+    coef = 0.5 * dt * np.exp(-2.0 * grid.rho)[i]
+    taps = _D2_CENTER / grid.drho**2
+    mm = float(m * m)
+    kdiag = (1.0, 1.0, 0.0)
+    for o in range(-3, 4):
+        base = coef * taps[o + 3]
+        for al in range(3):
+            for be in range(3):
+                vals = -base * pa[i, al, be]
+                if o == 0:
+                    vals = vals + coef * mm * kdiag[be] * pa[i, al, be]
+                    if al == be:
+                        vals = vals + 1.0
+                ab[U + al - be - 3 * o, 3 * (i + o) + be] = vals
+    for node in (*range(N_PIN), *range(n - N_PIN, n)):
+        for c in range(3):
+            ab[U, 3 * node + c] = 1.0
+    return ab
+
+
+def picard_step(v, dt, grid, m, config):
+    """Reference midpoint step: Picard iteration on the frozen projection,
+    one band assembly and one full banded solve per iteration. Returns
+    the new map and the number of iterations."""
+    a = complex(config.a)
+    U = _VectorWork.BAND
+    vhat = v
+    for count in range(1, config.max_outer + 1):
+        ab = assemble_loop(grid, m, _pa_blocks(vhat, a), dt)
+        vmid = solve_banded((U, U), ab, v.reshape(-1)).reshape(-1, 3)
+        delta = float(np.max(np.abs(vmid - vhat)))
+        vhat = vmid
+        if delta < config.outer_tol:
+            break
+    else:
+        raise StepError("reference Picard iteration stalled")
+    v_new = 2.0 * vmid - v
+    return v_new / np.linalg.norm(v_new, axis=1, keepdims=True), count
+
+
+@pytest.mark.parametrize("a", [1.0, 1j, (1 + 1j) / math.sqrt(2)])
+def test_chord_matches_picard(grid, perturbed, a):
+    """The chord iteration reaches the Picard fixed point, at about the
+    same number of iterations per step."""
+    dt = 0.01
+    cfg = FlowConfig(a=a, dt0=dt)
+    series = run_vector(perturbed, grid, 3, cfg, t_end=20 * dt, record_times=[20 * dt])
+    assert series.steps == 20
+    v = perturbed
+    picard_iterations = 0
+    for _ in range(20):
+        v, count = picard_step(v, dt, grid, 3, cfg)
+        picard_iterations += count
+    assert np.max(np.abs(series.v[-1] - v)) <= 1e-12
+    assert abs(series.iterations - picard_iterations) / 20 <= 1.0
+
+
+def test_assemble_scatter_matches_loop(grid, perturbed):
+    work = _VectorWork(grid, 3)
+    pa = _pa_blocks(perturbed, 0.6 + 0.8j)
+    ref = assemble_loop(grid, 3, pa, 0.01)
+    ab = work.assemble(pa, 0.01)
+    U = _VectorWork.BAND
+    assert ab.shape == (3 * U + 1, 3 * grid.n)
+    assert np.all(ab[:U] == 0.0)
+    assert np.array_equal(ab[U:] != 0.0, ref != 0.0)
+    assert np.max(np.abs(ab[U:] - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_non_finite_map_rejected_before_first_step(grid, profile, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("step_vector ran on a non-finite map")
+
+    monkeypatch.setattr(evolve_llg, "step_vector", no_step)
+    v = profile.h.copy()
+    v[400, 1] = math.nan
+    with pytest.raises(ValueError, match="unit sphere"):
+        run_vector(v, grid, 3, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
+
+
+def test_non_finite_step_is_instability(grid, profile):
+    """A NaN update ends the chord iteration at once and is reported as a
+    non-finite map, not as a stalled iteration."""
+    v = profile.h.copy()
+    v[400, 1] = math.nan
+    with pytest.raises(InstabilityError, match="non-finite"):
+        step_vector(v, 0.0, 0.01, grid, 3, FlowConfig(a=1.0, dt0=0.01))
+
+
 def test_record_times_validation(grid, perturbed):
     cfg = FlowConfig(a=1.0, dt0=0.02)
     with pytest.raises(ValueError, match="record times"):
@@ -252,12 +356,21 @@ def test_scalar_stationary_profile_is_fixed(grid):
     assert np.max(np.abs(series.beta[-1] - beta0)) < 1e-7
 
 
-def test_scalar_relaxes_to_harmonic_energy(grid):
+def test_scalar_relaxes_to_harmonic_energy(grid, monkeypatch):
     """A perturbed angle profile relaxes to the harmonic energy 8 pi under
-    the heat flow, monotonically, in a few hundred ramped steps."""
+    the heat flow, monotonically, in a few hundred ramped steps; the run
+    counts one Newton iteration per banded solve."""
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(evolve_llg, "solve_banded", counted)
     beta0 = stationary_angle(0.0, grid, 2) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
     cfg = FlowConfig(a=1.0, dt0=0.01, ramp=0.05, dt_max=500.0)
     series = run_scalar(beta0, grid, 2, cfg, t_end=1e4)
+    assert series.iterations == len(solves) >= series.steps
     assert np.all(np.diff(series.energy) <= 1e-10)
     assert abs(series.energy[-1] - 8 * math.pi) < 1e-6 * 8 * math.pi
     assert series.steps < 400
