@@ -14,10 +14,11 @@ dispatches one of four subcommands:
               amplitudes and frequencies, one summary row per combination
 
 Config grammar: one `key = value` pair per line, full-line comments
-starting with `#`, blank lines ignored.  Unknown keys are rejected and
-all constraint violations are reported together.  Outputs are plain text
-with a stamped schema version and a comment line documenting every
-column; identical configs produce bit-identical files.
+starting with `#`, blank lines ignored.  The keys are the fields of
+ExperimentConfig, the one schema.  Unknown keys and numbers that are not
+finite are rejected, and all violations are reported together.  Outputs
+are plain text with a stamped schema version and a comment line
+documenting every column; identical configs produce bit-identical files.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
 environment variable EQUIFLOW_THREADS caps sweep parallelism.
@@ -31,7 +32,7 @@ import os
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -64,85 +65,60 @@ from .scenarios import (
 
 SCHEMA_VERSION = 1
 
-# every legal config key with its type, default, and documentation line
-_KEYS: dict[str, tuple[type, object, str]] = {
-    "m": (int, 2, "equivariance degree (m >= 2)"),
-    "a_re": (float, 1.0, "dissipative flow coefficient a1 = Re a (>= 0)"),
-    "a_im": (float, 0.0, "rotational flow coefficient a2 = Im a"),
-    "rho_min": (float, -8.0, "lower log-radius bound of the grid"),
-    "rho_max": (float, 8.0, "upper log-radius bound of the grid"),
-    "n": (int, 1024, "number of grid nodes (>= 16)"),
-    "dt0": (float, 1e-3, "initial time step"),
-    "dt_max": (float, 0.0, "time step cap; 0 disables the cap"),
-    "ramp": (float, 0.0, "proportional step growth: dt = max(dt0, ramp * t)"),
-    "t_end": (float, 1.0, "final time of the run"),
-    "t_record_min": (float, 0.0, "first record time; 0 picks t_end / 100"),
-    "records": (int, 21, "number of geometrically spaced record times"),
-    "fit_cadence": (int, 1, "fit the parameters at every k-th record"),
-    "family": (str, "none", "tail family: none | log_drift | ln_ln_oscillation | mixed"),
-    "kappa": (float, 0.0, "tail amplitude"),
-    "lam": (float, 1.0, "tail frequency (oscillating families)"),
-    "r1": (float, math.e, "tail activation radius (> 1)"),
-    "sign": (int, 1, "tail orientation, +1 or -1"),
-    "s0": (float, 1.0, "initial harmonic scale"),
-    "cut_width": (float, 1.0, "width of the tail switch-on ramp in log radius"),
-    "delta": (float, 0.0, "amplitude of the seeded random transverse perturbation"),
-    "seed": (int, 0, "random seed for the transverse perturbation"),
-    "snapshot": (str, "", "snapshot file to use as initial data instead of a family"),
-    "t_min": (float, 10.0, "first time of the prediction grid"),
-    "t_max": (float, 1e5, "last time of the prediction grid"),
-    "t_points": (int, 41, "number of geometrically spaced prediction times"),
-    "sweep_kappa": (list, (), "comma-separated tail amplitudes for sweep"),
-    "sweep_lam": (list, (), "comma-separated tail frequencies for sweep"),
-    "out": (str, ".", "output directory (the --out flag overrides it)"),
-}
+def _key(default, doc: str):
+    """A config key: its default and its documentation line."""
+    return field(default=default, metadata={"doc": doc})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description, one field per config key."""
+    """Validated experiment description.
 
-    m: int
-    a: complex
-    rho_min: float
-    rho_max: float
-    n: int
-    dt0: float
-    dt_max: float
-    ramp: float
-    t_end: float
-    t_record_min: float
-    records: int
-    fit_cadence: int
-    family: str
-    kappa: float
-    lam: float
-    r1: float
-    sign: int
-    s0: float
-    cut_width: float
-    delta: float
-    seed: int
-    snapshot: str
-    t_min: float
-    t_max: float
-    t_points: int
-    sweep_kappa: tuple
-    sweep_lam: tuple
-    out: str
+    This is the config schema: every field is one config key, in the
+    order of the template, with its default and documentation line; the
+    type of a key is the type of its default.  The flow coefficient is
+    given as a_re and a_im and read as cfg.a.
+    """
+
+    m: int = _key(2, "equivariance degree (m >= 2)")
+    a_re: float = _key(1.0, "dissipative flow coefficient a1 = Re a (>= 0)")
+    a_im: float = _key(0.0, "rotational flow coefficient a2 = Im a")
+    rho_min: float = _key(-8.0, "lower log-radius bound of the grid")
+    rho_max: float = _key(8.0, "upper log-radius bound of the grid")
+    n: int = _key(1024, "number of grid nodes (>= 16)")
+    dt0: float = _key(1e-3, "initial time step")
+    dt_max: float = _key(0.0, "time step cap; 0 disables the cap")
+    ramp: float = _key(0.0, "proportional step growth: dt = max(dt0, ramp * t)")
+    t_end: float = _key(1.0, "final time of the run")
+    t_record_min: float = _key(0.0, "first record time; 0 picks t_end / 100")
+    records: int = _key(21, "number of geometrically spaced record times")
+    fit_cadence: int = _key(1, "fit the parameters at every k-th record")
+    family: str = _key("none", "tail family: none | log_drift | ln_ln_oscillation | mixed")
+    kappa: float = _key(0.0, "tail amplitude")
+    lam: float = _key(1.0, "tail frequency (oscillating families)")
+    r1: float = _key(math.e, "tail activation radius (> 1)")
+    sign: int = _key(1, "tail orientation, +1 or -1")
+    s0: float = _key(1.0, "initial harmonic scale")
+    cut_width: float = _key(1.0, "width of the tail switch-on ramp in log radius")
+    delta: float = _key(0.0, "amplitude of the seeded random transverse perturbation")
+    seed: int = _key(0, "random seed for the transverse perturbation")
+    snapshot: str = _key("", "snapshot file to use as initial data instead of a family")
+    t_min: float = _key(10.0, "first time of the prediction grid")
+    t_max: float = _key(1e5, "last time of the prediction grid")
+    t_points: int = _key(41, "number of geometrically spaced prediction times")
+    sweep_kappa: tuple = _key((), "comma-separated tail amplitudes for sweep")
+    sweep_lam: tuple = _key((), "comma-separated tail frequencies for sweep")
+    out: str = _key(".", "output directory (the --out flag overrides it)")
+
+    @property
+    def a(self) -> complex:
+        return complex(self.a_re, self.a_im)
 
     def grid(self) -> RadialGrid:
         return build_grid(self.rho_min, self.rho_max, self.n)
 
     def tail_family(self) -> TailFamily:
-        return TailFamily(
-            family=self.family,
-            kappa=self.kappa,
-            lam=self.lam,
-            r1=self.r1,
-            sign=self.sign,
-            s0=self.s0,
-        )
+        return TailFamily(**{key.name: getattr(self, key.name) for key in fields(TailFamily)})
 
     def flow(self) -> FlowConfig:
         dt_max = self.dt_max if self.dt_max > 0 else math.inf
@@ -156,26 +132,37 @@ class ExperimentConfig:
         return np.geomspace(self.t_min, self.t_max, self.t_points)
 
 
+# the config keys, from the schema above
+_KEYS = {key.name: key for key in fields(ExperimentConfig)}
+
+
 def _fmt(x) -> str:
     """Full-precision, locale-independent float rendering."""
     return format(float(x), ".17g")
 
 
 def _parse_scalar(key: str, raw: str, lineno: int, problems: list):
-    kind = _KEYS[key][0]
+    """The value of one key, or None after noting the problem; every
+    number of a float or tuple key must be finite."""
+    kind = type(_KEYS[key].default)
     try:
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
-        if kind is list:
-            return tuple(float(p) for p in raw.split(",") if p.strip())
+            value = float(raw)
+        elif kind is tuple:
+            value = tuple(float(p) for p in raw.split(",") if p.strip())
+        else:
+            return raw
     except ValueError:
         problems.append(
             f"line {lineno}: cannot parse {raw!r} as {kind.__name__} for key {key!r}"
         )
         return None
-    return raw
+    if not np.all(np.isfinite(value)):
+        problems.append(f"line {lineno}: {key} must be finite, got {raw!r}")
+        return None
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -208,89 +195,71 @@ def parse_config(text: str) -> ExperimentConfig:
         value = _parse_scalar(key, raw, lineno, problems)
         if value is not None:
             seen[key] = value
-    values = {key: seen.get(key, default) for key, (_, default, _) in _KEYS.items()}
+    cfg = ExperimentConfig(**seen)
 
     def check(ok: bool, message: str):
         if not ok:
             problems.append(message)
 
-    a = complex(values["a_re"], values["a_im"])
-    check(values["m"] >= 1, "m must be a positive integer")
-    check(values["m"] != 1, M1_UNSUPPORTED)
-    check(a != 0, "a must be nonzero")
-    check(values["a_re"] >= 0.0, "a1 = Re a must be nonnegative")
+    check(cfg.m >= 1, "m must be a positive integer")
+    check(cfg.m != 1, M1_UNSUPPORTED)
+    check(cfg.a != 0, "a must be nonzero")
+    check(cfg.a_re >= 0.0, "a1 = Re a must be nonnegative")
+    check(cfg.rho_min < cfg.rho_max, "grid bounds need rho_min < rho_max")
+    check(cfg.n >= 16, "grid needs at least 16 nodes")
+    check(cfg.dt0 > 0.0, "dt0 must be positive")
+    check(cfg.dt_max >= 0.0, "dt_max must be nonnegative (0 disables the cap)")
+    check(cfg.ramp >= 0.0, "ramp must be nonnegative")
+    check(cfg.t_end > 0.0, "t_end must be positive")
+    check(cfg.records >= 2, "records must be at least 2")
     check(
-        math.isfinite(values["rho_min"])
-        and math.isfinite(values["rho_max"])
-        and values["rho_min"] < values["rho_max"],
-        "grid bounds need rho_min < rho_max, both finite",
-    )
-    check(values["n"] >= 16, "grid needs at least 16 nodes")
-    check(values["dt0"] > 0.0, "dt0 must be positive")
-    check(values["dt_max"] >= 0.0, "dt_max must be nonnegative (0 disables the cap)")
-    check(values["ramp"] >= 0.0, "ramp must be nonnegative")
-    check(values["t_end"] > 0.0, "t_end must be positive")
-    check(values["records"] >= 2, "records must be at least 2")
-    check(
-        0.0 <= values["t_record_min"] < values["t_end"],
+        0.0 <= cfg.t_record_min < cfg.t_end,
         "t_record_min must lie in [0, t_end)",
     )
-    check(values["fit_cadence"] >= 1, "fit_cadence must be at least 1")
-    check(values["delta"] >= 0.0, "delta must be nonnegative")
-    check(values["seed"] >= 0, "seed must be nonnegative")
-    check(values["t_min"] > 0.0, "t_min must be positive")
-    check(values["t_max"] > values["t_min"], "t_max must exceed t_min")
-    check(values["t_points"] >= 2, "t_points must be at least 2")
-    check(
-        all(math.isfinite(k) for k in values["sweep_kappa"]),
-        "sweep_kappa entries must be finite",
-    )
-    check(
-        all(math.isfinite(k) for k in values["sweep_lam"]),
-        "sweep_lam entries must be finite",
-    )
+    check(cfg.fit_cadence >= 1, "fit_cadence must be at least 1")
+    check(cfg.cut_width > 0.0, "cut_width must be positive")
+    check(cfg.delta >= 0.0, "delta must be nonnegative")
+    check(cfg.seed >= 0, "seed must be nonnegative")
+    check(cfg.t_min > 0.0, "t_min must be positive")
+    check(cfg.t_max > cfg.t_min, "t_max must exceed t_min")
+    check(cfg.t_points >= 2, "t_points must be at least 2")
     try:
-        TailFamily(
-            family=values["family"],
-            kappa=values["kappa"],
-            lam=values["lam"],
-            r1=values["r1"],
-            sign=values["sign"],
-            s0=values["s0"],
-        )
+        cfg.tail_family()
     except ConfigError as exc:
         problems.append(str(exc))
-    if values["snapshot"] and values["family"] != "none":
+    if cfg.snapshot and cfg.family != "none":
         problems.append("give either tail-family parameters or a snapshot path, not both")
     if problems:
         raise ConfigError("invalid config:\n  - " + "\n  - ".join(problems))
-    del values["a_re"], values["a_im"]
-    return ExperimentConfig(a=a, **values)
+    return cfg
+
+
+def _rows(columns, sep: str) -> list[str]:
+    """Table rows at full precision, one per entry of the columns."""
+    return [sep.join(_fmt(col[i]) for col in columns) for i in range(len(columns[0]))]
+
+
+def _render(value) -> str:
+    """A config value as text: numbers at full precision, tuples
+    comma-separated."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):
+        return ",".join(_fmt(x) for x in value)
+    return str(value) if isinstance(value, int) else _fmt(value)
 
 
 def family_to_config(fam: TailFamily) -> str:
     """Serialize a tail family as config lines that parse back equal."""
-    return (
-        f"family = {fam.family}\n"
-        f"kappa = {_fmt(fam.kappa)}\n"
-        f"lam = {_fmt(fam.lam)}\n"
-        f"r1 = {_fmt(fam.r1)}\n"
-        f"sign = {fam.sign}\n"
-        f"s0 = {_fmt(fam.s0)}\n"
-    )
+    return "".join(f"{key.name} = {_render(getattr(fam, key.name))}\n" for key in fields(fam))
 
 
 def config_template() -> str:
     """All config keys with defaults and documentation, as parsable text."""
     lines = ["# equiflow config: key = value pairs, '#' starts a comment line"]
-    for key, (kind, default, doc) in _KEYS.items():
-        if kind is list:
-            rendered = ",".join(_fmt(x) for x in default)
-        elif kind is float:
-            rendered = _fmt(default)
-        else:
-            rendered = str(default)
-        lines.append(f"# {doc}")
+    for key, spec in _KEYS.items():
+        rendered = _render(spec.default)
+        lines.append(f"# {spec.metadata['doc']}")
         lines.append(f"{key} = {rendered}" if rendered else f"# {key} =")
     return "\n".join(lines) + "\n"
 
@@ -309,21 +278,20 @@ def save_snapshot(path, vmap: SphereMap, grid: RadialGrid) -> None:
         f"# n = {grid.n}",
         "# columns: rho v1 v2 v3",
     ]
-    for i in range(grid.n):
-        lines.append(
-            " ".join(
-                (_fmt(grid.rho[i]), _fmt(vmap.v[i, 0]), _fmt(vmap.v[i, 1]), _fmt(vmap.v[i, 2]))
-            )
-        )
+    lines.extend(_rows([grid.rho, *vmap.v.T], " "))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _read_text(path, what: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
 def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
     """Rebuild a map and its grid from a stored snapshot."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read snapshot {path}: {exc}") from exc
+    text = _read_text(path, f"snapshot {path}")
     meta: dict[str, str] = {}
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -380,9 +348,7 @@ def _write_table(path, kind: str, columns, comments=()) -> None:
     lines.extend(f"# {comment}" for comment in comments)
     lines.extend(f"# column {name}: {doc}" for name, doc, _ in columns)
     lines.append(",".join(name for name, _, _ in columns))
-    arrays = [np.asarray(col) for _, _, col in columns]
-    for i in range(arrays[0].shape[0]):
-        lines.append(",".join(_fmt(col[i]) for col in arrays))
+    lines.extend(_rows([np.asarray(col) for _, _, col in columns], ","))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -408,8 +374,7 @@ def _seeded_perturbation(
     if peak > 0.0:
         bump *= delta / peak
     w = v.copy()
-    w[:, 0] += bump[:, 0]
-    w[:, 1] += bump[:, 1]
+    w[:, :2] += bump
     return w / np.linalg.norm(w, axis=1)[:, None]
 
 
@@ -460,9 +425,8 @@ def series_observables(
     """
     n_rec = series.t.size
     out = {name: np.full(n_rec, np.nan) for name, _ in _SERIES_COLUMNS}
-    out["t"] = series.t.copy()
-    out["energy"] = series.energy.copy()
-    out["dissipated"] = series.dissipated.copy()
+    for name in ("t", "energy", "dissipated"):
+        out[name] = getattr(series, name).copy()
     phi = bump_phi(series.m, grid)
     psi = psi_and_c(phi, series.m, grid)
     guess = None
@@ -512,11 +476,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path
     # parse_config rejects m = 1 in the config; a snapshot carries its own m
     if vmap.m == 1:
         raise ConfigError(M1_UNSUPPORTED)
-    planar = (
-        cfg.a.imag == 0.0
-        and vmap.beta is not None
-        and np.max(np.abs(vmap.v[:, 1])) <= 1e-12
-    )
+    # beta is set only on maps confined to the great circle
+    planar = cfg.a.imag == 0.0 and vmap.beta is not None
     record = [0.0] + list(cfg.record_times())
     if planar:
         series = run_scalar(vmap.beta, grid, vmap.m, cfg.flow(), cfg.t_end, record)
@@ -585,17 +546,18 @@ def cmd_decompose(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Pat
     return [path]
 
 
-def _classify_safely(t: np.ndarray, log_s: np.ndarray) -> BehaviorClass:
-    if t.size < 8:
-        return BehaviorClass.UNDETERMINED
-    return classify_behavior(t, log_s)
+def _predict(cfg: ExperimentConfig, vmap: SphereMap, grid: RadialGrid, s0=None) -> tuple:
+    """The prediction on the configured time grid and the class of its q form."""
+    pred = predict_log_s(vmap, cfg.a.real, cfg.predict_times(), grid, s0=s0)
+    if pred.t.size < 8:
+        return pred, BehaviorClass.UNDETERMINED
+    return pred, classify_behavior(pred.t, pred.q_form)
 
 
 def cmd_predict(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
     """Evaluate the scale-history prediction on the configured time grid."""
     vmap, grid, _ = _initial_data(cfg)
-    pred = predict_log_s(vmap, cfg.a.real, cfg.predict_times(), grid)
-    label = _classify_safely(pred.t, pred.q_form)
+    pred, label = _predict(cfg, vmap, grid)
     path = out_dir / "predict.csv"
     comments = [
         f"initial scale s0 = {_fmt(pred.s0)}, a1 = {_fmt(pred.a1)}",
@@ -619,12 +581,9 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]
 
 def _sweep_row(cfg: ExperimentConfig, kappa: float, lam: float) -> tuple:
     grid = cfg.grid()
-    fam = TailFamily(
-        family=cfg.family, kappa=kappa, lam=lam, r1=cfg.r1, sign=cfg.sign, s0=cfg.s0
-    )
+    fam = replace(cfg.tail_family(), kappa=kappa, lam=lam)
     vmap, excess = build_initial_data(fam, grid, m=cfg.m, cut_width=cfg.cut_width)
-    pred = predict_log_s(vmap, cfg.a.real, cfg.predict_times(), grid, s0=cfg.s0)
-    label = _classify_safely(pred.t, pred.q_form)
+    pred, label = _predict(cfg, vmap, grid, s0=cfg.s0)
     return (kappa, lam, excess, pred.v1_form[-1], pred.q_form[-1], int(label))
 
 
@@ -709,12 +668,7 @@ def main(argv=None) -> int:
     """Command line entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"equiflow error [config] code=2: cannot read config: {exc}", file=sys.stderr)
-        return 2
-    try:
-        cfg = parse_config(text)
+        cfg = parse_config(_read_text(args.config, "config"))
         out_dir = Path(args.out) if args.out is not None else Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if not os.access(out_dir, os.W_OK):

@@ -1,14 +1,16 @@
 """Time integration of m-equivariant flows into the sphere.
 
-Two solvers share one mesh and one run loop:
+Two solvers share one mesh and one run loop, _march, which steps each to
+the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
 
 * a vector scheme for the full three-component map, implicit midpoint in
   time. The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0,
-  with L the operator of laplace_operator; a chord iteration finds it
-  with one banded LU of I - (dt/2) P_a(v) L per step, so the band matrix
-  only steers the iteration and F alone fixes the result. The update
-  direction is tangent at the midpoint, so every node stays exactly on
-  the unit sphere. Three nodes at each end are pinned, which keeps
+  with L the Laplacian laplace_m pinned at the ends (laplace_operator)
+  and P_a from pa_apply; a chord iteration finds it with one banded LU
+  of I - (dt/2) P_a(v) L per step, so the band matrix only steers the
+  iteration and F alone fixes the result. The update direction is
+  tangent at the midpoint, so every node stays exactly on the unit
+  sphere. Three nodes at each end are pinned, which keeps
   every evolving row on the centered 6th-order stencil: the spatial
   operator restricted to the evolving block is then an exactly
   symmetric matrix, so the midpoint rule conserves the matching
@@ -46,12 +48,8 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
-from .harmonic_family import energy as map_energy, pa_apply
-from .radial_grid import _D2_CENTER, RadialGrid, banded_d2, d2_rho
-
-SOUTH = np.array([0.0, 0.0, -1.0])
-NORTH = np.array([0.0, 0.0, 1.0])
-
+from .harmonic_family import energy as map_energy, laplace_m, pa_apply
+from .radial_grid import _D2_CENTER, RadialGrid, _apply_stencil, banded_d2, d2_rho
 
 @dataclass
 class SphereMap:
@@ -84,8 +82,8 @@ class SphereMap:
 class FlowConfig:
     """Time-stepping parameters.
 
-    a is the flow coefficient: a = 1 is the heat flow, a = i the
-    rotational flow, mixtures in between need Re a > 0. The step size is
+    a is the flow coefficient, stored as complex: a = 1 is the heat flow,
+    a = i the rotational flow, mixtures in between need Re a > 0. The step size is
     dt(t) = clip(ramp * t, dt0, dt_max); ramp = 0 keeps dt0 throughout.
     delta, when set, declares the intended perturbation size: runs warn
     if the initial energy exceeds the harmonic floor by more than
@@ -100,12 +98,12 @@ class FlowConfig:
     max_outer: int = 40
     newton_tol: float = 1e-10
     max_newton: int = 12
-    max_steps: int = 2_000_000
     renormalize: bool = True
     delta: float | None = None
 
     def __post_init__(self):
         a = complex(self.a)
+        object.__setattr__(self, "a", a)
         if a == 0:
             raise ValueError("flow coefficient a must be nonzero")
         if a.real < 0:
@@ -155,24 +153,6 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _pa_blocks(vhat: np.ndarray, a: complex) -> np.ndarray:
-    """Per-node 3x3 matrices a1 (I - nn^T) + a2 [n]_x for n = vhat/|vhat|."""
-    nhat = _unit(vhat)
-    n = vhat.shape[0]
-    blocks = np.zeros((n, 3, 3))
-    eye = np.eye(3)
-    blocks += a.real * (eye[None, :, :] - nhat[:, :, None] * nhat[:, None, :])
-    cx = np.zeros((n, 3, 3))
-    cx[:, 0, 1] = -nhat[:, 2]
-    cx[:, 0, 2] = nhat[:, 1]
-    cx[:, 1, 0] = nhat[:, 2]
-    cx[:, 1, 2] = -nhat[:, 0]
-    cx[:, 2, 0] = -nhat[:, 1]
-    cx[:, 2, 1] = nhat[:, 0]
-    blocks += a.imag * cx
-    return blocks
-
-
 # nodes held fixed at each end of the mesh by the vector scheme; three per
 # side keeps every evolving row on the centered second-derivative stencil
 N_PIN = 3
@@ -180,11 +160,9 @@ N_PIN = 3
 
 def laplace_operator(v: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
     """The solver's spatial operator e^{-2 rho} (d^2/drho^2 - m^2 diag(1,1,0)),
-    zeroed on the pinned nodes at both ends."""
-    out = d2_rho(v, grid)
-    out[:, 0] -= m * m * v[:, 0]
-    out[:, 1] -= m * m * v[:, 1]
-    out *= np.exp(-2.0 * grid.rho)[:, None]
+    the equivariant Laplacian laplace_m zeroed on the pinned nodes at both
+    ends."""
+    out = laplace_m(v, grid, m)
     out[:N_PIN] = 0.0
     out[-N_PIN:] = 0.0
     return out
@@ -204,12 +182,8 @@ def scheme_energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
     stencil order.
     """
     v = np.asarray(v, dtype=float)
-    n = grid.n
-    taps = _D2_CENTER / grid.drho**2
     pad = np.concatenate([np.repeat(v[:1], 3, axis=0), v, np.repeat(v[-1:], 3, axis=0)])
-    d2 = np.zeros_like(v)
-    for k in range(7):
-        d2 += taps[k] * pad[k : k + n]
+    d2 = _apply_stencil(pad, _D2_CENTER / grid.drho**2)
     quad = np.sum(v * d2)
     planar = np.sum(v[:, 0] ** 2 + v[:, 1] ** 2)
     return math.pi * grid.drho * float(m * m * planar - quad)
@@ -298,16 +272,17 @@ def step_vector(
     """
     if work is None:
         work = _VectorWork(grid, m)
-    a = complex(config.a)
     U = _VectorWork.BAND
-    ab = work.assemble(_pa_blocks(v, a), dt)
+    # the per-node 3x3 blocks of P_a(v/|v|): column k is P_a applied to e_k
+    pa = pa_apply(_unit(v), np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
+    ab = work.assemble(pa, dt)
     lu, piv, info = dgbtrf(ab, U, U, overwrite_ab=True)
     if info != 0:
         raise StepError(f"midpoint band matrix is singular at t={t:.6g}, dt={dt:.3g}")
     vmid = v
     for _ in range(config.max_outer):
         lap = laplace_operator(vmid, grid, m)
-        resid = vmid - v - 0.5 * dt * pa_apply(_unit(vmid), lap, a)
+        resid = vmid - v - 0.5 * dt * pa_apply(_unit(vmid), lap, config.a)
         update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
         work.iterations += 1
         vmid = vmid - update.reshape(-1, 3)
@@ -345,6 +320,35 @@ def _record_schedule(t_end: float, record_times) -> np.ndarray:
     return times
 
 
+# cap on the number of steps of one run
+MAX_STEPS = 2_000_000
+
+
+def _march(times: np.ndarray, t_end: float, config: FlowConfig, advance, record) -> int:
+    """The run loop shared by both solvers; returns the number of steps.
+
+    From t = 0 it steps to each record time in turn, calling
+    advance(t, dt) for every step and record(k, t) on reaching times[k],
+    k >= 1. dt follows config.dt_at, clipped so that each record time is
+    met exactly; a record time within 1e-12 max(1, t_end) of t counts as
+    reached. More than MAX_STEPS steps raise StepError.
+    """
+    t = 0.0
+    steps = 0
+    tol = 1e-12 * max(1.0, t_end)
+    for k in range(1, times.size):
+        target = times[k]
+        while t < target - tol:
+            dt = min(config.dt_at(t), target - t)
+            if steps >= MAX_STEPS:
+                raise StepError(f"exceeded {MAX_STEPS} steps before t={target:.6g}")
+            advance(t, dt)
+            t += dt
+            steps += 1
+        record(k, t)
+    return steps
+
+
 def _as_array(v0) -> np.ndarray:
     return v0.v if isinstance(v0, SphereMap) else np.asarray(v0, dtype=float)
 
@@ -359,18 +363,34 @@ def run_vector(
 ) -> RunSeries:
     """Evolve a full three-component map and snapshot it at record times."""
     v = grid.check_field(np.array(_as_array(v0), dtype=float))
-    if v.shape != (grid.n, 3):
-        raise ValueError(f"map must have shape ({grid.n}, 3), got {v.shape}")
     SphereMap(v=v, m=m).check_unit(1e-8)
     times = _record_schedule(t_end, record_times)
     work = _VectorWork(grid, m)
     snaps = np.empty((times.size, grid.n, 3))
     energies = np.empty(times.size)
     dissipated = np.empty(times.size)
-    snaps[0] = v
-    e0 = scheme_energy(v, grid, m)
-    energies[0] = e0
-    dissipated[0] = 0.0
+    spent = 0.0
+
+    def advance(t: float, dt: float) -> None:
+        nonlocal v, spent, rate_prev
+        v = step_vector(v, t, dt, grid, m, config, work)
+        rate_now = dissipation_rate(v, grid, m, config.a)
+        spent += 0.5 * dt * (rate_prev + rate_now)
+        rate_prev = rate_now
+
+    def record(k: int, t: float) -> None:
+        e_now = scheme_energy(v, grid, m)
+        if k and config.a.real > 0 and e_now > energies[k - 1] + 1e-8 * max(1.0, energies[0]):
+            raise InstabilityError(
+                f"energy grew from {energies[k - 1]:.9g} to {e_now:.9g} "
+                f"under a dissipative flow at t={t:.6g}"
+            )
+        snaps[k] = v
+        energies[k] = e_now
+        dissipated[k] = spent
+
+    record(0, 0.0)
+    e0 = energies[0]
     floor = 4 * math.pi * m
     if config.delta is not None and e0 > floor + config.delta**2 + 1e-9 * floor:
         warnings.warn(
@@ -379,38 +399,11 @@ def run_vector(
             RuntimeWarning,
             stacklevel=2,
         )
-    spent = 0.0
-    a = complex(config.a)
-    rate_prev = dissipation_rate(v, grid, m, a)
-    t = 0.0
-    k = 1
-    steps = 0
-    tol = 1e-12 * max(1.0, t_end)
-    while k < times.size:
-        target = times[k]
-        while t < target - tol:
-            dt = min(config.dt_at(t), target - t)
-            if steps >= config.max_steps:
-                raise StepError(f"exceeded max_steps={config.max_steps} before t={target:.6g}")
-            v = step_vector(v, t, dt, grid, m, config, work)
-            rate_now = dissipation_rate(v, grid, m, a)
-            spent += 0.5 * dt * (rate_prev + rate_now)
-            rate_prev = rate_now
-            t += dt
-            steps += 1
-        e_now = scheme_energy(v, grid, m)
-        if config.a.real > 0 and e_now > energies[k - 1] + 1e-8 * max(1.0, e0):
-            raise InstabilityError(
-                f"energy grew from {energies[k - 1]:.9g} to {e_now:.9g} "
-                f"under a dissipative flow at t={t:.6g}"
-            )
-        snaps[k] = v
-        energies[k] = e_now
-        dissipated[k] = spent
-        k += 1
+    rate_prev = dissipation_rate(v, grid, m, config.a)
+    steps = _march(times, t_end, config, advance, record)
     return RunSeries(
         t=times, v=snaps, energy=energies, dissipated=dissipated,
-        steps=steps, m=m, a=complex(config.a), iterations=work.iterations,
+        steps=steps, m=m, a=config.a, iterations=work.iterations,
     )
 
 
@@ -467,9 +460,10 @@ class _ScalarWork:
         j = np.arange(grid.n)[None, :]
         i = d - u + j
         valid = (i >= 0) & (i < grid.n)
-        w = np.where(valid, np.exp(-2.0 * grid.rho[np.clip(i, 0, grid.n - 1)]), 0.0)
-        self.scaled_d2 = ab * w
         self.decay = np.exp(-2.0 * grid.rho)
+        self.scaled_d2 = ab * np.where(valid, self.decay[np.clip(i, 0, grid.n - 1)], 0.0)
+        # band slots of the two boundary rows, which hold the Dirichlet data
+        self.boundary = np.nonzero(valid & ((i == 0) | (i == grid.n - 1)))
 
     def rhs(self, beta: np.ndarray) -> np.ndarray:
         out = self.a1 * self.decay * (
@@ -482,10 +476,8 @@ class _ScalarWork:
         u = self.u
         ab = -0.5 * dt * self.a1 * self.scaled_d2.copy()
         ab[u, :] += 1.0 - 0.5 * dt * self.a1 * self.decay * self.m**2 * np.cos(2.0 * beta)
-        for row in (0, self.grid.n - 1):
-            cols = np.arange(max(0, row - u), min(self.grid.n, row + u + 1))
-            ab[u + row - cols, cols] = 0.0
-            ab[u, row] = 1.0
+        ab[self.boundary] = 0.0
+        ab[u, [0, -1]] = 1.0
         return ab
 
 
@@ -532,35 +524,27 @@ def run_scalar(
 ) -> RunSeries:
     """Evolve a great-circle angle profile; snapshots hold both the angle
     and the reconstructed map."""
-    a = complex(config.a)
-    if a.imag != 0:
+    if config.a.imag != 0:
         raise ValueError("the scalar reduction is only valid for real a")
     beta = np.array(grid.check_field(beta0), dtype=float)
     times = _record_schedule(t_end, record_times)
-    work = _ScalarWork(grid, m, a.real)
+    work = _ScalarWork(grid, m, config.a.real)
     betas = np.empty((times.size, grid.n))
     energies = np.empty(times.size)
-    betas[0] = beta
-    energies[0] = scalar_energy(beta, grid, m)
-    t = 0.0
-    k = 1
-    steps = 0
-    tol = 1e-12 * max(1.0, t_end)
-    while k < times.size:
-        target = times[k]
-        while t < target - tol:
-            dt = min(config.dt_at(t), target - t)
-            if steps >= config.max_steps:
-                raise StepError(f"exceeded max_steps={config.max_steps} before t={target:.6g}")
-            beta = step_scalar(beta, t, dt, work, config)
-            t += dt
-            steps += 1
+
+    def advance(t: float, dt: float) -> None:
+        nonlocal beta
+        beta = step_scalar(beta, t, dt, work, config)
+
+    def record(k: int, t: float) -> None:
         betas[k] = beta
         energies[k] = scalar_energy(beta, grid, m)
-        k += 1
+
+    record(0, 0.0)
+    steps = _march(times, t_end, config, advance, record)
     snaps = beta_to_map(betas)
     return RunSeries(
         t=times, v=snaps, energy=energies,
-        dissipated=energies[0] - energies, steps=steps, m=m, a=a, beta=betas,
+        dissipated=energies[0] - energies, steps=steps, m=m, a=config.a, beta=betas,
         iterations=work.iterations,
     )

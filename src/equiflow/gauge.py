@@ -222,6 +222,16 @@ def phase_integral(
     return cum - cum[-1]
 
 
+def _phase(a: complex, q, nu, bigq, v3, m: int, grid: RadialGrid) -> np.ndarray:
+    """The phase integral S for the flow coefficient a: in closed form
+    from the integrand Q for the conservative flow a = i, otherwise by
+    direct quadrature."""
+    if a == 1j:
+        cum = cumint_dr(2.0 * bigq / grid.r, grid)
+        return bigq - (cum[-1] - cum)
+    return phase_integral(q, nu, v3, a, m, grid)
+
+
 def hasimoto_forward(
     vmap: SphereMap, mu: Mu, grid: RadialGrid, a: complex = 1.0 + 0.0j
 ) -> GaugeState:
@@ -264,11 +274,7 @@ def hasimoto_forward(
     alpha_tilde = math.atan2(mmat[0, 1, 0], mmat[0, 0, 0])
 
     bigq = 0.5 * np.abs(q) ** 2 + m * w[:, 2] / grid.r
-    if a == 1j:
-        cum = cumint_dr(2.0 * bigq / grid.r, grid)
-        s_field = bigq - (cum[-1] - cum)
-    else:
-        s_field = phase_integral(q, nu, v[:, 2], a, m, grid)
+    s_field = _phase(a, q, nu, bigq, v[:, 2], m, grid)
 
     return GaugeState(
         e=e,
@@ -298,13 +304,7 @@ def qeq_rhs(state: GaugeState, vmap: SphereMap, a: complex, m: int) -> np.ndarra
     a = complex(a)
     q = state.q
     v3 = vmap.v[:, 2]
-    if a == state.a:
-        s_field = state.S
-    elif a == 1j:
-        cum = cumint_dr(2.0 * state.Q / grid.r, grid)
-        s_field = state.Q - (cum[-1] - cum)
-    else:
-        s_field = phase_integral(q, state.nu, v3, a, m, grid)
+    s_field = state.S if a == state.a else _phase(a, q, state.nu, state.Q, v3, m, grid)
     r2 = grid.r**2
     op = (
         -d2_rho(q, grid) / r2
@@ -313,6 +313,18 @@ def qeq_rhs(state: GaugeState, vmap: SphereMap, a: complex, m: int) -> np.ndarra
         + (m / grid.r) * state.w[:, 2] * q
     )
     return 1j * s_field * q - a * op
+
+
+def _residual_terms(z: np.ndarray, prof) -> tuple[np.ndarray, tuple]:
+    """gamma = sqrt(1 - |z|^2) - 1 and the terms (Re z) Re f, (Im z) Im f,
+    gamma h of the map h + ... at residual coordinate z.  The iteration
+    sums the terms before adding h, the returned map adds them to h one
+    by one; each keeps its own rounding."""
+    gamma = np.sqrt(np.maximum(1.0 - np.abs(z) ** 2, 0.0)) - 1.0
+    f = prof.f
+    return gamma, (
+        z.real[:, None] * f.real, z.imag[:, None] * f.imag, gamma[:, None] * prof.h
+    )
 
 
 def reconstruct_v(
@@ -338,18 +350,12 @@ def reconstruct_v(
     f, hmap, h1s = prof.f, prof.h, prof.h1s
     z = np.zeros(grid.n, dtype=complex)
     for _ in range(200):
-        gamma = np.sqrt(np.maximum(1.0 - np.abs(z) ** 2, 0.0)) - 1.0
-        vres = (
-            z.real[:, None] * f.real
-            + z.imag[:, None] * f.imag
-            + gamma[:, None] * hmap
-        )
+        gamma, terms = _residual_terms(z, prof)
+        vres = terms[0] + terms[1] + terms[2]
         v = hmap + vres
         e = _transport_frame(v, grid)
         eq = q.real[:, None] * e.real + q.imag[:, None] * e.imag
-        mq = np.einsum("ij,ij->i", f.real, eq) + 1j * np.einsum(
-            "ij,ij->i", f.imag, eq
-        )
+        mq = _frame_coords(eq, f)
         rhs = mq - (m / grid.r) * vres[:, 2] * z + (m / grid.r) * h1s * gamma
         z_new = r_inverse(rhs, phi, mu.s, grid)
         zmax = float(np.max(np.abs(z_new)))
@@ -368,12 +374,6 @@ def reconstruct_v(
         raise ReconstructionError(
             "fixed point did not contract to tolerance within 200 iterations"
         )
-    gamma = np.sqrt(np.maximum(1.0 - np.abs(z) ** 2, 0.0)) - 1.0
-    v = (
-        hmap
-        + z.real[:, None] * f.real
-        + z.imag[:, None] * f.imag
-        + gamma[:, None] * hmap
-    )
-    vmap = SphereMap(v, m)
+    _, terms = _residual_terms(z, prof)
+    vmap = SphereMap(hmap + terms[0] + terms[1] + terms[2], m)
     return vmap, hasimoto_forward(vmap, mu, grid, a=a)

@@ -26,7 +26,8 @@ import numpy as np
 from .errors import NumericalError
 from .radial_grid import RadialGrid, d2_rho, deriv_r, quad_dr, quad_rdr
 
-K_VERTICAL = np.array([0.0, 0.0, 1.0])
+# cosh arguments beyond this overflow float64 (exp(710) > 1e308)
+_COSH_LIMIT = 690.0
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,6 @@ class HarmonicProfile:
     h: np.ndarray  # (n, 3) unit vectors
     f: np.ndarray  # (n, 3) complex frame
 
-    def dh(self, dmu: complex) -> np.ndarray:
-        """Family derivative d h[mu] for an increment d mu (an (n,3) field)."""
-        df = dmu.real * self.f.real + dmu.imag * self.f.imag
-        return self.h1s[:, None] * df
-
 
 def h_profile(mu: Mu, grid: RadialGrid) -> HarmonicProfile:
     sigma = grid.rho - mu.log_s
@@ -97,8 +93,9 @@ def h_profile(mu: Mu, grid: RadialGrid) -> HarmonicProfile:
 
 
 def project_tangent(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """P^v w = w - (v.w) v, nodewise (v assumed unit)."""
-    return w - np.sum(v * w, axis=1, keepdims=True) * v
+    """P^v w = w - (v.w) v, nodewise (v assumed unit); the vector
+    components run along the last axis."""
+    return w - np.sum(v * w, axis=-1, keepdims=True) * v
 
 
 def pa_apply(v: np.ndarray, w: np.ndarray, a: complex) -> np.ndarray:
@@ -140,9 +137,21 @@ def laplace_m(v: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
     """
     v = grid.check_field(v)
     out = d2_rho(v, grid)
-    out[:, 0] -= m**2 * v[:, 0]
-    out[:, 1] -= m**2 * v[:, 1]
-    return out / np.exp(2 * grid.rho)[:, None]
+    out[:, 0] -= m * m * v[:, 0]
+    out[:, 1] -= m * m * v[:, 1]
+    out *= np.exp(-2.0 * grid.rho)[:, None]
+    return out
+
+
+def _checked_cosh(x: np.ndarray, what: str) -> np.ndarray:
+    """cosh(x) for x = m log(r/s) on the mesh; NumericalError, naming
+    what it is, where it would overflow float64."""
+    if np.abs(x).max() > _COSH_LIMIT:
+        raise NumericalError(
+            f"{what} cosh(m log(r/s)) overflows: the grid is too wide for this "
+            "equivariance degree and scale"
+        )
+    return np.cosh(x)
 
 
 def l_s_apply(g: np.ndarray, mu: Mu, grid: RadialGrid) -> np.ndarray:
@@ -154,11 +163,7 @@ def l_s_apply(g: np.ndarray, mu: Mu, grid: RadialGrid) -> np.ndarray:
     m |sigma| beyond ~700, guarded here.
     """
     g = grid.check_field(g)
-    sigma = grid.rho - mu.log_s
-    x = mu.m * sigma
-    if np.abs(x).max() > 690.0:
-        raise NumericalError("profile weight overflows on this mesh; domain too wide for m |log r|")
-    cosh_x = np.cosh(x)
+    cosh_x = _checked_cosh(mu.m * (grid.rho - mu.log_s), "profile weight")
     return deriv_r(g * cosh_x, grid) / cosh_x
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError, NumericalError
 from .evolve_llg import SphereMap
-from .harmonic_family import Mu, h_profile
+from .harmonic_family import Mu, _checked_cosh, h_profile
 from .radial_grid import (
     RadialGrid,
     cell_dr,
@@ -35,9 +35,6 @@ from .radial_grid import (
 )
 
 _LN2 = math.log(2.0)
-
-# cosh arguments beyond this overflow float64 (exp(710) > 1e308)
-_COSH_LIMIT = 690.0
 
 
 @dataclass(frozen=True)
@@ -112,20 +109,14 @@ def r_inverse(g: np.ndarray, phi: BumpProfile, s: float, grid: RadialGrid) -> np
         raise ConfigError("right inverse expects a scalar radial field")
     m = phi.m
     sigma = grid.rho - math.log(s)
-    if m * float(np.max(np.abs(sigma))) > _COSH_LIMIT:
-        raise NumericalError(
-            "integrating factor exceeds 1e300: the grid is too wide for "
-            "this equivariance degree and scale"
-        )
-    h1s = 1.0 / np.cosh(m * sigma)
-    cells = cell_dr(g * np.cosh(m * sigma), grid)
+    cosh = _checked_cosh(m * sigma, "integrating factor")
+    h1s = 1.0 / cosh
+    cells = cell_dr(g * cosh, grid)
     k0 = int(np.argmin(np.abs(sigma)))
     u = np.empty(grid.n, dtype=cells.dtype)
     u[k0] = 0.0
-    if k0 < grid.n - 1:
-        u[k0 + 1 :] = h1s[k0 + 1 :] * np.cumsum(cells[k0:])
-    if k0 > 0:
-        u[:k0] = -h1s[:k0] * np.cumsum(cells[:k0][::-1])[::-1]
+    u[k0 + 1 :] = h1s[k0 + 1 :] * np.cumsum(cells[k0:])
+    u[:k0] = -h1s[:k0] * np.cumsum(cells[:k0][::-1])[::-1]
     phiv = phi.paired_values(grid, s)
     w2 = 2.0 * math.pi * quad_rdr(h1s * phiv, grid)
     window = np.abs(sigma) < _LN2
@@ -180,10 +171,6 @@ def _crossing_seed(v: np.ndarray, m: int, grid: RadialGrid) -> Mu:
     return Mu(s=math.exp(log_s), alpha=math.atan2(w2, w1), m=m)
 
 
-def _mu_from_coord(muc: complex, m: int) -> Mu:
-    return Mu(s=math.exp(muc.real / m), alpha=muc.imag, m=m)
-
-
 def fit_mu(
     vmap: SphereMap,
     mu_guess: Mu | None,
@@ -227,10 +214,11 @@ def fit_mu(
     eps = 1e-7
 
     def evaluate(mc: complex) -> tuple[complex, np.ndarray]:
-        prof = h_profile(_mu_from_coord(mc, m), grid)
+        mu = Mu.from_complex(mc, m)
+        prof = h_profile(mu, grid)
         vres = v - prof.h
         z = (vres * prof.f.real).sum(axis=1) + 1j * (vres * prof.f.imag).sum(axis=1)
-        phiv = phi.paired_values(grid, math.exp(mc.real / m))
+        phiv = phi.paired_values(grid, mu.s)
         val = complex(inner_product(z, phiv, grid))
         if planar_rigid:
             val = complex(val.real, 0.0)
@@ -280,7 +268,7 @@ def fit_mu(
         )
     gamma = np.sqrt(np.maximum(1.0 - np.abs(z) ** 2, 0.0)) - 1.0
     return ModulationState(
-        mu=_mu_from_coord(muc, m),
+        mu=Mu.from_complex(muc, m),
         z=z,
         gamma=gamma,
         residual=abs(F),
@@ -306,29 +294,19 @@ class PsiProfile:
     grid: RadialGrid
 
 
-def _h1sq_rdr_above(m: int, rho_edge: float) -> float:
-    """int_{rho_edge}^inf sech(m rho)^2 e^(2 rho) d rho, by expansion.
+def _h1sq_rdr_beyond(m: int, rho_edge: float, side: int) -> float:
+    """int sech(m rho)^2 e^(2 rho) d rho beyond the edge, by expansion:
+    over [rho_edge, inf) for side = 1, over (-inf, rho_edge] for side = -1.
 
-    Valid once the edge is in the decaying regime (m rho_edge > 0); the
-    series in e^(-2 m rho_edge) converges geometrically there.
+    Valid once the edge is in the decaying regime (side m rho_edge > 0);
+    the series in e^(-2 m |rho_edge|) converges geometrically there.
     """
     total = 0.0
     for j in range(1, 7):
-        expo = (2.0 - 2.0 * j * m) * rho_edge
+        expo = (2.0 - 2.0 * j * m * side) * rho_edge
         if expo < -700.0:
             break
-        total += 4.0 * (-1.0) ** (j - 1) * j * math.exp(expo) / (2.0 * j * m - 2.0)
-    return total
-
-
-def _h1sq_rdr_below(m: int, rho_edge: float) -> float:
-    """int_{-inf}^{rho_edge} sech(m rho)^2 e^(2 rho) d rho, by expansion."""
-    total = 0.0
-    for j in range(1, 7):
-        expo = (2.0 + 2.0 * j * m) * rho_edge
-        if expo < -700.0:
-            break
-        total += 4.0 * (-1.0) ** (j - 1) * j * math.exp(expo) / (2.0 * j * m + 2.0)
+        total += 4.0 * (-1.0) ** (j - 1) * j * math.exp(expo) / (2.0 * j * m - 2.0 * side)
     return total
 
 
@@ -353,16 +331,14 @@ def psi_and_c(phi: BumpProfile, m: int, grid: RadialGrid) -> PsiProfile:
     if phi.m != m:
         raise ConfigError("bump window was built for a different degree m")
     rho = grid.rho
-    if m * float(np.max(np.abs(rho))) > _COSH_LIMIT:
-        raise NumericalError("grid too wide for this equivariance degree")
-    h1 = 1.0 / np.cosh(m * rho)
+    h1 = 1.0 / _checked_cosh(m * rho, "ground profile weight")
     c = float(1.0 / inner_product(h1, h1, grid).real)
     phiv = phi.norm_const * phi.shape(rho)
     ufield = phiv - c * h1
 
     cells = cell_dr(h1 * ufield * grid.r, grid)
     tail = np.empty(grid.n)
-    tail[-1] = -c * _h1sq_rdr_above(m, grid.rho_max)
+    tail[-1] = -c * _h1sq_rdr_beyond(m, grid.rho_max, 1)
     tail[:-1] = tail[-1] + np.cumsum(cells[::-1])[::-1]
 
     # below the window the integrand is exactly -c h1^2 r; accumulate
@@ -372,7 +348,7 @@ def psi_and_c(phi: BumpProfile, m: int, grid: RadialGrid) -> PsiProfile:
     if np.any(below):
         cells2 = cell_dr(h1 * h1 * grid.r, grid)
         lead = np.empty(grid.n)
-        lead[0] = _h1sq_rdr_below(m, grid.rho_min)
+        lead[0] = _h1sq_rdr_beyond(m, grid.rho_min, -1)
         lead[1:] = lead[0] + np.cumsum(cells2)
         tail[below] = c * lead[below]
 

@@ -17,6 +17,7 @@ with drho ~ 1e-2, which a 4th-order stencil cannot reach for m >= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import functools
 import math
 import warnings
 
@@ -47,13 +48,7 @@ def _cell_weights(offsets: np.ndarray) -> np.ndarray:
 
 # quintic per-cell cumulative weights; index = position of the cell inside
 # its 6-node window (2 = centered interior, 0/1 left edge, 3/4 right edge)
-_CUM_CELL = [
-    _cell_weights(np.arange(0, 6)),
-    _cell_weights(np.arange(-1, 5)),
-    _cell_weights(np.arange(-2, 4)),
-    _cell_weights(np.arange(-3, 3)),
-    _cell_weights(np.arange(-4, 2)),
-]
+_CUM_CELL = [_cell_weights(np.arange(-pos, 6 - pos)) for pos in range(5)]
 
 
 def _product_weights(r: np.ndarray, pow_r: int) -> np.ndarray:
@@ -113,21 +108,31 @@ class RadialGrid:
 
 
 def build_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
+    """The grid on [rho_min, rho_max] with n nodes.
+
+    Grids are shared: equal arguments return the same object, whose
+    arrays are read-only.
+    """
     if not (np.isfinite(rho_min) and np.isfinite(rho_max)) or rho_min >= rho_max:
         raise ConfigError(f"invalid grid bounds [{rho_min}, {rho_max}]")
     if n < 16:
         raise ConfigError(f"grid needs at least 16 nodes, got {n}")
+    return _shared_grid(rho_min, rho_max, n)
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
     rho = np.linspace(rho_min, rho_max, n)
     r = np.exp(rho)
+    arrays = {"rho": rho, "r": r, "w_rdr": _product_weights(r, 1), "w_dr": _product_weights(r, 0)}
+    for arr in arrays.values():
+        arr.flags.writeable = False
     return RadialGrid(
         rho_min=float(rho_min),
         rho_max=float(rho_max),
         n=int(n),
-        rho=rho,
-        r=r,
         drho=float(rho[1] - rho[0]),
-        w_rdr=_product_weights(r, 1),
-        w_dr=_product_weights(r, 0),
+        **arrays,
     )
 
 
@@ -138,47 +143,63 @@ _D1_EDGE = [_fd_weights(np.arange(0, 7) - i, 1) for i in range(3)]
 _D2_EDGE = [_fd_weights(np.arange(0, 8) - i, 2) for i in range(3)]
 
 
+def _along_nodes(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """x, one value per entry of the first axis of f (the nodes), shaped
+    to broadcast against f."""
+    return x[(slice(None),) + (None,) * (f.ndim - 1)]
+
+
+def _per_node(x: np.ndarray) -> np.ndarray:
+    """x summed over every axis after the first (the vector components)."""
+    return x.sum(axis=tuple(range(1, x.ndim))) if x.ndim > 1 else x
+
+
+def _apply_stencil(f: np.ndarray, center, left=(), right=None, parity: float = 1.0) -> np.ndarray:
+    """A stencil with one-sided closures, applied along the first axis.
+
+    The interior rows are sum_k center[k] f[j + k], one for each full
+    window of f; they are preceded by one row per weight vector in left,
+    applied to the first nodes. The rows after them apply the weights in
+    right to the last nodes, or, with right None, mirror the left ones:
+    row -1-i applies left[i] to the nodes counted from the end, times
+    parity (-1 for an odd derivative).
+    """
+    if f.shape[0] < 8:
+        raise ConfigError(f"stencils need at least 8 nodes, got {f.shape[0]}")
+    interior = f.shape[0] - len(center) + 1
+    tail = len(left) if right is None else len(right)
+    out = np.empty(
+        (len(left) + interior + tail,) + f.shape[1:], dtype=np.result_type(f.dtype, np.float64)
+    )
+    acc = center[0] * f[:interior]
+    for k in range(1, len(center)):
+        acc = acc + center[k] * f[k : k + interior]
+    out[len(left) : len(left) + interior] = acc
+    for i, w in enumerate(left):
+        out[i] = np.tensordot(w, f[: len(w)], axes=(0, 0))
+        if right is None:
+            out[out.shape[0] - 1 - i] = parity * np.tensordot(w, f[-len(w) :][::-1], axes=(0, 0))
+    for i, w in enumerate(right or ()):
+        out[out.shape[0] - tail + i] = np.tensordot(w, f[-len(w) :], axes=(0, 0))
+    return out
+
+
 def d_rho(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """d f / d rho, 6th order, one-sided at the three boundary nodes."""
     f = grid.check_field(f)
-    if grid.n < 8:
-        raise ConfigError("derivative stencil needs n >= 8")
-    out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
-    acc = _D1_CENTER[0] * f[:-6]
-    for k in range(1, 7):
-        acc = acc + _D1_CENTER[k] * (f[k : k - 6] if k < 6 else f[6:])
-    out[3:-3] = acc
-    for i in range(3):
-        w = _D1_EDGE[i]
-        out[i] = np.tensordot(w, f[0:7], axes=(0, 0))
-        # mirrored stencil: odd derivative flips sign
-        out[grid.n - 1 - i] = -np.tensordot(w, f[grid.n - 7 :][::-1], axes=(0, 0))
-    return out / grid.drho
+    return _apply_stencil(f, _D1_CENTER, _D1_EDGE, parity=-1.0) / grid.drho
 
 
 def deriv_r(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """df/dr on the nodes (= rho-derivative / r)."""
     out = d_rho(f, grid)
-    if out.ndim == 1:
-        return out / grid.r
-    return out / grid.r[(slice(None),) + (None,) * (out.ndim - 1)]
+    return out / _along_nodes(grid.r, out)
 
 
 def d2_rho(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """d^2 f / d rho^2, 6th order centered, one-sided closures."""
     f = grid.check_field(f)
-    if grid.n < 8:
-        raise ConfigError("derivative stencil needs n >= 8")
-    out = np.empty_like(f, dtype=np.result_type(f.dtype, np.float64))
-    acc = _D2_CENTER[0] * f[:-6]
-    for k in range(1, 7):
-        acc = acc + _D2_CENTER[k] * (f[k : k - 6] if k < 6 else f[6:])
-    out[3:-3] = acc
-    for i in range(3):
-        w = _D2_EDGE[i]
-        out[i] = np.tensordot(w, f[0:8], axes=(0, 0))
-        out[grid.n - 1 - i] = np.tensordot(w, f[grid.n - 8 :][::-1], axes=(0, 0))
-    return out / grid.drho**2
+    return _apply_stencil(f, _D2_CENTER, _D2_EDGE) / grid.drho**2
 
 
 def banded_d2(grid: RadialGrid) -> tuple[np.ndarray, int, int]:
@@ -223,9 +244,7 @@ def inner_product(f: np.ndarray, g: np.ndarray, grid: RadialGrid):
     """
     f = grid.check_field(f)
     g = grid.check_field(g)
-    prod = f * np.conj(g)
-    if prod.ndim > 1:
-        prod = prod.sum(axis=tuple(range(1, prod.ndim)))
+    prod = _per_node(f * np.conj(g))
     return 2 * np.pi * (grid.w_rdr @ prod)
 
 
@@ -239,21 +258,8 @@ def cell_dr(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     exponentially weighted integrals well conditioned.
     """
     f = grid.check_field(f)
-    c = f * grid.r[(slice(None),) + (None,) * (f.ndim - 1)] if f.ndim > 1 else f * grid.r
-    n = grid.n
-    if n < 8:
-        raise ConfigError("cumulative integral needs n >= 8")
-    cell = np.empty((n - 1,) + c.shape[1:], dtype=np.result_type(c.dtype, np.float64))
-    wint = _CUM_CELL[2]
-    acc = wint[0] * c[: n - 5]
-    for k in range(1, 6):
-        acc = acc + wint[k] * c[k : k + n - 5]
-    cell[2:-2] = acc
-    for pos in (0, 1):
-        cell[pos] = np.tensordot(_CUM_CELL[pos], c[0:6], axes=(0, 0))
-    for pos, i in ((3, n - 3), (4, n - 2)):
-        cell[i] = np.tensordot(_CUM_CELL[pos], c[n - 6 :], axes=(0, 0))
-    return cell * grid.drho
+    c = f * _along_nodes(grid.r, f)
+    return _apply_stencil(c, _CUM_CELL[2], _CUM_CELL[:2], _CUM_CELL[3:]) * grid.drho
 
 
 def cumint_dr(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -272,8 +278,7 @@ def cumint_dr(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def cumint_rdr(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """Cumulative integral of f r dr from the left end."""
     f = grid.check_field(f)
-    r = grid.r[(slice(None),) + (None,) * (f.ndim - 1)] if f.ndim > 1 else grid.r
-    return cumint_dr(f * r, grid)
+    return cumint_dr(f * _along_nodes(grid.r, f), grid)
 
 
 def _block_index(grid: RadialGrid) -> np.ndarray:
@@ -291,21 +296,16 @@ def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x", p=None, q=None):
                   blocks are included.
     """
     f = grid.check_field(f)
-    mag2 = np.abs(f) ** 2
-    if mag2.ndim > 1:
-        mag2 = mag2.sum(axis=tuple(range(1, mag2.ndim)))
+    mag2 = _per_node(np.abs(f) ** 2)
     if kind == "L2x":
         return math.sqrt(max(0.0, 2 * np.pi * float(grid.w_rdr @ mag2)))
     if kind == "X":
         fr = deriv_r(f, grid)
-        over_r = f / (grid.r[(slice(None),) + (None,) * (f.ndim - 1)] if f.ndim > 1 else grid.r)
+        over_r = f / _along_nodes(grid.r, f)
         # the X norm presumes decay at the mesh ends; flag when the ends
         # carry a visible share of the integral
-        m1 = np.abs(over_r) ** 2
-        m2 = np.abs(fr) ** 2
-        if m1.ndim > 1:
-            m1 = m1.sum(axis=tuple(range(1, m1.ndim)))
-            m2 = m2.sum(axis=tuple(range(1, m2.ndim)))
+        m1 = _per_node(np.abs(over_r) ** 2)
+        m2 = _per_node(np.abs(fr) ** 2)
         tot = float(grid.w_rdr @ (m1 + m2))
         edge = float(grid.w_rdr[:2] @ (m1 + m2)[:2] + grid.w_rdr[-2:] @ (m1 + m2)[-2:])
         if tot > 0 and edge > 0.01 * tot:
@@ -351,14 +351,13 @@ def interp_rho(f: np.ndarray, grid: RadialGrid, rho_new: np.ndarray) -> np.ndarr
     i = np.clip(np.floor(t).astype(int), 0, grid.n - 2)
     j0 = np.clip(i - 1, 0, grid.n - 4)
     x = t - j0
-    shape = (slice(None),) + (None,) * (f.ndim - 1)
     out = np.zeros((rho_new.size,) + f.shape[1:], dtype=f.dtype)
     for k in range(4):
         lk = np.ones_like(x)
         for mth in range(4):
             if mth != k:
                 lk = lk * (x - mth) / (k - mth)
-        out += lk[shape] * f[j0 + k]
+        out += _along_nodes(lk, f) * f[j0 + k]
     lo = rho_new <= grid.rho_min
     hi = rho_new >= grid.rho_max
     out[lo] = f[0]

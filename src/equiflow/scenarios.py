@@ -11,6 +11,7 @@ the settled / concentrating / spreading / oscillating behavior types.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -274,26 +275,22 @@ def _turning_points(means: np.ndarray) -> tuple[list, list, float]:
     says nothing about the envelope.
     """
     k = len(means)
-    peak_ix = [
-        j
-        for j in range(1, k - 1)
-        if means[j] >= means[j - 1] and means[j] >= means[j + 1]
-    ]
-    trough_ix = [
-        j
-        for j in range(1, k - 1)
-        if means[j] <= means[j - 1] and means[j] <= means[j + 1]
-    ]
-    if len(peak_ix) < 2:
-        if means[0] >= means[1]:
-            peak_ix.insert(0, 0)
-        if means[-1] >= means[-2]:
-            peak_ix.append(k - 1)
-    if len(trough_ix) < 2:
-        if means[0] <= means[1]:
-            trough_ix.insert(0, 0)
-        if means[-1] <= means[-2]:
-            trough_ix.append(k - 1)
+
+    def turns(above) -> list:
+        """Indices j where above(means[j], neighbor) holds for both neighbors."""
+        ix = [
+            j
+            for j in range(1, k - 1)
+            if above(means[j], means[j - 1]) and above(means[j], means[j + 1])
+        ]
+        if len(ix) < 2:
+            if above(means[0], means[1]):
+                ix.insert(0, 0)
+            if above(means[-1], means[-2]):
+                ix.append(k - 1)
+        return ix
+
+    peak_ix, trough_ix = turns(operator.ge), turns(operator.le)
     peaks = [float(means[j]) for j in peak_ix]
     troughs = [float(means[j]) for j in trough_ix]
     merged = [float(means[j]) for j in sorted(set(peak_ix + trough_ix))]

@@ -321,6 +321,47 @@ def test_m1_rejected_before_any_compute(tmp_path, capsys, monkeypatch, source):
     assert "code=2" in err and "m = 1 is not supported" in err
 
 
+BAD_VALUES = [
+    {"family": "log_drift", "kappa": "nan"},
+    {"family": "ln_ln_oscillation", "kappa": 0.3, "lam": "inf"},
+    {"t_max": "inf"},
+    {"s0": "inf"},
+    {"t_end": "inf"},
+    {"dt0": "inf"},
+    {"family": "log_drift", "kappa": 0.3, "cut_width": -1.0},
+    {"family": "log_drift", "kappa": 0.3, "cut_width": 0.0},
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "predict"])
+@pytest.mark.parametrize(
+    "keys", BAD_VALUES, ids=lambda keys: ",".join(f"{k}={v}" for k, v in keys.items())
+)
+def test_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, keys):
+    """Non-finite numbers and a nonpositive cut_width exit 2 with a config
+    error line before any compute."""
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computation started on an invalid config")
+
+    for name in ("run_vector", "run_scalar", "predict_log_s", "build_initial_data"):
+        monkeypatch.setattr(cli_io, name, no_compute)
+    cfg = write_config(tmp_path, n=64, **keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "equiflow error [config] code=2" in err
+    assert "Traceback" not in err
+
+
+def test_snapshots_of_one_grid_share_it(tmp_path):
+    grid = build_grid(-6.0, 6.0, 64)
+    paths = [tmp_path / f"map{k}.dat" for k in range(2)]
+    for k, path in enumerate(paths):
+        save_snapshot(path, SphereMap(h_profile(Mu(1.0 + k, 0.0, 2), grid).h, 2), grid)
+    (_, first), (_, second) = (load_snapshot(path) for path in paths)
+    assert first is second is grid
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

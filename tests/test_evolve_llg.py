@@ -14,7 +14,6 @@ from equiflow.evolve_llg import (
     N_PIN,
     FlowConfig,
     SphereMap,
-    _pa_blocks,
     _VectorWork,
     beta_to_map,
     dissipation_rate,
@@ -215,6 +214,54 @@ def test_outer_iteration_stall_raises(grid, perturbed):
         run_vector(perturbed, grid, 3, FlowConfig(a=1.0, dt0=0.02, max_outer=1), t_end=0.1)
 
 
+def pa_blocks(vhat, a):
+    """Reference per-node 3x3 matrices a1 (I - nn^T) + a2 [n]_x for
+    n = vhat/|vhat|, written out entry by entry."""
+    nhat = vhat / np.linalg.norm(vhat, axis=1, keepdims=True)
+    n = vhat.shape[0]
+    blocks = np.zeros((n, 3, 3))
+    eye = np.eye(3)
+    blocks += a.real * (eye[None, :, :] - nhat[:, :, None] * nhat[:, None, :])
+    cx = np.zeros((n, 3, 3))
+    cx[:, 0, 1] = -nhat[:, 2]
+    cx[:, 0, 2] = nhat[:, 1]
+    cx[:, 1, 0] = nhat[:, 2]
+    cx[:, 1, 2] = -nhat[:, 0]
+    cx[:, 2, 0] = -nhat[:, 1]
+    cx[:, 2, 1] = nhat[:, 0]
+    blocks += a.imag * cx
+    return blocks
+
+
+@pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j])
+def test_step_projection_blocks_match_reference(grid, perturbed, a, monkeypatch):
+    """The P_a blocks step_vector hands to the band assembly equal the
+    entry-by-entry matrices exactly."""
+    seen = []
+    assemble = _VectorWork.assemble
+
+    def spy(self, pa, dt):
+        seen.append(np.array(pa))
+        return assemble(self, pa, dt)
+
+    monkeypatch.setattr(_VectorWork, "assemble", spy)
+    step_vector(perturbed, 0.0, 0.01, grid, 3, FlowConfig(a=a, dt0=0.01))
+    assert len(seen) == 1
+    assert np.array_equal(seen[0], pa_blocks(perturbed, complex(a)))
+
+
+def test_step_cap_raises(grid, perturbed, monkeypatch):
+    """The run loop of both solvers stops with StepError past MAX_STEPS."""
+    monkeypatch.setattr(evolve_llg, "MAX_STEPS", 3)
+    cfg = FlowConfig(a=1.0, dt0=0.01)
+    with pytest.raises(StepError, match="exceeded 3 steps"):
+        run_vector(perturbed, grid, 3, cfg, t_end=0.1, record_times=[0.1])
+    beta0 = stationary_angle(0.0, grid, 2)
+    with pytest.raises(StepError, match="exceeded 3 steps"):
+        run_scalar(beta0, grid, 2, cfg, t_end=0.1, record_times=[0.1])
+    assert run_scalar(beta0, grid, 2, cfg, t_end=0.03, record_times=[0.03]).steps == 3
+
+
 def assemble_loop(grid, m, pa, dt):
     """Reference band matrix of I - (dt/2) Pa L in solve_banded storage,
     built slice by slice; _VectorWork.assemble replaces it with a scatter."""
@@ -250,7 +297,7 @@ def picard_step(v, dt, grid, m, config):
     U = _VectorWork.BAND
     vhat = v
     for count in range(1, config.max_outer + 1):
-        ab = assemble_loop(grid, m, _pa_blocks(vhat, a), dt)
+        ab = assemble_loop(grid, m, pa_blocks(vhat, a), dt)
         vmid = solve_banded((U, U), ab, v.reshape(-1)).reshape(-1, 3)
         delta = float(np.max(np.abs(vmid - vhat)))
         vhat = vmid
@@ -281,7 +328,7 @@ def test_chord_matches_picard(grid, perturbed, a):
 
 def test_assemble_scatter_matches_loop(grid, perturbed):
     work = _VectorWork(grid, 3)
-    pa = _pa_blocks(perturbed, 0.6 + 0.8j)
+    pa = pa_blocks(perturbed, 0.6 + 0.8j)
     ref = assemble_loop(grid, 3, pa, 0.01)
     ab = work.assemble(pa, 0.01)
     U = _VectorWork.BAND

@@ -262,3 +262,12 @@ def test_interp_rho_smooth_accuracy_and_clamping(grid):
     assert got[0] == f[0]
     assert got[-1] == f[-1]
     assert np.max(np.abs(got[1:4] - np.tanh(2 * rho_new[1:4]))) < 1e-7
+
+
+def test_grids_are_shared_and_read_only():
+    grid = build_grid(-3.0, 5.0, 40)
+    assert build_grid(-3.0, 5.0, 40) is grid
+    assert build_grid(-3.0, 5.0, 41) is not grid
+    for arr in (grid.rho, grid.r, grid.w_rdr, grid.w_dr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
