@@ -11,7 +11,9 @@ The modules split the work as follows:
 - ``radial_grid``: the log grid, high-order quadrature and derivatives,
   weighted norms.
 - ``harmonic_family``: the stationary harmonic profiles, their scale and
-  rotation parameters, energy, degree, and the linearized operator.
+  rotation parameters, energy, degree, the linearized operator, and the
+  frame algebra (frame coordinates, the residual reassembly and its
+  vertical correction) that ``modulation`` and ``gauge`` share.
 - ``gauge``: the flat-frame (generalized Hasimoto) transform taking a
   map to a single complex gauge field, its evolution equation, and the
   inverse reconstruction.

@@ -74,9 +74,9 @@ def _key(default, doc: str):
 class ExperimentConfig:
     """Validated experiment description.
 
-    This is the config schema: every field is one config key, in the
-    order of the template, with its default and documentation line; the
-    type of a key is the type of its default.  The flow coefficient is
+    This is the config schema: every field is one config key, with its
+    default and documentation line; the type of a key is the type of
+    its default.  The flow coefficient is
     given as a_re and a_im and read as cfg.a.
     """
 
@@ -237,31 +237,6 @@ def parse_config(text: str) -> ExperimentConfig:
 def _rows(columns, sep: str) -> list[str]:
     """Table rows at full precision, one per entry of the columns."""
     return [sep.join(_fmt(col[i]) for col in columns) for i in range(len(columns[0]))]
-
-
-def _render(value) -> str:
-    """A config value as text: numbers at full precision, tuples
-    comma-separated."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, tuple):
-        return ",".join(_fmt(x) for x in value)
-    return str(value) if isinstance(value, int) else _fmt(value)
-
-
-def family_to_config(fam: TailFamily) -> str:
-    """Serialize a tail family as config lines that parse back equal."""
-    return "".join(f"{key.name} = {_render(getattr(fam, key.name))}\n" for key in fields(fam))
-
-
-def config_template() -> str:
-    """All config keys with defaults and documentation, as parsable text."""
-    lines = ["# equiflow config: key = value pairs, '#' starts a comment line"]
-    for key, spec in _KEYS.items():
-        rendered = _render(spec.default)
-        lines.append(f"# {spec.metadata['doc']}")
-        lines.append(f"{key} = {rendered}" if rendered else f"# {key} =")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GaugeError, ReconstructionError
 from .evolve_llg import SphereMap
-from .harmonic_family import Mu, h_profile
+from .harmonic_family import Mu, _frame_coords, _residual_terms, h_profile, project_tangent
 from .modulation import BumpProfile, r_inverse
 from .radial_grid import RadialGrid, cumint_dr, d2_rho, d_rho, norm
 
@@ -190,13 +190,6 @@ def _transport_frame(
     return re + 1j * np.cross(v, re)
 
 
-def _frame_coords(field: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Complex coordinate of a tangent vector field in the frame e."""
-    return np.einsum("ij,ij->i", field, e.real) + 1j * np.einsum(
-        "ij,ij->i", field, e.imag
-    )
-
-
 def _lstar(q: np.ndarray, v3: np.ndarray, m: int, grid: RadialGrid) -> np.ndarray:
     """Adjoint first-order factor: -dq/dr - q/r + m v3 q / r."""
     return (-d_rho(q, grid) - q + m * v3 * q) / grid.r
@@ -255,8 +248,7 @@ def hasimoto_forward(
 
     v_rho = d_rho(v, grid)
     e = _transport_frame(v, grid, v_rho)
-    pk = -v * v[:, 2:3]
-    pk[:, 2] += 1.0
+    pk = project_tangent(v, np.array([0.0, 0.0, 1.0]))
     w = v_rho / grid.r[:, None] - (m / grid.r)[:, None] * pk
     # Both terms of w are tangent to the sphere for a unit map, so any
     # component along v is differentiation noise; removing it keeps the
@@ -267,10 +259,10 @@ def hasimoto_forward(
 
     f = h_profile(mu, grid).f
     mmat = np.empty((n, 2, 2))
-    mmat[:, 0, 0] = np.einsum("ij,ij->i", f.real, e.real)
-    mmat[:, 0, 1] = np.einsum("ij,ij->i", f.real, e.imag)
-    mmat[:, 1, 0] = np.einsum("ij,ij->i", f.imag, e.real)
-    mmat[:, 1, 1] = np.einsum("ij,ij->i", f.imag, e.imag)
+    for row, leg in enumerate((f.real, f.imag)):
+        coords = _frame_coords(leg, e)
+        mmat[:, row, 0] = coords.real
+        mmat[:, row, 1] = coords.imag
     alpha_tilde = math.atan2(mmat[0, 1, 0], mmat[0, 0, 0])
 
     bigq = 0.5 * np.abs(q) ** 2 + m * w[:, 2] / grid.r
@@ -313,18 +305,6 @@ def qeq_rhs(state: GaugeState, vmap: SphereMap, a: complex, m: int) -> np.ndarra
         + (m / grid.r) * state.w[:, 2] * q
     )
     return 1j * s_field * q - a * op
-
-
-def _residual_terms(z: np.ndarray, prof) -> tuple[np.ndarray, tuple]:
-    """gamma = sqrt(1 - |z|^2) - 1 and the terms (Re z) Re f, (Im z) Im f,
-    gamma h of the map h + ... at residual coordinate z.  The iteration
-    sums the terms before adding h, the returned map adds them to h one
-    by one; each keeps its own rounding."""
-    gamma = np.sqrt(np.maximum(1.0 - np.abs(z) ** 2, 0.0)) - 1.0
-    f = prof.f
-    return gamma, (
-        z.real[:, None] * f.real, z.imag[:, None] * f.imag, gamma[:, None] * prof.h
-    )
 
 
 def reconstruct_v(

@@ -14,6 +14,11 @@ tangent frame along h[mu] is
 orthonormal, orthogonal to h[mu], with Im f = h x Re f, and the family
 derivative is d h[mu] = h1 (d mu o f) where o pairs real and imaginary
 parts. All maps here send r=0 to the south pole -k and r=inf to k.
+
+The frame algebra shared by the modulation split and the flat-frame
+gauge lives here too: frame coordinates of tangent fields, and the map
+h + (Re z) Re f + (Im z) Im f + gamma h at residual coordinate z, with
+gamma = sqrt(1 - |z|^2) - 1.
 """
 
 from __future__ import annotations
@@ -106,6 +111,31 @@ def pa_apply(v: np.ndarray, w: np.ndarray, a: complex) -> np.ndarray:
     return out
 
 
+def _frame_coords(field: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Complex coordinate of a tangent vector field in the frame e."""
+    return np.einsum("ij,ij->i", field, e.real) + 1j * np.einsum(
+        "ij,ij->i", field, e.imag
+    )
+
+
+def _gamma(z: np.ndarray) -> np.ndarray:
+    """The vertical correction gamma = sqrt(1 - |z|^2) - 1 that keeps
+    h + (Re z) Re f + (Im z) Im f + gamma h on the sphere."""
+    return np.sqrt(np.maximum(1.0 - np.abs(z) ** 2, 0.0)) - 1.0
+
+
+def _residual_terms(z: np.ndarray, prof: HarmonicProfile) -> tuple[np.ndarray, tuple]:
+    """gamma and the terms (Re z) Re f, (Im z) Im f, gamma h of the map
+    h + ... at residual coordinate z.  The iteration sums the terms
+    before adding h, the returned map adds them to h one by one; each
+    keeps its own rounding."""
+    gamma = _gamma(z)
+    f = prof.f
+    return gamma, (
+        z.real[:, None] * f.real, z.imag[:, None] * f.imag, gamma[:, None] * prof.h
+    )
+
+
 def energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
     """Equivariant Dirichlet energy pi int (|v_r|^2 + m^2 (v1^2+v2^2)/r^2) r dr."""
     v = grid.check_field(v)
@@ -165,15 +195,3 @@ def l_s_apply(g: np.ndarray, mu: Mu, grid: RadialGrid) -> np.ndarray:
     g = grid.check_field(g)
     cosh_x = _checked_cosh(mu.m * (grid.rho - mu.log_s), "profile weight")
     return deriv_r(g * cosh_x, grid) / cosh_x
-
-
-def stationarity_residual(mu: Mu, grid: RadialGrid, a: complex = 1.0 + 0j) -> float:
-    """sup norm of P^h_a applied to the tension field at v = h[mu].
-
-    Vanishes in the continuum; measures the spatial discretization. For
-    |a| = 1 the value is independent of a because |a1 P w + a2 J w|^2 =
-    |a|^2 |P w|^2 pointwise.
-    """
-    prof = h_profile(mu, grid)
-    res = pa_apply(prof.h, laplace_m(prof.h, grid, mu.m), complex(a))
-    return float(np.abs(res).max())

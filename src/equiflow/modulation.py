@@ -5,9 +5,11 @@ residual whose complex coordinate (the pairing of the residual with the
 moving tangent frame) is required to have no component against a fixed
 bump window.  This module builds that window, fits the scale and
 rotation so the constraint holds, inverts the linearized radial operator
-on the constrained complement, and evaluates two diagnostics: the
-instantaneous parameter velocity implied by a gauge state, and the
-frozen-phase pairing whose time integral tracks the parameter drift.
+on the constrained complement, and builds the adjoint window for the
+frozen-phase pairing, whose time integral tracks the parameter drift.
+The frame coordinate of the residual and the vertical correction gamma
+come from the frame algebra in harmonic_family, shared with the gauge
+transform.
 
 All pairings are planar inner products, 2 pi int f conj(g) r dr.
 """
@@ -21,14 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FitError, NumericalError
+from .errors import ConfigError, FitError
 from .evolve_llg import SphereMap
-from .harmonic_family import Mu, _checked_cosh, h_profile
+from .harmonic_family import Mu, _checked_cosh, _frame_coords, _gamma, h_profile
 from .radial_grid import (
     RadialGrid,
     cell_dr,
-    d_rho,
-    deriv_r,
     inner_product,
     interp_rho,
     quad_rdr,
@@ -133,9 +133,7 @@ class ModulationState:
     z is the complex coordinate of the residual in the profile's tangent
     frame, constrained to have no component against the bump window;
     gamma = sqrt(1 - |z|^2) - 1 is the vertical correction that keeps
-    the reassembled map on the sphere.  alpha_tilde, when set, is the
-    frame-comparison phase at the origin used by the frozen-phase
-    pairing.
+    the reassembled map on the sphere.
     """
 
     mu: Mu
@@ -145,7 +143,6 @@ class ModulationState:
     iterations: int
     phi: BumpProfile
     grid: RadialGrid
-    alpha_tilde: float | None = None
 
 
 def _crossing_seed(v: np.ndarray, m: int, grid: RadialGrid) -> Mu:
@@ -217,7 +214,7 @@ def fit_mu(
         mu = Mu.from_complex(mc, m)
         prof = h_profile(mu, grid)
         vres = v - prof.h
-        z = (vres * prof.f.real).sum(axis=1) + 1j * (vres * prof.f.imag).sum(axis=1)
+        z = _frame_coords(vres, prof.f)
         phiv = phi.paired_values(grid, mu.s)
         val = complex(inner_product(z, phiv, grid))
         if planar_rigid:
@@ -266,11 +263,10 @@ def fit_mu(
             f"residual coordinate reaches {znorm:.3f} > 0.3: the map is too "
             "far from the harmonic family for a valid decomposition"
         )
-    gamma = np.sqrt(np.maximum(1.0 - np.abs(z) ** 2, 0.0)) - 1.0
     return ModulationState(
         mu=Mu.from_complex(muc, m),
         z=z,
-        gamma=gamma,
+        gamma=_gamma(z),
         residual=abs(F),
         iterations=iterations,
         phi=phi,
@@ -354,50 +350,6 @@ def psi_and_c(phi: BumpProfile, m: int, grid: RadialGrid) -> PsiProfile:
 
     psi = tail / (grid.r * h1)
     return PsiProfile(psi=psi, c=c, m=m, grid=grid)
-
-
-def mu_dot_diagnostic(state: ModulationState, gauge, a: complex, m: int) -> complex:
-    """Instantaneous parameter velocity implied by a gauge state.
-
-    Differentiating the window constraint in time gives a 2x2 linear
-    system for the velocity (real part: m d/dt log s; imaginary part:
-    d/dt alpha): a driving pairing built from the gauge field plus
-    correction terms proportional to the velocity itself.
-    """
-    grid = state.grid
-    mu = state.mu
-    if gauge.q.shape[0] != grid.n:
-        raise ConfigError("gauge state and modulation state use different grids")
-    a = complex(a)
-    prof = h_profile(mu, grid)
-    q = gauge.q
-    v3 = gauge.v[:, 2]
-    lstar = -deriv_r(q, grid) - q / grid.r + m * v3 * q / grid.r
-    drive = a * lstar
-    mg = (
-        gauge.M[:, 0, 0] * drive.real
-        + gauge.M[:, 0, 1] * drive.imag
-        + 1j * (gauge.M[:, 1, 0] * drive.real + gauge.M[:, 1, 1] * drive.imag)
-    )
-    phiv = state.phi.paired_values(grid, mu.s)
-    gval = -inner_product(mg, phiv, grid)
-    g2 = inner_product(prof.h1s * state.gamma, phiv, grid).real
-    acoef = inner_product(state.z, d_rho(phiv, grid), grid)
-    bcoef = inner_product(state.z, prof.h3s * phiv, grid)
-    k = np.array(
-        [
-            [1.0 + g2 + acoef.real / m, -bcoef.imag],
-            [acoef.imag / m, 1.0 + g2 + bcoef.real],
-        ]
-    )
-    smin = float(np.linalg.svd(k, compute_uv=False)[-1])
-    if smin < 0.1:
-        raise NumericalError(
-            "parameter-velocity correction matrix is within 10% of "
-            "singular: the decomposition is degrading"
-        )
-    sol = np.linalg.solve(k, np.array([gval.real, gval.imag]))
-    return complex(sol[0], sol[1])
 
 
 def normal_form_correction(

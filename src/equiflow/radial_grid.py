@@ -275,14 +275,14 @@ def cumint_dr(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return out
 
 
-def cumint_rdr(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
-    """Cumulative integral of f r dr from the left end."""
-    f = grid.check_field(f)
-    return cumint_dr(f * _along_nodes(grid.r, f), grid)
-
-
 def _block_index(grid: RadialGrid) -> np.ndarray:
     return np.floor(np.log2(grid.r)).astype(int)
+
+
+def _l2x(mag2: np.ndarray, grid: RadialGrid) -> float:
+    """sqrt(2 pi int mag2 r dr), the L2x norm from the squared modulus
+    per node."""
+    return math.sqrt(max(0.0, 2 * np.pi * float(grid.w_rdr @ mag2)))
 
 
 def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x", p=None, q=None):
@@ -296,9 +296,8 @@ def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x", p=None, q=None):
                   blocks are included.
     """
     f = grid.check_field(f)
-    mag2 = _per_node(np.abs(f) ** 2)
     if kind == "L2x":
-        return math.sqrt(max(0.0, 2 * np.pi * float(grid.w_rdr @ mag2)))
+        return _l2x(_per_node(np.abs(f) ** 2), grid)
     if kind == "X":
         fr = deriv_r(f, grid)
         over_r = f / _along_nodes(grid.r, f)
@@ -306,8 +305,9 @@ def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x", p=None, q=None):
         # carry a visible share of the integral
         m1 = _per_node(np.abs(over_r) ** 2)
         m2 = _per_node(np.abs(fr) ** 2)
-        tot = float(grid.w_rdr @ (m1 + m2))
-        edge = float(grid.w_rdr[:2] @ (m1 + m2)[:2] + grid.w_rdr[-2:] @ (m1 + m2)[-2:])
+        both = m1 + m2
+        tot = float(grid.w_rdr @ both)
+        edge = float(grid.w_rdr[:2] @ both[:2] + grid.w_rdr[-2:] @ both[-2:])
         if tot > 0 and edge > 0.01 * tot:
             warnings.warn(
                 "X norm: endpoint nodes carry more than 1% of the integral; "
@@ -315,14 +315,14 @@ def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x", p=None, q=None):
                 RuntimeWarning,
                 stacklevel=2,
             )
-        return norm(over_r, grid, "L2x") + norm(fr, grid, "L2x")
+        return _l2x(m1, grid) + _l2x(m2, grid)
     if kind == "Lpq":
         if p is None or q is None:
             raise ValueError("Lpq norm needs p and q")
         for name, val in (("p", p), ("q", q)):
             if not (val == np.inf or (np.isreal(val) and 1 <= val)):
                 raise ValueError(f"{name} must lie in [1, inf], got {val}")
-        mag = np.sqrt(mag2)
+        mag = np.sqrt(_per_node(np.abs(f) ** 2))
         blocks = _block_index(grid)
         vals = []
         for j in range(blocks.min(), blocks.max() + 1):

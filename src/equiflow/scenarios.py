@@ -20,7 +20,7 @@ import numpy as np
 from .errors import BuilderError, ConfigError, NumericalError
 from .evolve_llg import SphereMap, beta_to_map, map_to_beta, stationary_angle
 from .harmonic_family import energy
-from .modulation import BumpProfile, bump_phi, fit_mu
+from .modulation import bump_phi, fit_mu
 from .radial_grid import RadialGrid, cumint_dr, deriv_r, interp_rho
 
 _FAMILIES = ("none", "log_drift", "ln_ln_oscillation", "mixed")
@@ -195,7 +195,6 @@ def predict_log_s(
     t_grid,
     grid: RadialGrid,
     s0: float | None = None,
-    phi: BumpProfile | None = None,
 ) -> Prediction:
     """Scale-history prediction integrals for great-circle degree-2 data.
 
@@ -216,8 +215,7 @@ def predict_log_s(
     if s0 is None:
         # scale extraction only: tail data may sit far from the family,
         # so the perturbative validity bound is not enforced here
-        window = phi if phi is not None else bump_phi(2, grid)
-        s0 = fit_mu(v0, None, window, grid, strict=False).mu.s
+        s0 = fit_mu(v0, None, bump_phi(2, grid), grid, strict=False).mu.s
     t_max_usable = math.exp(2.0 * grid.rho_max) / a1
     if t[-1] > t_max_usable * (1.0 + 1e-12):
         raise NumericalError(

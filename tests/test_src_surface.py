@@ -1,0 +1,61 @@
+"""Every public function in the package is exported or used by the package.
+
+A public module-level function that is neither in ``equiflow.__all__`` nor
+referenced anywhere in ``src/equiflow`` outside its own body is code that
+only tests call; such a function belongs in the tests, as the reference
+it is.  References are ``ast.Name`` and ``ast.Attribute`` nodes, so a
+mention in a docstring or comment does not count.
+"""
+
+import ast
+from pathlib import Path
+
+import equiflow
+
+SRC = Path(equiflow.__file__).resolve().parent
+
+
+def _public_functions(tree: ast.Module):
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _referenced_names(tree: ast.AST, skip: ast.AST | None) -> set[str]:
+    """Names loaded or attributes read anywhere in tree except inside skip."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def unused_public_functions(src: Path, exported) -> list[str]:
+    """module.name of every public module-level function under src that is
+    not in exported and has no reference in src outside its own def."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    found = []
+    for path, tree in trees.items():
+        for fn in _public_functions(tree):
+            if fn.name in exported:
+                continue
+            used = any(
+                fn.name in _referenced_names(other, fn if other is tree else None)
+                for other in trees.values()
+            )
+            if not used:
+                found.append(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_no_test_only_public_functions():
+    assert unused_public_functions(SRC, set(equiflow.__all__)) == []
