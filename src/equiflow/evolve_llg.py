@@ -24,7 +24,9 @@ the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
   beta_t = a1 e^{-2 rho} (beta_rhorho + (m^2/2) sin 2 beta).
   Crank-Nicolson with a banded Newton solve makes very long dissipative
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
-  hundred steps.
+  hundred steps. Each Newton iteration writes its matrix into one
+  preallocated array in LAPACK gbsv storage and solves it there with
+  dgbsv.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -44,8 +46,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
 from .harmonic_family import energy as map_energy, laplace_m, pa_apply
@@ -445,15 +446,23 @@ def scalar_energy(beta: np.ndarray, grid: RadialGrid, m: int) -> float:
 
 
 class _ScalarWork:
-    """Per-grid cached pieces of the Crank-Nicolson Jacobian; iterations
-    counts the Newton iterations run with it."""
+    """Per-grid cached pieces of the Crank-Nicolson Jacobian and the one
+    array the Newton matrix is built and factored in.
+
+    The array ab is in LAPACK gbsv storage: a Fortran-ordered (3u + 1, n)
+    array whose rows u: hold the Newton matrix, entry (i, j) at row
+    2u + i - j, with the u sub- and super-diagonals of d2_rho; its top u
+    rows take the fill-in of the factorization, which gbtrf clears
+    itself. Every Newton iteration overwrites ab. iterations counts the
+    Newton iterations run with this work object.
+    """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
         self.grid = grid
         self.m = m
         self.a1 = a1
         self.iterations = 0
-        ab, l, u = banded_d2(grid)
+        band, l, u = banded_d2(grid)
         self.u = u
         # row index of slot (d, j) is d - u + j; clip only for the mask
         d = np.arange(2 * u + 1)[:, None]
@@ -461,24 +470,37 @@ class _ScalarWork:
         i = d - u + j
         valid = (i >= 0) & (i < grid.n)
         self.decay = np.exp(-2.0 * grid.rho)
-        self.scaled_d2 = ab * np.where(valid, self.decay[np.clip(i, 0, grid.n - 1)], 0.0)
+        self.a1_decay = a1 * self.decay
+        self.scaled_d2 = np.asfortranarray(
+            band * np.where(valid, self.decay[np.clip(i, 0, grid.n - 1)], 0.0)
+        )
         # band slots of the two boundary rows, which hold the Dirichlet data
         self.boundary = np.nonzero(valid & ((i == 0) | (i == grid.n - 1)))
+        self.ab = np.zeros((3 * u + 1, grid.n), order="F")
 
     def rhs(self, beta: np.ndarray) -> np.ndarray:
-        out = self.a1 * self.decay * (
-            d2_rho(beta, self.grid) + 0.5 * self.m**2 * np.sin(2.0 * beta)
-        )
+        out = self.a1_decay * (d2_rho(beta, self.grid) + 0.5 * self.m**2 * np.sin(2.0 * beta))
         out[0] = out[-1] = 0.0
         return out
 
     def newton_matrix(self, beta: np.ndarray, dt: float) -> np.ndarray:
+        """The Newton matrix at beta, written into ab and returned."""
         u = self.u
-        ab = -0.5 * dt * self.a1 * self.scaled_d2.copy()
-        ab[u, :] += 1.0 - 0.5 * dt * self.a1 * self.decay * self.m**2 * np.cos(2.0 * beta)
-        ab[self.boundary] = 0.0
-        ab[u, [0, -1]] = 1.0
-        return ab
+        band = self.ab[u:]
+        np.multiply(-0.5 * dt * self.a1, self.scaled_d2, out=band)
+        band[u, :] += 1.0 - 0.5 * dt * self.a1 * self.decay * self.m**2 * np.cos(2.0 * beta)
+        band[self.boundary] = 0.0
+        band[u, [0, -1]] = 1.0
+        return self.ab
+
+
+def solve_banded(ab: np.ndarray, b: np.ndarray, u: int) -> tuple[np.ndarray, int]:
+    """The banded solve of the scalar Newton loop: x with A x = b, A in the
+    gbsv storage of _ScalarWork with u sub- and super-diagonals, and the
+    LAPACK info, nonzero when A is singular. dgbsv works on ab and b in
+    place. One module-level name, so that the solves can be counted."""
+    _, _, x, info = dgbsv(u, u, ab, b, overwrite_ab=True, overwrite_b=True)
+    return x, info
 
 
 def step_scalar(
@@ -497,8 +519,13 @@ def step_scalar(
     for _ in range(config.max_newton):
         resid = new - beta - 0.5 * dt * (work.rhs(new) + rhs_old)
         resid[0] = resid[-1] = 0.0
-        ab = work.newton_matrix(new, dt)
-        delta = solve_banded((work.u, work.u), ab, resid)
+        # the matrix depends on the angle only through its diagonal, which
+        # is finite wherever the residual is, so this check covers both
+        if not np.isfinite(resid).all():
+            raise InstabilityError(f"non-finite Newton residual at t={t:.6g}, dt={dt:.3g}")
+        delta, info = solve_banded(work.newton_matrix(new, dt), resid, work.u)
+        if info != 0:
+            raise StepError(f"Newton matrix is singular at t={t:.6g}, dt={dt:.3g}")
         work.iterations += 1
         new = new - delta
         err = float(np.max(np.abs(delta)))
@@ -527,6 +554,8 @@ def run_scalar(
     if config.a.imag != 0:
         raise ValueError("the scalar reduction is only valid for real a")
     beta = np.array(grid.check_field(beta0), dtype=float)
+    if not np.all(np.isfinite(beta)):
+        raise ValueError("initial angle has non-finite entries")
     times = _record_schedule(t_end, record_times)
     work = _ScalarWork(grid, m, config.a.real)
     betas = np.empty((times.size, grid.n))

@@ -166,22 +166,44 @@ def _apply_stencil(f: np.ndarray, center, left=(), right=None, parity: float = 1
     """
     if f.shape[0] < 8:
         raise ConfigError(f"stencils need at least 8 nodes, got {f.shape[0]}")
+    # BLAS rounds a product over a strided or reversed view differently
+    # from one over contiguous memory, so every product below reads a
+    # contiguous copy
+    f = np.ascontiguousarray(f, dtype=np.result_type(f.dtype, np.float64))
     interior = f.shape[0] - len(center) + 1
     tail = len(left) if right is None else len(right)
-    out = np.empty(
-        (len(left) + interior + tail,) + f.shape[1:], dtype=np.result_type(f.dtype, np.float64)
-    )
-    acc = center[0] * f[:interior]
-    for k in range(1, len(center)):
-        acc = acc + center[k] * f[k : k + interior]
-    out[len(left) : len(left) + interior] = acc
+    out = np.empty((len(left) + interior + tail,) + f.shape[1:], dtype=f.dtype)
+    body = out[len(left) : len(left) + interior]
+    # one compiled correlation per real column (re and im for a complex
+    # field), summing the products in the order of the loop below
+    f_cols, body_cols = _real_columns(f), _real_columns(body)
+    for c in range(f_cols.shape[1]):
+        body_cols[:, c] = np.correlate(f_cols[:, c], center, "valid")
+    # np.correlate sums from +0.0 where the loop starts from its first
+    # product, and the loop's complex product with center[k] + 0j can flip
+    # the sign of a zero product, so the two can differ in the sign of a
+    # zero sum; a zero anywhere sends the interior through the loop itself
+    if not body_cols.all():
+        acc = center[0] * f[:interior]
+        for k in range(1, len(center)):
+            acc = acc + center[k] * f[k : k + interior]
+        body[...] = acc
     for i, w in enumerate(left):
-        out[i] = np.tensordot(w, f[: len(w)], axes=(0, 0))
+        out[i] = w @ f[: len(w)]
         if right is None:
-            out[out.shape[0] - 1 - i] = parity * np.tensordot(w, f[-len(w) :][::-1], axes=(0, 0))
+            rev = np.ascontiguousarray(f[: -len(w) - 1 : -1])
+            out[out.shape[0] - 1 - i] = parity * (w @ rev)
     for i, w in enumerate(right or ()):
-        out[out.shape[0] - tail + i] = np.tensordot(w, f[-len(w) :], axes=(0, 0))
+        out[out.shape[0] - tail + i] = w @ f[-len(w) :]
     return out
+
+
+def _real_columns(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous array as a (nodes, real components) float view."""
+    n = a.shape[0]
+    if np.iscomplexobj(a):
+        a = a.view(np.float64)
+    return a.reshape(n, -1)
 
 
 def d_rho(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
@@ -205,11 +227,12 @@ def d2_rho(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
 def banded_d2(grid: RadialGrid) -> tuple[np.ndarray, int, int]:
     """The d2_rho operator as a LAPACK band matrix.
 
-    Returns (ab, l, u) with ab[u + i - j, j] holding entry (i, j), ready
-    for scipy.linalg.solve_banded after the caller adds its own diagonal
-    terms. Rows reproduce d2_rho exactly, including the one-sided
-    closures, so implicit solvers stay consistent with the explicit
-    residual evaluation.
+    Returns (ab, l, u) with ab[u + i - j, j] holding entry (i, j), the
+    diagonal-ordered band of LAPACK: copied below l spare rows it is the
+    storage the band solvers gbsv and gbtrf take, once the caller has
+    added its own diagonal terms. Rows reproduce d2_rho exactly,
+    including the one-sided closures, so implicit solvers stay consistent
+    with the explicit residual evaluation.
     """
     n = grid.n
     half = 7

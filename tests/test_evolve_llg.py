@@ -14,6 +14,7 @@ from equiflow.evolve_llg import (
     N_PIN,
     FlowConfig,
     SphereMap,
+    _ScalarWork,
     _VectorWork,
     beta_to_map,
     dissipation_rate,
@@ -24,10 +25,11 @@ from equiflow.evolve_llg import (
     scalar_energy,
     scheme_energy,
     stationary_angle,
+    step_scalar,
     step_vector,
 )
 from equiflow.harmonic_family import Mu, energy, h_profile
-from equiflow.radial_grid import _D2_CENTER, build_grid
+from equiflow.radial_grid import _D2_CENTER, build_grid, d2_rho
 
 
 @pytest.fixture(scope="module")
@@ -408,10 +410,11 @@ def test_scalar_relaxes_to_harmonic_energy(grid, monkeypatch):
     the heat flow, monotonically, in a few hundred ramped steps; the run
     counts one Newton iteration per banded solve."""
     solves = []
+    solve = evolve_llg.solve_banded
 
     def counted(*args, **kwargs):
         solves.append(1)
-        return solve_banded(*args, **kwargs)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(evolve_llg, "solve_banded", counted)
     beta0 = stationary_angle(0.0, grid, 2) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
@@ -441,6 +444,85 @@ def test_scalar_rejects_complex_a(grid):
     beta0 = stationary_angle(0.0, grid, 2)
     with pytest.raises(ValueError, match="real"):
         run_scalar(beta0, grid, 2, FlowConfig(a=1j, dt0=0.01), t_end=0.1)
+
+
+def _reference_step_scalar(beta, dt, work, config):
+    """The Crank-Nicolson step as it was written before the direct gbsv
+    solve: a fresh band matrix and scipy's solve_banded per iteration."""
+    u = work.u
+
+    def rhs(b):
+        out = work.a1 * work.decay * (d2_rho(b, work.grid) + 0.5 * work.m**2 * np.sin(2.0 * b))
+        out[0] = out[-1] = 0.0
+        return out
+
+    def newton_matrix(b):
+        ab = -0.5 * dt * work.a1 * np.array(work.scaled_d2)
+        ab[u, :] += 1.0 - 0.5 * dt * work.a1 * work.decay * work.m**2 * np.cos(2.0 * b)
+        ab[work.boundary] = 0.0
+        ab[u, [0, -1]] = 1.0
+        return ab
+
+    rhs_old = rhs(beta)
+    new = beta.copy()
+    for it in range(1, config.max_newton + 1):
+        resid = new - beta - 0.5 * dt * (rhs(new) + rhs_old)
+        resid[0] = resid[-1] = 0.0
+        delta = solve_banded((u, u), newton_matrix(new), resid)
+        new = new - delta
+        if float(np.max(np.abs(delta))) < config.newton_tol:
+            return new, it
+    raise StepError("reference Newton loop stalled")
+
+
+def test_scalar_step_matches_reference_bytes(grid):
+    """20 ramped steps of step_scalar reproduce the scipy solve_banded
+    Newton loop bit for bit, with the same iteration count."""
+    m = 2
+    cfg = FlowConfig(a=1.0, dt0=0.01, ramp=0.5, dt_max=50.0)
+    beta = stationary_angle(0.0, grid, m) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
+    ref = beta.copy()
+    work = _ScalarWork(grid, m, 1.0)
+    ref_work = _ScalarWork(grid, m, 1.0)
+    t, ref_iters = 0.0, 0
+    for _ in range(20):
+        dt = cfg.dt_at(t)
+        beta = step_scalar(beta, t, dt, work, cfg)
+        ref, its = _reference_step_scalar(ref, dt, ref_work, cfg)
+        ref_iters += its
+        t += dt
+    assert t > 10.0
+    assert beta.tobytes() == ref.tobytes()
+    assert work.iterations == ref_iters
+
+
+def test_scalar_step_rejects_non_finite_angle(grid):
+    beta = stationary_angle(0.0, grid, 2)
+    beta[300] = np.nan
+    work = _ScalarWork(grid, 2, 1.0)
+    with pytest.raises(InstabilityError, match="non-finite Newton residual"):
+        step_scalar(beta, 0.0, 0.01, work, FlowConfig(a=1.0, dt0=0.01))
+    assert work.iterations == 0
+
+
+def test_scalar_step_reports_singular_matrix(grid, monkeypatch):
+    work = _ScalarWork(grid, 2, 1.0)
+    # an all-zero band: LAPACK finds a zero pivot and returns info > 0
+    monkeypatch.setattr(work, "newton_matrix", lambda beta, dt: np.zeros_like(work.ab))
+    with pytest.raises(StepError, match="singular"):
+        step_scalar(stationary_angle(0.0, grid, 2), 0.0, 0.01, work, FlowConfig(a=1.0))
+
+
+def test_run_scalar_rejects_non_finite_initial_angle(grid, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped a non-finite angle")
+
+    monkeypatch.setattr(evolve_llg, "step_scalar", no_step)
+    for bad in (np.nan, np.inf):
+        beta0 = stationary_angle(0.0, grid, 2)
+        beta0[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            run_scalar(beta0, grid, 2, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
 
 
 def test_scalar_newton_stall_raises(grid):
