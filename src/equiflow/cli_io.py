@@ -42,6 +42,7 @@ from .evolve_llg import (
     FlowConfig,
     RunSeries,
     SphereMap,
+    energy_identity_residual,
     map_to_beta,
     run_scalar,
     run_vector,
@@ -475,7 +476,16 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path
     )
     snap_path = out_dir / "snapshot_final.dat"
     save_snapshot(snap_path, series.map_at(series.t.size - 1), grid)
-    _report(quiet, f"simulate: solver={solver} steps={series.steps} records={series.t.size}")
+    stats = (
+        f"iterations_per_step={series.iterations / max(series.steps, 1):.3g} "
+        f"max_step_iterations={series.max_step_iterations}"
+    )
+    if solver == "vector":
+        stats += f" energy_identity_residual={energy_identity_residual(series):.3e}"
+    _report(
+        quiet,
+        f"simulate: solver={solver} steps={series.steps} records={series.t.size} {stats}",
+    )
     _report(quiet, f"simulate: wrote {series_path}")
     _report(quiet, f"simulate: wrote {snap_path}")
     return [series_path, snap_path]

@@ -8,7 +8,11 @@ the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
   with L the Laplacian laplace_m pinned at the ends (laplace_operator)
   and P_a from pa_apply; a chord iteration finds it with one banded LU
   of I - (dt/2) P_a(v) L per step, so the band matrix only steers the
-  iteration and F alone fixes the result. The update direction is
+  iteration and F alone fixes the result. The band is a product written
+  through a strided view of the LAPACK array, and v/|v|, L v and
+  P_a(v/|v|) L v at the start of a step are computed once, for the
+  dissipation rate at the end of the step before and for the P_a blocks
+  and first residual of the step itself. The update direction is
   tangent at the midpoint, so every node stays exactly on the unit
   sphere. Three nodes at each end are pinned, which keeps
   every evolving row on the centered 6th-order stencil: the spatial
@@ -25,8 +29,10 @@ the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
   Crank-Nicolson with a banded Newton solve makes very long dissipative
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
   hundred steps. Each Newton iteration writes its matrix into one
-  preallocated array in LAPACK gbsv storage and solves it there with
-  dgbsv.
+  preallocated array in LAPACK gbsv storage, 6 diagonals wide on each
+  side, and solves it there with dgbsv. The parts of the matrix that
+  depend on dt only are built once per step size, and the first
+  iteration reuses the right-hand side at the step's start.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -46,6 +52,7 @@ import math
 import warnings
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
@@ -131,7 +138,8 @@ class RunSeries:
     conservative flow. Scalar runs record the quadrature map energy and
     book dissipated as its exact decrement. iterations is the total
     number of inner iterations: chord iterations for vector runs, Newton
-    iterations for scalar runs.
+    iterations for scalar runs; max_step_iterations is the most of them
+    taken in any single step.
     """
 
     t: np.ndarray
@@ -143,6 +151,7 @@ class RunSeries:
     a: complex
     beta: np.ndarray | None = None
     iterations: int = 0
+    max_step_iterations: int = 0
 
     def map_at(self, k: int) -> SphereMap:
         beta = None if self.beta is None else self.beta[k]
@@ -197,57 +206,84 @@ class _VectorWork:
     (3 BAND + 1)-row band array; the top BAND rows are left spare for the
     fill-in of the factorization. The matrix is I - (dt/2) P_a L, L the
     operator of laplace_operator, with identity rows pinning the
-    boundary nodes. __init__ stores where each entry of the evolving rows
-    lands in the Fortran-ordered array and its stencil weight, so
-    assemble is a product and a scatter. iterations counts the chord
-    iterations run with this work object.
+    boundary nodes. Column 3 k + be holds the entries of rows
+    3 (k + d) + al, d = -3..3 and al = 0..2, as 21 consecutive band rows.
+    __init__ stores their stencil weights in that layout, indexed
+    [be, k, 3 (d + 3) + al] and zero on pinned rows, and assemble writes
+    the product with the P_a blocks through one strided view of the
+    Fortran-ordered array, reading the blocks through a matching strided
+    view of a zero-padded copy. iterations counts the chord iterations
+    run with this work object, max_step_iterations the most taken in one
+    step.
     """
 
     BAND = 11
 
     def __init__(self, grid: RadialGrid, m: int):
+        n = grid.n
         self.grid = grid
         self.iterations = 0
-        U = self.BAND
-        off = np.arange(-3, 4)[:, None, None, None]
-        al = np.arange(3)[None, :, None, None]
-        be = np.arange(3)[None, None, :, None]
-        node = np.arange(N_PIN, grid.n - N_PIN)[None, None, None, :]
-        # entry (3 node + al, 3 (node + off) + be), indexed [off, al, be, node]
-        # so that the innermost axis of the product in assemble is long
-        rows = 2 * U + al - be - 3 * off
-        cols = 3 * (node + off) + be
-        self._flat = (cols * (3 * U + 1) + rows).reshape(-1)
-        # the entries of -L, indexed [off, 0, be, node]
+        self.max_step_iterations = 0
+        be = np.arange(3)[:, None, None, None]
+        k = np.arange(n)[None, :, None, None]
+        d = np.arange(-3, 4)[None, None, :, None]
+        node = k + d
+        # the entries of -L in the rows of node k + d and the column of node k
         taps = _D2_CENTER / grid.drho**2
-        planar = (off == 0) * float(m * m) * np.array([1.0, 1.0, 0.0])[be]
-        decay = np.exp(-2.0 * grid.rho)[node]
-        self._weights = decay * (planar - taps[off + 3])
+        planar = (d == 0) * float(m * m) * np.array([1.0, 1.0, 0.0])[be]
+        decay = np.exp(-2.0 * grid.rho)[np.clip(node, 0, n - 1)]
+        evolving = (node >= N_PIN) & (node < n - N_PIN)
+        weights = np.where(evolving, decay * (planar - taps[3 - d]), 0.0)
+        self._weights = np.ascontiguousarray(
+            np.broadcast_to(weights, (3, n, 7, 3))
+        ).reshape(3, n, 21)
+        # (dt/2) P_a blocks as [be, 3 + node, al], zero off the evolving nodes
+        self._half_pa = np.zeros((3, n + 6, 3))
 
     def assemble(self, pa: np.ndarray, dt: float) -> np.ndarray:
         """The band array of I - (dt/2) Pa L for the per-node blocks pa."""
         U = self.BAND
-        ab = np.zeros((3 * U + 1, 3 * self.grid.n), order="F")
-        pa_t = np.ascontiguousarray(pa[N_PIN:-N_PIN].transpose(1, 2, 0))
-        vals = (0.5 * dt * pa_t) * self._weights
-        ab.reshape(-1, order="F")[self._flat] = vals.reshape(-1)
+        n = self.grid.n
+        ld = 3 * U + 1
+        ab = np.zeros((ld, 3 * n), order="F")
+        half = self._half_pa
+        half[:, 3 + N_PIN : n + 3 - N_PIN] = 0.5 * dt * pa.transpose(2, 0, 1)[:, N_PIN:-N_PIN]
+        # slot [be, k, s] of row 3 k + s - 9 in column 3 k + be: band row
+        # 2U - 9 - be + s, linear offset 2U - 9 + (ld - 1) be + 3 ld k + s
+        step = ab.itemsize
+        blocks = as_strided(half, shape=(3, n, 21), strides=(half.strides[0], 3 * step, step))
+        band = as_strided(
+            ab.reshape(-1, order="F")[2 * U - 9 :],
+            shape=(3, n, 21),
+            strides=((ld - 1) * step, 3 * ld * step, step),
+        )
+        np.multiply(blocks, self._weights, out=band)
         ab[2 * U] += 1.0
         return ab
 
 
-def dissipation_rate(v: np.ndarray, grid: RadialGrid, m: int, a: complex) -> float:
+def _start_terms(v: np.ndarray, grid: RadialGrid, m: int, a: complex):
+    """v/|v|, L v and P_a(v/|v|) L v for L of laplace_operator: the terms
+    of the chord residual at x = v, which the P_a blocks of the next step
+    and dissipation_rate share."""
+    unit = _unit(v)
+    lap = laplace_operator(v, grid, m)
+    return unit, lap, pa_apply(unit, lap, a)
+
+
+def dissipation_rate(v: np.ndarray, grid: RadialGrid, m: int, a: complex, terms=None) -> float:
     """Instantaneous decay rate of the scheme energy,
     2 pi a1 sum drho e^{2 rho} |P^v L v|^2.
 
     Pointwise the summand is (L v) . (P_a L v) with the scheme's own
     weights, so minus this rate is the exact time derivative of
     scheme_energy along the semi-discrete flow; the rotational part drops
-    out and the rate is identically zero when Re a = 0.
+    out and the rate is identically zero when Re a = 0. terms, when
+    given, are the _start_terms of v, which are then not recomputed.
     """
     if a.real == 0:
         return 0.0
-    lap = laplace_operator(v, grid, m)
-    pa_lap = pa_apply(_unit(v), lap, a)
+    _, lap, pa_lap = _start_terms(v, grid, m, a) if terms is None else terms
     w = grid.drho * np.exp(2.0 * grid.rho)
     return 2.0 * math.pi * float(w @ np.sum(lap * pa_lap, axis=1))
 
@@ -260,6 +296,7 @@ def step_vector(
     m: int,
     config: FlowConfig,
     work: _VectorWork | None = None,
+    terms=None,
 ) -> np.ndarray:
     """One implicit midpoint step of the vector scheme.
 
@@ -270,20 +307,24 @@ def step_vector(
     when the largest update falls below outer_tol; J only steers the
     iteration, the fixed point is set by F. The pinned rows of J are
     identity rows and F vanishes on them, so the pinned nodes stay put.
+    terms, when given, are the _start_terms of v, which the step then
+    does not recompute.
     """
     if work is None:
         work = _VectorWork(grid, m)
+    if terms is None:
+        terms = _start_terms(v, grid, m, config.a)
+    unit, _, pa_lap = terms
     U = _VectorWork.BAND
     # the per-node 3x3 blocks of P_a(v/|v|): column k is P_a applied to e_k
-    pa = pa_apply(_unit(v), np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
+    pa = pa_apply(unit, np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
     ab = work.assemble(pa, dt)
     lu, piv, info = dgbtrf(ab, U, U, overwrite_ab=True)
     if info != 0:
         raise StepError(f"midpoint band matrix is singular at t={t:.6g}, dt={dt:.3g}")
     vmid = v
-    for _ in range(config.max_outer):
-        lap = laplace_operator(vmid, grid, m)
-        resid = vmid - v - 0.5 * dt * pa_apply(_unit(vmid), lap, config.a)
+    for count in range(1, config.max_outer + 1):
+        resid = vmid - v - 0.5 * dt * pa_lap
         update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
         work.iterations += 1
         vmid = vmid - update.reshape(-1, 3)
@@ -291,6 +332,8 @@ def step_vector(
         # a non-finite update ends the loop; the finiteness check below reports it
         if delta < config.outer_tol or not math.isfinite(delta):
             break
+        lap = laplace_operator(vmid, grid, m)
+        pa_lap = pa_apply(_unit(vmid), lap, config.a)
     else:
         raise StepError(
             f"midpoint iteration stalled at t={t:.6g}, dt={dt:.3g} "
@@ -307,6 +350,7 @@ def step_vector(
         v_new = v_new / radii
     if not np.all(np.isfinite(v_new)):
         raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
+    work.max_step_iterations = max(work.max_step_iterations, count)
     return v_new
 
 
@@ -373,9 +417,11 @@ def run_vector(
     spent = 0.0
 
     def advance(t: float, dt: float) -> None:
-        nonlocal v, spent, rate_prev
-        v = step_vector(v, t, dt, grid, m, config, work)
-        rate_now = dissipation_rate(v, grid, m, config.a)
+        nonlocal v, spent, rate_prev, terms
+        v = step_vector(v, t, dt, grid, m, config, work, terms)
+        # computed once, for the rate here and the next step
+        terms = _start_terms(v, grid, m, config.a)
+        rate_now = dissipation_rate(v, grid, m, config.a, terms)
         spent += 0.5 * dt * (rate_prev + rate_now)
         rate_prev = rate_now
 
@@ -400,11 +446,13 @@ def run_vector(
             RuntimeWarning,
             stacklevel=2,
         )
-    rate_prev = dissipation_rate(v, grid, m, config.a)
+    terms = _start_terms(v, grid, m, config.a)
+    rate_prev = dissipation_rate(v, grid, m, config.a, terms)
     steps = _march(times, t_end, config, advance, record)
     return RunSeries(
         t=times, v=snaps, energy=energies, dissipated=dissipated,
         steps=steps, m=m, a=config.a, iterations=work.iterations,
+        max_step_iterations=work.max_step_iterations,
     )
 
 
@@ -451,10 +499,16 @@ class _ScalarWork:
 
     The array ab is in LAPACK gbsv storage: a Fortran-ordered (3u + 1, n)
     array whose rows u: hold the Newton matrix, entry (i, j) at row
-    2u + i - j, with the u sub- and super-diagonals of d2_rho; its top u
-    rows take the fill-in of the factorization, which gbtrf clears
-    itself. Every Newton iteration overwrites ab. iterations counts the
-    Newton iterations run with this work object.
+    2u + i - j; its top u rows take the fill-in of the factorization,
+    which gbtrf clears itself. The band is u = 6 diagonals wide on each
+    side, one less than banded_d2: the outermost diagonals of d2_rho hold
+    closure weights of rows 0 and n - 1 only, which the Newton matrix
+    replaces with Dirichlet identity rows. The parts of the matrix fixed
+    within a step, the scaled d2_rho band with its boundary slots zeroed
+    and the coefficient of the cos(2 beta) diagonal, are built once per
+    step size; every Newton iteration copies them into ab and adds the
+    diagonal. iterations counts the Newton iterations run with this work
+    object, max_step_iterations the most taken in one step.
     """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
@@ -462,7 +516,11 @@ class _ScalarWork:
         self.m = m
         self.a1 = a1
         self.iterations = 0
-        band, l, u = banded_d2(grid)
+        self.max_step_iterations = 0
+        band, _, u = banded_d2(grid)
+        # drop the outermost diagonals, nonzero only in the boundary rows
+        u -= 1
+        band = band[1:-1]
         self.u = u
         # row index of slot (d, j) is d - u + j; clip only for the mask
         d = np.arange(2 * u + 1)[:, None]
@@ -477,6 +535,10 @@ class _ScalarWork:
         # band slots of the two boundary rows, which hold the Dirichlet data
         self.boundary = np.nonzero(valid & ((i == 0) | (i == grid.n - 1)))
         self.ab = np.zeros((3 * u + 1, grid.n), order="F")
+        # the parts of the Newton matrix fixed at step size _dt
+        self._dt = None
+        self._fixed = np.empty_like(self.scaled_d2)
+        self._diag = None
 
     def rhs(self, beta: np.ndarray) -> np.ndarray:
         out = self.a1_decay * (d2_rho(beta, self.grid) + 0.5 * self.m**2 * np.sin(2.0 * beta))
@@ -485,12 +547,16 @@ class _ScalarWork:
 
     def newton_matrix(self, beta: np.ndarray, dt: float) -> np.ndarray:
         """The Newton matrix at beta, written into ab and returned."""
+        if dt != self._dt:
+            np.multiply(-0.5 * dt * self.a1, self.scaled_d2, out=self._fixed)
+            self._fixed[self.boundary] = 0.0
+            self._diag = 0.5 * dt * self.a1 * self.decay * self.m**2
+            self._dt = dt
         u = self.u
         band = self.ab[u:]
-        np.multiply(-0.5 * dt * self.a1, self.scaled_d2, out=band)
-        band[u, :] += 1.0 - 0.5 * dt * self.a1 * self.decay * self.m**2 * np.cos(2.0 * beta)
-        band[self.boundary] = 0.0
-        band[u, [0, -1]] = 1.0
+        band[...] = self._fixed
+        band[u, :] += 1.0 - self._diag * np.cos(2.0 * beta)
+        band[u, 0] = band[u, -1] = 1.0
         return self.ab
 
 
@@ -513,11 +579,12 @@ def step_scalar(
     # far outside the convergence basin once dt is large, while from here the
     # diffusion-dominated Jacobian reaches the solution in a few iterations.
     new = beta.copy()
+    rhs_new = rhs_old
     # convergence is measured on the Newton update: the raw residual sits on
     # a roundoff floor amplified by e^{-2 rho} near the inner boundary, and
     # the Jacobian solve removes exactly that amplification
-    for _ in range(config.max_newton):
-        resid = new - beta - 0.5 * dt * (work.rhs(new) + rhs_old)
+    for count in range(1, config.max_newton + 1):
+        resid = new - beta - 0.5 * dt * (rhs_new + rhs_old)
         resid[0] = resid[-1] = 0.0
         # the matrix depends on the angle only through its diagonal, which
         # is finite wherever the residual is, so this check covers both
@@ -531,6 +598,7 @@ def step_scalar(
         err = float(np.max(np.abs(delta)))
         if err < config.newton_tol:
             break
+        rhs_new = work.rhs(new)
     else:
         raise StepError(
             f"Newton stalled at t={t:.6g}, dt={dt:.3g} (last update {err:.3e}); "
@@ -538,6 +606,7 @@ def step_scalar(
         )
     if not np.all(np.isfinite(new)):
         raise InstabilityError(f"non-finite angle after step at t={t:.6g}")
+    work.max_step_iterations = max(work.max_step_iterations, count)
     return new
 
 
@@ -575,5 +644,5 @@ def run_scalar(
     return RunSeries(
         t=times, v=snaps, energy=energies,
         dissipated=energies[0] - energies, steps=steps, m=m, a=config.a, beta=betas,
-        iterations=work.iterations,
+        iterations=work.iterations, max_step_iterations=work.max_step_iterations,
     )

@@ -15,7 +15,7 @@ from equiflow.cli_io import (
     save_snapshot,
 )
 from equiflow.errors import ConfigError, NumericalError
-from equiflow.evolve_llg import SphereMap
+from equiflow.evolve_llg import SphereMap, energy_identity_residual
 from equiflow.harmonic_family import Mu, h_profile
 from equiflow.radial_grid import build_grid
 from equiflow.scenarios import TailFamily, build_initial_data
@@ -268,6 +268,46 @@ def test_quiet_suppresses_report(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("solver", ["scalar", "vector"])
+def test_simulate_report_iteration_stats(tmp_path, capsys, monkeypatch, solver):
+    """The summary line gives the inner iterations per step, mean and
+    maximum, and on the vector path the energy identity residual; none of
+    it reaches the CSV, whose bytes match a --quiet run."""
+    if solver == "scalar":
+        cfg = scalar_run_config(tmp_path)
+    else:
+        cfg = write_config(
+            tmp_path, m=3, a_re=1.0, rho_min=-6.0, rho_max=6.0, n=128, dt0=2e-3,
+            t_end=0.02, records=3, family="none", delta=0.02, seed=7,
+        )
+    runs = []
+    run = getattr(cli_io, f"run_{solver}")
+
+    def kept(*args):
+        runs.append(run(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli_io, f"run_{solver}", kept)
+    loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+    assert main(["simulate", "--config", str(cfg), "--out", str(loud)]) == 0
+    report = capsys.readouterr().out.splitlines()[0].split()
+    assert main(["simulate", "--config", str(cfg), "--out", str(quiet), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    for name in ("series.csv", "snapshot_final.dat"):
+        assert (loud / name).read_bytes() == (quiet / name).read_bytes()
+    series = runs[0]
+    stats = dict(item.split("=") for item in report[1:])
+    assert stats["solver"] == solver
+    assert series.steps > 0 and series.max_step_iterations > 0
+    assert stats["iterations_per_step"] == f"{series.iterations / series.steps:.3g}"
+    assert stats["max_step_iterations"] == str(series.max_step_iterations)
+    if solver == "vector":
+        assert stats["energy_identity_residual"] == f"{energy_identity_residual(series):.3e}"
+    else:
+        assert "energy_identity_residual" not in stats
+    assert "iterations" not in (loud / "series.csv").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

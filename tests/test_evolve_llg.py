@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from equiflow import evolve_llg
+from equiflow import evolve_llg, harmonic_family
 from equiflow.errors import InstabilityError, StepError
 from equiflow.evolve_llg import (
     N_PIN,
@@ -19,6 +20,7 @@ from equiflow.evolve_llg import (
     beta_to_map,
     dissipation_rate,
     energy_identity_residual,
+    laplace_operator,
     map_to_beta,
     run_scalar,
     run_vector,
@@ -28,8 +30,8 @@ from equiflow.evolve_llg import (
     step_scalar,
     step_vector,
 )
-from equiflow.harmonic_family import Mu, energy, h_profile
-from equiflow.radial_grid import _D2_CENTER, build_grid, d2_rho
+from equiflow.harmonic_family import Mu, energy, h_profile, pa_apply
+from equiflow.radial_grid import _D2_CENTER, banded_d2, build_grid, d2_rho
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +342,158 @@ def test_assemble_scatter_matches_loop(grid, perturbed):
     assert np.max(np.abs(ab[U:] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+def assemble_scatter(grid, m, pa, dt):
+    """Reference band array of I - (dt/2) Pa L in gbtrf storage, as
+    _VectorWork.assemble built it with a fancy scatter: the product indexed
+    [off, al, be, node] for entry (3 node + al, 3 (node + off) + be), and
+    one flat index per entry into the Fortran-ordered array."""
+    U = _VectorWork.BAND
+    off = np.arange(-3, 4)[:, None, None, None]
+    al = np.arange(3)[None, :, None, None]
+    be = np.arange(3)[None, None, :, None]
+    node = np.arange(N_PIN, grid.n - N_PIN)[None, None, None, :]
+    rows = 2 * U + al - be - 3 * off
+    cols = 3 * (node + off) + be
+    flat = (cols * (3 * U + 1) + rows).reshape(-1)
+    taps = _D2_CENTER / grid.drho**2
+    planar = (off == 0) * float(m * m) * np.array([1.0, 1.0, 0.0])[be]
+    decay = np.exp(-2.0 * grid.rho)[node]
+    weights = decay * (planar - taps[off + 3])
+    ab = np.zeros((3 * U + 1, 3 * grid.n), order="F")
+    pa_t = np.ascontiguousarray(pa[N_PIN:-N_PIN].transpose(1, 2, 0))
+    vals = (0.5 * dt * pa_t) * weights
+    ab.reshape(-1, order="F")[flat] = vals.reshape(-1)
+    ab[2 * U] += 1.0
+    return ab
+
+
+@pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j])
+def test_assemble_strided_write_matches_scatter_bytes(grid, perturbed, a):
+    """The strided write reproduces the scatter byte for byte, spare rows
+    and signed zeros included, also on a work object used before."""
+    work = _VectorWork(grid, 3)
+    pa = pa_blocks(perturbed, complex(a))
+    for dt, blocks in ((0.01, pa), (0.3, pa[::-1].copy()), (0.01, pa)):
+        ab = work.assemble(blocks, dt)
+        ref = assemble_scatter(grid, 3, blocks, dt)
+        assert ab.flags.f_contiguous and ab.shape == ref.shape
+        assert ab.tobytes(order="F") == ref.tobytes(order="F")
+
+
+def _reference_step_vector(v, dt, grid, m, config):
+    """The midpoint step as it was written before the step-start terms were
+    shared: the scatter band, and L v, v/|v| and P_a L v evaluated afresh
+    in every chord iteration. Returns the new map and the iteration count."""
+    U = _VectorWork.BAND
+
+    def unit(x):
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    pa = pa_apply(unit(v), np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
+    lu, piv, info = dgbtrf(assemble_scatter(grid, m, pa, dt), U, U, overwrite_ab=True)
+    assert info == 0
+    vmid = v
+    for count in range(1, config.max_outer + 1):
+        lap = laplace_operator(vmid, grid, m)
+        resid = vmid - v - 0.5 * dt * pa_apply(unit(vmid), lap, config.a)
+        update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
+        vmid = vmid - update.reshape(-1, 3)
+        if float(np.max(np.abs(update))) < config.outer_tol:
+            break
+    else:
+        raise StepError("reference chord iteration stalled")
+    v_new = 2.0 * vmid - v
+    return v_new / np.linalg.norm(v_new, axis=1, keepdims=True), count
+
+
+@pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j])
+def test_run_vector_matches_reference_loop_bytes(grid, perturbed, a):
+    """20 steps of run_vector reproduce, byte for byte, a run loop that
+    recomputes the step-start terms in the step and in dissipation_rate."""
+    dt = 2.0**-7  # a power of two, so that the step times add up exactly
+    cfg = FlowConfig(a=a, dt0=dt)
+    marks = [5 * k * dt for k in range(1, 5)]
+    series = run_vector(perturbed, grid, 3, cfg, t_end=marks[-1], record_times=marks)
+    v, spent, iterations = perturbed, 0.0, 0
+    snaps, energies, dissipated = [v], [scheme_energy(v, grid, 3)], [0.0]
+    rate_prev = dissipation_rate(v, grid, 3, cfg.a)
+    for k in range(1, 21):
+        v, count = _reference_step_vector(v, dt, grid, 3, cfg)
+        iterations += count
+        rate_now = dissipation_rate(v, grid, 3, cfg.a)
+        spent += 0.5 * dt * (rate_prev + rate_now)
+        rate_prev = rate_now
+        if k % 5 == 0:
+            snaps.append(v)
+            energies.append(scheme_energy(v, grid, 3))
+            dissipated.append(spent)
+    assert series.steps == 20
+    assert series.v.tobytes() == np.array(snaps).tobytes()
+    assert series.energy.tobytes() == np.array(energies).tobytes()
+    assert series.dissipated.tobytes() == np.array(dissipated).tobytes()
+    assert series.iterations == iterations
+
+
+def _count_calls(monkeypatch, owner, name, log):
+    """Wrap owner.name so that each call appends its arguments to log."""
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        log.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
+    """The layers the benchmark traces stay on the vector hot path: one
+    band assembly per step, and one d2_rho per chord iteration plus one
+    for the terms at the initial map; max_step_iterations is the most
+    chord iterations of one step."""
+    assembles, d2_calls, per_step = [], [], []
+    _count_calls(monkeypatch, _VectorWork, "assemble", assembles)
+    _count_calls(monkeypatch, harmonic_family, "d2_rho", d2_calls)
+    _count_calls(monkeypatch, evolve_llg, "d2_rho", d2_calls)
+    step = evolve_llg.step_vector
+
+    def counted_step(v, t, dt, grid, m, config, work=None, terms=None):
+        before = work.iterations
+        out = step(v, t, dt, grid, m, config, work, terms)
+        per_step.append(work.iterations - before)
+        return out
+
+    monkeypatch.setattr(evolve_llg, "step_vector", counted_step)
+    series = run_vector(perturbed, grid, 3, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
+    assert series.steps == len(assembles) == len(per_step) > 0
+    assert series.iterations == sum(per_step)
+    assert len(d2_calls) == series.iterations + 1
+    assert series.max_step_iterations == max(per_step) > 1
+
+
+def test_scalar_run_layer_calls(grid, monkeypatch):
+    """The scalar hot path: one evolve_llg.solve_banded and one d2_rho per
+    Newton iteration, the first iteration reusing the step's starting
+    rhs; max_step_iterations is the most Newton iterations of one step."""
+    solves, d2_calls, per_step = [], [], []
+    _count_calls(monkeypatch, evolve_llg, "solve_banded", solves)
+    _count_calls(monkeypatch, evolve_llg, "d2_rho", d2_calls)
+    step = evolve_llg.step_scalar
+
+    def counted_step(beta, t, dt, work, config):
+        before = work.iterations
+        out = step(beta, t, dt, work, config)
+        per_step.append(work.iterations - before)
+        return out
+
+    monkeypatch.setattr(evolve_llg, "step_scalar", counted_step)
+    beta0 = stationary_angle(0.0, grid, 2) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
+    cfg = FlowConfig(a=1.0, dt0=0.01, ramp=0.05, dt_max=500.0)
+    series = run_scalar(beta0, grid, 2, cfg, t_end=1e3)
+    assert series.steps == len(per_step) > 0
+    assert series.iterations == sum(per_step) == len(solves) == len(d2_calls)
+    assert series.max_step_iterations == max(per_step) > 1
+
+
 def test_non_finite_map_rejected_before_first_step(grid, profile, monkeypatch):
     def no_step(*args, **kwargs):
         raise AssertionError("step_vector ran on a non-finite map")
@@ -446,20 +600,27 @@ def test_scalar_rejects_complex_a(grid):
         run_scalar(beta0, grid, 2, FlowConfig(a=1j, dt0=0.01), t_end=0.1)
 
 
-def _reference_step_scalar(beta, dt, work, config):
+def _reference_step_scalar(beta, dt, grid, m, a1, config):
     """The Crank-Nicolson step as it was written before the direct gbsv
-    solve: a fresh band matrix and scipy's solve_banded per iteration."""
-    u = work.u
+    solve: a fresh 7-diagonal band matrix, built from banded_d2 here, and
+    scipy's solve_banded per iteration, with rhs evaluated afresh at every
+    iterate. Returns the new angle and the number of iterations."""
+    band, l, u = banded_d2(grid)
+    decay = np.exp(-2.0 * grid.rho)
+    i = np.arange(2 * u + 1)[:, None] - u + np.arange(grid.n)[None, :]
+    valid = (i >= 0) & (i < grid.n)
+    scaled_d2 = band * np.where(valid, decay[np.clip(i, 0, grid.n - 1)], 0.0)
+    boundary = np.nonzero(valid & ((i == 0) | (i == grid.n - 1)))
 
     def rhs(b):
-        out = work.a1 * work.decay * (d2_rho(b, work.grid) + 0.5 * work.m**2 * np.sin(2.0 * b))
+        out = a1 * decay * (d2_rho(b, grid) + 0.5 * m**2 * np.sin(2.0 * b))
         out[0] = out[-1] = 0.0
         return out
 
     def newton_matrix(b):
-        ab = -0.5 * dt * work.a1 * np.array(work.scaled_d2)
-        ab[u, :] += 1.0 - 0.5 * dt * work.a1 * work.decay * work.m**2 * np.cos(2.0 * b)
-        ab[work.boundary] = 0.0
+        ab = -0.5 * dt * a1 * scaled_d2
+        ab[u, :] += 1.0 - 0.5 * dt * a1 * decay * m**2 * np.cos(2.0 * b)
+        ab[boundary] = 0.0
         ab[u, [0, -1]] = 1.0
         return ab
 
@@ -468,7 +629,7 @@ def _reference_step_scalar(beta, dt, work, config):
     for it in range(1, config.max_newton + 1):
         resid = new - beta - 0.5 * dt * (rhs(new) + rhs_old)
         resid[0] = resid[-1] = 0.0
-        delta = solve_banded((u, u), newton_matrix(new), resid)
+        delta = solve_banded((l, u), newton_matrix(new), resid)
         new = new - delta
         if float(np.max(np.abs(delta))) < config.newton_tol:
             return new, it
@@ -476,24 +637,44 @@ def _reference_step_scalar(beta, dt, work, config):
 
 
 def test_scalar_step_matches_reference_bytes(grid):
-    """20 ramped steps of step_scalar reproduce the scipy solve_banded
-    Newton loop bit for bit, with the same iteration count."""
+    """20 steps of step_scalar reproduce the 7-diagonal scipy solve_banded
+    Newton loop bit for bit, with the same iteration count: ramped, and
+    at one step size throughout, where the Newton matrix parts built for
+    the first step serve every later one."""
     m = 2
-    cfg = FlowConfig(a=1.0, dt0=0.01, ramp=0.5, dt_max=50.0)
-    beta = stationary_angle(0.0, grid, m) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
-    ref = beta.copy()
-    work = _ScalarWork(grid, m, 1.0)
-    ref_work = _ScalarWork(grid, m, 1.0)
-    t, ref_iters = 0.0, 0
-    for _ in range(20):
-        dt = cfg.dt_at(t)
-        beta = step_scalar(beta, t, dt, work, cfg)
-        ref, its = _reference_step_scalar(ref, dt, ref_work, cfg)
-        ref_iters += its
-        t += dt
-    assert t > 10.0
-    assert beta.tobytes() == ref.tobytes()
-    assert work.iterations == ref_iters
+    ramped = FlowConfig(a=1.0, dt0=0.01, ramp=0.5, dt_max=50.0)
+    for cfg in (ramped, FlowConfig(a=1.0, dt0=0.6)):
+        beta = stationary_angle(0.0, grid, m) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
+        ref = beta.copy()
+        work = _ScalarWork(grid, m, 1.0)
+        t, ref_iters = 0.0, 0
+        for _ in range(20):
+            dt = cfg.dt_at(t)
+            beta = step_scalar(beta, t, dt, work, cfg)
+            ref, its = _reference_step_scalar(ref, dt, grid, m, 1.0, cfg)
+            ref_iters += its
+            t += dt
+        assert t > 10.0
+        assert beta.tobytes() == ref.tobytes()
+        assert work.iterations == ref_iters
+
+
+@pytest.mark.parametrize("n", [16, 1024, 1536, 2048])
+def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
+    """The outermost diagonals of banded_d2 hold closure weights of rows 0
+    and n - 1 only, which the Newton matrix replaces with Dirichlet
+    identity rows; the scalar band can therefore drop them."""
+    grid = build_grid(-6.0, 10.0, n)
+    band, l, u = banded_d2(grid)
+    assert (l, u) == (7, 7)
+    # ab[u + i - j, j] holds entry (i, j)
+    upper = np.nonzero(band[0])[0]
+    lower = np.nonzero(band[2 * u])[0]
+    assert list(upper - u) == [0]
+    assert list(lower + l) == [n - 1]
+    work = _ScalarWork(grid, 2, 1.0)
+    assert work.u == u - 1
+    assert work.ab.shape == (3 * (u - 1) + 1, n)
 
 
 def test_scalar_step_rejects_non_finite_angle(grid):

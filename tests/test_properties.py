@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from equiflow.cli_io import _KEYS, load_snapshot, parse_config, save_snapshot
 from equiflow.errors import ConfigError
-from equiflow.evolve_llg import FlowConfig, SphereMap, step_vector
-from equiflow.harmonic_family import Mu, h_profile
+from equiflow.evolve_llg import FlowConfig, SphereMap, run_vector, step_vector
+from equiflow.harmonic_family import Mu, degree, h_profile
 from equiflow.radial_grid import build_grid
 
 # derandomized so that tier-1 runs the same examples every time
@@ -106,3 +106,41 @@ def test_step_commutes_with_rotation_about_e3(inputs, theta):
     rotated_first = step_vector(v @ rot.T, 0.0, dt, STEP_GRID, m, cfg)
     rotated_after = step_vector(v, 0.0, dt, STEP_GRID, m, cfg) @ rot.T
     assert np.max(np.abs(rotated_first - rotated_after)) <= 1e-11
+
+
+HEAT_GRID = build_grid(-6.0, 10.0, 768)
+
+
+@st.composite
+def heat_inputs(draw):
+    """A smooth tangent bump of size up to 0.05 on a harmonic profile
+    resolved well enough on HEAT_GRID that its integral degree is within
+    1e-9 of the boundary degree, and a step size."""
+    m = draw(st.integers(2, 3))
+    mu = Mu(s=math.exp(draw(st.floats(-0.5, 0.5))), alpha=draw(st.floats(-3.0, 3.0)), m=m)
+    prof = h_profile(mu, HEAT_GRID)
+    amp = draw(st.floats(0.0, 0.05))
+    center, width = draw(st.floats(-1.5, 1.5)), draw(st.floats(0.5, 1.5))
+    c_re, c_im = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    bump = amp * np.exp(-(((HEAT_GRID.rho - center) / width) ** 2))
+    v = prof.h + bump[:, None] * (c_re * prof.f.real + c_im * prof.f.imag)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v, m, draw(st.floats(1e-3, 4e-3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(heat_inputs())
+def test_heat_flow_dissipates_and_keeps_degree(inputs):
+    """Five heat-flow steps never raise the scheme energy, and the bulk
+    degree integral stays on the boundary degree the pinned ends fix."""
+    v, m, dt = inputs
+    t_end = 5 * dt
+    series = run_vector(
+        v, HEAT_GRID, m, FlowConfig(a=1.0, dt0=dt), t_end, record_times=np.linspace(0, t_end, 6)
+    )
+    assert series.steps == 5
+    assert np.all(np.diff(series.energy) <= 1e-12 * series.energy[0])
+    target = degree(v, HEAT_GRID, m)
+    for snap in series.v:
+        assert degree(snap, HEAT_GRID, m) == target
+        assert abs(degree(snap, HEAT_GRID, m, method="integral") - target) <= 1e-8
