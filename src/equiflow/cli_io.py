@@ -20,8 +20,7 @@ finite are rejected, and all violations are reported together.  Outputs
 are plain text with a stamped schema version and a comment line
 documenting every column; identical configs produce bit-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
-environment variable EQUIFLOW_THREADS caps sweep parallelism.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -572,36 +570,19 @@ def _sweep_row(cfg: ExperimentConfig, kappa: float, lam: float) -> tuple:
     return (kappa, lam, excess, pred.v1_form[-1], pred.q_form[-1], int(label))
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("EQUIFLOW_THREADS", "")
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"EQUIFLOW_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ConfigError(f"EQUIFLOW_THREADS must be at least 1, got {cap}")
-    return cap
-
-
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
     """Build + predict over the family parameter grid, one row each.
 
-    Rows are computed concurrently (capped by EQUIFLOW_THREADS) and
-    sorted by parameter key before writing, so the output is identical
-    however the work was scheduled.
+    The (kappa, lam) pairs are sorted and their rows computed in that
+    order, so the output does not depend on the order of the config lists.
     """
     if not cfg.sweep_kappa:
         raise ConfigError("sweep needs a nonempty sweep_kappa list in the config")
     if cfg.family == "none":
         raise ConfigError("sweep needs a tail family other than 'none'")
     lams = cfg.sweep_lam if cfg.sweep_lam else (cfg.lam,)
-    jobs = [(kappa, lam) for kappa in cfg.sweep_kappa for lam in lams]
-    workers = min(len(jobs), _thread_cap())
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(lambda job: _sweep_row(cfg, *job), jobs))
-    rows.sort(key=lambda row: (row[0], row[1]))
+    jobs = sorted((kappa, lam) for kappa in cfg.sweep_kappa for lam in lams)
+    rows = [_sweep_row(cfg, kappa, lam) for kappa, lam in jobs]
     table = np.asarray(rows, dtype=float)
     path = out_dir / "sweep.csv"
     comments = [
@@ -622,7 +603,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
         ],
         comments,
     )
-    _report(quiet, f"sweep: {len(rows)} rows, workers={workers}")
+    _report(quiet, f"sweep: {len(rows)} rows")
     _report(quiet, f"sweep: wrote {path}")
     return [path]
 

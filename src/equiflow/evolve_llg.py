@@ -30,9 +30,11 @@ the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
   hundred steps. Each Newton iteration writes its matrix into one
   preallocated array in LAPACK gbsv storage, 6 diagonals wide on each
-  side, and solves it there with dgbsv. The parts of the matrix that
-  depend on dt only are built once per step size, and the first
-  iteration reuses the right-hand side at the step's start.
+  side, and solves it there with dgbsv. The band of -e^{-2 rho} d2_rho
+  is built once per grid directly in that layout, its Dirichlet rows
+  left zero; the parts of the matrix that depend on dt only are built
+  from it once per step size, and the first iteration reuses the
+  right-hand side at the step's start.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -57,7 +59,7 @@ from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
 from .harmonic_family import energy as map_energy, laplace_m, pa_apply
-from .radial_grid import _D2_CENTER, RadialGrid, _apply_stencil, banded_d2, d2_rho
+from .radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, _apply_stencil, d2_rho
 
 @dataclass
 class SphereMap:
@@ -329,12 +331,19 @@ def step_vector(
         work.iterations += 1
         vmid = vmid - update.reshape(-1, 3)
         delta = float(np.max(np.abs(update)))
+        if count == 1:
+            first = delta
         # a non-finite update ends the loop; the finiteness check below reports it
         if delta < config.outer_tol or not math.isfinite(delta):
             break
         lap = laplace_operator(vmid, grid, m)
         pa_lap = pa_apply(_unit(vmid), lap, config.a)
     else:
+        if delta > first:
+            raise StepError(
+                f"midpoint iteration diverged at t={t:.6g}, dt={dt:.3g} "
+                f"(first update {first:.3e}, last {delta:.3e}); reduce the step size"
+            )
         raise StepError(
             f"midpoint iteration stalled at t={t:.6g}, dt={dt:.3g} "
             f"(last update {delta:.3e}); reduce the step size"
@@ -501,43 +510,40 @@ class _ScalarWork:
     array whose rows u: hold the Newton matrix, entry (i, j) at row
     2u + i - j; its top u rows take the fill-in of the factorization,
     which gbtrf clears itself. The band is u = 6 diagonals wide on each
-    side, one less than banded_d2: the outermost diagonals of d2_rho hold
-    closure weights of rows 0 and n - 1 only, which the Newton matrix
-    replaces with Dirichlet identity rows. The parts of the matrix fixed
-    within a step, the scaled d2_rho band with its boundary slots zeroed
-    and the coefficient of the cos(2 beta) diagonal, are built once per
-    step size; every Newton iteration copies them into ab and adds the
-    diagonal. iterations counts the Newton iterations run with this work
-    object, max_step_iterations the most taken in one step.
+    side, the reach of the d2_rho closures of rows 1, 2, n - 3 and n - 2.
+    __init__ stores -e^{-2 rho} d2_rho in that layout, entry (i, j) at
+    row u + i - j of neg_d2, with rows 0 and n - 1 left zero: the Newton
+    matrix holds Dirichlet identity rows there. The parts of the matrix
+    fixed within a step, (dt/2) a1 neg_d2 and the coefficient of the
+    cos(2 beta) diagonal, are built once per step size; every Newton
+    iteration copies them into ab and adds the diagonal. iterations
+    counts the Newton iterations run with this work object,
+    max_step_iterations the most taken in one step.
     """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
+        n = grid.n
         self.grid = grid
         self.m = m
         self.a1 = a1
         self.iterations = 0
         self.max_step_iterations = 0
-        band, _, u = banded_d2(grid)
-        # drop the outermost diagonals, nonzero only in the boundary rows
-        u -= 1
-        band = band[1:-1]
-        self.u = u
-        # row index of slot (d, j) is d - u + j; clip only for the mask
-        d = np.arange(2 * u + 1)[:, None]
-        j = np.arange(grid.n)[None, :]
-        i = d - u + j
-        valid = (i >= 0) & (i < grid.n)
+        self.u = u = 6
         self.decay = np.exp(-2.0 * grid.rho)
         self.a1_decay = a1 * self.decay
-        self.scaled_d2 = np.asfortranarray(
-            band * np.where(valid, self.decay[np.clip(i, 0, grid.n - 1)], 0.0)
-        )
-        # band slots of the two boundary rows, which hold the Dirichlet data
-        self.boundary = np.nonzero(valid & ((i == 0) | (i == grid.n - 1)))
-        self.ab = np.zeros((3 * u + 1, grid.n), order="F")
+        self.neg_d2 = np.zeros((2 * u + 1, n), order="F")
+        taps = _D2_CENTER / grid.drho**2
+        for k, off in enumerate(range(-3, 4)):
+            self.neg_d2[u - off, 3 + off : n - 3 + off] = -taps[k] * self.decay[3 : n - 3]
+        for i in (1, 2):
+            taps = _D2_EDGE[i] / grid.drho**2
+            for k in range(8):
+                self.neg_d2[u + i - k, k] = -taps[k] * self.decay[i]
+                self.neg_d2[u + k - i, n - 1 - k] = -taps[k] * self.decay[n - 1 - i]
+        self.ab = np.zeros((3 * u + 1, n), order="F")
         # the parts of the Newton matrix fixed at step size _dt
         self._dt = None
-        self._fixed = np.empty_like(self.scaled_d2)
+        self._fixed = np.empty_like(self.neg_d2)
         self._diag = None
 
     def rhs(self, beta: np.ndarray) -> np.ndarray:
@@ -548,8 +554,7 @@ class _ScalarWork:
     def newton_matrix(self, beta: np.ndarray, dt: float) -> np.ndarray:
         """The Newton matrix at beta, written into ab and returned."""
         if dt != self._dt:
-            np.multiply(-0.5 * dt * self.a1, self.scaled_d2, out=self._fixed)
-            self._fixed[self.boundary] = 0.0
+            np.multiply(0.5 * dt * self.a1, self.neg_d2, out=self._fixed)
             self._diag = 0.5 * dt * self.a1 * self.decay * self.m**2
             self._dt = dt
         u = self.u

@@ -224,30 +224,6 @@ def d2_rho(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return _apply_stencil(f, _D2_CENTER, _D2_EDGE) / grid.drho**2
 
 
-def banded_d2(grid: RadialGrid) -> tuple[np.ndarray, int, int]:
-    """The d2_rho operator as a LAPACK band matrix.
-
-    Returns (ab, l, u) with ab[u + i - j, j] holding entry (i, j), the
-    diagonal-ordered band of LAPACK: copied below l spare rows it is the
-    storage the band solvers gbsv and gbtrf take, once the caller has
-    added its own diagonal terms. Rows reproduce d2_rho exactly,
-    including the one-sided closures, so implicit solvers stay consistent
-    with the explicit residual evaluation.
-    """
-    n = grid.n
-    half = 7
-    ab = np.zeros((2 * half + 1, n))
-    wc = _D2_CENTER / grid.drho**2
-    for k, off in enumerate(range(-3, 4)):
-        ab[half - off, 3 + off : n - 3 + off] = wc[k]
-    for i in range(3):
-        we = _D2_EDGE[i] / grid.drho**2
-        for k in range(8):
-            ab[half + i - k, k] = we[k]
-            ab[half + k - i, n - 1 - k] = we[k]
-    return ab, half, half
-
-
 def quad_rdr(f: np.ndarray, grid: RadialGrid) -> complex | float:
     """int f r dr over the mesh."""
     f = grid.check_field(f)

@@ -31,7 +31,7 @@ from equiflow.evolve_llg import (
     step_vector,
 )
 from equiflow.harmonic_family import Mu, energy, h_profile, pa_apply
-from equiflow.radial_grid import _D2_CENTER, banded_d2, build_grid, d2_rho
+from equiflow.radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, build_grid, d2_rho
 
 
 @pytest.fixture(scope="module")
@@ -214,8 +214,12 @@ def test_energy_budget_warning(grid, profile):
 
 
 def test_outer_iteration_stall_raises(grid, perturbed):
-    with pytest.raises(StepError, match="midpoint"):
-        run_vector(perturbed, grid, 3, FlowConfig(a=1.0, dt0=0.02, max_outer=1), t_end=0.1)
+    """A chord iteration cut off by max_outer while its updates shrink is
+    reported as stalled, with its last update, not as diverged."""
+    for cap in (1, 3):
+        cfg = FlowConfig(a=1.0, dt0=0.02, max_outer=cap)
+        with pytest.raises(StepError, match=r"iteration stalled .*\(last update [^,]*\)"):
+            run_vector(perturbed, grid, 3, cfg, t_end=0.1)
 
 
 def pa_blocks(vhat, a):
@@ -600,6 +604,30 @@ def test_scalar_rejects_complex_a(grid):
         run_scalar(beta0, grid, 2, FlowConfig(a=1j, dt0=0.01), t_end=0.1)
 
 
+def banded_d2(grid: RadialGrid) -> tuple[np.ndarray, int, int]:
+    """The d2_rho operator as a LAPACK band matrix.
+
+    Returns (ab, l, u) with ab[u + i - j, j] holding entry (i, j), the
+    diagonal-ordered band of LAPACK: copied below l spare rows it is the
+    storage the band solvers gbsv and gbtrf take, once the caller has
+    added its own diagonal terms. Rows reproduce d2_rho exactly,
+    including the one-sided closures, so implicit solvers stay consistent
+    with the explicit residual evaluation.
+    """
+    n = grid.n
+    half = 7
+    ab = np.zeros((2 * half + 1, n))
+    wc = _D2_CENTER / grid.drho**2
+    for k, off in enumerate(range(-3, 4)):
+        ab[half - off, 3 + off : n - 3 + off] = wc[k]
+    for i in range(3):
+        we = _D2_EDGE[i] / grid.drho**2
+        for k in range(8):
+            ab[half + i - k, k] = we[k]
+            ab[half + k - i, n - 1 - k] = we[k]
+    return ab, half, half
+
+
 def _reference_step_scalar(beta, dt, grid, m, a1, config):
     """The Crank-Nicolson step as it was written before the direct gbsv
     solve: a fresh 7-diagonal band matrix, built from banded_d2 here, and
@@ -663,7 +691,13 @@ def test_scalar_step_matches_reference_bytes(grid):
 def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
     """The outermost diagonals of banded_d2 hold closure weights of rows 0
     and n - 1 only, which the Newton matrix replaces with Dirichlet
-    identity rows; the scalar band can therefore drop them."""
+    identity rows; the scalar band can therefore drop them. The band
+    _ScalarWork builds directly equals the inner 13 rows of banded_d2
+    scaled by -e^{-2 rho}, with the boundary rows zeroed, and its Newton
+    matrix equals the reference one, byte for byte in every slot that
+    lies inside the matrix and off the stencil's zeros. Those zeros read
+    +0.0 here and -0.0 in the masked band; LAPACK carries the sign of a
+    zero into no nonzero result."""
     grid = build_grid(-6.0, 10.0, n)
     band, l, u = banded_d2(grid)
     assert (l, u) == (7, 7)
@@ -672,9 +706,34 @@ def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
     lower = np.nonzero(band[2 * u])[0]
     assert list(upper - u) == [0]
     assert list(lower + l) == [n - 1]
-    work = _ScalarWork(grid, 2, 1.0)
-    assert work.u == u - 1
-    assert work.ab.shape == (3 * (u - 1) + 1, n)
+    m, a1, dt = 2, 0.7, 0.37
+    work = _ScalarWork(grid, m, a1)
+    u = work.u
+    assert u == 6
+    assert work.ab.shape == (3 * u + 1, n)
+    decay = np.exp(-2.0 * grid.rho)
+    i = np.arange(2 * u + 1)[:, None] - u + np.arange(n)[None, :]
+    inside = (i >= 0) & (i < n)
+    boundary = inside & ((i == 0) | (i == n - 1))
+    stencil = inside & ~boundary & (band[1:-1] != 0)
+    scaled = band[1:-1] * np.where(inside, decay[np.clip(i, 0, n - 1)], 0.0)
+    scaled[boundary] = 0.0
+    assert np.array_equal(work.neg_d2[inside], -scaled[inside])
+    assert work.neg_d2[stencil].tobytes() == (-scaled)[stencil].tobytes()
+    # +0.0 in the boundary slots, as the masked band reset them
+    assert work.neg_d2[boundary].tobytes() == bytes(8 * int(boundary.sum()))
+    # the Newton matrix of the masked layout: (-dt/2) a1 times the scaled
+    # band, boundary slots reset to +0.0, identity rows at the ends
+    beta = stationary_angle(0.0, grid, m)
+    ref = -0.5 * dt * a1 * scaled
+    ref[u, :] += 1.0 - 0.5 * dt * a1 * decay * m**2 * np.cos(2.0 * beta)
+    ref[boundary] = 0.0
+    ref[u, [0, -1]] = 1.0
+    got = work.newton_matrix(beta, dt)[u:]
+    assert np.array_equal(got[inside], ref[inside])
+    nonzero = inside & (ref != 0)
+    assert got[nonzero].tobytes() == ref[nonzero].tobytes()
+    assert got[boundary].tobytes() == ref[boundary].tobytes()
 
 
 def test_scalar_step_rejects_non_finite_angle(grid):

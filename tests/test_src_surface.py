@@ -1,10 +1,14 @@
-"""Every public function in the package is exported or used by the package.
+"""Checks on the package source as a whole.
 
+Every public function in the package is exported or used by the package.
 A public module-level function that is neither in ``equiflow.__all__`` nor
 referenced anywhere in ``src/equiflow`` outside its own body is code that
 only tests call; such a function belongs in the tests, as the reference
 it is.  References are ``ast.Name`` and ``ast.Attribute`` nodes, so a
 mention in a docstring or comment does not count.
+
+The package reads no environment variable: every setting is a key of the
+one config schema, ExperimentConfig.
 """
 
 import ast
@@ -59,3 +63,29 @@ def unused_public_functions(src: Path, exported) -> list[str]:
 
 def test_no_test_only_public_functions():
     assert unused_public_functions(SRC, set(equiflow.__all__)) == []
+
+
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(src: Path) -> list[str]:
+    """module:line of every name, attribute or import under src that
+    refers to the process environment."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in _ENVIRONMENT_NAMES:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_environment_reads():
+    assert environment_reads(SRC) == []
