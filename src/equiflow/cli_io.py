@@ -480,6 +480,8 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path
     )
     if solver == "vector":
         stats += f" energy_identity_residual={energy_identity_residual(series):.3e}"
+    else:
+        stats += f" factorizations_per_step={series.factorizations / max(series.steps, 1):.3g}"
     _report(
         quiet,
         f"simulate: solver={solver} steps={series.steps} records={series.t.size} {stats}",

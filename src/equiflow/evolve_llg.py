@@ -28,13 +28,18 @@ the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
   beta_t = a1 e^{-2 rho} (beta_rhorho + (m^2/2) sin 2 beta).
   Crank-Nicolson with a banded Newton solve makes very long dissipative
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
-  hundred steps. Each Newton iteration writes its matrix into one
-  preallocated array in LAPACK gbsv storage, 6 diagonals wide on each
-  side, and solves it there with dgbsv. The band of -e^{-2 rho} d2_rho
-  is built once per grid directly in that layout, its Dirichlet rows
-  left zero; the parts of the matrix that depend on dt only are built
-  from it once per step size, and the first iteration reuses the
-  right-hand side at the step's start.
+  hundred steps. The Newton matrix is written into one preallocated
+  array in LAPACK gbtrf storage, 6 diagonals wide on each side, and
+  factored there with dgbtrf once per step, at a seed extrapolated
+  linearly in time from the last two accepted angles; each iteration is
+  then one dgbtrs back-solve, a chord iteration that re-factors only
+  when an update has not shrunk to CHORD_CONTRACTION of the one before.
+  Within a step d2_rho of an iterate is d2_rho of the step's start plus
+  d2_rho of the change, which keeps the stencil's roundoff, and with it
+  the floor of the Newton updates, well below newton_tol.
+  The band of -e^{-2 rho} d2_rho is built once per grid directly in
+  that layout, its Dirichlet rows left zero, and the parts of the matrix
+  that depend on dt only are built from it once per step size.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -55,7 +60,7 @@ import warnings
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
 from .harmonic_family import energy as map_energy, laplace_m, pa_apply
@@ -141,7 +146,9 @@ class RunSeries:
     book dissipated as its exact decrement. iterations is the total
     number of inner iterations: chord iterations for vector runs, Newton
     iterations for scalar runs; max_step_iterations is the most of them
-    taken in any single step.
+    taken in any single step. factorizations counts the banded LU
+    factorizations: one per step for vector runs, one per step plus the
+    re-factors of the chord iteration for scalar runs.
     """
 
     t: np.ndarray
@@ -154,6 +161,7 @@ class RunSeries:
     beta: np.ndarray | None = None
     iterations: int = 0
     max_step_iterations: int = 0
+    factorizations: int = 0
 
     def map_at(self, k: int) -> SphereMap:
         beta = None if self.beta is None else self.beta[k]
@@ -461,7 +469,7 @@ def run_vector(
     return RunSeries(
         t=times, v=snaps, energy=energies, dissipated=dissipated,
         steps=steps, m=m, a=config.a, iterations=work.iterations,
-        max_step_iterations=work.max_step_iterations,
+        max_step_iterations=work.max_step_iterations, factorizations=steps,
     )
 
 
@@ -506,19 +514,21 @@ class _ScalarWork:
     """Per-grid cached pieces of the Crank-Nicolson Jacobian and the one
     array the Newton matrix is built and factored in.
 
-    The array ab is in LAPACK gbsv storage: a Fortran-ordered (3u + 1, n)
+    The array ab is in LAPACK gbtrf storage: a Fortran-ordered (3u + 1, n)
     array whose rows u: hold the Newton matrix, entry (i, j) at row
     2u + i - j; its top u rows take the fill-in of the factorization,
-    which gbtrf clears itself. The band is u = 6 diagonals wide on each
-    side, the reach of the d2_rho closures of rows 1, 2, n - 3 and n - 2.
-    __init__ stores -e^{-2 rho} d2_rho in that layout, entry (i, j) at
-    row u + i - j of neg_d2, with rows 0 and n - 1 left zero: the Newton
-    matrix holds Dirichlet identity rows there. The parts of the matrix
-    fixed within a step, (dt/2) a1 neg_d2 and the coefficient of the
-    cos(2 beta) diagonal, are built once per step size; every Newton
-    iteration copies them into ab and adds the diagonal. iterations
-    counts the Newton iterations run with this work object,
-    max_step_iterations the most taken in one step.
+    which gbtrf clears itself. dgbtrf factors the matrix in place, so
+    after a factorization ab holds the LU factors the back-solves read.
+    The band is u = 6 diagonals wide on each side, the reach of the
+    d2_rho closures of rows 1, 2, n - 3 and n - 2. __init__ stores
+    -e^{-2 rho} d2_rho in that layout, entry (i, j) at row u + i - j of
+    neg_d2, with rows 0 and n - 1 left zero: the Newton matrix holds
+    Dirichlet identity rows there. The parts of the matrix fixed within a
+    step, (dt/2) a1 neg_d2 and the coefficient of the cos(2 beta)
+    diagonal, are built once per step size; each factorization copies
+    them into ab and adds the diagonal. iterations counts the Newton
+    iterations run with this work object, max_step_iterations the most
+    taken in one step, and factorizations the Newton matrices factored.
     """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
@@ -528,6 +538,7 @@ class _ScalarWork:
         self.a1 = a1
         self.iterations = 0
         self.max_step_iterations = 0
+        self.factorizations = 0
         self.u = u = 6
         self.decay = np.exp(-2.0 * grid.rho)
         self.a1_decay = a1 * self.decay
@@ -546,8 +557,10 @@ class _ScalarWork:
         self._fixed = np.empty_like(self.neg_d2)
         self._diag = None
 
-    def rhs(self, beta: np.ndarray) -> np.ndarray:
-        out = self.a1_decay * (d2_rho(beta, self.grid) + 0.5 * self.m**2 * np.sin(2.0 * beta))
+    def rhs(self, beta: np.ndarray, d2: np.ndarray) -> np.ndarray:
+        """a1 e^{-2 rho} (d2 + (m^2/2) sin 2 beta), zero on the Dirichlet
+        rows, for d2 = d2_rho(beta) evaluated by the caller."""
+        out = self.a1_decay * (d2 + 0.5 * self.m**2 * np.sin(2.0 * beta))
         out[0] = out[-1] = 0.0
         return out
 
@@ -565,26 +578,66 @@ class _ScalarWork:
         return self.ab
 
 
-def solve_banded(ab: np.ndarray, b: np.ndarray, u: int) -> tuple[np.ndarray, int]:
-    """The banded solve of the scalar Newton loop: x with A x = b, A in the
-    gbsv storage of _ScalarWork with u sub- and super-diagonals, and the
-    LAPACK info, nonzero when A is singular. dgbsv works on ab and b in
-    place. One module-level name, so that the solves can be counted."""
-    _, _, x, info = dgbsv(u, u, ab, b, overwrite_ab=True, overwrite_b=True)
-    return x, info
+# the scalar chord iteration keeps its factorization while each Newton
+# update is at most this fraction of the one before, and re-factors at the
+# current iterate otherwise
+CHORD_CONTRACTION = 1e-2
+
+
+def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.ndarray:
+    """The back-solve of the scalar Newton loop: x with A x = b, A
+    factored by dgbtrf into lu and piv in the gbtrf storage of _ScalarWork
+    with u sub- and super-diagonals. dgbtrs overwrites b with x. One
+    module-level name, so that the solves can be counted."""
+    x, _ = dgbtrs(lu, u, u, b, piv, overwrite_b=True)
+    return x
 
 
 def step_scalar(
-    beta: np.ndarray, t: float, dt: float, work: _ScalarWork, config: FlowConfig
+    beta: np.ndarray,
+    t: float,
+    dt: float,
+    work: _ScalarWork,
+    config: FlowConfig,
+    seed: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One Crank-Nicolson step of the great-circle angle, Newton inner loop."""
-    rhs_old = work.rhs(beta)
-    # Seed Newton with the current state rather than an explicit predictor:
-    # near the inner boundary the e^{-2 rho} factor blows an explicit guess
-    # far outside the convergence basin once dt is large, while from here the
+    """One Crank-Nicolson step of the great-circle angle.
+
+    The new angle x solves G(x) = x - beta - (dt/2) (f(x) + f(beta)) = 0,
+    f the rhs of work. A chord iteration factors the Newton matrix G' at
+    the seed once and updates x <- x - G'^{-1} G(x) from the seed, one
+    back-solve per iteration, until the largest update falls below
+    newton_tol; it re-factors G' at the current iterate whenever an
+    update has not shrunk to CHORD_CONTRACTION of the one before. The
+    matrix only steers the iteration; the result is set by G. seed, when
+    given, is the starting iterate and must hold beta's Dirichlet end
+    values; run_scalar passes the linear extrapolation in time of its
+    last two accepted angles. Without it the iteration starts from beta.
+    """
+    # d2_rho(x) is evaluated as d2_rho(beta) + d2_rho(x - beta). The
+    # stencil's roundoff scales with the values it reads: on the angle
+    # itself it leaves a noise in rhs that the Jacobian barely damps along
+    # the slow scale mode, a floor of 1e-10 to 4e-10 on the Newton updates
+    # at the dt of 400 to 900 that long m = 2 runs reach, against
+    # newton_tol = 1e-10. On the change over the step the noise shrinks
+    # with the change, and d2_rho(beta) is one fixed vector within the step.
+    d2_old = d2_rho(beta, work.grid)
+    rhs_old = work.rhs(beta, d2_old)
+
+    def rhs(x: np.ndarray) -> np.ndarray:
+        return work.rhs(x, d2_old + d2_rho(x - beta, work.grid))
+
+    # The seed never comes from an explicit predictor: near the inner
+    # boundary the e^{-2 rho} factor blows an explicit guess far outside the
+    # convergence basin once dt is large. From beta itself, or extrapolated
+    # from two accepted Crank-Nicolson states, which evaluates no rhs, the
     # diffusion-dominated Jacobian reaches the solution in a few iterations.
-    new = beta.copy()
-    rhs_new = rhs_old
+    if seed is None:
+        new, rhs_new = beta, rhs_old
+    else:
+        new, rhs_new = seed, rhs(seed)
+    u = work.u
+    factor, err = True, math.inf
     # convergence is measured on the Newton update: the raw residual sits on
     # a roundoff floor amplified by e^{-2 rho} near the inner boundary, and
     # the Jacobian solve removes exactly that amplification
@@ -595,15 +648,19 @@ def step_scalar(
         # is finite wherever the residual is, so this check covers both
         if not np.isfinite(resid).all():
             raise InstabilityError(f"non-finite Newton residual at t={t:.6g}, dt={dt:.3g}")
-        delta, info = solve_banded(work.newton_matrix(new, dt), resid, work.u)
-        if info != 0:
-            raise StepError(f"Newton matrix is singular at t={t:.6g}, dt={dt:.3g}")
+        if factor:
+            lu, piv, info = dgbtrf(work.newton_matrix(new, dt), u, u, overwrite_ab=True)
+            if info != 0:
+                raise StepError(f"Newton matrix is singular at t={t:.6g}, dt={dt:.3g}")
+            work.factorizations += 1
+        delta = solve_banded(lu, piv, resid, u)
         work.iterations += 1
         new = new - delta
-        err = float(np.max(np.abs(delta)))
+        err, before = float(np.max(np.abs(delta))), err
         if err < config.newton_tol:
             break
-        rhs_new = work.rhs(new)
+        factor = err > CHORD_CONTRACTION * before
+        rhs_new = rhs(new)
     else:
         raise StepError(
             f"Newton stalled at t={t:.6g}, dt={dt:.3g} (last update {err:.3e}); "
@@ -624,7 +681,10 @@ def run_scalar(
     record_times=None,
 ) -> RunSeries:
     """Evolve a great-circle angle profile; snapshots hold both the angle
-    and the reconstructed map."""
+    and the reconstructed map. From the second step on, each step's
+    Newton iteration is seeded by extrapolating the last two accepted
+    angles linearly in time; the ends stay exact, as the angles agree
+    there."""
     if config.a.imag != 0:
         raise ValueError("the scalar reduction is only valid for real a")
     beta = np.array(grid.check_field(beta0), dtype=float)
@@ -634,10 +694,17 @@ def run_scalar(
     work = _ScalarWork(grid, m, config.a.real)
     betas = np.empty((times.size, grid.n))
     energies = np.empty(times.size)
+    # the accepted angle and step size of the step before
+    history = None
 
     def advance(t: float, dt: float) -> None:
-        nonlocal beta
-        beta = step_scalar(beta, t, dt, work, config)
+        nonlocal beta, history
+        seed = None
+        if history is not None:
+            prev, dt_prev = history
+            seed = beta + (dt / dt_prev) * (beta - prev)
+        history = beta, dt
+        beta = step_scalar(beta, t, dt, work, config, seed)
 
     def record(k: int, t: float) -> None:
         betas[k] = beta
@@ -650,4 +717,5 @@ def run_scalar(
         t=times, v=snaps, energy=energies,
         dissipated=energies[0] - energies, steps=steps, m=m, a=config.a, beta=betas,
         iterations=work.iterations, max_step_iterations=work.max_step_iterations,
+        factorizations=work.factorizations,
     )

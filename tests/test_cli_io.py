@@ -274,8 +274,9 @@ def test_quiet_suppresses_report(tmp_path, capsys):
 @pytest.mark.parametrize("solver", ["scalar", "vector"])
 def test_simulate_report_iteration_stats(tmp_path, capsys, monkeypatch, solver):
     """The summary line gives the inner iterations per step, mean and
-    maximum, and on the vector path the energy identity residual; none of
-    it reaches the CSV, whose bytes match a --quiet run."""
+    maximum, on the vector path the energy identity residual and on the
+    scalar path the banded factorizations per step; none of it reaches
+    the CSV, whose bytes match a --quiet run."""
     if solver == "scalar":
         cfg = scalar_run_config(tmp_path)
     else:
@@ -306,9 +307,14 @@ def test_simulate_report_iteration_stats(tmp_path, capsys, monkeypatch, solver):
     assert stats["max_step_iterations"] == str(series.max_step_iterations)
     if solver == "vector":
         assert stats["energy_identity_residual"] == f"{energy_identity_residual(series):.3e}"
+        assert "factorizations_per_step" not in stats
     else:
         assert "energy_identity_residual" not in stats
-    assert "iterations" not in (loud / "series.csv").read_text(encoding="utf-8")
+        assert series.steps <= series.factorizations <= series.iterations
+        per_step = f"{series.factorizations / series.steps:.3g}"
+        assert stats["factorizations_per_step"] == per_step
+    text = (loud / "series.csv").read_text(encoding="utf-8")
+    assert "iterations" not in text and "factorizations" not in text
 
 
 def test_simulate_diverging_chord_iteration_says_diverged(tmp_path, capsys):
