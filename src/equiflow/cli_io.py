@@ -474,14 +474,14 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path
     )
     snap_path = out_dir / "snapshot_final.dat"
     save_snapshot(snap_path, series.map_at(series.t.size - 1), grid)
+    steps = max(series.steps, 1)
     stats = (
-        f"iterations_per_step={series.iterations / max(series.steps, 1):.3g} "
-        f"max_step_iterations={series.max_step_iterations}"
+        f"iterations_per_step={series.iterations / steps:.3g} "
+        f"max_step_iterations={series.max_step_iterations} "
+        f"factorizations_per_step={series.factorizations / steps:.3g}"
     )
     if solver == "vector":
         stats += f" energy_identity_residual={energy_identity_residual(series):.3e}"
-    else:
-        stats += f" factorizations_per_step={series.factorizations / max(series.steps, 1):.3g}"
     _report(
         quiet,
         f"simulate: solver={solver} steps={series.steps} records={series.t.size} {stats}",

@@ -6,14 +6,17 @@ the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
 * a vector scheme for the full three-component map, implicit midpoint in
   time. The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0,
   with L the Laplacian laplace_m pinned at the ends (laplace_operator)
-  and P_a from pa_apply; a chord iteration finds it with one banded LU
-  of I - (dt/2) P_a(v) L per step, so the band matrix only steers the
-  iteration and F alone fixes the result. The band is a product written
-  through a strided view of the LAPACK array, and v/|v|, L v and
-  P_a(v/|v|) L v at the start of a step are computed once, for the
-  dissipation rate at the end of the step before and for the P_a blocks
-  and first residual of the step itself. The update direction is
-  tangent at the midpoint, so every node stays exactly on the unit
+  and P_a from pa_apply. A Newton-chord iteration finds it: one banded
+  LU per step of the Jacobian F'(v) = I - (dt/2) (P_a(v) L + D), D the
+  per-node derivative of P_a(x/|x|) L v in x, re-factored at the current
+  iterate only when an update has not shrunk to CHORD_CONTRACTION of the
+  one before. The band matrix only steers the iteration; F alone fixes
+  the result. The band is a product written through a strided view of
+  the LAPACK array, with D added to its diagonal blocks, and |v|, v/|v|,
+  L v and P_a(v/|v|) L v at the start of a step are computed once, for
+  the dissipation rate at the end of the step before and for the
+  Jacobian and first residual of the step itself. The update direction
+  is tangent at the midpoint, so every node stays exactly on the unit
   sphere. Three nodes at each end are pinned, which keeps
   every evolving row on the centered 6th-order stencil: the spatial
   operator restricted to the evolving block is then an exactly
@@ -147,8 +150,8 @@ class RunSeries:
     number of inner iterations: chord iterations for vector runs, Newton
     iterations for scalar runs; max_step_iterations is the most of them
     taken in any single step. factorizations counts the banded LU
-    factorizations: one per step for vector runs, one per step plus the
-    re-factors of the chord iteration for scalar runs.
+    factorizations, one per step plus the re-factors of the chord
+    iteration, on either path.
     """
 
     t: np.ndarray
@@ -166,11 +169,6 @@ class RunSeries:
     def map_at(self, k: int) -> SphereMap:
         beta = None if self.beta is None else self.beta[k]
         return SphereMap(v=self.v[k], m=self.m, beta=beta)
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    """v / |v|, nodewise."""
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 # nodes held fixed at each end of the mesh by the vector scheme; three per
@@ -209,22 +207,29 @@ def scheme_energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
     return math.pi * grid.drho * float(m * m * planar - quad)
 
 
+# both chord iterations, vector and scalar, keep their factorization while
+# each update is at most this fraction of the one before, and re-factor at
+# the current iterate otherwise
+CHORD_CONTRACTION = 1e-2
+
+
 class _VectorWork:
     """The midpoint band matrix of one grid, in LAPACK gbtrf storage.
 
     Entry (r, c) of the 3n x 3n matrix sits at row 2 BAND + r - c of a
     (3 BAND + 1)-row band array; the top BAND rows are left spare for the
-    fill-in of the factorization. The matrix is I - (dt/2) P_a L, L the
-    operator of laplace_operator, with identity rows pinning the
-    boundary nodes. Column 3 k + be holds the entries of rows
-    3 (k + d) + al, d = -3..3 and al = 0..2, as 21 consecutive band rows.
-    __init__ stores their stencil weights in that layout, indexed
+    fill-in of the factorization. The matrix is I - (dt/2) (P_a L + D), L
+    the operator of laplace_operator and D block diagonal, with identity
+    rows pinning the boundary nodes. Column 3 k + be holds the entries of
+    rows 3 (k + d) + al, d = -3..3 and al = 0..2, as 21 consecutive band
+    rows. __init__ stores their stencil weights in that layout, indexed
     [be, k, 3 (d + 3) + al] and zero on pinned rows, and assemble writes
     the product with the P_a blocks through one strided view of the
     Fortran-ordered array, reading the blocks through a matching strided
-    view of a zero-padded copy. iterations counts the chord iterations
-    run with this work object, max_step_iterations the most taken in one
-    step.
+    view of a zero-padded copy; the D blocks go to the d = 0 slots 9..11
+    of the same view in one more write. iterations counts the chord
+    iterations run with this work object, max_step_iterations the most
+    taken in one step, and factorizations the band matrices factored.
     """
 
     BAND = 11
@@ -234,6 +239,7 @@ class _VectorWork:
         self.grid = grid
         self.iterations = 0
         self.max_step_iterations = 0
+        self.factorizations = 0
         be = np.arange(3)[:, None, None, None]
         k = np.arange(n)[None, :, None, None]
         d = np.arange(-3, 4)[None, None, :, None]
@@ -250,8 +256,10 @@ class _VectorWork:
         # (dt/2) P_a blocks as [be, 3 + node, al], zero off the evolving nodes
         self._half_pa = np.zeros((3, n + 6, 3))
 
-    def assemble(self, pa: np.ndarray, dt: float) -> np.ndarray:
-        """The band array of I - (dt/2) Pa L for the per-node blocks pa."""
+    def assemble(self, pa: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
+        """The band array of I - (dt/2) (Pa L + D) for the per-node blocks
+        pa and the block diagonal D of the blocks deriv, both indexed
+        [node, row, column]."""
         U = self.BAND
         n = self.grid.n
         ld = 3 * U + 1
@@ -268,17 +276,51 @@ class _VectorWork:
             strides=((ld - 1) * step, 3 * ld * step, step),
         )
         np.multiply(blocks, self._weights, out=band)
+        # the d = 0 slots, as [al, be, k]
+        diagonal = band[:, :, 9:12].transpose(2, 0, 1)
+        diagonal -= (0.5 * dt) * deriv.transpose(1, 2, 0)
         ab[2 * U] += 1.0
         return ab
 
 
-def _start_terms(v: np.ndarray, grid: RadialGrid, m: int, a: complex):
-    """v/|v|, L v and P_a(v/|v|) L v for L of laplace_operator: the terms
-    of the chord residual at x = v, which the P_a blocks of the next step
-    and dissipation_rate share."""
-    unit = _unit(v)
-    lap = laplace_operator(v, grid, m)
-    return unit, lap, pa_apply(unit, lap, a)
+def _midpoint_terms(x: np.ndarray, grid: RadialGrid, m: int, a: complex):
+    """|x| (shape (n, 1)), x/|x|, L x and P_a(x/|x|) L x for L of
+    laplace_operator: the terms of the midpoint residual F and of its
+    Jacobian at x. At the start of a step they serve the step and
+    dissipation_rate alike."""
+    radius = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = x / radius
+    lap = laplace_operator(x, grid, m)
+    return radius, unit, lap, pa_apply(unit, lap, a)
+
+
+def _pa_derivative(unit: np.ndarray, radius: np.ndarray, w: np.ndarray, a: complex) -> np.ndarray:
+    """The per-node 3x3 blocks D = d/dx [P_a(x/|x|) w] at x = radius unit,
+    w held fixed, indexed [node, row, column]:
+
+        D = (a1 (u (2 (u.w) u - w)^T - (u.w) I) + a2 ((w x u) u^T - [w]_x)) / |x|
+
+    with u = x/|x| and [w]_x the matrix of w x. radius has shape (n, 1).
+    D vanishes where w does, so on the pinned nodes for w = L x. The
+    blocks are built component by component, [row, column, node], and
+    returned as a transposed view."""
+    u, w = unit.T, w.T
+    n = u.shape[1]
+    if a.real != 0:
+        s = a.real / radius[:, 0]
+        uw = u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+        out = np.multiply(u[:, None], (s * (2.0 * uw * u - w))[None], out=np.empty((3, 3, n)))
+        out.reshape(9, n)[::4] -= s * uw
+    if a.imag != 0:
+        s = a.imag / radius[:, 0]
+        cross = w[[1, 2, 0]] * u[[2, 0, 1]] - w[[2, 0, 1]] * u[[1, 2, 0]]
+        turn = np.multiply((s * cross)[:, None], u[None], out=np.empty((3, 3, n)))
+        # minus the cross-product matrix of s w, entry by entry
+        flat, sw = turn.reshape(9, n), s * w
+        flat[[1, 5, 6]] += sw[[2, 0, 1]]
+        flat[[2, 3, 7]] -= sw[[1, 2, 0]]
+        out = turn if a.real == 0 else out + turn
+    return out.transpose(2, 0, 1)
 
 
 def dissipation_rate(v: np.ndarray, grid: RadialGrid, m: int, a: complex, terms=None) -> float:
@@ -289,11 +331,11 @@ def dissipation_rate(v: np.ndarray, grid: RadialGrid, m: int, a: complex, terms=
     weights, so minus this rate is the exact time derivative of
     scheme_energy along the semi-discrete flow; the rotational part drops
     out and the rate is identically zero when Re a = 0. terms, when
-    given, are the _start_terms of v, which are then not recomputed.
+    given, are the _midpoint_terms of v, which are then not recomputed.
     """
     if a.real == 0:
         return 0.0
-    _, lap, pa_lap = _start_terms(v, grid, m, a) if terms is None else terms
+    _, _, lap, pa_lap = _midpoint_terms(v, grid, m, a) if terms is None else terms
     w = grid.drho * np.exp(2.0 * grid.rho)
     return 2.0 * math.pi * float(w @ np.sum(lap * pa_lap, axis=1))
 
@@ -311,41 +353,46 @@ def step_vector(
     """One implicit midpoint step of the vector scheme.
 
     The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0, L
-    from laplace_operator. The chord iteration factors the band matrix
-    J = I - (dt/2) P_a(v) L once and updates x <- x - J^{-1} F(x) from
-    x = v, whose first iterate is the Picard solve J^{-1} v. It stops
-    when the largest update falls below outer_tol; J only steers the
-    iteration, the fixed point is set by F. The pinned rows of J are
-    identity rows and F vanishes on them, so the pinned nodes stay put.
-    terms, when given, are the _start_terms of v, which the step then
-    does not recompute.
+    from laplace_operator. A Newton-chord iteration factors the Jacobian
+    F'(x) = I - (dt/2) (P_a(x/|x|) L + D), D the blocks of _pa_derivative
+    at w = L x, at x = v and updates x <- x - F'^{-1} F(x) from x = v,
+    one back-solve per iteration, until the largest update falls below
+    outer_tol; it re-factors F' at the current iterate whenever an update
+    has not shrunk to CHORD_CONTRACTION of the one before. The matrix
+    only steers the iteration; the fixed point is set by F. The pinned
+    rows of F' are identity rows and F vanishes on them, so the pinned
+    nodes stay put. terms, when given, are the _midpoint_terms of v,
+    which the step then does not recompute.
     """
     if work is None:
         work = _VectorWork(grid, m)
     if terms is None:
-        terms = _start_terms(v, grid, m, config.a)
-    unit, _, pa_lap = terms
+        terms = _midpoint_terms(v, grid, m, config.a)
     U = _VectorWork.BAND
-    # the per-node 3x3 blocks of P_a(v/|v|): column k is P_a applied to e_k
-    pa = pa_apply(unit, np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
-    ab = work.assemble(pa, dt)
-    lu, piv, info = dgbtrf(ab, U, U, overwrite_ab=True)
-    if info != 0:
-        raise StepError(f"midpoint band matrix is singular at t={t:.6g}, dt={dt:.3g}")
     vmid = v
+    factor, delta = True, math.inf
     for count in range(1, config.max_outer + 1):
+        radius, unit, lap, pa_lap = terms
+        if factor:
+            # the per-node 3x3 blocks of P_a(x/|x|): column k is P_a applied to e_k
+            pa = pa_apply(unit, np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
+            ab = work.assemble(pa, _pa_derivative(unit, radius, lap, config.a), dt)
+            lu, piv, info = dgbtrf(ab, U, U, overwrite_ab=True)
+            if info != 0:
+                raise StepError(f"midpoint band matrix is singular at t={t:.6g}, dt={dt:.3g}")
+            work.factorizations += 1
         resid = vmid - v - 0.5 * dt * pa_lap
         update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
         work.iterations += 1
         vmid = vmid - update.reshape(-1, 3)
-        delta = float(np.max(np.abs(update)))
+        delta, before = float(np.max(np.abs(update))), delta
         if count == 1:
             first = delta
         # a non-finite update ends the loop; the finiteness check below reports it
         if delta < config.outer_tol or not math.isfinite(delta):
             break
-        lap = laplace_operator(vmid, grid, m)
-        pa_lap = pa_apply(_unit(vmid), lap, config.a)
+        factor = delta > CHORD_CONTRACTION * before
+        terms = _midpoint_terms(vmid, grid, m, config.a)
     else:
         if delta > first:
             raise StepError(
@@ -437,7 +484,7 @@ def run_vector(
         nonlocal v, spent, rate_prev, terms
         v = step_vector(v, t, dt, grid, m, config, work, terms)
         # computed once, for the rate here and the next step
-        terms = _start_terms(v, grid, m, config.a)
+        terms = _midpoint_terms(v, grid, m, config.a)
         rate_now = dissipation_rate(v, grid, m, config.a, terms)
         spent += 0.5 * dt * (rate_prev + rate_now)
         rate_prev = rate_now
@@ -463,13 +510,13 @@ def run_vector(
             RuntimeWarning,
             stacklevel=2,
         )
-    terms = _start_terms(v, grid, m, config.a)
+    terms = _midpoint_terms(v, grid, m, config.a)
     rate_prev = dissipation_rate(v, grid, m, config.a, terms)
     steps = _march(times, t_end, config, advance, record)
     return RunSeries(
         t=times, v=snaps, energy=energies, dissipated=dissipated,
         steps=steps, m=m, a=config.a, iterations=work.iterations,
-        max_step_iterations=work.max_step_iterations, factorizations=steps,
+        max_step_iterations=work.max_step_iterations, factorizations=work.factorizations,
     )
 
 
@@ -576,12 +623,6 @@ class _ScalarWork:
         band[u, :] += 1.0 - self._diag * np.cos(2.0 * beta)
         band[u, 0] = band[u, -1] = 1.0
         return self.ab
-
-
-# the scalar chord iteration keeps its factorization while each Newton
-# update is at most this fraction of the one before, and re-factors at the
-# current iterate otherwise
-CHORD_CONTRACTION = 1e-2
 
 
 def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.ndarray:

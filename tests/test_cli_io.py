@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from equiflow import cli_io
+from equiflow import cli_io, evolve_llg
 from equiflow.cli_io import (
     ExperimentConfig,
     load_snapshot,
@@ -274,9 +274,9 @@ def test_quiet_suppresses_report(tmp_path, capsys):
 @pytest.mark.parametrize("solver", ["scalar", "vector"])
 def test_simulate_report_iteration_stats(tmp_path, capsys, monkeypatch, solver):
     """The summary line gives the inner iterations per step, mean and
-    maximum, on the vector path the energy identity residual and on the
-    scalar path the banded factorizations per step; none of it reaches
-    the CSV, whose bytes match a --quiet run."""
+    maximum, the banded factorizations per step and, on the vector path,
+    the energy identity residual; none of it reaches the CSV, whose bytes
+    match a --quiet run."""
     if solver == "scalar":
         cfg = scalar_run_config(tmp_path)
     else:
@@ -305,35 +305,53 @@ def test_simulate_report_iteration_stats(tmp_path, capsys, monkeypatch, solver):
     assert series.steps > 0 and series.max_step_iterations > 0
     assert stats["iterations_per_step"] == f"{series.iterations / series.steps:.3g}"
     assert stats["max_step_iterations"] == str(series.max_step_iterations)
+    assert series.steps <= series.factorizations <= series.iterations
+    assert stats["factorizations_per_step"] == f"{series.factorizations / series.steps:.3g}"
     if solver == "vector":
         assert stats["energy_identity_residual"] == f"{energy_identity_residual(series):.3e}"
-        assert "factorizations_per_step" not in stats
     else:
         assert "energy_identity_residual" not in stats
-        assert series.steps <= series.factorizations <= series.iterations
-        per_step = f"{series.factorizations / series.steps:.3g}"
-        assert stats["factorizations_per_step"] == per_step
     text = (loud / "series.csv").read_text(encoding="utf-8")
     assert "iterations" not in text and "factorizations" not in text
 
 
-def test_simulate_diverging_chord_iteration_says_diverged(tmp_path, capsys):
-    """On this stiff config (dt e^{12} / drho^2 is large) the chord
-    iteration of step_vector diverges early in the run: its updates grow
-    to about 1e84 by the last allowed iterate. The run exits 3 with a
-    message that names the divergence and gives the first and the last
-    update. Open item 1 of ROADMAP.md is to make this config run through
-    a fallback iteration; this test then expects exit 0 instead."""
-    cfg = write_config(
-        tmp_path, m=3, a_re=1.0, rho_min=-6.0, rho_max=6.0, n=768, dt0=2e-3,
+def stiff_config(tmp_path, n, dt0):
+    """A plain m = 3 heat-flow config whose first steps are stiff:
+    dt e^{12} / drho^2 is large."""
+    return write_config(
+        tmp_path, m=3, a_re=1.0, rho_min=-6.0, rho_max=6.0, n=n, dt0=dt0,
         t_end=0.1, records=4, family="none", delta=0.02, seed=7,
     )
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_simulate_diverging_chord_iteration_says_diverged(tmp_path, capsys, monkeypatch):
+    """On this stiff config the Newton-chord iteration of step_vector
+    re-factors when its updates contract poorly, and the run exits 0. A
+    chord iteration that never re-factors (CHORD_CONTRACTION = inf)
+    diverges on the first step, its updates growing past 1e20 by the last
+    allowed iterate; that run exits 3 with a message that names the
+    divergence and gives the first and the last update."""
+    cfg = stiff_config(tmp_path, 768, 2e-3)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    monkeypatch.setattr(evolve_llg, "CHORD_CONTRACTION", math.inf)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 3
     err = capsys.readouterr().err
     assert "[numerical:StepError]" in err
     assert "midpoint iteration diverged" in err and "stalled" not in err
     first, last = re.search(r"first update (\S+), last (\S+)\)", err).groups()
     assert float(last) > 1e6 * float(first)
+
+
+def test_simulate_stiff_vector_config_runs_through(tmp_path, capsys):
+    """The stiff config at n = 1024 and dt0 = 1e-3, which diverged under a
+    chord iteration that never re-factors, runs through: the iteration
+    re-factors about once a step, at no more than 5 iterations a step."""
+    cfg = stiff_config(tmp_path, 1024, 1e-3)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    report = capsys.readouterr().out.splitlines()[0].split()
+    stats = dict(item.split("=") for item in report[1:])
+    assert int(stats["max_step_iterations"]) <= 5
+    assert 1.0 < float(stats["factorizations_per_step"]) <= 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from equiflow.cli_io import _KEYS, load_snapshot, parse_config, save_snapshot
 from equiflow.errors import ConfigError
-from equiflow.evolve_llg import FlowConfig, SphereMap, run_vector, step_vector
-from equiflow.harmonic_family import Mu, degree, h_profile
+from equiflow.evolve_llg import FlowConfig, SphereMap, _pa_derivative, run_vector, step_vector
+from equiflow.harmonic_family import Mu, degree, h_profile, pa_apply
 from equiflow.radial_grid import build_grid
 
 # derandomized so that tier-1 runs the same examples every time
@@ -60,6 +60,33 @@ def test_snapshot_round_trip_is_exact(rows, m, rho_min, span):
     assert lgrid is grid
     assert loaded.m == m
     assert np.array_equal(loaded.v, v)
+
+
+VECTOR = st.tuples(*(st.floats(-2.0, 2.0),) * 3)
+
+
+@PROPERTY
+@given(
+    st.lists(
+        st.tuples(VECTOR.filter(lambda x: math.hypot(*x) > 0.3), VECTOR), min_size=1, max_size=8
+    ),
+    st.sampled_from([1.0, 1j, 0.6 + 0.8j]),
+)
+def test_projection_derivative_matches_central_differences(pairs, a):
+    """The derivative blocks of the midpoint Jacobian are those of
+    x -> P_a(x/|x|) w, also at x off the unit sphere, where the midpoint
+    iterates and, without renormalization, the maps themselves lie."""
+    x, w = (np.array(part) for part in zip(*pairs))
+    a = complex(a)
+    radius = np.linalg.norm(x, axis=1, keepdims=True)
+    deriv = _pa_derivative(x / radius, radius, w, a)
+    h = 1e-6
+    for col in range(3):
+        plus, minus = x.copy(), x.copy()
+        plus[:, col] += h
+        minus[:, col] -= h
+        values = [pa_apply(y / np.linalg.norm(y, axis=1, keepdims=True), w, a) for y in (plus, minus)]
+        assert np.max(np.abs(deriv[:, :, col] - (values[0] - values[1]) / (2 * h))) <= 1e-7
 
 
 STEP_GRID = build_grid(-4.0, 4.0, 64)
