@@ -1,24 +1,22 @@
 """Time integration of m-equivariant flows into the sphere.
 
-Two solvers share one mesh and one run loop, _march, which steps each to
-the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
+Two solvers share one mesh, one run loop, _march, which steps each to
+the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS,
+and one chord iteration, _chord, for the implicit equation of a step:
 
 * a vector scheme for the full three-component map, implicit midpoint in
   time. The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0,
   with L the Laplacian laplace_m pinned at the ends (laplace_operator)
-  and P_a from pa_apply. A Newton-chord iteration finds it: one banded
-  LU per step of the Jacobian F'(v) = I - (dt/2) (P_a(v) L + D), D the
-  per-node derivative of P_a(x/|x|) L v in x, re-factored at the current
-  iterate only when an update has not shrunk to CHORD_CONTRACTION of the
-  one before. The band matrix only steers the iteration; F alone fixes
-  the result. The band is a product written through a strided view of
-  the LAPACK array, with D added to its diagonal blocks, and |v|, v/|v|,
-  L v and P_a(v/|v|) L v at the start of a step are computed once, for
-  the dissipation rate at the end of the step before and for the
-  Jacobian and first residual of the step itself. The update direction
-  is tangent at the midpoint, so every node stays exactly on the unit
-  sphere. Three nodes at each end are pinned, which keeps
-  every evolving row on the centered 6th-order stencil: the spatial
+  and P_a from pa_apply. The chord matrix is the Jacobian
+  F'(x) = I - (dt/2) (P_a(x/|x|) L + D), D the per-node derivative of
+  P_a(x/|x|) L x in x, first at x = v. It is a product written through a
+  strided view of the LAPACK band array, with D added to its diagonal
+  blocks, and |v|, v/|v|, L v and P_a(v/|v|) L v at the start of a step
+  are computed once, for the dissipation rate at the end of the step
+  before and for the Jacobian and first residual of the step itself. The
+  update direction is tangent at the midpoint, so every node stays
+  exactly on the unit sphere. Three nodes at each end are pinned, which
+  keeps every evolving row on the centered 6th-order stencil: the spatial
   operator restricted to the evolving block is then an exactly
   symmetric matrix, so the midpoint rule conserves the matching
   quadratic energy to solver tolerance when the flow is purely
@@ -32,17 +30,21 @@ the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS:
   Crank-Nicolson with a banded Newton solve makes very long dissipative
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
   hundred steps. The Newton matrix is written into one preallocated
-  array in LAPACK gbtrf storage, 6 diagonals wide on each side, and
-  factored there with dgbtrf once per step, at a seed extrapolated
-  linearly in time from the last two accepted angles; each iteration is
-  then one dgbtrs back-solve, a chord iteration that re-factors only
-  when an update has not shrunk to CHORD_CONTRACTION of the one before.
+  array in LAPACK gbtrf storage, 6 diagonals wide on each side, first at
+  a seed extrapolated linearly in time from the last two accepted angles.
   Within a step d2_rho of an iterate is d2_rho of the step's start plus
   d2_rho of the change, which keeps the stencil's roundoff, and with it
   the floor of the Newton updates, well below newton_tol.
   The band of -e^{-2 rho} d2_rho is built once per grid directly in
   that layout, its Dirichlet rows left zero, and the parts of the matrix
   that depend on dt only are built from it once per step size.
+
+The chord iteration (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, 1995, ch. 5) factors the step's band matrix with dgbtrf once,
+does one dgbtrs back-solve per iteration, and re-factors at the current
+iterate only when an update has not shrunk to CHORD_CONTRACTION of the one
+before. The matrix only steers the iteration; the residual alone fixes
+the result.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -103,6 +105,10 @@ class FlowConfig:
     a is the flow coefficient, stored as complex: a = 1 is the heat flow,
     a = i the rotational flow, mixtures in between need Re a > 0. The step size is
     dt(t) = clip(ramp * t, dt0, dt_max); ramp = 0 keeps dt0 throughout.
+    The chord iteration of a step stops once its largest update is below
+    outer_tol (vector) or newton_tol (scalar), and fails after max_outer
+    or max_newton iterations. renormalize scales each new vector map back
+    to unit length node by node, removing the solver-tolerance drift.
     delta, when set, declares the intended perturbation size: runs warn
     if the initial energy exceeds the harmonic floor by more than
     delta^2.
@@ -147,11 +153,10 @@ class RunSeries:
     dissipative runs and a solver-tolerance residual for the
     conservative flow. Scalar runs record the quadrature map energy and
     book dissipated as its exact decrement. iterations is the total
-    number of inner iterations: chord iterations for vector runs, Newton
-    iterations for scalar runs; max_step_iterations is the most of them
-    taken in any single step. factorizations counts the banded LU
-    factorizations, one per step plus the re-factors of the chord
-    iteration, on either path.
+    number of chord iterations, one back-solve each, on either path;
+    max_step_iterations is the most of them taken in any single step.
+    factorizations counts the banded LU factorizations, one per step
+    plus the re-factors of the chord iteration.
     """
 
     t: np.ndarray
@@ -207,13 +212,84 @@ def scheme_energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
     return math.pi * grid.drho * float(m * m * planar - quad)
 
 
-# both chord iterations, vector and scalar, keep their factorization while
-# each update is at most this fraction of the one before, and re-factor at
-# the current iterate otherwise
+# the chord iteration keeps its factorization while each update is at most
+# this fraction of the one before, and re-factors at the current iterate
+# otherwise
 CHORD_CONTRACTION = 1e-2
 
 
-class _VectorWork:
+class _ChordCounters:
+    """The counters _chord advances on the work object of a run: chord
+    iterations in all, the most taken in one step, and the band matrices
+    factored."""
+
+    iterations = 0
+    max_step_iterations = 0
+    factorizations = 0
+
+
+def _chord(
+    x, evaluate, u: int, tol: float, cap: int, work: _ChordCounters, what: str, t: float, dt: float
+):
+    """The chord iteration of both steppers: x with G(x) = 0, from x.
+
+    evaluate(x, factor) returns G(x), flat, and when factor is true the
+    band array, in gbtrf storage with u sub- and super-diagonals, of a
+    matrix close to G'(x), else None. The matrix is factored with dgbtrf
+    at the first iterate and again at any iterate whose update has not
+    shrunk to CHORD_CONTRACTION of the one before; each iteration is one
+    solve_banded back-solve, x <- x - G'^{-1} G(x), until the largest
+    update falls below tol. Convergence is measured on the update: the raw
+    residual sits on a roundoff floor amplified by e^{-2 rho} near the
+    inner boundary, which the solve removes. A non-finite residual raises
+    InstabilityError before any solve; a non-finite update ends the
+    iteration, for the caller's check of its result. A singular matrix, or
+    cap iterations without convergence, raises StepError naming the
+    iteration by what; cap iterations whose last update is larger than the
+    first are reported as diverged, otherwise as stalled.
+    """
+    factor, delta = True, math.inf
+    for count in range(1, cap + 1):
+        resid, ab = evaluate(x, factor)
+        if not np.isfinite(resid).all():
+            raise InstabilityError(f"non-finite {what} residual at t={t:.6g}, dt={dt:.3g}")
+        if factor:
+            lu, piv, info = dgbtrf(ab, u, u, overwrite_ab=True)
+            if info != 0:
+                raise StepError(f"{what} matrix is singular at t={t:.6g}, dt={dt:.3g}")
+            work.factorizations += 1
+        step = solve_banded(lu, piv, resid, u)
+        work.iterations += 1
+        x = x - step.reshape(x.shape)
+        delta, before = float(np.max(np.abs(step))), delta
+        if count == 1:
+            first = delta
+        if delta < tol or not math.isfinite(delta):
+            break
+        factor = delta > CHORD_CONTRACTION * before
+    else:
+        if delta > first:
+            verdict, updates = "diverged", f"first update {first:.3e}, last {delta:.3e}"
+        else:
+            verdict, updates = "stalled", f"last update {delta:.3e}"
+        raise StepError(
+            f"{what} iteration {verdict} at t={t:.6g}, dt={dt:.3g} ({updates}); "
+            "reduce the step size"
+        )
+    work.max_step_iterations = max(work.max_step_iterations, count)
+    return x
+
+
+def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.ndarray:
+    """The back-solve of the chord iteration of both steppers: x with
+    A x = b, A factored by dgbtrf into lu and piv in gbtrf storage with u
+    sub- and super-diagonals. dgbtrs overwrites b with x. One module-level
+    name, so that the solves can be counted."""
+    x, _ = dgbtrs(lu, u, u, b, piv, overwrite_b=True)
+    return x
+
+
+class _VectorWork(_ChordCounters):
     """The midpoint band matrix of one grid, in LAPACK gbtrf storage.
 
     Entry (r, c) of the 3n x 3n matrix sits at row 2 BAND + r - c of a
@@ -227,9 +303,7 @@ class _VectorWork:
     the product with the P_a blocks through one strided view of the
     Fortran-ordered array, reading the blocks through a matching strided
     view of a zero-padded copy; the D blocks go to the d = 0 slots 9..11
-    of the same view in one more write. iterations counts the chord
-    iterations run with this work object, max_step_iterations the most
-    taken in one step, and factorizations the band matrices factored.
+    of the same view in one more write.
     """
 
     BAND = 11
@@ -237,9 +311,6 @@ class _VectorWork:
     def __init__(self, grid: RadialGrid, m: int):
         n = grid.n
         self.grid = grid
-        self.iterations = 0
-        self.max_step_iterations = 0
-        self.factorizations = 0
         be = np.arange(3)[:, None, None, None]
         k = np.arange(n)[None, :, None, None]
         d = np.arange(-3, 4)[None, None, :, None]
@@ -353,13 +424,9 @@ def step_vector(
     """One implicit midpoint step of the vector scheme.
 
     The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0, L
-    from laplace_operator. A Newton-chord iteration factors the Jacobian
+    from laplace_operator, by _chord from x = v with the Jacobian
     F'(x) = I - (dt/2) (P_a(x/|x|) L + D), D the blocks of _pa_derivative
-    at w = L x, at x = v and updates x <- x - F'^{-1} F(x) from x = v,
-    one back-solve per iteration, until the largest update falls below
-    outer_tol; it re-factors F' at the current iterate whenever an update
-    has not shrunk to CHORD_CONTRACTION of the one before. The matrix
-    only steers the iteration; the fixed point is set by F. The pinned
+    at w = L x, to outer_tol in at most max_outer iterations. The pinned
     rows of F' are identity rows and F vanishes on them, so the pinned
     nodes stay put. terms, when given, are the _midpoint_terms of v,
     which the step then does not recompute.
@@ -368,41 +435,18 @@ def step_vector(
         work = _VectorWork(grid, m)
     if terms is None:
         terms = _midpoint_terms(v, grid, m, config.a)
-    U = _VectorWork.BAND
-    vmid = v
-    factor, delta = True, math.inf
-    for count in range(1, config.max_outer + 1):
-        radius, unit, lap, pa_lap = terms
+
+    def evaluate(x: np.ndarray, factor: bool):
+        radius, unit, lap, pa_lap = terms if x is v else _midpoint_terms(x, grid, m, config.a)
+        ab = None
         if factor:
             # the per-node 3x3 blocks of P_a(x/|x|): column k is P_a applied to e_k
             pa = pa_apply(unit, np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
             ab = work.assemble(pa, _pa_derivative(unit, radius, lap, config.a), dt)
-            lu, piv, info = dgbtrf(ab, U, U, overwrite_ab=True)
-            if info != 0:
-                raise StepError(f"midpoint band matrix is singular at t={t:.6g}, dt={dt:.3g}")
-            work.factorizations += 1
-        resid = vmid - v - 0.5 * dt * pa_lap
-        update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
-        work.iterations += 1
-        vmid = vmid - update.reshape(-1, 3)
-        delta, before = float(np.max(np.abs(update))), delta
-        if count == 1:
-            first = delta
-        # a non-finite update ends the loop; the finiteness check below reports it
-        if delta < config.outer_tol or not math.isfinite(delta):
-            break
-        factor = delta > CHORD_CONTRACTION * before
-        terms = _midpoint_terms(vmid, grid, m, config.a)
-    else:
-        if delta > first:
-            raise StepError(
-                f"midpoint iteration diverged at t={t:.6g}, dt={dt:.3g} "
-                f"(first update {first:.3e}, last {delta:.3e}); reduce the step size"
-            )
-        raise StepError(
-            f"midpoint iteration stalled at t={t:.6g}, dt={dt:.3g} "
-            f"(last update {delta:.3e}); reduce the step size"
-        )
+        return (x - v - 0.5 * dt * pa_lap).reshape(-1), ab
+
+    U = _VectorWork.BAND
+    vmid = _chord(v, evaluate, U, config.outer_tol, config.max_outer, work, "midpoint", t, dt)
     v_new = 2.0 * vmid - v
     radii = np.linalg.norm(v_new, axis=1, keepdims=True)
     if np.max(np.abs(radii - 1.0)) > 0.1:
@@ -414,7 +458,6 @@ def step_vector(
         v_new = v_new / radii
     if not np.all(np.isfinite(v_new)):
         raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
-    work.max_step_iterations = max(work.max_step_iterations, count)
     return v_new
 
 
@@ -557,7 +600,7 @@ def scalar_energy(beta: np.ndarray, grid: RadialGrid, m: int) -> float:
     return map_energy(beta_to_map(beta), grid, m)
 
 
-class _ScalarWork:
+class _ScalarWork(_ChordCounters):
     """Per-grid cached pieces of the Crank-Nicolson Jacobian and the one
     array the Newton matrix is built and factored in.
 
@@ -573,9 +616,7 @@ class _ScalarWork:
     Dirichlet identity rows there. The parts of the matrix fixed within a
     step, (dt/2) a1 neg_d2 and the coefficient of the cos(2 beta)
     diagonal, are built once per step size; each factorization copies
-    them into ab and adds the diagonal. iterations counts the Newton
-    iterations run with this work object, max_step_iterations the most
-    taken in one step, and factorizations the Newton matrices factored.
+    them into ab and adds the diagonal.
     """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
@@ -583,9 +624,6 @@ class _ScalarWork:
         self.grid = grid
         self.m = m
         self.a1 = a1
-        self.iterations = 0
-        self.max_step_iterations = 0
-        self.factorizations = 0
         self.u = u = 6
         self.decay = np.exp(-2.0 * grid.rho)
         self.a1_decay = a1 * self.decay
@@ -625,15 +663,6 @@ class _ScalarWork:
         return self.ab
 
 
-def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.ndarray:
-    """The back-solve of the scalar Newton loop: x with A x = b, A
-    factored by dgbtrf into lu and piv in the gbtrf storage of _ScalarWork
-    with u sub- and super-diagonals. dgbtrs overwrites b with x. One
-    module-level name, so that the solves can be counted."""
-    x, _ = dgbtrs(lu, u, u, b, piv, overwrite_b=True)
-    return x
-
-
 def step_scalar(
     beta: np.ndarray,
     t: float,
@@ -645,15 +674,11 @@ def step_scalar(
     """One Crank-Nicolson step of the great-circle angle.
 
     The new angle x solves G(x) = x - beta - (dt/2) (f(x) + f(beta)) = 0,
-    f the rhs of work. A chord iteration factors the Newton matrix G' at
-    the seed once and updates x <- x - G'^{-1} G(x) from the seed, one
-    back-solve per iteration, until the largest update falls below
-    newton_tol; it re-factors G' at the current iterate whenever an
-    update has not shrunk to CHORD_CONTRACTION of the one before. The
-    matrix only steers the iteration; the result is set by G. seed, when
-    given, is the starting iterate and must hold beta's Dirichlet end
-    values; run_scalar passes the linear extrapolation in time of its
-    last two accepted angles. Without it the iteration starts from beta.
+    f the rhs of work, by _chord with the Newton matrix G' of work, to
+    newton_tol in at most max_newton iterations. seed, when given, is the
+    starting iterate and must hold beta's Dirichlet end values; run_scalar
+    passes the linear extrapolation in time of its last two accepted
+    angles. Without it the iteration starts from beta.
     """
     # d2_rho(x) is evaluated as d2_rho(beta) + d2_rho(x - beta). The
     # stencil's roundoff scales with the values it reads: on the angle
@@ -665,51 +690,22 @@ def step_scalar(
     d2_old = d2_rho(beta, work.grid)
     rhs_old = work.rhs(beta, d2_old)
 
-    def rhs(x: np.ndarray) -> np.ndarray:
-        return work.rhs(x, d2_old + d2_rho(x - beta, work.grid))
+    def evaluate(x: np.ndarray, factor: bool):
+        rhs = rhs_old if x is beta else work.rhs(x, d2_old + d2_rho(x - beta, work.grid))
+        resid = x - beta - 0.5 * dt * (rhs + rhs_old)
+        resid[0] = resid[-1] = 0.0
+        return resid, work.newton_matrix(x, dt) if factor else None
 
     # The seed never comes from an explicit predictor: near the inner
     # boundary the e^{-2 rho} factor blows an explicit guess far outside the
     # convergence basin once dt is large. From beta itself, or extrapolated
     # from two accepted Crank-Nicolson states, which evaluates no rhs, the
     # diffusion-dominated Jacobian reaches the solution in a few iterations.
-    if seed is None:
-        new, rhs_new = beta, rhs_old
-    else:
-        new, rhs_new = seed, rhs(seed)
-    u = work.u
-    factor, err = True, math.inf
-    # convergence is measured on the Newton update: the raw residual sits on
-    # a roundoff floor amplified by e^{-2 rho} near the inner boundary, and
-    # the Jacobian solve removes exactly that amplification
-    for count in range(1, config.max_newton + 1):
-        resid = new - beta - 0.5 * dt * (rhs_new + rhs_old)
-        resid[0] = resid[-1] = 0.0
-        # the matrix depends on the angle only through its diagonal, which
-        # is finite wherever the residual is, so this check covers both
-        if not np.isfinite(resid).all():
-            raise InstabilityError(f"non-finite Newton residual at t={t:.6g}, dt={dt:.3g}")
-        if factor:
-            lu, piv, info = dgbtrf(work.newton_matrix(new, dt), u, u, overwrite_ab=True)
-            if info != 0:
-                raise StepError(f"Newton matrix is singular at t={t:.6g}, dt={dt:.3g}")
-            work.factorizations += 1
-        delta = solve_banded(lu, piv, resid, u)
-        work.iterations += 1
-        new = new - delta
-        err, before = float(np.max(np.abs(delta))), err
-        if err < config.newton_tol:
-            break
-        factor = err > CHORD_CONTRACTION * before
-        rhs_new = rhs(new)
-    else:
-        raise StepError(
-            f"Newton stalled at t={t:.6g}, dt={dt:.3g} (last update {err:.3e}); "
-            "reduce the step size or the ramp"
-        )
+    start = beta if seed is None else seed
+    cap = config.max_newton
+    new = _chord(start, evaluate, work.u, config.newton_tol, cap, work, "Newton", t, dt)
     if not np.all(np.isfinite(new)):
         raise InstabilityError(f"non-finite angle after step at t={t:.6g}")
-    work.max_step_iterations = max(work.max_step_iterations, count)
     return new
 
 

@@ -659,13 +659,103 @@ def test_non_finite_map_rejected_before_first_step(grid, profile, monkeypatch):
         run_vector(v, grid, 3, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
 
 
-def test_non_finite_step_is_instability(grid, profile):
-    """A NaN update ends the chord iteration at once and is reported as a
-    non-finite map, not as a stalled iteration."""
-    v = profile.h.copy()
-    v[400, 1] = math.nan
-    with pytest.raises(InstabilityError, match="non-finite"):
-        step_vector(v, 0.0, 0.01, grid, 3, FlowConfig(a=1.0, dt0=0.01))
+@pytest.mark.parametrize("solver", ["vector", "scalar"])
+def test_non_finite_step_is_instability(grid, profile, solver):
+    """A NaN in the state makes the first residual of the chord iteration
+    non-finite. Either stepper reports that as an instability before any
+    factorization or back-solve, not as a stalled iteration."""
+    cfg = FlowConfig(a=1.0, dt0=0.01)
+    if solver == "vector":
+        v = profile.h.copy()
+        v[400, 1] = math.nan
+        work = _VectorWork(grid, 3)
+        with pytest.raises(InstabilityError, match="non-finite midpoint residual"):
+            step_vector(v, 0.0, 0.01, grid, 3, cfg, work)
+    else:
+        beta = stationary_angle(0.0, grid, 2)
+        beta[300] = np.nan
+        work = _ScalarWork(grid, 2, 1.0)
+        with pytest.raises(InstabilityError, match="non-finite Newton residual"):
+            step_scalar(beta, 0.0, 0.01, work, cfg)
+    assert work.iterations == work.factorizations == 0
+
+
+def _toy_problem(diagonal=1.0):
+    """G(x) = x - c on 6 nodes, c spread over [-1, 1], and an evaluate for
+    evolve_llg._chord whose matrix is diagonal times I in gbtrf storage
+    with one sub- and super-diagonal: the exact Jacobian at diagonal = 1."""
+    c = np.linspace(-1.0, 1.0, 6)
+
+    def evaluate(x, factor):
+        ab = None
+        if factor:
+            ab = np.zeros((4, 6), order="F")
+            ab[2] = diagonal
+        return x - c, ab
+
+    return c, evaluate
+
+
+def test_chord_exact_jacobian_converges_on_one_factorization():
+    c, evaluate = _toy_problem()
+    work = evolve_llg._ChordCounters()
+    x = evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
+    assert np.array_equal(x, c)
+    # one update to c, then a zero update that meets the tolerance
+    assert (work.iterations, work.factorizations, work.max_step_iterations) == (2, 1, 2)
+    evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
+    assert (work.iterations, work.factorizations, work.max_step_iterations) == (4, 2, 2)
+
+
+def test_chord_stall_reports_last_update():
+    """A matrix twice too large halves the error each iteration: updates
+    0.5, 0.25, 0.125. Contraction 1/2 is poor, so the third iteration
+    re-factors (the second never does: its forerunner is the start)."""
+    _, evaluate = _toy_problem(diagonal=2.0)
+    work = evolve_llg._ChordCounters()
+    with pytest.raises(
+        StepError, match=r"^toy iteration stalled at t=0.5, dt=0.25 \(last update 1.250e-01\)"
+    ):
+        evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 3, work, "toy", 0.5, 0.25)
+    assert (work.iterations, work.factorizations, work.max_step_iterations) == (3, 2, 0)
+
+
+def test_chord_divergence_reports_first_and_last_update(monkeypatch):
+    """A matrix a quarter of the Jacobian triples the error each
+    iteration: updates 4, 12, 36, 108. With re-factoring switched off the
+    one factorization serves all four."""
+    monkeypatch.setattr(evolve_llg, "CHORD_CONTRACTION", math.inf)
+    _, evaluate = _toy_problem(diagonal=0.25)
+    work = evolve_llg._ChordCounters()
+    with pytest.raises(
+        StepError,
+        match=r"^toy iteration diverged at t=0.5, dt=0.25 "
+        r"\(first update 4.000e\+00, last 1.080e\+02\)",
+    ):
+        evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 4, work, "toy", 0.5, 0.25)
+    assert (work.iterations, work.factorizations, work.max_step_iterations) == (4, 1, 0)
+
+
+def test_chord_non_finite_residual_raises_before_any_solve(monkeypatch):
+    solves = []
+    _count_calls(monkeypatch, evolve_llg, "solve_banded", solves)
+    _, evaluate = _toy_problem()
+    start = np.zeros(6)
+    start[2] = math.inf
+    work = evolve_llg._ChordCounters()
+    with pytest.raises(InstabilityError, match="^non-finite toy residual at t=0.5, dt=0.25"):
+        evolve_llg._chord(start, evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
+    assert solves == []
+    assert (work.iterations, work.factorizations, work.max_step_iterations) == (0, 0, 0)
+
+
+def test_chord_zero_band_is_singular():
+    # an all-zero band: LAPACK finds a zero pivot and returns info > 0
+    _, evaluate = _toy_problem(diagonal=0.0)
+    work = evolve_llg._ChordCounters()
+    with pytest.raises(StepError, match="^toy matrix is singular at t=0.5, dt=0.25"):
+        evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
+    assert (work.iterations, work.factorizations, work.max_step_iterations) == (0, 0, 0)
 
 
 def test_record_times_validation(grid, perturbed):
@@ -989,15 +1079,6 @@ def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
     assert got[boundary].tobytes() == ref[boundary].tobytes()
 
 
-def test_scalar_step_rejects_non_finite_angle(grid):
-    beta = stationary_angle(0.0, grid, 2)
-    beta[300] = np.nan
-    work = _ScalarWork(grid, 2, 1.0)
-    with pytest.raises(InstabilityError, match="non-finite Newton residual"):
-        step_scalar(beta, 0.0, 0.01, work, FlowConfig(a=1.0, dt0=0.01))
-    assert work.iterations == 0
-
-
 def test_scalar_step_reports_singular_matrix(grid, monkeypatch):
     work = _ScalarWork(grid, 2, 1.0)
     # an all-zero band: LAPACK finds a zero pivot and returns info > 0
@@ -1021,7 +1102,7 @@ def test_run_scalar_rejects_non_finite_initial_angle(grid, monkeypatch):
 def test_scalar_newton_stall_raises(grid):
     beta0 = stationary_angle(0.0, grid, 2) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
     cfg = FlowConfig(a=1.0, dt0=50.0, max_newton=1)
-    with pytest.raises(StepError, match="Newton"):
+    with pytest.raises(StepError, match=r"Newton iteration stalled .*\(last update [^,]*\)"):
         run_scalar(beta0, grid, 2, cfg, t_end=100.0)
 
 

@@ -9,6 +9,10 @@ mention in a docstring or comment does not count.
 
 The package reads no environment variable: every setting is a key of the
 one config schema, ExperimentConfig.
+
+The banded LU factorization and back-solve, LAPACK dgbtrf and dgbtrs, are
+each called from one function, so both implicit steppers share one chord
+iteration.
 """
 
 import ast
@@ -89,3 +93,30 @@ def environment_reads(src: Path) -> list[str]:
 
 def test_no_environment_reads():
     assert environment_reads(SRC) == []
+
+
+def functions_referencing(src: Path, name: str) -> list[str]:
+    """module.qualified_name of every function or method under src that
+    refers to name by an ast.Name or ast.Attribute node in its own body;
+    nested functions count on their own, as outer.inner, and a reference
+    outside any function as module.<module>."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), "")]
+        while stack:
+            node, owner = stack.pop()
+            if (isinstance(node, ast.Name) and node.id == name) or (
+                isinstance(node, ast.Attribute) and node.attr == name
+            ):
+                found.add(f"{path.stem}.{owner or '<module>'}")
+            for child in ast.iter_child_nodes(node):
+                inner = owner
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    inner = f"{owner}.{child.name}" if owner else child.name
+                stack.append((child, inner))
+    return sorted(found)
+
+
+def test_banded_lapack_calls_have_one_home():
+    assert functions_referencing(SRC, "dgbtrf") == ["evolve_llg._chord"]
+    assert functions_referencing(SRC, "dgbtrs") == ["evolve_llg.solve_banded"]
