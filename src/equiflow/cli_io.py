@@ -304,7 +304,10 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
     if deviation > 1e-12:
         v = v / radii[:, None]
     beta = map_to_beta(v) if np.max(np.abs(v[:, 1])) <= 1e-12 else None
-    return SphereMap(v=v, m=m, beta=beta), grid
+    try:
+        return SphereMap(v=v, m=m, beta=beta), grid
+    except ValueError as exc:
+        raise ConfigError(f"snapshot {path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

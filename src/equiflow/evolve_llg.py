@@ -14,8 +14,10 @@ and one chord iteration, _chord, for the implicit equation of a step:
   blocks, and |v|, v/|v|, L v and P_a(v/|v|) L v at the start of a step
   are computed once, for the dissipation rate at the end of the step
   before and for the Jacobian and first residual of the step itself. The
-  update direction is tangent at the midpoint, so every node stays
-  exactly on the unit sphere. Three nodes at each end are pinned, which
+  update direction is tangent at the midpoint, so the new map 2 x - v
+  keeps every node on the unit sphere to solver tolerance; run_vector
+  checks that, projects each node back to |v| = 1 and rejects a
+  non-finite map. Three nodes at each end are pinned, which
   keeps every evolving row on the centered 6th-order stencil: the spatial
   operator restricted to the evolving block is then an exactly
   symmetric matrix, so the midpoint rule conserves the matching
@@ -34,17 +36,19 @@ and one chord iteration, _chord, for the implicit equation of a step:
   a seed extrapolated linearly in time from the last two accepted angles.
   Within a step d2_rho of an iterate is d2_rho of the step's start plus
   d2_rho of the change, which keeps the stencil's roundoff, and with it
-  the floor of the Newton updates, well below newton_tol.
+  the floor of the Newton updates, well below NEWTON_TOL.
   The band of -e^{-2 rho} d2_rho is built once per grid directly in
-  that layout, its Dirichlet rows left zero, and the parts of the matrix
-  that depend on dt only are built from it once per step size.
+  that layout, its Dirichlet rows left zero; each factorization scales
+  it by (dt/2) a1 into the array and adds the cos(2 beta) diagonal.
 
 The chord iteration (Kelley, Iterative Methods for Linear and Nonlinear
 Equations, 1995, ch. 5) factors the step's band matrix with dgbtrf once,
 does one dgbtrs back-solve per iteration, and re-factors at the current
 iterate only when an update has not shrunk to CHORD_CONTRACTION of the one
-before. The matrix only steers the iteration; the residual alone fixes
-the result.
+before. It stops once the largest update is below MIDPOINT_TOL (vector)
+or NEWTON_TOL (scalar) and fails after MIDPOINT_CAP or NEWTON_CAP
+iterations. The matrix only steers the iteration; the residual alone
+fixes the result.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -100,29 +104,21 @@ class SphereMap:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Time-stepping parameters.
+    """The run schedule: the flow and its time steps.
 
     a is the flow coefficient, stored as complex: a = 1 is the heat flow,
     a = i the rotational flow, mixtures in between need Re a > 0. The step size is
     dt(t) = clip(ramp * t, dt0, dt_max); ramp = 0 keeps dt0 throughout.
-    The chord iteration of a step stops once its largest update is below
-    outer_tol (vector) or newton_tol (scalar), and fails after max_outer
-    or max_newton iterations. renormalize scales each new vector map back
-    to unit length node by node, removing the solver-tolerance drift.
     delta, when set, declares the intended perturbation size: runs warn
     if the initial energy exceeds the harmonic floor by more than
-    delta^2.
+    delta^2. The tolerances and caps of the chord iteration are module
+    constants, MIDPOINT_TOL, MIDPOINT_CAP, NEWTON_TOL and NEWTON_CAP.
     """
 
     a: complex = 1.0 + 0.0j
     dt0: float = 1e-3
     dt_max: float = math.inf
     ramp: float = 0.0
-    outer_tol: float = 1e-12
-    max_outer: int = 40
-    newton_tol: float = 1e-10
-    max_newton: int = 12
-    renormalize: bool = True
     delta: float | None = None
 
     def __post_init__(self):
@@ -134,10 +130,6 @@ class FlowConfig:
             raise ValueError(f"flow coefficient needs Re a >= 0, got {a}")
         if not (self.dt0 > 0 and self.dt_max > 0 and self.ramp >= 0):
             raise ValueError("step-size parameters must be positive")
-        if not (self.max_outer >= 1 and self.max_newton >= 1):
-            raise ValueError("iteration caps max_outer and max_newton must be at least 1")
-        if not all(0 < tol < math.inf for tol in (self.outer_tol, self.newton_tol)):
-            raise ValueError("tolerances outer_tol and newton_tol must be finite and positive")
 
     def dt_at(self, t: float) -> float:
         return min(max(self.dt0, self.ramp * t), self.dt_max)
@@ -216,6 +208,11 @@ def scheme_energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
 # this fraction of the one before, and re-factors at the current iterate
 # otherwise
 CHORD_CONTRACTION = 1e-2
+# the largest update at which the chord iteration of a step stops, and the
+# most iterations it may take, for the vector (midpoint) and the scalar
+# (Newton) stepper
+MIDPOINT_TOL, MIDPOINT_CAP = 1e-12, 40
+NEWTON_TOL, NEWTON_CAP = 1e-10, 12
 
 
 class _ChordCounters:
@@ -243,7 +240,8 @@ def _chord(
     residual sits on a roundoff floor amplified by e^{-2 rho} near the
     inner boundary, which the solve removes. A non-finite residual raises
     InstabilityError before any solve; a non-finite update ends the
-    iteration, for the caller's check of its result. A singular matrix, or
+    iteration, for the finiteness check of step_scalar or run_vector. A
+    singular matrix, or
     cap iterations without convergence, raises StepError naming the
     iteration by what; cap iterations whose last update is larger than the
     first are reported as diverged, otherwise as stalled.
@@ -421,15 +419,18 @@ def step_vector(
     work: _VectorWork | None = None,
     terms=None,
 ) -> np.ndarray:
-    """One implicit midpoint step of the vector scheme.
+    """One implicit midpoint step of the vector scheme: the new map
+    2 x - v, unprojected.
 
     The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0, L
     from laplace_operator, by _chord from x = v with the Jacobian
     F'(x) = I - (dt/2) (P_a(x/|x|) L + D), D the blocks of _pa_derivative
-    at w = L x, to outer_tol in at most max_outer iterations. The pinned
-    rows of F' are identity rows and F vanishes on them, so the pinned
-    nodes stay put. terms, when given, are the _midpoint_terms of v,
-    which the step then does not recompute.
+    at w = L x, to MIDPOINT_TOL in at most MIDPOINT_CAP iterations. The
+    pinned rows of F' are identity rows and F vanishes on them, so the
+    pinned nodes stay put. The update is tangent at the midpoint, so the
+    new map keeps |v| = 1 to solver tolerance by the scheme alone. terms,
+    when given, are the _midpoint_terms of v, which the step then does not
+    recompute.
     """
     if work is None:
         work = _VectorWork(grid, m)
@@ -446,19 +447,8 @@ def step_vector(
         return (x - v - 0.5 * dt * pa_lap).reshape(-1), ab
 
     U = _VectorWork.BAND
-    vmid = _chord(v, evaluate, U, config.outer_tol, config.max_outer, work, "midpoint", t, dt)
-    v_new = 2.0 * vmid - v
-    radii = np.linalg.norm(v_new, axis=1, keepdims=True)
-    if np.max(np.abs(radii - 1.0)) > 0.1:
-        raise InstabilityError(
-            f"sphere constraint violated by {np.max(np.abs(radii - 1.0)):.3e} "
-            f"at t={t:.6g}; reduce the step size"
-        )
-    if config.renormalize:
-        v_new = v_new / radii
-    if not np.all(np.isfinite(v_new)):
-        raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
-    return v_new
+    vmid = _chord(v, evaluate, U, MIDPOINT_TOL, MIDPOINT_CAP, work, "midpoint", t, dt)
+    return 2.0 * vmid - v
 
 
 def _record_schedule(t_end: float, record_times) -> np.ndarray:
@@ -513,7 +503,13 @@ def run_vector(
     t_end: float,
     record_times=None,
 ) -> RunSeries:
-    """Evolve a full three-component map and snapshot it at record times."""
+    """Evolve a full three-component map and snapshot it at record times.
+
+    After each step_vector it raises InstabilityError if a node has left
+    the unit sphere by more than 0.1, projects every node back to
+    |v| = 1, removing the solver-tolerance drift, and raises
+    InstabilityError if the map is not finite.
+    """
     v = grid.check_field(np.array(_as_array(v0), dtype=float))
     SphereMap(v=v, m=m).check_unit(1e-8)
     times = _record_schedule(t_end, record_times)
@@ -526,6 +522,15 @@ def run_vector(
     def advance(t: float, dt: float) -> None:
         nonlocal v, spent, rate_prev, terms
         v = step_vector(v, t, dt, grid, m, config, work, terms)
+        radii = np.linalg.norm(v, axis=1, keepdims=True)
+        if np.max(np.abs(radii - 1.0)) > 0.1:
+            raise InstabilityError(
+                f"sphere constraint violated by {np.max(np.abs(radii - 1.0)):.3e} "
+                f"at t={t:.6g}; reduce the step size"
+            )
+        v = v / radii
+        if not np.all(np.isfinite(v)):
+            raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
         # computed once, for the rate here and the next step
         terms = _midpoint_terms(v, grid, m, config.a)
         rate_now = dissipation_rate(v, grid, m, config.a, terms)
@@ -601,7 +606,7 @@ def scalar_energy(beta: np.ndarray, grid: RadialGrid, m: int) -> float:
 
 
 class _ScalarWork(_ChordCounters):
-    """Per-grid cached pieces of the Crank-Nicolson Jacobian and the one
+    """The per-grid pieces of the Crank-Nicolson Jacobian and the one
     array the Newton matrix is built and factored in.
 
     The array ab is in LAPACK gbtrf storage: a Fortran-ordered (3u + 1, n)
@@ -613,10 +618,9 @@ class _ScalarWork(_ChordCounters):
     d2_rho closures of rows 1, 2, n - 3 and n - 2. __init__ stores
     -e^{-2 rho} d2_rho in that layout, entry (i, j) at row u + i - j of
     neg_d2, with rows 0 and n - 1 left zero: the Newton matrix holds
-    Dirichlet identity rows there. The parts of the matrix fixed within a
-    step, (dt/2) a1 neg_d2 and the coefficient of the cos(2 beta)
-    diagonal, are built once per step size; each factorization copies
-    them into ab and adds the diagonal.
+    Dirichlet identity rows there. Each Newton matrix is (dt/2) a1 neg_d2,
+    written straight into ab, plus its diagonal 1 - (dt/2) a1 e^{-2 rho}
+    m^2 cos(2 beta).
     """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
@@ -637,10 +641,6 @@ class _ScalarWork(_ChordCounters):
                 self.neg_d2[u + i - k, k] = -taps[k] * self.decay[i]
                 self.neg_d2[u + k - i, n - 1 - k] = -taps[k] * self.decay[n - 1 - i]
         self.ab = np.zeros((3 * u + 1, n), order="F")
-        # the parts of the Newton matrix fixed at step size _dt
-        self._dt = None
-        self._fixed = np.empty_like(self.neg_d2)
-        self._diag = None
 
     def rhs(self, beta: np.ndarray, d2: np.ndarray) -> np.ndarray:
         """a1 e^{-2 rho} (d2 + (m^2/2) sin 2 beta), zero on the Dirichlet
@@ -651,14 +651,9 @@ class _ScalarWork(_ChordCounters):
 
     def newton_matrix(self, beta: np.ndarray, dt: float) -> np.ndarray:
         """The Newton matrix at beta, written into ab and returned."""
-        if dt != self._dt:
-            np.multiply(0.5 * dt * self.a1, self.neg_d2, out=self._fixed)
-            self._diag = 0.5 * dt * self.a1 * self.decay * self.m**2
-            self._dt = dt
         u = self.u
-        band = self.ab[u:]
-        band[...] = self._fixed
-        band[u, :] += 1.0 - self._diag * np.cos(2.0 * beta)
+        band = np.multiply(0.5 * dt * self.a1, self.neg_d2, out=self.ab[u:])
+        band[u, :] += 1.0 - 0.5 * dt * self.a1 * self.decay * self.m**2 * np.cos(2.0 * beta)
         band[u, 0] = band[u, -1] = 1.0
         return self.ab
 
@@ -675,7 +670,7 @@ def step_scalar(
 
     The new angle x solves G(x) = x - beta - (dt/2) (f(x) + f(beta)) = 0,
     f the rhs of work, by _chord with the Newton matrix G' of work, to
-    newton_tol in at most max_newton iterations. seed, when given, is the
+    NEWTON_TOL in at most NEWTON_CAP iterations. seed, when given, is the
     starting iterate and must hold beta's Dirichlet end values; run_scalar
     passes the linear extrapolation in time of its last two accepted
     angles. Without it the iteration starts from beta.
@@ -685,7 +680,7 @@ def step_scalar(
     # itself it leaves a noise in rhs that the Jacobian barely damps along
     # the slow scale mode, a floor of 1e-10 to 4e-10 on the Newton updates
     # at the dt of 400 to 900 that long m = 2 runs reach, against
-    # newton_tol = 1e-10. On the change over the step the noise shrinks
+    # NEWTON_TOL = 1e-10. On the change over the step the noise shrinks
     # with the change, and d2_rho(beta) is one fixed vector within the step.
     d2_old = d2_rho(beta, work.grid)
     rhs_old = work.rhs(beta, d2_old)
@@ -702,8 +697,7 @@ def step_scalar(
     # from two accepted Crank-Nicolson states, which evaluates no rhs, the
     # diffusion-dominated Jacobian reaches the solution in a few iterations.
     start = beta if seed is None else seed
-    cap = config.max_newton
-    new = _chord(start, evaluate, work.u, config.newton_tol, cap, work, "Newton", t, dt)
+    new = _chord(start, evaluate, work.u, NEWTON_TOL, NEWTON_CAP, work, "Newton", t, dt)
     if not np.all(np.isfinite(new)):
         raise InstabilityError(f"non-finite angle after step at t={t:.6g}")
     return new

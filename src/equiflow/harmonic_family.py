@@ -61,9 +61,6 @@ class Mu:
     def from_complex(cls, mu: complex, m: int) -> "Mu":
         return cls(s=math.exp(mu.real / m), alpha=mu.imag, m=m)
 
-    def shifted(self, dmu: complex) -> "Mu":
-        return Mu.from_complex(self.as_complex + dmu, self.m)
-
 
 def mu_distance(a: Mu, b: Mu) -> float:
     """Family metric: min(|d mu_1|, 1) + distance of d mu_2 to 2 pi Z."""

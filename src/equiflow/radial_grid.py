@@ -175,19 +175,12 @@ def _apply_stencil(f: np.ndarray, center, left=(), right=None, parity: float = 1
     out = np.empty((len(left) + interior + tail,) + f.shape[1:], dtype=f.dtype)
     body = out[len(left) : len(left) + interior]
     # one compiled correlation per real column (re and im for a complex
-    # field), summing the products in the order of the loop below
+    # field), summing the products center[k] f[j + k] in the order of k;
+    # it sums from +0.0, so the sign of an exactly zero sum is not that of
+    # its products
     f_cols, body_cols = _real_columns(f), _real_columns(body)
     for c in range(f_cols.shape[1]):
         body_cols[:, c] = np.correlate(f_cols[:, c], center, "valid")
-    # np.correlate sums from +0.0 where the loop starts from its first
-    # product, and the loop's complex product with center[k] + 0j can flip
-    # the sign of a zero product, so the two can differ in the sign of a
-    # zero sum; a zero anywhere sends the interior through the loop itself
-    if not body_cols.all():
-        acc = center[0] * f[:interior]
-        for k in range(1, len(center)):
-            acc = acc + center[k] * f[k : k + interior]
-        body[...] = acc
     for i, w in enumerate(left):
         out[i] = w @ f[: len(w)]
         if right is None:

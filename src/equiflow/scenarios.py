@@ -98,17 +98,6 @@ class TailFamily:
             return self.kappa * self.lam * np.cos(self.lam * u)
         return self.kappa * (1.0 + self.lam * np.cos(self.lam * u))
 
-    def p_value(self, u: np.ndarray) -> np.ndarray:
-        """Drift profile P itself (closed form, for prediction oracles)."""
-        u = np.asarray(u, dtype=float)
-        if self.family == "none":
-            return np.zeros_like(u)
-        if self.family == "log_drift":
-            return self.kappa * u
-        if self.family == "ln_ln_oscillation":
-            return self.kappa * np.sin(self.lam * u)
-        return self.kappa * (u + np.sin(self.lam * u))
-
 
 @dataclass(frozen=True)
 class Prediction:

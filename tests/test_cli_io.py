@@ -133,7 +133,7 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.beta is not None
 
 
-def test_snapshot_errors(tmp_path):
+def test_snapshot_errors(tmp_path, capsys):
     with pytest.raises(ConfigError, match="cannot read"):
         load_snapshot(tmp_path / "missing.dat")
     bad = tmp_path / "bad.dat"
@@ -151,6 +151,16 @@ def test_snapshot_errors(tmp_path):
     off.write_text("\n".join(lines) + "\n")
     with pytest.raises(NumericalError, match="unit sphere"):
         load_snapshot(off)
+    for m in (0, -3):
+        degree = tmp_path / f"degree{m}.dat"
+        save_snapshot(degree, vmap, grid)
+        degree.write_text(degree.read_text().replace("# m = 2\n", f"# m = {m}\n"))
+        with pytest.raises(ConfigError, match=f"positive integer, got {m}"):
+            load_snapshot(degree)
+        for command in ("decompose", "simulate"):
+            cfg = write_config(tmp_path, snapshot=str(degree))
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert f"positive integer, got {m}" in capsys.readouterr().err
 
 
 def corrupt_snapshot(tmp_path, token):

@@ -89,13 +89,6 @@ def test_flow_config_validation():
         FlowConfig(a=-1.0 + 0.5j)
     with pytest.raises(ValueError, match="positive"):
         FlowConfig(dt0=0.0)
-    for caps in (dict(max_outer=0), dict(max_newton=0), dict(max_outer=-3)):
-        with pytest.raises(ValueError, match="at least 1"):
-            FlowConfig(**caps)
-    for bad in (0.0, -1e-12, math.nan, math.inf):
-        for key in ("outer_tol", "newton_tol"):
-            with pytest.raises(ValueError, match="finite and positive"):
-                FlowConfig(**{key: bad})
     cfg = FlowConfig(dt0=0.01, ramp=0.05, dt_max=500.0)
     assert cfg.dt_at(0.0) == 0.01
     assert cfg.dt_at(1.0) == 0.05
@@ -116,8 +109,8 @@ def test_harmonic_profile_drift_over_unit_time(grid, profile):
 
 def test_steps_stay_on_sphere_without_renormalization(grid, perturbed):
     """The midpoint update is tangent at the midpoint, so the radius of
-    every node is preserved exactly; renormalization is a no-op."""
-    cfg = FlowConfig(a=1.0, dt0=0.02, renormalize=False)
+    every node is preserved exactly; run_vector's projection is a no-op."""
+    cfg = FlowConfig(a=1.0, dt0=0.02)
     v = perturbed
     for k in range(10):
         v = step_vector(v, 0.02 * k, 0.02, grid, 3, cfg)
@@ -214,11 +207,12 @@ def test_energy_budget_warning(grid, profile):
         run_vector(v0, grid, 3, FlowConfig(a=1.0, dt0=0.02, delta=1.0), t_end=0.02)
 
 
-def test_outer_iteration_stall_raises(grid, perturbed):
-    """A chord iteration cut off by max_outer while its updates shrink is
-    reported as stalled, with its last update, not as diverged."""
+def test_outer_iteration_stall_raises(grid, perturbed, monkeypatch):
+    """A chord iteration cut off by MIDPOINT_CAP while its updates shrink
+    is reported as stalled, with its last update, not as diverged."""
+    cfg = FlowConfig(a=1.0, dt0=0.02)
     for cap in (1, 3):
-        cfg = FlowConfig(a=1.0, dt0=0.02, max_outer=cap)
+        monkeypatch.setattr(evolve_llg, "MIDPOINT_CAP", cap)
         with pytest.raises(StepError, match=r"iteration stalled .*\(last update [^,]*\)"):
             run_vector(perturbed, grid, 3, cfg, t_end=0.1)
 
@@ -350,12 +344,12 @@ def picard_step(v, dt, grid, m, config):
     a = complex(config.a)
     U = _VectorWork.BAND
     vhat = v
-    for count in range(1, config.max_outer + 1):
+    for count in range(1, evolve_llg.MIDPOINT_CAP + 1):
         ab = assemble_loop(grid, m, pa_blocks(vhat, a), dt)
         vmid = solve_banded((U, U), ab, v.reshape(-1)).reshape(-1, 3)
         delta = float(np.max(np.abs(vmid - vhat)))
         vhat = vmid
-        if delta < config.outer_tol:
+        if delta < evolve_llg.MIDPOINT_TOL:
             break
     else:
         raise StepError("reference Picard iteration stalled")
@@ -453,7 +447,7 @@ def _reference_step_vector(v, dt, grid, m, config):
         return x / np.linalg.norm(x, axis=1, keepdims=True)
 
     vmid, factors, refactor, before = v, 0, True, math.inf
-    for count in range(1, config.max_outer + 1):
+    for count in range(1, evolve_llg.MIDPOINT_CAP + 1):
         lap = laplace_operator(vmid, grid, m)
         if refactor:
             pa = pa_apply(unit(vmid), np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
@@ -465,7 +459,7 @@ def _reference_step_vector(v, dt, grid, m, config):
         update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
         vmid = vmid - update.reshape(-1, 3)
         delta = float(np.max(np.abs(update)))
-        if delta < config.outer_tol:
+        if delta < evolve_llg.MIDPOINT_TOL:
             break
         refactor, before = delta > evolve_llg.CHORD_CONTRACTION * before, delta
     else:
@@ -657,6 +651,22 @@ def test_non_finite_map_rejected_before_first_step(grid, profile, monkeypatch):
     v[400, 1] = math.nan
     with pytest.raises(ValueError, match="unit sphere"):
         run_vector(v, grid, 3, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
+
+
+@pytest.mark.parametrize(
+    "bad_step, message",
+    [
+        (lambda v: 1.2 * v, "sphere constraint violated"),
+        (lambda v: np.full_like(v, math.nan), "non-finite map after step"),
+    ],
+    ids=["off_sphere", "non_finite"],
+)
+def test_run_vector_rejects_a_bad_step(grid, profile, monkeypatch, bad_step, message):
+    """run_vector checks each new map: a node off the unit sphere by more
+    than 0.1, or a non-finite map, is an instability."""
+    monkeypatch.setattr(evolve_llg, "step_vector", lambda v, *args: bad_step(v))
+    with pytest.raises(InstabilityError, match=message):
+        run_vector(profile.h, grid, 3, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
 
 
 @pytest.mark.parametrize("solver", ["vector", "scalar"])
@@ -944,13 +954,13 @@ def _full_newton_step_scalar(beta, dt, grid, m, a1, config):
 
     rhs_old = rhs(beta)
     new = beta.copy()
-    for it in range(1, config.max_newton + 1):
+    for it in range(1, evolve_llg.NEWTON_CAP + 1):
         resid = new - beta - 0.5 * dt * (rhs(new) + rhs_old)
         resid[0] = resid[-1] = 0.0
         ab = _reference_newton_matrix(new, dt, m, a1, scaled_d2, boundary, decay, u)
         delta = solve_banded((u, u), ab, resid)
         new = new - delta
-        if float(np.max(np.abs(delta))) < config.newton_tol:
+        if float(np.max(np.abs(delta))) < evolve_llg.NEWTON_TOL:
             return new, it
     raise StepError("reference Newton loop stalled")
 
@@ -977,7 +987,7 @@ def _reference_step_scalar(beta, dt, grid, m, a1, config, seed=None):
     new = beta if seed is None else seed
     factors, last = 0, None
     refactor = True
-    for it in range(1, config.max_newton + 1):
+    for it in range(1, evolve_llg.NEWTON_CAP + 1):
         resid = new - beta - 0.5 * dt * (rhs(new) + rhs_old)
         resid[0] = resid[-1] = 0.0
         if refactor:
@@ -990,7 +1000,7 @@ def _reference_step_scalar(beta, dt, grid, m, a1, config, seed=None):
         assert info == 0
         new = new - delta
         size = float(np.max(np.abs(delta)))
-        if size < config.newton_tol:
+        if size < evolve_llg.NEWTON_TOL:
             return new, it, factors
         refactor = last is not None and size > evolve_llg.CHORD_CONTRACTION * last
         last = size
@@ -1099,9 +1109,10 @@ def test_run_scalar_rejects_non_finite_initial_angle(grid, monkeypatch):
             run_scalar(beta0, grid, 2, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
 
 
-def test_scalar_newton_stall_raises(grid):
+def test_scalar_newton_stall_raises(grid, monkeypatch):
     beta0 = stationary_angle(0.0, grid, 2) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
-    cfg = FlowConfig(a=1.0, dt0=50.0, max_newton=1)
+    cfg = FlowConfig(a=1.0, dt0=50.0)
+    monkeypatch.setattr(evolve_llg, "NEWTON_CAP", 1)
     with pytest.raises(StepError, match=r"Newton iteration stalled .*\(last update [^,]*\)"):
         run_scalar(beta0, grid, 2, cfg, t_end=100.0)
 

@@ -8,6 +8,7 @@ import pytest
 
 from equiflow.errors import ConfigError, FitError, NumericalError
 from equiflow.evolve_llg import FlowConfig, SphereMap, run_vector
+from equiflow import modulation
 from equiflow.gauge import _lstar, hasimoto_forward, reconstruct_v
 from equiflow.harmonic_family import Mu, h_profile, l_s_apply
 from equiflow.modulation import (
@@ -201,6 +202,32 @@ def test_fit_pins_rotation_on_planar_maps(grid):
     assert np.abs(v[:, 1]).max() == 0.0
     state = fit_mu(SphereMap(v, m), None, bump_phi(m, grid), grid)
     assert state.mu.alpha == 0.0
+
+
+def test_fit_falls_back_to_finite_difference_jacobian(monkeypatch):
+    """A map on which the identity Jacobian fails to halve the residual
+    converges through the finite-difference Jacobian, which pairs with
+    the window twice more per iteration; without it the same fit runs
+    out of iterations."""
+    m = 4
+    grid = build_grid(-6.0, 6.0, 512)
+    prof = h_profile(Mu(s=0.5, alpha=5.44, m=m), grid)
+    bump = 0.5 * np.exp(-((grid.rho / 0.9) ** 2))
+    v = prof.h + bump[:, None] * (1.6 * prof.f.real + 0.9 * prof.f.imag)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    pairings = 0
+
+    def counted(*args):
+        nonlocal pairings
+        pairings += 1
+        return inner_product(*args)
+
+    monkeypatch.setattr(modulation, "inner_product", counted)
+    state = fit_mu(SphereMap(v, m), None, bump_phi(m, grid), grid, strict=False)
+    assert state.residual <= 1e-12
+    # the identity Jacobian pairs once per iteration, the initial pairing
+    # included; each finite-difference iteration pairs twice more
+    assert pairings > state.iterations + 1
 
 
 def test_fit_error_without_crossing(grid):

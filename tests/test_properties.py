@@ -1,13 +1,16 @@
 """Property tests: config parsing, snapshot persistence and the vector step
 on generated inputs."""
 
+from contextlib import contextmanager
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from equiflow import evolve_llg
 from equiflow.cli_io import _KEYS, load_snapshot, parse_config, save_snapshot
 from equiflow.errors import ConfigError
 from equiflow.evolve_llg import FlowConfig, SphereMap, _pa_derivative, run_vector, step_vector
@@ -110,16 +113,24 @@ def step_inputs(draw):
     return v, m, a, draw(st.floats(1e-4, 2e-3))
 
 
-# a tight chord tolerance, so that the step is the midpoint fixed point to
-# near rounding, and no renormalization, so that |v| = 1 is the scheme's own
-STEP_CONFIG = dict(outer_tol=1e-14, max_outer=80, renormalize=False)
+@contextmanager
+def tight_chord():
+    """A tight chord tolerance and a cap to match, so that the step is the
+    midpoint fixed point to near rounding. Set through MonkeyPatch.context
+    in the test body: hypothesis rejects the function-scoped monkeypatch
+    fixture."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evolve_llg, "MIDPOINT_TOL", 1e-14)
+        patch.setattr(evolve_llg, "MIDPOINT_CAP", 80)
+        yield
 
 
 @PROPERTY
 @given(step_inputs())
 def test_step_stays_on_the_sphere(inputs):
     v, m, a, dt = inputs
-    v_new = step_vector(v, 0.0, dt, STEP_GRID, m, FlowConfig(a=a, dt0=dt, **STEP_CONFIG))
+    with tight_chord():
+        v_new = step_vector(v, 0.0, dt, STEP_GRID, m, FlowConfig(a=a, dt0=dt))
     assert np.max(np.abs(np.linalg.norm(v_new, axis=1) - 1.0)) <= 1e-12
 
 
@@ -129,9 +140,10 @@ def test_step_commutes_with_rotation_about_e3(inputs, theta):
     v, m, a, dt = inputs
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    cfg = FlowConfig(a=a, dt0=dt, **STEP_CONFIG)
-    rotated_first = step_vector(v @ rot.T, 0.0, dt, STEP_GRID, m, cfg)
-    rotated_after = step_vector(v, 0.0, dt, STEP_GRID, m, cfg) @ rot.T
+    cfg = FlowConfig(a=a, dt0=dt)
+    with tight_chord():
+        rotated_first = step_vector(v @ rot.T, 0.0, dt, STEP_GRID, m, cfg)
+        rotated_after = step_vector(v, 0.0, dt, STEP_GRID, m, cfg) @ rot.T
     assert np.max(np.abs(rotated_first - rotated_after)) <= 1e-11
 
 

@@ -54,6 +54,19 @@ def test_family_validation():
         TailFamily("log_drift", kappa=0.1, s0=0.0)
 
 
+def p_value(fam: TailFamily, u: np.ndarray) -> np.ndarray:
+    """The drift profile P of fam in closed form, the antiderivative of
+    fam.p_prime: the reference for the prediction oracles."""
+    u = np.asarray(u, dtype=float)
+    if fam.family == "none":
+        return np.zeros_like(u)
+    if fam.family == "log_drift":
+        return fam.kappa * u
+    if fam.family == "ln_ln_oscillation":
+        return fam.kappa * np.sin(fam.lam * u)
+    return fam.kappa * (u + np.sin(fam.lam * u))
+
+
 def test_drift_profile_consistency():
     u = np.linspace(0.1, 3.0, 200)
     du = u[1] - u[0]
@@ -62,10 +75,10 @@ def test_drift_profile_consistency():
         TailFamily("ln_ln_oscillation", kappa=0.5, lam=2.3),
         TailFamily("mixed", kappa=0.4, lam=1.7),
     ):
-        fd = np.gradient(fam.p_value(u), du)
+        fd = np.gradient(p_value(fam, u), du)
         inner = slice(2, -2)
         assert np.max(np.abs(fd[inner] - fam.p_prime(u)[inner])) < 5e-3
-    assert np.all(TailFamily("none").p_value(u) == 0.0)
+    assert np.all(p_value(TailFamily("none"), u) == 0.0)
     assert np.all(TailFamily("none").p_prime(u) == 0.0)
 
 
@@ -193,7 +206,7 @@ def test_prediction_closed_form_oracle(grid):
         t = np.array([math.exp(17.0) / a1, math.exp(19.6) / a1])
         pred = predict_log_s(vmap, a1, t, grid, s0=1.0)
         u = np.log(0.5 * np.log(a1 * t))
-        oracle = (2.0 / math.pi) * fam.sign * (fam.p_value(u[1]) - fam.p_value(u[0]))
+        oracle = (2.0 / math.pi) * fam.sign * (p_value(fam, u[1]) - p_value(fam, u[0]))
         got = pred.v1_form[1] - pred.v1_form[0]
         assert abs(got - oracle) <= 1e-6 * abs(oracle)
 

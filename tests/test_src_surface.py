@@ -4,8 +4,10 @@ Every public function in the package is exported or used by the package.
 A public module-level function that is neither in ``equiflow.__all__`` nor
 referenced anywhere in ``src/equiflow`` outside its own body is code that
 only tests call; such a function belongs in the tests, as the reference
-it is.  References are ``ast.Name`` and ``ast.Attribute`` nodes, so a
-mention in a docstring or comment does not count.
+it is.  The same holds for the public methods of module-level classes,
+which no export covers.  References are ``ast.Name`` and
+``ast.Attribute`` nodes, so a mention in a docstring or comment does not
+count.
 
 The package reads no environment variable: every setting is a key of the
 one config schema, ExperimentConfig.
@@ -24,11 +26,19 @@ SRC = Path(equiflow.__file__).resolve().parent
 
 
 def _public_functions(tree: ast.Module):
-    return [
-        node
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    ]
+    """(name, def) of every public module-level function and, as
+    Class.name, of every public method of a module-level class."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            found.extend(
+                (f"{node.name}.{fn.name}", fn)
+                for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+            )
+    return found
 
 
 def _referenced_names(tree: ast.AST, skip: ast.AST | None) -> set[str]:
@@ -49,24 +59,53 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None) -> set[str]:
 
 def unused_public_functions(src: Path, exported) -> list[str]:
     """module.name of every public module-level function under src that is
-    not in exported and has no reference in src outside its own def."""
+    not in exported, and module.Class.name of every public method of a
+    module-level class, with no reference in src outside its own def."""
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
     found = []
     for path, tree in trees.items():
-        for fn in _public_functions(tree):
-            if fn.name in exported:
+        for name, fn in _public_functions(tree):
+            if name in exported:
                 continue
             used = any(
                 fn.name in _referenced_names(other, fn if other is tree else None)
                 for other in trees.values()
             )
             if not used:
-                found.append(f"{path.stem}.{fn.name}")
+                found.append(f"{path.stem}.{name}")
     return found
 
 
 def test_no_test_only_public_functions():
     assert unused_public_functions(SRC, set(equiflow.__all__)) == []
+
+
+def test_test_only_public_methods_are_found(tmp_path):
+    """A public method referenced only by its own body is reported; one
+    read as an attribute elsewhere, a private one and an exported
+    function of the same name are not."""
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def used(self):\n"
+        "        return self.alone()\n"
+        "    def alone(self):\n"
+        "        return self.alone\n"
+        "    def _private(self):\n"
+        "        pass\n"
+        "def run(box):\n"
+        "    return box.used()\n",
+        encoding="utf-8",
+    )
+    assert unused_public_functions(tmp_path, {"run"}) == []
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def alone(self):\n"
+        "        return self.alone\n"
+        "def alone():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    assert unused_public_functions(tmp_path, {"alone"}) == ["mod.Box.alone"]
 
 
 _ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
