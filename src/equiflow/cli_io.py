@@ -19,6 +19,8 @@ ExperimentConfig, the one schema.  Unknown keys and numbers that are not
 finite are rejected, and all violations are reported together.  Outputs
 are plain text with a stamped schema version and a comment line
 documenting every column; identical configs produce bit-identical files.
+They go to the --out directory, the one output setting.  Each subcommand
+returns a summary line and the paths it wrote; main prints the report.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -91,7 +93,6 @@ class ExperimentConfig:
     t_end: float = _key(1.0, "final time of the run")
     t_record_min: float = _key(0.0, "first record time; 0 picks t_end / 100")
     records: int = _key(21, "number of geometrically spaced record times")
-    fit_cadence: int = _key(1, "fit the parameters at every k-th record")
     family: str = _key("none", "tail family: none | log_drift | ln_ln_oscillation | mixed")
     kappa: float = _key(0.0, "tail amplitude")
     lam: float = _key(1.0, "tail frequency (oscillating families)")
@@ -107,7 +108,6 @@ class ExperimentConfig:
     t_points: int = _key(41, "number of geometrically spaced prediction times")
     sweep_kappa: tuple = _key((), "comma-separated tail amplitudes for sweep")
     sweep_lam: tuple = _key((), "comma-separated tail frequencies for sweep")
-    out: str = _key(".", "output directory (the --out flag overrides it)")
 
     @property
     def a(self) -> complex:
@@ -215,7 +215,6 @@ def parse_config(text: str) -> ExperimentConfig:
         0.0 <= cfg.t_record_min < cfg.t_end,
         "t_record_min must lie in [0, t_end)",
     )
-    check(cfg.fit_cadence >= 1, "fit_cadence must be at least 1")
     check(cfg.cut_width > 0.0, "cut_width must be positive")
     check(cfg.delta >= 0.0, "delta must be nonnegative")
     check(cfg.seed >= 0, "seed must be nonnegative")
@@ -259,7 +258,7 @@ def save_snapshot(path, vmap: SphereMap, grid: RadialGrid) -> None:
 def _read_text(path, what: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what}: {exc}") from exc
 
 
@@ -304,6 +303,8 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
     if deviation > 1e-12:
         v = v / radii[:, None]
     beta = map_to_beta(v) if np.max(np.abs(v[:, 1])) <= 1e-12 else None
+    if m == 1:
+        raise ConfigError(f"snapshot {path}: {M1_UNSUPPORTED}")
     try:
         return SphereMap(v=v, m=m, beta=beta), grid
     except ValueError as exc:
@@ -314,8 +315,9 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
 # table output
 
 
-def _write_table(path, kind: str, columns, comments=()) -> None:
-    """CSV with a stamped schema version and per-column documentation.
+def _write_table(out_dir: Path, kind: str, columns, comments=()) -> Path:
+    """Write out_dir/kind.csv, with a stamped schema version and
+    per-column documentation, and return its path.
 
     columns is a list of (name, documentation, array) triples; all
     floats are rendered at full precision so identical inputs give
@@ -326,7 +328,9 @@ def _write_table(path, kind: str, columns, comments=()) -> None:
     lines.extend(f"# column {name}: {doc}" for name, doc, _ in columns)
     lines.append(",".join(name for name, _, _ in columns))
     lines.extend(_rows([np.asarray(col) for _, _, col in columns], ","))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = out_dir / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -386,19 +390,30 @@ _SERIES_COLUMNS = (
 )
 
 
+def _decompose(vmap: SphereMap, guess, phi, grid: RadialGrid, a: complex) -> tuple:
+    """Fit from guess, flat-frame transform, and the q_norm, z_xnorm and
+    z_sup norms by name. The fit is never rejected on residual size; z_sup
+    is the consumer's validity indicator."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        state = fit_mu(vmap, guess, phi, grid, strict=False)
+        gauge = hasimoto_forward(vmap, state.mu, grid, a=a)
+        norms = {
+            "q_norm": norm(gauge.q, grid, "L2x"),
+            "z_xnorm": norm(state.z, grid, "X"),
+            "z_sup": float(np.abs(state.z).max()),
+        }
+    return state, gauge, norms
+
+
 def series_observables(
-    series: RunSeries,
-    grid: RadialGrid,
-    v0: SphereMap,
-    fit_cadence: int = 1,
+    series: RunSeries, grid: RadialGrid, v0: SphereMap
 ) -> dict[str, np.ndarray]:
     """Per-record observable columns for a finished run.
 
-    Fits are chained record to record and never rejected on residual
-    size; the z_sup column is the consumer's validity indicator.
-    Resolution and pairing-growth warnings are suppressed here because a
-    batch table is not an interactive session; the columns themselves
-    carry the evidence.
+    Fits are chained record to record. Resolution and pairing-growth
+    warnings are suppressed here because a batch table is not an
+    interactive session; the columns themselves carry the evidence.
     """
     n_rec = series.t.size
     out = {name: np.full(n_rec, np.nan) for name, _ in _SERIES_COLUMNS}
@@ -408,25 +423,19 @@ def series_observables(
     psi = psi_and_c(phi, series.m, grid)
     guess = None
     for k in range(n_rec):
-        if k % fit_cadence != 0 and k != n_rec - 1:
-            continue
         vmap = series.map_at(k)
         try:
+            state, gauge, norms = _decompose(vmap, guess, phi, grid, series.a)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                state = fit_mu(vmap, guess, phi, grid, strict=False)
-                gauge = hasimoto_forward(vmap, state.mu, grid, a=series.a)
-                correction = normal_form_correction(
-                    gauge.q, state.mu, gauge.alpha_tilde, psi
-                )
-                out["z_xnorm"][k] = norm(state.z, grid, "X")
+                correction = normal_form_correction(gauge.q, state.mu, gauge.alpha_tilde, psi)
         except NumericalError:
             continue
         guess = state.mu
         out["s"][k] = state.mu.s
         out["alpha"][k] = state.mu.alpha
-        out["q_norm"][k] = norm(gauge.q, grid, "L2x")
-        out["z_sup"][k] = float(np.abs(state.z).max())
+        for name, value in norms.items():
+            out[name][k] = value
         out["normal_form_re"][k] = correction.real
         out["normal_form_im"][k] = correction.imag
     if series.m == 2 and np.max(np.abs(v0.v[:, 1])) <= 1e-9 and series.a.real > 0:
@@ -439,38 +448,26 @@ def series_observables(
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its one-line summary and the paths it wrote
 
 
-def _report(quiet: bool, message: str) -> None:
-    if not quiet:
-        print(message)
-
-
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> tuple[str, list[Path]]:
     """Run the flow, fit each record, and persist series plus snapshot."""
     vmap, grid, excess = _initial_data(cfg)
-    # parse_config rejects m = 1 in the config; a snapshot carries its own m
-    if vmap.m == 1:
-        raise ConfigError(M1_UNSUPPORTED)
     # beta is set only on maps confined to the great circle
-    planar = cfg.a.imag == 0.0 and vmap.beta is not None
-    record = [0.0] + list(cfg.record_times())
-    if planar:
-        series = run_scalar(vmap.beta, grid, vmap.m, cfg.flow(), cfg.t_end, record)
-        solver = "scalar"
+    if cfg.a.imag == 0.0 and vmap.beta is not None:
+        solver, run, start = "scalar", run_scalar, vmap.beta
     else:
-        series = run_vector(vmap.v, grid, vmap.m, cfg.flow(), cfg.t_end, record)
-        solver = "vector"
-    columns = series_observables(series, grid, vmap, cfg.fit_cadence)
-    series_path = out_dir / "series.csv"
+        solver, run, start = "vector", run_vector, vmap.v
+    series = run(start, grid, vmap.m, cfg.flow(), cfg.t_end, cfg.record_times())
+    columns = series_observables(series, grid, vmap)
     comments = [
         f"m = {series.m}, a = {_fmt(series.a.real)} + {_fmt(series.a.imag)}i, solver = {solver}",
         f"grid: rho in [{_fmt(grid.rho_min)}, {_fmt(grid.rho_max)}], n = {grid.n}",
         f"steps = {series.steps}, initial energy excess = {_fmt(excess)}",
     ]
-    _write_table(
-        series_path,
+    series_path = _write_table(
+        out_dir,
         "series",
         [(name, doc, columns[name]) for name, doc in _SERIES_COLUMNS],
         comments,
@@ -478,43 +475,30 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path
     snap_path = out_dir / "snapshot_final.dat"
     save_snapshot(snap_path, series.map_at(series.t.size - 1), grid)
     steps = max(series.steps, 1)
-    stats = (
+    summary = (
+        f"solver={solver} steps={series.steps} records={series.t.size} "
         f"iterations_per_step={series.iterations / steps:.3g} "
         f"max_step_iterations={series.max_step_iterations} "
         f"factorizations_per_step={series.factorizations / steps:.3g}"
     )
     if solver == "vector":
-        stats += f" energy_identity_residual={energy_identity_residual(series):.3e}"
-    _report(
-        quiet,
-        f"simulate: solver={solver} steps={series.steps} records={series.t.size} {stats}",
-    )
-    _report(quiet, f"simulate: wrote {series_path}")
-    _report(quiet, f"simulate: wrote {snap_path}")
-    return [series_path, snap_path]
+        summary += f" energy_identity_residual={energy_identity_residual(series):.3e}"
+    return summary, [series_path, snap_path]
 
 
-def cmd_decompose(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
+def cmd_decompose(cfg: ExperimentConfig, out_dir: Path) -> tuple[str, list[Path]]:
     """Split a stored snapshot into parameters, residual, and gauge field."""
     if not cfg.snapshot:
         raise ConfigError("decompose needs a snapshot path in the config")
     vmap, grid = load_snapshot(cfg.snapshot)
-    phi = bump_phi(vmap.m, grid)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        state = fit_mu(vmap, None, phi, grid, strict=False)
-        gauge = hasimoto_forward(vmap, state.mu, grid, a=cfg.a)
-        q_norm = norm(gauge.q, grid, "L2x")
-        z_xnorm = norm(state.z, grid, "X")
-    path = out_dir / "decompose.csv"
+    state, gauge, norms = _decompose(vmap, None, bump_phi(vmap.m, grid), grid, cfg.a)
     comments = [
         f"source = {cfg.snapshot}",
         f"m = {vmap.m}, fitted s = {_fmt(state.mu.s)}, fitted alpha = {_fmt(state.mu.alpha)}",
-        f"q_norm = {_fmt(q_norm)}, z_xnorm = {_fmt(z_xnorm)}, "
-        f"z_sup = {_fmt(np.abs(state.z).max())}",
+        ", ".join(f"{name} = {_fmt(value)}" for name, value in norms.items()),
     ]
-    _write_table(
-        path,
+    path = _write_table(
+        out_dir,
         "decompose",
         [
             ("rho", "log radius of the node", grid.rho),
@@ -525,13 +509,8 @@ def cmd_decompose(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Pat
         ],
         comments,
     )
-    _report(
-        quiet,
-        f"decompose: s={_fmt(state.mu.s)} alpha={_fmt(state.mu.alpha)} "
-        f"q_norm={_fmt(q_norm)}",
-    )
-    _report(quiet, f"decompose: wrote {path}")
-    return [path]
+    summary = f"s={_fmt(state.mu.s)} alpha={_fmt(state.mu.alpha)} q_norm={_fmt(norms['q_norm'])}"
+    return summary, [path]
 
 
 def _predict(cfg: ExperimentConfig, vmap: SphereMap, grid: RadialGrid, s0=None) -> tuple:
@@ -542,18 +521,17 @@ def _predict(cfg: ExperimentConfig, vmap: SphereMap, grid: RadialGrid, s0=None) 
     return pred, classify_behavior(pred.t, pred.q_form)
 
 
-def cmd_predict(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
+def cmd_predict(cfg: ExperimentConfig, out_dir: Path) -> tuple[str, list[Path]]:
     """Evaluate the scale-history prediction on the configured time grid."""
     vmap, grid, _ = _initial_data(cfg)
     pred, label = _predict(cfg, vmap, grid)
-    path = out_dir / "predict.csv"
     comments = [
         f"initial scale s0 = {_fmt(pred.s0)}, a1 = {_fmt(pred.a1)}",
         f"largest usable t = {_fmt(pred.t_max_usable)}",
         f"predicted class of the q form = {label.name}",
     ]
-    _write_table(
-        path,
+    path = _write_table(
+        out_dir,
         "predict",
         [
             ("t", "prediction time", pred.t),
@@ -562,9 +540,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]
         ],
         comments,
     )
-    _report(quiet, f"predict: class={label.name} final_q_form={_fmt(pred.q_form[-1])}")
-    _report(quiet, f"predict: wrote {path}")
-    return [path]
+    return f"class={label.name} final_q_form={_fmt(pred.q_form[-1])}", [path]
 
 
 def _sweep_row(cfg: ExperimentConfig, kappa: float, lam: float) -> tuple:
@@ -575,7 +551,7 @@ def _sweep_row(cfg: ExperimentConfig, kappa: float, lam: float) -> tuple:
     return (kappa, lam, excess, pred.v1_form[-1], pred.q_form[-1], int(label))
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> tuple[str, list[Path]]:
     """Build + predict over the family parameter grid, one row each.
 
     The (kappa, lam) pairs are sorted and their rows computed in that
@@ -589,14 +565,13 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
     jobs = sorted((kappa, lam) for kappa in cfg.sweep_kappa for lam in lams)
     rows = [_sweep_row(cfg, kappa, lam) for kappa, lam in jobs]
     table = np.asarray(rows, dtype=float)
-    path = out_dir / "sweep.csv"
     comments = [
         f"family = {cfg.family}, {len(rows)} parameter combinations",
         "class ids: 0 undetermined, 1 settled, 2 concentrating, 3 spreading, "
         "4 dipping, 5 peaking, 6 swinging",
     ]
-    _write_table(
-        path,
+    path = _write_table(
+        out_dir,
         "sweep",
         [
             ("kappa", "tail amplitude", table[:, 0]),
@@ -608,9 +583,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, quiet: bool) -> list[Path]:
         ],
         comments,
     )
-    _report(quiet, f"sweep: {len(rows)} rows")
-    _report(quiet, f"sweep: wrote {path}")
-    return [path]
+    return f"{len(rows)} rows", [path]
 
 
 _COMMANDS = {
@@ -630,21 +603,24 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, fn in _COMMANDS.items():
         p = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
         p.add_argument("--config", required=True, help="path to the key = value config file")
-        p.add_argument("--out", default=None, help="output directory (default: config key 'out')")
-        p.add_argument("--quiet", action="store_true", help="suppress the progress report")
+        p.add_argument("--out", default=".", help="output directory (default: the current one)")
+        p.add_argument("--quiet", action="store_true", help="print no report")
     return parser
 
 
 def main(argv=None) -> int:
     """Command line entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
+    out_dir = Path(args.out)
     try:
         cfg = parse_config(_read_text(args.config, "config"))
-        out_dir = Path(args.out) if args.out is not None else Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         if not os.access(out_dir, os.W_OK):
             raise ConfigError(f"output directory {out_dir} is not writable")
-        _COMMANDS[args.command](cfg, out_dir, args.quiet)
+        summary, paths = _COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"equiflow error [config] code=2: {exc}", file=sys.stderr)
         return 2
@@ -652,6 +628,10 @@ def main(argv=None) -> int:
         kind = type(exc).__name__
         print(f"equiflow error [numerical:{kind}] code=3: {exc}", file=sys.stderr)
         return 3
+    if not args.quiet:
+        print(f"{args.command}: {summary}")
+        for path in paths:
+            print(f"{args.command}: wrote {path}")
     return 0
 
 

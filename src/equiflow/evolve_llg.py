@@ -663,7 +663,6 @@ def step_scalar(
     t: float,
     dt: float,
     work: _ScalarWork,
-    config: FlowConfig,
     seed: np.ndarray | None = None,
 ) -> np.ndarray:
     """One Crank-Nicolson step of the great-circle angle.
@@ -735,7 +734,7 @@ def run_scalar(
             prev, dt_prev = history
             seed = beta + (dt / dt_prev) * (beta - prev)
         history = beta, dt
-        beta = step_scalar(beta, t, dt, work, config, seed)
+        beta = step_scalar(beta, t, dt, work, seed)
 
     def record(k: int, t: float) -> None:
         betas[k] = beta

@@ -99,6 +99,16 @@ def test_syntax_errors_carry_line_numbers():
     assert "line 5: cannot parse 'fast' as float" in message
 
 
+@pytest.mark.parametrize("key, value", [("fit_cadence", 2), ("out", "x")])
+def test_removed_keys_are_unknown(tmp_path, capsys, key, value):
+    """Every record is fitted and --out is the one output setting, so
+    neither fit_cadence nor out is a config key: a config that sets one
+    exits 2."""
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"line 1: unknown key {key!r}" in capsys.readouterr().err
+
+
 def test_family_violations_folded_in():
     with pytest.raises(ConfigError, match="activation radius"):
         parse_config("family = log_drift\nkappa = 0.3\nr1 = 0.5\n")
@@ -416,11 +426,14 @@ def test_config_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("source", ["config", "snapshot"])
 def test_m1_rejected_before_any_compute(tmp_path, capsys, monkeypatch, source):
-    def no_run(*args, **kwargs):
-        raise AssertionError("the solve ran for m = 1")
+    """simulate and decompose exit 2 on m = 1, from the config or from a
+    snapshot header, before any solve or fit."""
 
-    monkeypatch.setattr(cli_io, "run_vector", no_run)
-    monkeypatch.setattr(cli_io, "run_scalar", no_run)
+    def no_run(*args, **kwargs):
+        raise AssertionError("computation started for m = 1")
+
+    for name in ("run_vector", "run_scalar", "fit_mu"):
+        monkeypatch.setattr(cli_io, name, no_run)
     if source == "config":
         cfg = write_config(tmp_path, m=1, a_im=1.0, n=128, delta=0.02)
     else:
@@ -428,9 +441,10 @@ def test_m1_rejected_before_any_compute(tmp_path, capsys, monkeypatch, source):
         snap = tmp_path / "m1.dat"
         save_snapshot(snap, SphereMap(h_profile(Mu(1.0, 0.0, 1), grid).h, 1), grid)
         cfg = write_config(tmp_path, a_im=1.0, snapshot=snap)
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "code=2" in err and "m = 1 is not supported" in err
+    for command in ("simulate", "decompose"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "code=2" in err and "m = 1 is not supported" in err
 
 
 BAD_VALUES = [
@@ -478,6 +492,82 @@ def test_missing_config_file(tmp_path, capsys):
     code = main(["simulate", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2
     assert "cannot read config" in capsys.readouterr().err
+
+
+def test_bad_out_directory_is_config_error(tmp_path, capsys):
+    """An --out that names an existing file, or a path below one, exits 2
+    with a config error that names the directory."""
+    cfg = write_config(tmp_path, n=64)
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    for out in (blocker, blocker / "sub"):
+        assert main(["predict", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"code=2: cannot create output directory {out}: " in err
+        assert "Traceback" not in err
+
+
+def test_non_utf8_input_is_config_error(tmp_path, capsys):
+    """A config or a snapshot holding a byte that is not UTF-8 exits 2
+    with "cannot read"."""
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\nm = 2\n")
+    assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "code=2: cannot read config: " in capsys.readouterr().err
+    grid = build_grid(-6.0, 6.0, 64)
+    snap = tmp_path / "latin1.dat"
+    save_snapshot(snap, SphereMap(h_profile(Mu(1.0, 0.0, 2), grid).h, 2), grid)
+    snap.write_bytes(b"# caf\xe9\n" + snap.read_bytes())
+    with pytest.raises(ConfigError, match="cannot read snapshot"):
+        load_snapshot(snap)
+    cfg = write_config(tmp_path, snapshot=snap)
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"code=2: cannot read snapshot {snap}: " in capsys.readouterr().err
+
+
+def report_config(tmp_path, command):
+    """A small config that the command runs through."""
+    if command == "simulate":
+        return scalar_run_config(tmp_path, n=64)
+    if command == "decompose":
+        grid = build_grid(-6.0, 6.0, 128)
+        snap = tmp_path / "state.dat"
+        save_snapshot(snap, SphereMap(h_profile(Mu(1.0, 0.0, 2), grid).h, 2), grid)
+        return write_config(tmp_path, snapshot=snap)
+    keys = dict(m=2, rho_min=-8.0, rho_max=10.0, n=256, family="log_drift", kappa=-0.3,
+                t_max=1e4, t_points=9)
+    if command == "sweep":
+        keys["sweep_kappa"] = "-0.3,0.3"
+    return write_config(tmp_path, **keys)
+
+
+REPORTS = {
+    "simulate": (
+        r"solver=scalar steps=\d+ records=6 iterations_per_step=\S+ "
+        r"max_step_iterations=\d+ factorizations_per_step=\S+",
+        ["series.csv", "snapshot_final.dat"],
+    ),
+    "decompose": (r"s=\S+ alpha=\S+ q_norm=\S+", ["decompose.csv"]),
+    "predict": (r"class=[A-Z]+ final_q_form=\S+", ["predict.csv"]),
+    "sweep": (r"2 rows", ["sweep.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORTS))
+def test_report_is_summary_then_written_paths(tmp_path, capsys, command):
+    """Without --quiet, main prints the command's summary line, then one
+    line per file written, in order; with --quiet it prints nothing and
+    writes the same files."""
+    cfg = report_config(tmp_path, command)
+    summary, names = REPORTS[command]
+    loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+    assert main([command, "--config", str(cfg), "--out", str(loud)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(f"{command}: {summary}", lines[0]), lines[0]
+    assert lines[1:] == [f"{command}: wrote {loud / name}" for name in names]
+    assert main([command, "--config", str(cfg), "--out", str(quiet), "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(path.name for path in quiet.iterdir()) == sorted(names)
 
 
 # ---------------------------------------------------------------------------

@@ -609,9 +609,9 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     monkeypatch.setattr(evolve_llg, "solve_banded", counted_solve)
     step = evolve_llg.step_scalar
 
-    def counted_step(beta, t, dt, work, config, seed=None):
+    def counted_step(beta, t, dt, work, seed=None):
         before = work.iterations, len(factors)
-        out = step(beta, t, dt, work, config, seed)
+        out = step(beta, t, dt, work, seed)
         per_step.append((work.iterations - before[0], len(factors) - before[1], seed is None))
         seeds.append((beta, dt, seed))
         return out
@@ -686,7 +686,7 @@ def test_non_finite_step_is_instability(grid, profile, solver):
         beta[300] = np.nan
         work = _ScalarWork(grid, 2, 1.0)
         with pytest.raises(InstabilityError, match="non-finite Newton residual"):
-            step_scalar(beta, 0.0, 0.01, work, cfg)
+            step_scalar(beta, 0.0, 0.01, work)
     assert work.iterations == work.factorizations == 0
 
 
@@ -844,8 +844,8 @@ def test_scalar_chord_matches_full_newton(grid, monkeypatch):
     beta0, cfg = _relaxation_run(grid)
     series = run_scalar(beta0, grid, 2, cfg, t_end=1e4)
 
-    def full_newton(beta, t, dt, work, config, seed=None):
-        return _full_newton_step_scalar(beta, dt, grid, 2, 1.0, config)[0]
+    def full_newton(beta, t, dt, work, seed=None):
+        return _full_newton_step_scalar(beta, dt, grid, 2, 1.0)[0]
 
     monkeypatch.setattr(evolve_llg, "step_scalar", full_newton)
     ref = run_scalar(beta0, grid, 2, cfg, t_end=1e4)
@@ -939,7 +939,7 @@ def _reference_newton_matrix(beta, dt, m, a1, scaled_d2, boundary, decay, u):
     return ab
 
 
-def _full_newton_step_scalar(beta, dt, grid, m, a1, config):
+def _full_newton_step_scalar(beta, dt, grid, m, a1):
     """The Crank-Nicolson step as the full Newton loop wrote it: seeded by
     beta, a fresh 7-diagonal band matrix at every iterate, built from
     banded_d2 here, scipy's solve_banded per iteration, and rhs evaluated
@@ -965,7 +965,7 @@ def _full_newton_step_scalar(beta, dt, grid, m, a1, config):
     raise StepError("reference Newton loop stalled")
 
 
-def _reference_step_scalar(beta, dt, grid, m, a1, config, seed=None):
+def _reference_step_scalar(beta, dt, grid, m, a1, seed=None):
     """The seeded chord iteration of step_scalar, written independently: a
     fresh 7-diagonal band from banded_d2, factored by dgbtrf and
     back-solved by dgbtrs at l = u = 7, from seed (beta when None), with
@@ -1029,8 +1029,8 @@ def test_scalar_step_matches_reference_bytes(grid):
                 seed = beta + (dt / dt_prev) * (beta - prev)
                 ref_seed = ref + (dt / dt_prev) * (ref - ref_prev)
             history = (beta, ref), dt
-            beta = step_scalar(beta, t, dt, work, cfg, seed)
-            ref, its, factors = _reference_step_scalar(ref, dt, grid, m, 1.0, cfg, ref_seed)
+            beta = step_scalar(beta, t, dt, work, seed)
+            ref, its, factors = _reference_step_scalar(ref, dt, grid, m, 1.0, ref_seed)
             ref_iters += its
             ref_factors += factors
             t += dt
@@ -1094,7 +1094,7 @@ def test_scalar_step_reports_singular_matrix(grid, monkeypatch):
     # an all-zero band: LAPACK finds a zero pivot and returns info > 0
     monkeypatch.setattr(work, "newton_matrix", lambda beta, dt: np.zeros_like(work.ab))
     with pytest.raises(StepError, match="singular"):
-        step_scalar(stationary_angle(0.0, grid, 2), 0.0, 0.01, work, FlowConfig(a=1.0))
+        step_scalar(stationary_angle(0.0, grid, 2), 0.0, 0.01, work)
 
 
 def test_run_scalar_rejects_non_finite_initial_angle(grid, monkeypatch):

@@ -15,6 +15,9 @@ one config schema, ExperimentConfig.
 The banded LU factorization and back-solve, LAPACK dgbtrf and dgbtrs, are
 each called from one function, so both implicit steppers share one chord
 iteration.
+
+Commands compute and the command line entry point reports: print is
+called only in cli_io.main.
 """
 
 import ast
@@ -159,3 +162,7 @@ def functions_referencing(src: Path, name: str) -> list[str]:
 def test_banded_lapack_calls_have_one_home():
     assert functions_referencing(SRC, "dgbtrf") == ["evolve_llg._chord"]
     assert functions_referencing(SRC, "dgbtrs") == ["evolve_llg.solve_banded"]
+
+
+def test_only_main_prints():
+    assert functions_referencing(SRC, "print") == ["cli_io.main"]
