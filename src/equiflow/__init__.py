@@ -28,7 +28,6 @@ The modules split the work as follows:
 """
 
 from .errors import (
-    BuilderError,
     ConfigError,
     FitError,
     GaugeError,
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BehaviorClass",
-    "BuilderError",
     "BumpProfile",
     "ConfigError",
     "FitError",

@@ -561,6 +561,10 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> tuple[str, list[Path]]:
         raise ConfigError("sweep needs a nonempty sweep_kappa list in the config")
     if cfg.family == "none":
         raise ConfigError("sweep needs a tail family other than 'none'")
+    if cfg.sweep_lam and cfg.family == "log_drift":
+        raise ConfigError(
+            "sweep_lam varies the tail frequency, which family 'log_drift' does not have"
+        )
     lams = cfg.sweep_lam if cfg.sweep_lam else (cfg.lam,)
     jobs = sorted((kappa, lam) for kappa in cfg.sweep_kappa for lam in lams)
     rows = [_sweep_row(cfg, kappa, lam) for kappa, lam in jobs]
@@ -612,6 +616,9 @@ def main(argv=None) -> int:
     """Command line entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out)
+    # the directories the mkdir below creates, deepest first; those still
+    # empty when main returns, as after a failed command, are removed
+    created = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:
         cfg = parse_config(_read_text(args.config, "config"))
         try:
@@ -628,6 +635,12 @@ def main(argv=None) -> int:
         kind = type(exc).__name__
         print(f"equiflow error [numerical:{kind}] code=3: {exc}", file=sys.stderr)
         return 3
+    finally:
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:
+                break
     if not args.quiet:
         print(f"{args.command}: {summary}")
         for path in paths:

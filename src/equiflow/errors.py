@@ -32,7 +32,3 @@ class FitError(NumericalError):
 
 class ReconstructionError(NumericalError):
     """Map reconstruction fixed point left the contraction regime."""
-
-
-class BuilderError(NumericalError):
-    """Initial data violates the requested energy budget."""

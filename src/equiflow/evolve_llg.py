@@ -65,7 +65,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-import warnings
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -95,10 +94,11 @@ class SphereMap:
         if int(self.m) < 1:
             raise ValueError(f"equivariance degree must be a positive integer, got {self.m}")
 
-    def check_unit(self, tol: float = 1e-8) -> None:
+    def check_unit(self) -> None:
+        """ValueError if a node is off the unit sphere by more than 1e-8."""
         err = float(np.max(np.abs(np.linalg.norm(self.v, axis=1) - 1.0)))
         # written so that a NaN error fails the check
-        if not err <= tol:
+        if not err <= 1e-8:
             raise ValueError(f"map leaves the unit sphere by {err:.3e}")
 
 
@@ -109,17 +109,15 @@ class FlowConfig:
     a is the flow coefficient, stored as complex: a = 1 is the heat flow,
     a = i the rotational flow, mixtures in between need Re a > 0. The step size is
     dt(t) = clip(ramp * t, dt0, dt_max); ramp = 0 keeps dt0 throughout.
-    delta, when set, declares the intended perturbation size: runs warn
-    if the initial energy exceeds the harmonic floor by more than
-    delta^2. The tolerances and caps of the chord iteration are module
-    constants, MIDPOINT_TOL, MIDPOINT_CAP, NEWTON_TOL and NEWTON_CAP.
+    These four fields are the whole schedule: the tolerances and caps of
+    the chord iteration are module constants, MIDPOINT_TOL, MIDPOINT_CAP,
+    NEWTON_TOL and NEWTON_CAP.
     """
 
     a: complex = 1.0 + 0.0j
     dt0: float = 1e-3
     dt_max: float = math.inf
     ramp: float = 0.0
-    delta: float | None = None
 
     def __post_init__(self):
         a = complex(self.a)
@@ -491,12 +489,8 @@ def _march(times: np.ndarray, t_end: float, config: FlowConfig, advance, record)
     return steps
 
 
-def _as_array(v0) -> np.ndarray:
-    return v0.v if isinstance(v0, SphereMap) else np.asarray(v0, dtype=float)
-
-
 def run_vector(
-    v0,
+    v0: np.ndarray,
     grid: RadialGrid,
     m: int,
     config: FlowConfig,
@@ -510,8 +504,8 @@ def run_vector(
     |v| = 1, removing the solver-tolerance drift, and raises
     InstabilityError if the map is not finite.
     """
-    v = grid.check_field(np.array(_as_array(v0), dtype=float))
-    SphereMap(v=v, m=m).check_unit(1e-8)
+    v = grid.check_field(np.array(v0, dtype=float))
+    SphereMap(v=v, m=m).check_unit()
     times = _record_schedule(t_end, record_times)
     work = _VectorWork(grid, m)
     snaps = np.empty((times.size, grid.n, 3))
@@ -549,15 +543,6 @@ def run_vector(
         dissipated[k] = spent
 
     record(0, 0.0)
-    e0 = energies[0]
-    floor = 4 * math.pi * m
-    if config.delta is not None and e0 > floor + config.delta**2 + 1e-9 * floor:
-        warnings.warn(
-            f"initial energy {e0:.6g} exceeds the harmonic floor {floor:.6g} "
-            f"by more than delta^2 = {config.delta**2:.3g}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     terms = _midpoint_terms(v, grid, m, config.a)
     rate_prev = dissipation_rate(v, grid, m, config.a, terms)
     steps = _march(times, t_end, config, advance, record)

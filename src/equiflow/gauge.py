@@ -312,7 +312,6 @@ def reconstruct_v(
     q: np.ndarray,
     phi: BumpProfile,
     grid: RadialGrid,
-    a: complex = 1.0 + 0.0j,
 ) -> tuple[SphereMap, GaugeState]:
     """Rebuild the map from profile parameters and the flat-frame field.
 
@@ -320,7 +319,8 @@ def reconstruct_v(
     map, transport the frame on it, rotate q into the profile frame, and
     invert the linearized radial operator on the window-free complement.
     The step is damped by half once z grows past 0.1 in sup norm, and
-    abandoned past 0.3.
+    abandoned past 0.3. The returned state holds the phase integral of
+    the heat flow, a = 1; qeq_rhs recomputes it for any other a.
     """
     if phi.m != mu.m:
         raise ConfigError("bump window and parameters disagree on the degree m")
@@ -356,4 +356,4 @@ def reconstruct_v(
         )
     _, terms = _residual_terms(z, prof)
     vmap = SphereMap(hmap + terms[0] + terms[1] + terms[2], m)
-    return vmap, hasimoto_forward(vmap, mu, grid, a=a)
+    return vmap, hasimoto_forward(vmap, mu, grid)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .radial_grid import RadialGrid, d2_rho, deriv_r, quad_dr, quad_rdr
+from .radial_grid import RadialGrid, cumint_dr, d2_rho, deriv_r, quad_rdr
 
 # cosh arguments beyond this overflow float64 (exp(710) > 1e308)
 _COSH_LIMIT = 690.0
@@ -146,14 +146,15 @@ def degree(v: np.ndarray, grid: RadialGrid, m: int, method: str = "boundary") ->
 
     boundary: (m/2) (v3(r_max) - v3(r_min)).
     integral: the same quantity from the bulk formula (m/2) int dv3/dr dr,
-    which is the equivariant reduction of the usual degree integral.
+    which is the equivariant reduction of the usual degree integral,
+    evaluated as the last entry of cumint_dr.
     """
     v = grid.check_field(v)
     if method == "boundary":
         return 0.5 * m * float(v[-1, 2] - v[0, 2])
     if method == "integral":
         v3r = deriv_r(v[:, 2], grid)
-        return 0.5 * m * float(quad_dr(v3r, grid))
+        return 0.5 * m * float(cumint_dr(v3r, grid)[-1])
     raise ValueError(f"unknown degree method {method!r}")
 
 

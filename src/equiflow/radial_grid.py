@@ -6,7 +6,9 @@ int f r dr are evaluated with product quadrature weights: on each cell
 through the six nearest nodes and integrated against r dr exactly, so the
 rule is exact for f = r^k, k = 0..5, and converges at high order for
 smooth decaying profiles. Radial inner products carry the planar factor:
-<f, g> = 2 pi int f conj(g) r dr.
+<f, g> = 2 pi int f conj(g) r dr. Integrals int f dr go through the
+per-cell rule cell_dr and its running sum cumint_dr; the total is the
+last entry of cumint_dr.
 
 Derivatives use 6th-order centered stencils in rho scaled by 1/r, with
 one-sided closures of matching order at the ends. The high order is not
@@ -51,8 +53,8 @@ def _cell_weights(offsets: np.ndarray) -> np.ndarray:
 _CUM_CELL = [_cell_weights(np.arange(-pos, 6 - pos)) for pos in range(5)]
 
 
-def _product_weights(r: np.ndarray, pow_r: int) -> np.ndarray:
-    """Per-node weights so that w @ f ~= int f r^pow_r dr over [r0, r_end]."""
+def _product_weights(r: np.ndarray) -> np.ndarray:
+    """Per-node weights so that w @ f ~= int f r dr over [r0, r_end]."""
     n = r.size
     k = _QUAD_DEGREE + 1
     i = np.arange(n - 1)
@@ -65,16 +67,11 @@ def _product_weights(r: np.ndarray, pow_r: int) -> np.ndarray:
     xa = (r[:-1] - c) / h
     xb = (r[1:] - c) / h
     jj = np.arange(k)[None, :]
-    # moments int x^j r^pow dr over the cell, with r = c + h x
-    if pow_r == 1:
-        mom = h[:, None] * (
-            c[:, None] * (xb[:, None] ** (jj + 1) - xa[:, None] ** (jj + 1)) / (jj + 1)
-            + h[:, None] * (xb[:, None] ** (jj + 2) - xa[:, None] ** (jj + 2)) / (jj + 2)
-        )
-    elif pow_r == 0:
-        mom = h[:, None] * (xb[:, None] ** (jj + 1) - xa[:, None] ** (jj + 1)) / (jj + 1)
-    else:
-        raise ValueError(f"unsupported radial weight power {pow_r}")
+    # moments int x^j r dr over the cell, with r = c + h x
+    mom = h[:, None] * (
+        c[:, None] * (xb[:, None] ** (jj + 1) - xa[:, None] ** (jj + 1)) / (jj + 1)
+        + h[:, None] * (xb[:, None] ** (jj + 2) - xa[:, None] ** (jj + 2)) / (jj + 2)
+    )
     vand = x[:, None, :] ** np.arange(k)[None, :, None]
     wk = np.linalg.solve(vand, mom[..., None])[..., 0]
     w = np.zeros(n)
@@ -84,9 +81,10 @@ def _product_weights(r: np.ndarray, pow_r: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform-in-log radial mesh with quadrature weights attached.
+    """Uniform-in-log radial mesh with its quadrature weights attached.
 
-    w_rdr integrates against r dr, w_dr against dr. Fields live on the
+    w_rdr, the one weight vector, integrates against r dr; integrals
+    against dr go through cell_dr and cumint_dr. Fields live on the
     nodes as plain numpy arrays of length n (last axis free for vector
     components).
     """
@@ -98,7 +96,6 @@ class RadialGrid:
     r: np.ndarray = field(repr=False)
     drho: float
     w_rdr: np.ndarray = field(repr=False)
-    w_dr: np.ndarray = field(repr=False)
 
     def check_field(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
@@ -124,7 +121,7 @@ def build_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
 def _shared_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
     rho = np.linspace(rho_min, rho_max, n)
     r = np.exp(rho)
-    arrays = {"rho": rho, "r": r, "w_rdr": _product_weights(r, 1), "w_dr": _product_weights(r, 0)}
+    arrays = {"rho": rho, "r": r, "w_rdr": _product_weights(r)}
     for arr in arrays.values():
         arr.flags.writeable = False
     return RadialGrid(
@@ -223,11 +220,6 @@ def quad_rdr(f: np.ndarray, grid: RadialGrid) -> complex | float:
     return grid.w_rdr @ f
 
 
-def quad_dr(f: np.ndarray, grid: RadialGrid) -> complex | float:
-    f = grid.check_field(f)
-    return grid.w_dr @ f
-
-
 def inner_product(f: np.ndarray, g: np.ndarray, grid: RadialGrid):
     """Planar inner product <f, g> = 2 pi int f conj(g) r dr.
 
@@ -267,25 +259,17 @@ def cumint_dr(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     return out
 
 
-def _block_index(grid: RadialGrid) -> np.ndarray:
-    return np.floor(np.log2(grid.r)).astype(int)
-
-
 def _l2x(mag2: np.ndarray, grid: RadialGrid) -> float:
     """sqrt(2 pi int mag2 r dr), the L2x norm from the squared modulus
     per node."""
     return math.sqrt(max(0.0, 2 * np.pi * float(grid.w_rdr @ mag2)))
 
 
-def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x", p=None, q=None):
+def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x"):
     """Norms of a radial field.
 
     kind = "L2x": sqrt(2 pi int |f|^2 r dr).
     kind = "X":   ||f/r||_L2x + ||df/dr||_L2x  (scale-invariant norm).
-    kind = "Lpq": dyadic decomposition over blocks r in [2^j, 2^(j+1));
-                  L^p(r dr) on each block, combined in little-l^q over j.
-                  Blocks are anchored at integer powers of 2; partial edge
-                  blocks are included.
     """
     f = grid.check_field(f)
     if kind == "L2x":
@@ -308,27 +292,6 @@ def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x", p=None, q=None):
                 stacklevel=2,
             )
         return _l2x(m1, grid) + _l2x(m2, grid)
-    if kind == "Lpq":
-        if p is None or q is None:
-            raise ValueError("Lpq norm needs p and q")
-        for name, val in (("p", p), ("q", q)):
-            if not (val == np.inf or (np.isreal(val) and 1 <= val)):
-                raise ValueError(f"{name} must lie in [1, inf], got {val}")
-        mag = np.sqrt(_per_node(np.abs(f) ** 2))
-        blocks = _block_index(grid)
-        vals = []
-        for j in range(blocks.min(), blocks.max() + 1):
-            sel = blocks == j
-            if not sel.any():
-                continue
-            if p == np.inf:
-                vals.append(float(mag[sel].max()))
-            else:
-                vals.append(float(2 * np.pi * (grid.w_rdr[sel] @ (mag[sel] ** p))) ** (1.0 / p))
-        vals = np.array(vals)
-        if q == np.inf:
-            return float(vals.max()) if vals.size else 0.0
-        return float((vals**q).sum() ** (1.0 / q))
     raise ValueError(f"unknown norm kind {kind!r}")
 
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
-from .errors import BuilderError, ConfigError, NumericalError
+from .errors import ConfigError, NumericalError
 from .evolve_llg import SphereMap, beta_to_map, map_to_beta, stationary_angle
 from .harmonic_family import energy
 from .modulation import bump_phi, fit_mu
@@ -151,14 +151,11 @@ def build_initial_data(
     fam: TailFamily,
     grid: RadialGrid,
     m: int = 2,
-    delta: float | None = None,
     cut_width: float = 1.0,
 ) -> tuple[SphereMap, float]:
     """Great-circle initial data with the prescribed far-field tail.
 
-    Returns the map and its energy excess over the harmonic floor.  When
-    delta is given, an excess beyond delta**2 is rejected: the tail
-    amplitude is too large for the perturbative regime.
+    Returns the map and its energy excess over the harmonic floor.
     """
     if fam.family != "none" and grid.r[-1] < _LNLN_HEADROOM * fam.r1:
         raise ConfigError(
@@ -170,11 +167,6 @@ def build_initial_data(
     )
     v = beta_to_map(beta)
     excess = energy(v, grid, m) - 4.0 * math.pi * m
-    if delta is not None and excess > delta**2:
-        raise BuilderError(
-            f"tail energy excess {excess:.4g} exceeds the budget "
-            f"delta^2 = {delta**2:.4g}; reduce the amplitude"
-        )
     return SphereMap(v=v, m=m, beta=beta), float(excess)
 
 

@@ -258,9 +258,7 @@ def test_criterion_4_dissipation_and_conservation_bookkeeping():
     v0 = prof.h + (amp * shape)[:, None] * prof.f.real
     v0 /= np.linalg.norm(v0, axis=1, keepdims=True)
     assert energy(v0, g, 3) - 12.0 * math.pi <= delta**2
-    series = run_vector(
-        v0, g, 3, FlowConfig(a=1j, dt0=0.01, delta=delta), 5.0, [0.0, 2.5, 5.0]
-    )
+    series = run_vector(v0, g, 3, FlowConfig(a=1j, dt0=0.01), 5.0, [0.0, 2.5, 5.0])
     assert energy_identity_residual(series) <= 1e-6
     qn = [
         norm(hasimoto_forward(series.map_at(k), mu0, g, a=1j).q, g, kind="L2x")

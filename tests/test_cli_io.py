@@ -418,6 +418,20 @@ def test_predict_beyond_horizon_is_numerical_failure(tmp_path, capsys):
     assert "code=3" in err and "largest usable" in err
 
 
+def test_predict_on_few_times_is_undetermined(tmp_path, capsys):
+    """Fewer than 8 prediction times are too few to classify."""
+    cfg = write_config(
+        tmp_path, m=2, rho_min=-8.0, rho_max=10.0, n=256, family="log_drift", kappa=-0.3,
+        t_max=1e4, t_points=5,
+    )
+    out = tmp_path / "out"
+    assert main(["predict", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("predict: class=UNDETERMINED ")
+    comments, _, data = read_csv(out / "predict.csv")
+    assert "# predicted class of the q form = UNDETERMINED" in comments
+    assert data.shape == (5, 3)
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = write_config(tmp_path, a_re=-1.0)
     assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
@@ -505,6 +519,31 @@ def test_bad_out_directory_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"code=2: cannot create output directory {out}: " in err
         assert "Traceback" not in err
+
+
+FAILING = {
+    "decompose": (dict(m=2), 2),
+    "sweep": (dict(m=2, family="log_drift", kappa=0.3), 2),
+    "predict": (dict(m=2, n=256, family="none", t_max=1e8, t_points=9), 3),
+}
+
+
+@pytest.mark.parametrize("command", list(FAILING))
+def test_failed_command_leaves_no_directory_behind(tmp_path, capsys, command):
+    """A command that fails, decompose without a snapshot, sweep without
+    sweep_kappa or predict beyond the grid, removes the --out directories
+    main created for it, and keeps an --out that already existed."""
+    keys, code = FAILING[command]
+    cfg = write_config(tmp_path, **keys)
+    new = tmp_path / "newdir"
+    assert main([command, "--config", str(cfg), "--out", str(new / "deep")]) == code
+    assert not new.exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for out in (existing, existing / "deep"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == code
+    assert existing.is_dir() and not any(existing.iterdir())
+    assert f"code={code}" in capsys.readouterr().err
 
 
 def test_non_utf8_input_is_config_error(tmp_path, capsys):
@@ -646,8 +685,22 @@ def test_sweep_two_parameter_grid_sorted_and_order_free(tmp_path):
     np.testing.assert_array_equal(cols["lam"], np.tile([1.0, 2.0], 4))
 
 
-def test_sweep_validation(tmp_path):
+def test_sweep_validation(tmp_path, capsys, monkeypatch):
+    """A sweep without sweep_kappa, on the family none, or with a
+    sweep_lam list on log_drift, which has no frequency, exits 2 before
+    any initial data is built."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("initial data built for a rejected sweep")
+
+    monkeypatch.setattr(cli_io, "build_initial_data", no_build)
     no_list = sweep_config(tmp_path, name="a.cfg", sweep_kappa="")
     assert main(["sweep", "--config", str(no_list), "--out", str(tmp_path / "o")]) == 2
     bare = sweep_config(tmp_path, name="b.cfg", family="none")
     assert main(["sweep", "--config", str(bare), "--out", str(tmp_path / "o")]) == 2
+    capsys.readouterr()
+    no_lam = sweep_config(tmp_path, name="c.cfg", sweep_kappa="0.3", sweep_lam="1.0,2.0")
+    assert main(["sweep", "--config", str(no_lam), "--out", str(tmp_path / "o")]) == 2
+    assert "code=2: sweep_lam varies the tail frequency, which family 'log_drift'" in (
+        capsys.readouterr().err
+    )

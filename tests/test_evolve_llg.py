@@ -1,8 +1,8 @@
 """Solver checks: exact invariants of the midpoint vector scheme, the
 energy identity bookkeeping, and the scalar great-circle reduction."""
 
+import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +93,12 @@ def test_flow_config_validation():
     assert cfg.dt_at(0.0) == 0.01
     assert cfg.dt_at(1.0) == 0.05
     assert cfg.dt_at(1e9) == 500.0
+
+
+def test_flow_config_is_the_run_schedule():
+    """FlowConfig holds the flow coefficient and the step schedule and
+    nothing else: tolerances and caps are module constants."""
+    assert tuple(f.name for f in dataclasses.fields(FlowConfig)) == ("a", "dt0", "dt_max", "ramp")
 
 
 def test_harmonic_profile_is_near_stationary(grid, profile):
@@ -194,17 +200,6 @@ def test_scale_covariance(wide_grid):
     )
     diff = moved.v[-1][3 + j : -8] - plain.v[-1][3 : -8 - j]
     assert np.max(np.abs(diff)) < 1e-9
-
-
-def test_energy_budget_warning(grid, profile):
-    bump = 0.2 * np.exp(-(((grid.rho - 0.5) / 0.6) ** 2))
-    v0 = profile.h + bump[:, None] * profile.f.real
-    v0 /= np.linalg.norm(v0, axis=1, keepdims=True)
-    with pytest.warns(RuntimeWarning, match="harmonic floor"):
-        run_vector(v0, grid, 3, FlowConfig(a=1.0, dt0=0.02, delta=0.01), t_end=0.02)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        run_vector(v0, grid, 3, FlowConfig(a=1.0, dt0=0.02, delta=1.0), t_end=0.02)
 
 
 def test_outer_iteration_stall_raises(grid, perturbed, monkeypatch):

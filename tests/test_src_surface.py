@@ -18,6 +18,8 @@ iteration.
 
 Commands compute and the command line entry point reports: print is
 called only in cli_io.main.
+
+Every exception class of errors.py is raised somewhere in the package.
 """
 
 import ast
@@ -166,3 +168,25 @@ def test_banded_lapack_calls_have_one_home():
 
 def test_only_main_prints():
     assert functions_referencing(SRC, "print") == ["cli_io.main"]
+
+
+def unraised_exceptions(src: Path) -> list[str]:
+    """The classes defined in src/errors.py that no raise statement under
+    src names, as `raise Name` or `raise Name(...)`."""
+    defined = [
+        node.name
+        for node in ast.parse((src / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    ]
+    raised = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [name for name in defined if name not in raised]
+
+
+def test_every_error_class_is_raised():
+    assert unraised_exceptions(SRC) == []
