@@ -42,13 +42,20 @@ and one chord iteration, _chord, for the implicit equation of a step:
   it by (dt/2) a1 into the array and adds the cos(2 beta) diagonal.
 
 The chord iteration (Kelley, Iterative Methods for Linear and Nonlinear
-Equations, 1995, ch. 5) factors the step's band matrix with dgbtrf once,
-does one dgbtrs back-solve per iteration, and re-factors at the current
-iterate only when an update has not shrunk to CHORD_CONTRACTION of the one
-before. It stops once the largest update is below MIDPOINT_TOL (vector)
-or NEWTON_TOL (scalar) and fails after MIDPOINT_CAP or NEWTON_CAP
-iterations. The matrix only steers the iteration; the residual alone
-fixes the result.
+Equations, 1995, ch. 5) factors a band matrix with dgbtrf, does one
+dgbtrs back-solve per iteration, and re-factors at the current iterate
+only when an update has not shrunk to CHORD_CONTRACTION of the one before.
+It stops once the largest update is below MIDPOINT_TOL (vector) or
+NEWTON_TOL (scalar) and fails after MIDPOINT_CAP or NEWTON_CAP
+iterations. The scalar stepper factors at the start of every step. The
+vector stepper holds its LU across steps (Hairer and Wanner, Solving ODEs
+II, sec. IV.8): a step starts from the factorization the step before left
+unless dt has moved by more than CHORD_DT_DRIFT of the dt it was made at,
+and re-factors under the same contraction rule. Near a harmonic map, where the Jacobian barely
+moves, a run at one dt then factors a few times in all; a step cut short
+to meet a record time factors at its own dt, and the step after it at
+the full dt again. A step that fails drops the held LU. The matrix only
+steers the iteration; the residual alone fixes the result.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -145,8 +152,10 @@ class RunSeries:
     book dissipated as its exact decrement. iterations is the total
     number of chord iterations, one back-solve each, on either path;
     max_step_iterations is the most of them taken in any single step.
-    factorizations counts the banded LU factorizations, one per step
-    plus the re-factors of the chord iteration.
+    factorizations counts the banded LU factorizations: on the scalar
+    path one per step plus the re-factors of the chord iteration, on the
+    vector path, which holds its LU across steps, one at the first step
+    plus the re-factors.
     """
 
     t: np.ndarray
@@ -206,6 +215,10 @@ def scheme_energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
 # this fraction of the one before, and re-factors at the current iterate
 # otherwise
 CHORD_CONTRACTION = 1e-2
+# a held factorization starts a step whose dt is within this fraction of the
+# dt it was made at; the clip of a step to a record time moves dt by
+# roundoff, which must not count
+CHORD_DT_DRIFT = 1e-2
 # the largest update at which the chord iteration of a step stops, and the
 # most iterations it may take, for the vector (midpoint) and the scalar
 # (Newton) stepper
@@ -214,13 +227,18 @@ NEWTON_TOL, NEWTON_CAP = 1e-10, 12
 
 
 class _ChordCounters:
-    """The counters _chord advances on the work object of a run: chord
-    iterations in all, the most taken in one step, and the band matrices
-    factored."""
+    """The chord state _chord keeps on the work object of a run: the
+    counters (chord iterations in all, the most taken in one step, the
+    band matrices factored) and, when HOLD_LU is true, the LU factors lu
+    and piv of the last factorization and the dt lu_dt it was made at, for
+    the next call to start from. lu is None while no LU is held."""
 
+    HOLD_LU = False
     iterations = 0
     max_step_iterations = 0
     factorizations = 0
+    lu = piv = None
+    lu_dt = math.nan
 
 
 def _chord(
@@ -230,21 +248,30 @@ def _chord(
 
     evaluate(x, factor) returns G(x), flat, and when factor is true the
     band array, in gbtrf storage with u sub- and super-diagonals, of a
-    matrix close to G'(x), else None. The matrix is factored with dgbtrf
-    at the first iterate and again at any iterate whose update has not
-    shrunk to CHORD_CONTRACTION of the one before; each iteration is one
-    solve_banded back-solve, x <- x - G'^{-1} G(x), until the largest
-    update falls below tol. Convergence is measured on the update: the raw
-    residual sits on a roundoff floor amplified by e^{-2 rho} near the
-    inner boundary, which the solve removes. A non-finite residual raises
-    InstabilityError before any solve; a non-finite update ends the
-    iteration, for the finiteness check of step_scalar or run_vector. A
-    singular matrix, or
-    cap iterations without convergence, raises StepError naming the
-    iteration by what; cap iterations whose last update is larger than the
-    first are reported as diverged, otherwise as stalled.
+    matrix close to G'(x), else None. The iteration starts from the LU
+    that work holds, if it holds one made at a dt within CHORD_DT_DRIFT of
+    dt; else the matrix is factored with dgbtrf at the first iterate. It is
+    factored again at any iterate whose update has not shrunk to
+    CHORD_CONTRACTION of the one before, so a held LU whose updates grow is
+    replaced before the iteration can report a divergence. Each iteration
+    is one solve_banded back-solve, x <- x - G'^{-1} G(x), until the
+    largest update falls below tol. Convergence is measured on the update:
+    the raw residual sits on a roundoff floor amplified by e^{-2 rho} near
+    the inner boundary, which the solve removes. A call that returns
+    leaves its LU on work when work.HOLD_LU is true; an exception leaves
+    none, as the band array may already hold a new assembly. A non-finite
+    residual raises InstabilityError before any solve; a non-finite update
+    ends the iteration, for the finiteness check of step_scalar or
+    run_vector. A singular matrix, or cap iterations without convergence,
+    raises StepError naming the iteration by what; cap iterations whose
+    last update is larger than the first are reported as diverged,
+    otherwise as stalled.
     """
-    factor, delta = True, math.inf
+    lu, piv, lu_dt = work.lu, work.piv, work.lu_dt
+    # the call takes the held LU; only a call that returns gives one back
+    work.lu = None
+    factor = lu is None or abs(dt - lu_dt) > CHORD_DT_DRIFT * lu_dt
+    delta = math.inf
     for count in range(1, cap + 1):
         resid, ab = evaluate(x, factor)
         if not np.isfinite(resid).all():
@@ -253,6 +280,7 @@ def _chord(
             lu, piv, info = dgbtrf(ab, u, u, overwrite_ab=True)
             if info != 0:
                 raise StepError(f"{what} matrix is singular at t={t:.6g}, dt={dt:.3g}")
+            lu_dt = dt
             work.factorizations += 1
         step = solve_banded(lu, piv, resid, u)
         work.iterations += 1
@@ -273,6 +301,8 @@ def _chord(
             "reduce the step size"
         )
     work.max_step_iterations = max(work.max_step_iterations, count)
+    if work.HOLD_LU:
+        work.lu, work.piv, work.lu_dt = lu, piv, lu_dt
     return x
 
 
@@ -286,23 +316,27 @@ def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.n
 
 
 class _VectorWork(_ChordCounters):
-    """The midpoint band matrix of one grid, in LAPACK gbtrf storage.
+    """The midpoint band matrix of one grid, in LAPACK gbtrf storage, and
+    the chord state of a vector run, which holds its LU across steps.
 
-    Entry (r, c) of the 3n x 3n matrix sits at row 2 BAND + r - c of a
-    (3 BAND + 1)-row band array; the top BAND rows are left spare for the
-    fill-in of the factorization. The matrix is I - (dt/2) (P_a L + D), L
-    the operator of laplace_operator and D block diagonal, with identity
-    rows pinning the boundary nodes. Column 3 k + be holds the entries of
-    rows 3 (k + d) + al, d = -3..3 and al = 0..2, as 21 consecutive band
-    rows. __init__ stores their stencil weights in that layout, indexed
-    [be, k, 3 (d + 3) + al] and zero on pinned rows, and assemble writes
-    the product with the P_a blocks through one strided view of the
-    Fortran-ordered array, reading the blocks through a matching strided
-    view of a zero-padded copy; the D blocks go to the d = 0 slots 9..11
-    of the same view in one more write.
+    Entry (r, c) of the 3n x 3n matrix sits at row 2 BAND + r - c of the
+    Fortran-ordered (3 BAND + 1)-row band array ab, allocated once; the
+    top BAND rows are left spare for the fill-in of the factorization. The
+    matrix is I - (dt/2) (P_a L + D), L the operator of laplace_operator
+    and D block diagonal, with identity rows pinning the boundary nodes.
+    Column 3 k + be holds the entries of rows 3 (k + d) + al, d = -3..3 and
+    al = 0..2, as 21 consecutive band rows. __init__ stores their stencil
+    weights in that layout, indexed [be, k, 3 (d + 3) + al] and zero on
+    pinned rows, and assemble zeroes ab and writes the product with the
+    P_a blocks through one strided view of it, reading the blocks through a
+    matching strided view of a zero-padded copy; the D blocks go to the
+    d = 0 slots 9..11 of the same view in one more write. dgbtrf factors ab
+    in place, so the LU a run holds is ab itself, and the next assembly
+    drops it.
     """
 
     BAND = 11
+    HOLD_LU = True
 
     def __init__(self, grid: RadialGrid, m: int):
         n = grid.n
@@ -322,15 +356,19 @@ class _VectorWork(_ChordCounters):
         ).reshape(3, n, 21)
         # (dt/2) P_a blocks as [be, 3 + node, al], zero off the evolving nodes
         self._half_pa = np.zeros((3, n + 6, 3))
+        self.ab = np.zeros((3 * self.BAND + 1, 3 * n), order="F")
 
     def assemble(self, pa: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
         """The band array of I - (dt/2) (Pa L + D) for the per-node blocks
         pa and the block diagonal D of the blocks deriv, both indexed
-        [node, row, column]."""
+        [node, row, column], written into ab and returned."""
         U = self.BAND
         n = self.grid.n
         ld = 3 * U + 1
-        ab = np.zeros((ld, 3 * n), order="F")
+        ab = self.ab
+        # the strided write skips the spare rows and the slots outside
+        # each column's 21 rows, which a factorization has filled
+        ab.fill(0.0)
         half = self._half_pa
         half[:, 3 + N_PIN : n + 3 - N_PIN] = 0.5 * dt * pa.transpose(2, 0, 1)[:, N_PIN:-N_PIN]
         # slot [be, k, s] of row 3 k + s - 9 in column 3 k + be: band row
@@ -426,9 +464,11 @@ def step_vector(
     at w = L x, to MIDPOINT_TOL in at most MIDPOINT_CAP iterations. The
     pinned rows of F' are identity rows and F vanishes on them, so the
     pinned nodes stay put. The update is tangent at the midpoint, so the
-    new map keeps |v| = 1 to solver tolerance by the scheme alone. terms,
-    when given, are the _midpoint_terms of v, which the step then does not
-    recompute.
+    new map keeps |v| = 1 to solver tolerance by the scheme alone. The
+    chord matrix is factored where _chord calls for it; otherwise the step
+    starts from the LU that work holds from the step before. A step without
+    work builds its own and factors at x = v. terms, when given, are the
+    _midpoint_terms of v, which the step then does not recompute.
     """
     if work is None:
         work = _VectorWork(grid, m)
@@ -605,7 +645,8 @@ class _ScalarWork(_ChordCounters):
     neg_d2, with rows 0 and n - 1 left zero: the Newton matrix holds
     Dirichlet identity rows there. Each Newton matrix is (dt/2) a1 neg_d2,
     written straight into ab, plus its diagonal 1 - (dt/2) a1 e^{-2 rho}
-    m^2 cos(2 beta).
+    m^2 cos(2 beta). Every step factors afresh at its seed: an LU held
+    across steps made the ramped runs slower, as dt moves every step.
     """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):

@@ -364,14 +364,17 @@ def test_simulate_diverging_chord_iteration_says_diverged(tmp_path, capsys, monk
 
 def test_simulate_stiff_vector_config_runs_through(tmp_path, capsys):
     """The stiff config at n = 1024 and dt0 = 1e-3, which diverged under a
-    chord iteration that never re-factors, runs through: the iteration
-    re-factors about once a step, at no more than 5 iterations a step."""
+    chord iteration that never re-factors, runs through at no more than 5
+    iterations a step. The LU is held across steps, so the iteration
+    factors little more than once a step: the re-factor that a poorly
+    contracting update calls for replaces the factorization at the start
+    of the next step."""
     cfg = stiff_config(tmp_path, 1024, 1e-3)
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     report = capsys.readouterr().out.splitlines()[0].split()
     stats = dict(item.split("=") for item in report[1:])
     assert int(stats["max_step_iterations"]) <= 5
-    assert 1.0 < float(stats["factorizations_per_step"]) <= 2.0
+    assert 1.0 < float(stats["factorizations_per_step"]) <= 1.2
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +642,7 @@ def test_decompose_requires_snapshot(tmp_path, capsys):
 
 
 def sweep_config(tmp_path, **extra):
+    """A log_drift sweep config; a key given as None is left out."""
     keys = dict(
         m=2,
         rho_min=-8.0,
@@ -651,7 +655,7 @@ def sweep_config(tmp_path, **extra):
         t_points=21,
     )
     keys.update(extra)
-    return write_config(tmp_path, **keys)
+    return write_config(tmp_path, **{k: v for k, v in keys.items() if v is not None})
 
 
 def test_sweep_rows_sorted_with_oracle_signs(tmp_path):
@@ -686,16 +690,23 @@ def test_sweep_two_parameter_grid_sorted_and_order_free(tmp_path):
 
 
 def test_sweep_validation(tmp_path, capsys, monkeypatch):
-    """A sweep without sweep_kappa, on the family none, or with a
-    sweep_lam list on log_drift, which has no frequency, exits 2 before
-    any initial data is built."""
+    """A sweep without sweep_kappa, with an empty sweep_kappa, on the
+    family none, or with a sweep_lam list on log_drift, which has no
+    frequency, exits 2 before any initial data is built. A missing list is
+    caught by cmd_sweep, an empty value already by parse_config."""
 
     def no_build(*args, **kwargs):
         raise AssertionError("initial data built for a rejected sweep")
 
     monkeypatch.setattr(cli_io, "build_initial_data", no_build)
-    no_list = sweep_config(tmp_path, name="a.cfg", sweep_kappa="")
+    no_list = sweep_config(tmp_path, name="a.cfg", sweep_kappa=None)
     assert main(["sweep", "--config", str(no_list), "--out", str(tmp_path / "o")]) == 2
+    assert "code=2: sweep needs a nonempty sweep_kappa list in the config" in (
+        capsys.readouterr().err
+    )
+    empty = sweep_config(tmp_path, name="e.cfg", sweep_kappa="")
+    assert main(["sweep", "--config", str(empty), "--out", str(tmp_path / "o")]) == 2
+    assert "empty value for key 'sweep_kappa'" in capsys.readouterr().err
     bare = sweep_config(tmp_path, name="b.cfg", family="none")
     assert main(["sweep", "--config", str(bare), "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()

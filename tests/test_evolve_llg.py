@@ -417,31 +417,42 @@ def assemble_scatter(grid, m, pa, dt, deriv):
 @pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j])
 def test_assemble_strided_write_matches_scatter_bytes(grid, perturbed, a):
     """The strided write reproduces the scatter byte for byte, spare rows
-    and signed zeros included, also on a work object used before."""
+    and signed zeros included, also on a work object used before. Every
+    call writes the one band array of the work object, and dgbtrf
+    factors it in place; the zeroing in assemble clears every slot the
+    factorization filled and the strided write skips."""
     work = _VectorWork(grid, 3)
     pa = pa_blocks(perturbed, complex(a))
     lap = laplace_operator(perturbed, grid, 3)
     deriv = derivative_blocks(perturbed, lap, complex(a))
     flipped = derivative_blocks(perturbed[::-1].copy(), lap[::-1].copy(), complex(a))
+    U = _VectorWork.BAND
     for dt, blocks, d in ((0.01, pa, deriv), (0.3, pa[::-1].copy(), flipped), (0.01, pa, deriv)):
         ab = work.assemble(blocks, d, dt)
         ref = assemble_scatter(grid, 3, blocks, dt, d)
+        assert ab is work.ab
         assert ab.flags.f_contiguous and ab.shape == ref.shape
         assert ab.tobytes(order="F") == ref.tobytes(order="F")
+        lu, _, info = dgbtrf(ab, U, U, overwrite_ab=True)
+        assert info == 0 and lu is ab and lu.tobytes() != ref.tobytes()
 
 
-def _reference_step_vector(v, dt, grid, m, config):
+def _reference_step_vector(v, dt, grid, m, config, held=None):
     """The midpoint step written out apart from step_vector: the scatter
     band with the loop-built derivative blocks, and L x, x/|x| and
     P_a L x evaluated afresh in every iteration, under the same re-factor
-    rule. Returns the new map, the iteration count and the factorization
-    count."""
+    rule. The step starts from held, the (lu, piv, dt) of an earlier
+    factorization, unless held is None or its dt is more than
+    CHORD_DT_DRIFT off. Returns the new map, the iteration count, the
+    factorization count and the (lu, piv, dt) the step leaves held."""
     U = _VectorWork.BAND
 
     def unit(x):
         return x / np.linalg.norm(x, axis=1, keepdims=True)
 
-    vmid, factors, refactor, before = v, 0, True, math.inf
+    lu, piv, lu_dt = (None, None, math.nan) if held is None else held
+    refactor = held is None or abs(dt - lu_dt) > evolve_llg.CHORD_DT_DRIFT * lu_dt
+    vmid, factors, before = v, 0, math.inf
     for count in range(1, evolve_llg.MIDPOINT_CAP + 1):
         lap = laplace_operator(vmid, grid, m)
         if refactor:
@@ -449,6 +460,7 @@ def _reference_step_vector(v, dt, grid, m, config):
             band = assemble_scatter(grid, m, pa, dt, derivative_blocks(vmid, lap, config.a))
             lu, piv, info = dgbtrf(band, U, U, overwrite_ab=True)
             assert info == 0
+            lu_dt = dt
             factors += 1
         resid = vmid - v - 0.5 * dt * pa_apply(unit(vmid), lap, config.a)
         update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
@@ -460,19 +472,20 @@ def _reference_step_vector(v, dt, grid, m, config):
     else:
         raise StepError("reference chord iteration stalled")
     v_new = 2.0 * vmid - v
-    return v_new / np.linalg.norm(v_new, axis=1, keepdims=True), count, factors
+    return v_new / np.linalg.norm(v_new, axis=1, keepdims=True), count, factors, (lu, piv, lu_dt)
 
 
 def _reference_run_vector(v, dt, steps, grid, config):
-    """run_vector by the reference step, recomputing the step-start terms in
+    """run_vector by the reference step, each step starting from the LU
+    the step before left, recomputing the step-start terms in
     dissipation_rate, with a record every 5 steps. Returns the snapshots,
     energies, dissipated energies and the iteration and factorization
     counts."""
-    spent, iterations, factors = 0.0, 0, 0
+    spent, iterations, factors, held = 0.0, 0, 0, None
     snaps, energies, dissipated = [v], [scheme_energy(v, grid, 3)], [0.0]
     rate_prev = dissipation_rate(v, grid, 3, config.a)
     for k in range(1, steps + 1):
-        v, count, refactors = _reference_step_vector(v, dt, grid, 3, config)
+        v, count, refactors, held = _reference_step_vector(v, dt, grid, 3, config, held)
         iterations += count
         factors += refactors
         rate_now = dissipation_rate(v, grid, 3, config.a)
@@ -489,7 +502,9 @@ def _reference_run_vector(v, dt, steps, grid, config):
 def test_run_vector_matches_reference_loop_bytes(grid, perturbed, a):
     """20 steps of run_vector reproduce, byte for byte, a run loop whose
     step builds its band and derivative blocks apart from step_vector and
-    recomputes the step-start terms in the step and in dissipation_rate."""
+    recomputes the step-start terms in the step and in dissipation_rate.
+    Both hold their LU across steps, so they factor fewer times than they
+    step."""
     dt = 2.0**-7  # a power of two, so that the step times add up exactly
     cfg = FlowConfig(a=a, dt0=dt)
     marks = [5 * k * dt for k in range(1, 5)]
@@ -502,7 +517,7 @@ def test_run_vector_matches_reference_loop_bytes(grid, perturbed, a):
     assert series.energy.tobytes() == energies.tobytes()
     assert series.dissipated.tobytes() == dissipated.tobytes()
     assert series.iterations == iterations
-    assert series.factorizations == factors == 20
+    assert series.factorizations == factors < series.steps
 
 
 def test_run_vector_refactoring_matches_reference_bytes(grid, perturbed, monkeypatch):
@@ -529,9 +544,10 @@ def test_run_vector_refactoring_matches_reference_bytes(grid, perturbed, monkeyp
 def test_heat_vector_run_keeps_chord_margin(a):
     """On data like the heat_vector benchmark's (m = 3, a perturbed h[mu],
     rho in [-6, 10], n = 1024, dt0 = 2e-3, t_end = 0.2, 11 records) the
-    Newton-chord iteration takes at most 4 iterations in any step and
-    factors once a step. A chord matrix without the derivative blocks
-    takes 6 in every step."""
+    Newton-chord iteration takes at most 4 iterations in any step, and
+    with the LU held across steps it factors at most once every two steps
+    on average. A chord matrix without the derivative blocks takes 6
+    iterations in every step."""
     grid = build_grid(-6.0, 10.0, 1024)
     prof = h_profile(Mu(s=1.1, alpha=0.4, m=3), grid)
     v = prof.h.copy()
@@ -542,7 +558,7 @@ def test_heat_vector_run_keeps_chord_margin(a):
     series = run_vector(v, grid, 3, cfg, t_end=0.2, record_times=np.linspace(0.0, 0.2, 11))
     assert series.steps == 100
     assert series.max_step_iterations <= 4
-    assert series.factorizations == series.steps
+    assert series.factorizations <= 0.5 * series.steps
 
 
 def _count_calls(monkeypatch, owner, name, log):
@@ -558,9 +574,10 @@ def _count_calls(monkeypatch, owner, name, log):
 
 def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
     """The layers the benchmark traces stay on the vector hot path: one
-    band assembly per factorization, at least one per step, and one d2_rho
-    per chord iteration plus one for the terms at the initial map;
-    max_step_iterations is the most chord iterations of one step."""
+    band assembly per factorization, at least one in the run, as the LU is
+    held across steps, and one d2_rho per chord iteration plus one for the
+    terms at the initial map; max_step_iterations is the most chord
+    iterations of one step."""
     assembles, factors, d2_calls, per_step = [], [], [], []
     _count_calls(monkeypatch, _VectorWork, "assemble", assembles)
     _count_calls(monkeypatch, evolve_llg, "dgbtrf", factors)
@@ -577,7 +594,7 @@ def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
     monkeypatch.setattr(evolve_llg, "step_vector", counted_step)
     series = run_vector(perturbed, grid, 3, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
     assert series.steps == len(per_step) > 0
-    assert series.factorizations == len(factors) == len(assembles) >= series.steps
+    assert 1 <= series.factorizations == len(factors) == len(assembles)
     assert series.iterations == sum(per_step)
     assert len(d2_calls) == series.iterations + 1
     assert series.max_step_iterations == max(per_step) > 1
@@ -761,6 +778,119 @@ def test_chord_zero_band_is_singular():
     with pytest.raises(StepError, match="^toy matrix is singular at t=0.5, dt=0.25"):
         evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
     assert (work.iterations, work.factorizations, work.max_step_iterations) == (0, 0, 0)
+
+
+class _HeldChord(evolve_llg._ChordCounters):
+    """A chord state that holds its LU across calls, as _VectorWork does."""
+
+    HOLD_LU = True
+
+
+def _hold_lu(work, diagonal, dt):
+    """Put the LU of diagonal times I, in the toy's band storage, on work
+    as if a call at dt had factored it."""
+    ab = np.zeros((4, 6), order="F")
+    ab[2] = diagonal
+    work.lu, work.piv, _ = dgbtrf(ab, 1, 1, overwrite_ab=True)
+    work.lu_dt = dt
+
+
+DRIFT = evolve_llg.CHORD_DT_DRIFT
+
+
+@pytest.mark.parametrize(
+    "dt, factors",
+    [
+        (0.25, 0),
+        (np.nextafter(0.25, 0.0), 0),
+        (np.nextafter(0.25, 1.0), 0),
+        (0.25 * (1.0 + 0.5 * DRIFT), 0),
+        (0.25 * (1.0 - 0.5 * DRIFT), 0),
+        (0.25 * (1.0 + 2.0 * DRIFT), 1),
+        (0.25 * (1.0 - 2.0 * DRIFT), 1),
+    ],
+    ids=[
+        "same", "ulp_below", "ulp_above", "half_drift_up", "half_drift_down", "drift_up",
+        "drift_down",
+    ],
+)
+def test_chord_reuses_the_held_lu_unless_dt_drifts(dt, factors):
+    """A second call reuses the LU the first left when its dt is within
+    CHORD_DT_DRIFT of the LU's: a roundoff-sized change, such as the clip
+    of a step to a record time that dt divides, does not count. A larger
+    change factors at the first iterate and holds the new LU at the new
+    dt."""
+    c, evaluate = _toy_problem()
+    work = _HeldChord()
+    evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.0, 0.25)
+    assert work.factorizations == 1 and work.lu_dt == 0.25
+    x = evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.25, dt)
+    assert np.array_equal(x, c)
+    assert (work.iterations, work.factorizations) == (4, 1 + factors)
+    assert work.lu is not None and work.lu_dt == (dt if factors else 0.25)
+
+
+def test_chord_held_lu_with_growing_updates_refactors_at_the_current_iterate():
+    """A held LU a quarter of the Jacobian triples the error: updates 4
+    and 12 grow, where a fresh iteration would report a divergence. The
+    second update re-factors at the current iterate, -8 c, with the exact
+    Jacobian, whose update 9 lands on c; that update has not shrunk to
+    CHORD_CONTRACTION of 12 either, so c is factored too before the zero
+    update that converges."""
+    c, evaluate = _toy_problem()
+    calls = []
+
+    def spy(x, factor):
+        calls.append((x.copy(), factor))
+        return evaluate(x, factor)
+
+    work = _HeldChord()
+    _hold_lu(work, 0.25, 0.25)
+    x = evolve_llg._chord(np.zeros(6), spy, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
+    assert np.array_equal(x, c)
+    assert [factor for _, factor in calls] == [False, False, True, True]
+    assert np.allclose(calls[2][0], -8.0 * c, rtol=0.0, atol=1e-14)
+    assert (work.iterations, work.factorizations, work.max_step_iterations) == (4, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "diagonal, start, dt, cap, error, message",
+    [
+        (0.0, 0.0, 0.5, 5, StepError, "matrix is singular"),
+        (1.0, math.inf, 0.25, 5, InstabilityError, "non-finite toy residual"),
+        (1.0, 0.0, 0.25, 1, StepError, "iteration stalled"),
+        (0.25, 0.0, 0.5, 4, StepError, "iteration diverged"),
+    ],
+    ids=["singular", "non_finite", "stalled", "diverged"],
+)
+def test_chord_failure_drops_the_held_lu(diagonal, start, dt, cap, error, message):
+    """Any failure of a call drops the LU it started with, as the band
+    array may hold a new assembly by then: the next call factors afresh,
+    even at the dt of the dropped LU."""
+    _, failing = _toy_problem(diagonal)
+    c, evaluate = _toy_problem()
+    work = _HeldChord()
+    _hold_lu(work, 1.0, 0.25)
+    with pytest.raises(error, match=message):
+        evolve_llg._chord(np.full(6, start), failing, 1, 1e-12, cap, work, "toy", 0.5, dt)
+    assert work.lu is None
+    before = work.factorizations
+    x = evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
+    assert np.array_equal(x, c)
+    assert work.factorizations == before + 1
+
+
+def test_scalar_work_factors_afresh_at_the_same_dt(grid):
+    """_ScalarWork holds no LU: two calls at one dt with the exact
+    Jacobian each factor at their first iterate, and neither leaves an LU
+    behind."""
+    c, evaluate = _toy_problem()
+    work = _ScalarWork(grid, 2, 1.0)
+    for calls in (1, 2):
+        x = evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
+        assert np.array_equal(x, c)
+        assert (work.iterations, work.factorizations) == (2 * calls, calls)
+        assert work.lu is None
 
 
 def test_record_times_validation(grid, perturbed):
