@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, GaugeError, ReconstructionError
 from .evolve_llg import SphereMap
-from .harmonic_family import Mu, _frame_coords, _residual_terms, h_profile, project_tangent
+from .harmonic_family import Mu, _frame_coords, _residual_terms, cross, h_profile, project_tangent
 from .modulation import BumpProfile, r_inverse
 from .radial_grid import RadialGrid, cumint_dr, d2_rho, d_rho, norm
 
@@ -59,19 +59,17 @@ class GaugeState:
 
 
 def _midpoints(field: np.ndarray, n: int) -> np.ndarray:
-    """Quintic interpolation of nodal data to the n-1 cell midpoints."""
-    idx = np.arange(n - 1)[:, None] + np.arange(-2, 4)[None, :]
-    np.clip(idx, 0, n - 1, out=idx)
-    return np.einsum("j,ij...->i...", _MID6, field[idx])
+    """Quintic interpolation of nodal data to the n-1 cell midpoints.
 
-
-def _cross3(a, b) -> list[float]:
-    """Cross product of two 3-sequences of floats (np.cross is slow on one)."""
-    return [
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ]
+    The stencil repeats the edge node near the ends, so the data is padded
+    with two copies of its first and last node; the six shifted slices of
+    the padded copy are weighted and added onto zero in the order j = 0..5.
+    """
+    pad = np.concatenate((field[:1], field[:1], field, field[-1:], field[-1:]))
+    out = np.zeros_like(pad[: n - 1])
+    for j, c in enumerate(_MID6):
+        out += c * pad[j : j + n - 1]
+    return out
 
 
 def _cell_propagators(v: np.ndarray, v_rho: np.ndarray, h: float) -> np.ndarray:
@@ -83,7 +81,8 @@ def _cell_propagators(v: np.ndarray, v_rho: np.ndarray, h: float) -> np.ndarray:
     matrix is rank one, u w^T with u = -v and w = v_rho; the stages fold
     into P_k = I + (h/6)(u1 w1^T + 2 u2 (w2' + w3')^T + u4 w4'^T), where
     the primed rows carry the earlier stages and need only row dot
-    products.  Returns the (n-1, 3, 3) stack indexed by cell.
+    products; I goes in through a strided view of the diagonals.
+    Returns the (n-1, 3, 3) stack indexed by cell.
     """
     n = v.shape[0]
     u1, w1 = -v[1:], v_rho[1:]
@@ -95,7 +94,7 @@ def _cell_propagators(v: np.ndarray, v_rho: np.ndarray, h: float) -> np.ndarray:
     us = np.stack((u1, 2.0 * u2, u4), axis=2)
     ws = np.stack((w1, w2p + w3p, w4p), axis=1)
     prop = (h / 6.0) * (us @ ws)
-    prop[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    prop.reshape(-1, 9)[:, ::4] += 1.0
     return prop
 
 
@@ -113,8 +112,10 @@ def _transport_frame(
     in order.  At each block end (and at the innermost node) the frame's
     drift from orthonormality and tangency is checked, a drift beyond
     the tolerance (or a non-finite frame) signalling unresolved data,
-    and the frame is re-orthonormalized.  v_rho is the radial derivative
-    of v, computed here when not given.
+    and the frame is re-orthonormalized.  The chain is sequential, on
+    three floats per leg, so it runs on Python scalar locals: a numpy
+    call costs more than its arithmetic.  v_rho is the radial
+    derivative of v, computed here when not given.
     """
     n = grid.n
     if v_rho is None:
@@ -150,19 +151,28 @@ def _transport_frame(
     # re-orthonormalize; the block ends are the renormalization nodes
     end_nodes = np.minimum(np.arange(1, nblocks + 1) * _RENORM_EVERY, steps)
     v_end = v[n - 1 - end_nodes].tolist()
-    re, im = re0.tolist(), _cross3(vk, re0)
+    r0, r1, r2 = re0.tolist()
+    i0, i1, i2 = cross(vk, re0).tolist()
     starts = []
-    for c, vb in zip(cum[:, -1].tolist(), v_end):
-        starts.append(re)
-        re = [ci[0] * re[0] + ci[1] * re[1] + ci[2] * re[2] for ci in c]
-        im = [ci[0] * im[0] + ci[1] * im[1] + ci[2] * im[2] for ci in c]
-        rv = re[0] * vb[0] + re[1] * vb[1] + re[2] * vb[2]
+    for (c0, c1, c2), (b0, b1, b2) in zip(cum[:, -1].tolist(), v_end):
+        starts.append((r0, r1, r2))
+        r0, r1, r2 = (
+            c0[0] * r0 + c0[1] * r1 + c0[2] * r2,
+            c1[0] * r0 + c1[1] * r1 + c1[2] * r2,
+            c2[0] * r0 + c2[1] * r1 + c2[2] * r2,
+        )
+        i0, i1, i2 = (
+            c0[0] * i0 + c0[1] * i1 + c0[2] * i2,
+            c1[0] * i0 + c1[1] * i1 + c1[2] * i2,
+            c2[0] * i0 + c2[1] * i1 + c2[2] * i2,
+        )
+        rv = r0 * b0 + r1 * b1 + r2 * b2
         terms = (
-            abs(re[0] * re[0] + re[1] * re[1] + re[2] * re[2] - 1.0),
-            abs(im[0] * im[0] + im[1] * im[1] + im[2] * im[2] - 1.0),
-            abs(re[0] * im[0] + re[1] * im[1] + re[2] * im[2]),
+            abs(r0 * r0 + r1 * r1 + r2 * r2 - 1.0),
+            abs(i0 * i0 + i1 * i1 + i2 * i2 - 1.0),
+            abs(r0 * i0 + r1 * i1 + r2 * i2),
             abs(rv),
-            abs(im[0] * vb[0] + im[1] * vb[1] + im[2] * vb[2]),
+            abs(i0 * b0 + i1 * b1 + i2 * b2),
         )
         # max() passes over a NaN that is not its first argument
         drift = math.nan if math.isnan(sum(terms)) else max(terms)
@@ -171,10 +181,10 @@ def _transport_frame(
                 f"frame transport drifted by {drift:.2e} between "
                 "renormalizations: the map is not resolved on this grid"
             )
-        re = [re[i] - rv * vb[i] for i in range(3)]
-        scale = math.sqrt(re[0] * re[0] + re[1] * re[1] + re[2] * re[2])
-        re = [x / scale for x in re]
-        im = _cross3(vb, re)
+        r0, r1, r2 = r0 - rv * b0, r1 - rv * b1, r2 - rv * b2
+        scale = math.sqrt(r0 * r0 + r1 * r1 + r2 * r2)
+        r0, r1, r2 = r0 / scale, r1 / scale, r2 / scale
+        i0, i1, i2 = b1 * r2 - b2 * r1, b2 * r0 - b0 * r2, b0 * r1 - b1 * r0
 
     # real legs at every node; only they enter the final projection
     legs = (cum @ np.asarray(starts)[:, None, :, None]).reshape(-1, 3)
@@ -187,7 +197,7 @@ def _transport_frame(
     # block ends this is the renormalization the chain applied.
     re = e_re - np.einsum("ij,ij->i", e_re, v)[:, None] * v
     re /= np.linalg.norm(re, axis=1, keepdims=True)
-    return re + 1j * np.cross(v, re)
+    return re + 1j * cross(v, re)
 
 
 def _lstar(q: np.ndarray, v3: np.ndarray, m: int, grid: RadialGrid) -> np.ndarray:
@@ -326,6 +336,8 @@ def reconstruct_v(
         raise ConfigError("bump window and parameters disagree on the degree m")
     m = mu.m
     q = grid.check_field(np.asarray(q, dtype=complex))
+    if not np.all(np.isfinite(q)):
+        raise ReconstructionError("the flat-frame field q has non-finite values")
     prof = h_profile(mu, grid)
     f, hmap, h1s = prof.f, prof.h, prof.h1s
     z = np.zeros(grid.n, dtype=complex)

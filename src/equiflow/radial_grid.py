@@ -261,8 +261,9 @@ def cumint_dr(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
 
 def _l2x(mag2: np.ndarray, grid: RadialGrid) -> float:
     """sqrt(2 pi int mag2 r dr), the L2x norm from the squared modulus
-    per node."""
-    return math.sqrt(max(0.0, 2 * np.pi * float(grid.w_rdr @ mag2)))
+    per node; a NaN passes through, a rounding-negative sum reads 0."""
+    total = 2 * np.pi * float(grid.w_rdr @ mag2)
+    return 0.0 if total <= 0.0 else math.sqrt(total)
 
 
 def norm(f: np.ndarray, grid: RadialGrid, kind: str = "L2x"):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from equiflow import gauge
 from equiflow.errors import ConfigError, GaugeError, ReconstructionError
 from equiflow.evolve_llg import (
     FlowConfig,
@@ -14,8 +15,10 @@ from equiflow.evolve_llg import (
     run_vector,
     stationary_angle,
 )
+from equiflow import gauge
 from equiflow.gauge import (
     _DRIFT_LIMIT,
+    _MID6,
     _RENORM_EVERY,
     GaugeState,
     _midpoints,
@@ -225,20 +228,27 @@ def test_reconstruction_lipschitz(grid):
     assert gap <= 10.0 * budget
 
 
-def test_gauge_error_on_unresolved_map(grid):
-    """Node-to-node noise makes the transport drift past its tolerance."""
+def _noise_map(grid):
+    """Unit vectors with independent normal components at every node."""
     rng = np.random.default_rng(3)
     v = rng.normal(size=(grid.n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def test_gauge_error_on_unresolved_map(grid):
+    """Node-to-node noise makes the transport drift past its tolerance."""
     with pytest.raises(GaugeError):
-        hasimoto_forward(SphereMap(v, 3), Mu(1.0, 0.0, 3), grid)
+        hasimoto_forward(SphereMap(_noise_map(grid), 3), Mu(1.0, 0.0, 3), grid)
 
 
 def transport_frame_loop(v, grid):
     """Reference transport: one RK4 step per cell on the frame itself.
 
     The node-by-node loop that the batched propagators in
-    _transport_frame replace, kept to check them against.
+    _transport_frame replace, kept to check them against to roundoff.
+    It takes its midpoint values from the package's _midpoints, whose
+    bytes _reference_midpoints guards; _reference_transport_frame is the
+    byte-level reference of the batched transport.
     """
     n = grid.n
     v_rho = d_rho(v, grid)
@@ -283,6 +293,12 @@ def transport_frame_loop(v, grid):
     return re + 1j * np.cross(v, re)
 
 
+def _transport_grid(n):
+    """A grid on which a perturbed profile is resolved: narrow below two
+    renormalization blocks, the module grid's span above."""
+    return build_grid(-0.2, 0.2, n) if n < _RENORM_EVERY + 2 else build_grid(-8.0, 16.0, n)
+
+
 @pytest.mark.parametrize("n", [16, 1024, 2048, 2050])
 @pytest.mark.parametrize("m", [2, 3])
 def test_transport_matches_node_loop(n, m):
@@ -292,12 +308,150 @@ def test_transport_matches_node_loop(n, m):
     partial last block.  The products are summed in another order, so
     the frames agree to a tolerance, not bit for bit.
     """
-    g = build_grid(-0.2, 0.2, n) if n < _RENORM_EVERY + 2 else build_grid(-8.0, 16.0, n)
+    g = _transport_grid(n)
     vm = perturbed_map(Mu(1.1, 0.7, m), g, amp_re=0.04, amp_im=0.02)
     ref = transport_frame_loop(vm.v, g)
     e = _transport_frame(vm.v, g)
     assert np.abs(e - ref).max() <= 1e-13
     assert np.array_equal(_transport_frame(vm.v, g, d_rho(vm.v, g)), e)
+
+
+def _reference_midpoints(field, n):
+    """_midpoints as a gather of the six stencil nodes, index-clipped at
+    the ends, contracted with einsum."""
+    idx = np.arange(n - 1)[:, None] + np.arange(-2, 4)[None, :]
+    np.clip(idx, 0, n - 1, out=idx)
+    return np.einsum("j,ij...->i...", _MID6, field[idx])
+
+
+def _reference_cell_propagators(v, v_rho, h):
+    """_cell_propagators on _reference_midpoints, the identity added by
+    fancy indexing."""
+    n = v.shape[0]
+    u1, w1 = -v[1:], v_rho[1:]
+    u2, w2 = -_reference_midpoints(v, n), _reference_midpoints(v_rho, n)
+    u4, w4 = -v[:-1], v_rho[:-1]
+    w2p = w2 + (0.5 * h * np.einsum("ij,ij->i", w2, u1))[:, None] * w1
+    w3p = w2 + (0.5 * h * np.einsum("ij,ij->i", w2, u2))[:, None] * w2p
+    w4p = w4 + (h * np.einsum("ij,ij->i", w4, u2))[:, None] * w3p
+    us = np.stack((u1, 2.0 * u2, u4), axis=2)
+    ws = np.stack((w1, w2p + w3p, w4p), axis=1)
+    prop = (h / 6.0) * (us @ ws)
+    prop[:, [0, 1, 2], [0, 1, 2]] += 1.0
+    return prop
+
+
+def _reference_cross3(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _reference_transport_frame(v, grid, v_rho=None):
+    """_transport_frame with the block chain on lists, each leg component
+    a list comprehension over the block matrix rows, and the final
+    imaginary legs from np.cross; the same floating-point operations in
+    the same order, so the frames agree bit for bit."""
+    n = grid.n
+    if v_rho is None:
+        v_rho = d_rho(v, grid)
+    vk = v[n - 1]
+    re0 = np.array([1.0, 0.0, 0.0]) - vk[0] * vk
+    scale = math.sqrt(re0 @ re0)
+    if not scale >= 1e-6:
+        raise GaugeError(
+            "the map is within 1e-6 of the frame reference direction at "
+            "the outer edge, or not finite there; the transported frame "
+            "is not defined"
+        )
+    re0 /= scale
+    steps = n - 1
+    nblocks = -(-steps // _RENORM_EVERY)
+    prop = np.empty((nblocks * _RENORM_EVERY, 3, 3))
+    prop[:steps] = _reference_cell_propagators(v, v_rho, -grid.drho)[::-1]
+    prop[steps:] = np.eye(3)
+    cum = prop.reshape(nblocks, _RENORM_EVERY, 3, 3)
+    for i in range(1, _RENORM_EVERY):
+        cum[:, i] = cum[:, i] @ cum[:, i - 1]
+    end_nodes = np.minimum(np.arange(1, nblocks + 1) * _RENORM_EVERY, steps)
+    v_end = v[n - 1 - end_nodes].tolist()
+    re, im = re0.tolist(), _reference_cross3(vk, re0)
+    starts = []
+    for c, vb in zip(cum[:, -1].tolist(), v_end):
+        starts.append(re)
+        re = [ci[0] * re[0] + ci[1] * re[1] + ci[2] * re[2] for ci in c]
+        im = [ci[0] * im[0] + ci[1] * im[1] + ci[2] * im[2] for ci in c]
+        rv = re[0] * vb[0] + re[1] * vb[1] + re[2] * vb[2]
+        terms = (
+            abs(re[0] * re[0] + re[1] * re[1] + re[2] * re[2] - 1.0),
+            abs(im[0] * im[0] + im[1] * im[1] + im[2] * im[2] - 1.0),
+            abs(re[0] * im[0] + re[1] * im[1] + re[2] * im[2]),
+            abs(rv),
+            abs(im[0] * vb[0] + im[1] * vb[1] + im[2] * vb[2]),
+        )
+        drift = math.nan if math.isnan(sum(terms)) else max(terms)
+        if not drift <= _DRIFT_LIMIT:
+            raise GaugeError(
+                f"frame transport drifted by {drift:.2e} between "
+                "renormalizations: the map is not resolved on this grid"
+            )
+        re = [re[i] - rv * vb[i] for i in range(3)]
+        scale = math.sqrt(re[0] * re[0] + re[1] * re[1] + re[2] * re[2])
+        re = [x / scale for x in re]
+        im = _reference_cross3(vb, re)
+    legs = (cum @ np.asarray(starts)[:, None, :, None]).reshape(-1, 3)
+    e_re = np.empty((n, 3))
+    e_re[n - 1] = re0
+    e_re[: n - 1] = legs[:steps][::-1]
+    re = e_re - np.einsum("ij,ij->i", e_re, v)[:, None] * v
+    re /= np.linalg.norm(re, axis=1, keepdims=True)
+    return re + 1j * np.cross(v, re)
+
+
+@pytest.mark.parametrize("n", [16, 17, 1024, 2050])
+def test_midpoints_match_gathered_contraction_bytes(n):
+    """The shifted-slice midpoints of (n, 3) vector data, the only shape
+    the transport interpolates, equal the gathered einsum contraction bit
+    for bit, on a map, its derivative, node-to-node noise and signed
+    zeros."""
+    g = _transport_grid(n)
+    v = perturbed_map(Mu(1.1, 0.7, 3), g, amp_re=0.04, amp_im=0.02).v
+    noise = np.random.default_rng(n).normal(size=(n, 3))
+    # signed zeros that make all six terms of cell 10 a negative zero:
+    # the sum starts from +0.0, as the contraction's does
+    signed = np.zeros((n, 3))
+    signed[[8, 10, 11, 13]] = -0.0
+    for field in (v, d_rho(v, g), noise, signed):
+        assert _midpoints(field, n).tobytes() == _reference_midpoints(field, n).tobytes()
+
+
+@pytest.mark.parametrize("given_v_rho", [False, True])
+@pytest.mark.parametrize("n", [16, 1024, 2048, 2050])
+@pytest.mark.parametrize("m", [2, 3])
+def test_transport_frame_matches_reference_bytes(m, n, given_v_rho):
+    """The scalar block chain and the shifted-slice midpoints leave the
+    transported frame's bytes as the list-based reference has them, with
+    v_rho passed in or computed inside."""
+    g = _transport_grid(n)
+    v = perturbed_map(Mu(1.1, 0.7, m), g, amp_re=0.04, amp_im=0.02).v
+    v_rho = d_rho(v, g) if given_v_rho else None
+    e = _transport_frame(v, g, v_rho)
+    assert e.tobytes() == _reference_transport_frame(v, g, v_rho).tobytes()
+
+
+@pytest.mark.parametrize("where", [None, 0, 1000, 2047])
+def test_transport_frame_errors_match_reference(grid, where):
+    """The noise map, and a profile with a NaN at the innermost, a middle
+    and the outermost node, stop the transport with the reference's
+    GaugeError text."""
+    if where is None:
+        v = _noise_map(grid)
+    else:
+        v = h_profile(Mu(1.0, 0.0, 3), grid).h.copy()
+        v[where] = np.nan
+    with pytest.raises(GaugeError) as ref:
+        _reference_transport_frame(v, grid)
+    with pytest.raises(GaugeError) as got:
+        _transport_frame(v, grid)
+    assert str(got.value) == str(ref.value)
 
 
 @pytest.mark.parametrize("where", [0, 1000, 2047])
@@ -316,6 +470,27 @@ def test_reconstruction_error_on_large_q(grid):
     q = (5.0 * np.exp(-(((grid.rho - 0.2) / 0.7) ** 2))).astype(complex)
     with pytest.raises(ReconstructionError):
         reconstruct_v(Mu(1.0, 0.0, m), q, phi, grid)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_reconstruction_error_on_non_finite_q(grid, bad, monkeypatch):
+    """A non-finite gauge field is rejected before any frame transport;
+    the counter sees the transports of a finite field."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return _transport_frame(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "_transport_frame", counted)
+    q = np.zeros(grid.n, dtype=complex)
+    reconstruct_v(Mu(1.0, 0.0, 3), q, bump_phi(3, grid), grid)
+    assert calls
+    calls.clear()
+    q[900] = bad
+    with pytest.raises(ReconstructionError, match="non-finite"):
+        reconstruct_v(Mu(1.0, 0.0, 3), q, bump_phi(3, grid), grid)
+    assert calls == []
 
 
 def test_degree_mismatch_rejected(grid):

@@ -8,6 +8,7 @@ import pytest
 from equiflow.errors import NumericalError
 from equiflow.harmonic_family import (
     Mu,
+    cross,
     degree,
     energy,
     h_profile,
@@ -140,6 +141,19 @@ def test_tangent_projection_algebra(grid):
     assert np.max(np.abs(pa_apply(v, w, 1j) - np.cross(v, w))) < 1e-13
     mixed = pa_apply(v, w, 0.25 + 0.5j)
     assert np.max(np.abs(mixed - 0.25 * pw - 0.5 * np.cross(v, w))) < 1e-13
+
+
+def test_cross_matches_numpy_bytes(grid):
+    """The component-formula cross product gives np.cross's bytes, nodewise
+    on (n, 3) fields and on the (n, 3) x (3, 1, 3) broadcast that builds
+    the vector stepper's per-node P_a blocks."""
+    rng = np.random.default_rng(8)
+    v = random_unit_field(rng, grid.n)
+    w = rng.normal(size=(grid.n, 3))
+    assert cross(v, w).tobytes() == np.cross(v, w).tobytes()
+    basis = np.eye(3)[:, None, :]
+    assert cross(v, basis).shape == (3, grid.n, 3)
+    assert cross(v, basis).tobytes() == np.cross(v, basis).tobytes()
 
 
 def stationarity_residual(mu: Mu, grid, a: complex = 1.0 + 0j) -> float:

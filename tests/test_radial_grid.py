@@ -287,6 +287,16 @@ def test_norm_x_warns_when_unresolved(grid):
         norm(1.0 / np.cosh(2.0 * grid.rho), grid, "X")
 
 
+@pytest.mark.parametrize("kind", ["L2x", "X"])
+def test_norm_of_nan_field_is_nan(grid, kind):
+    """A NaN in the field makes the norm NaN, not 0.0; a field whose
+    quadrature sum is zero still reads 0.0."""
+    f = 1.0 / np.cosh(2.0 * grid.rho)
+    f[700] = np.nan
+    assert math.isnan(norm(f, grid, kind))
+    assert norm(np.zeros(grid.n), grid, kind) == 0.0
+
+
 def test_norm_rejects_bad_exponents(grid):
     """A norm kind other than L2x and X, the dyadic Lpq included, is rejected."""
     z = np.ones(grid.n)

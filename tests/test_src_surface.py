@@ -16,6 +16,9 @@ The banded LU factorization and back-solve, LAPACK dgbtrf and dgbtrs, are
 each called from one function, so both implicit steppers share one chord
 iteration.
 
+The nodewise cross product has one home, harmonic_family.cross: numpy's
+np.cross is not used in the package.
+
 Commands compute and the command line entry point reports: print is
 called only in cli_io.main.
 
@@ -164,6 +167,39 @@ def functions_referencing(src: Path, name: str) -> list[str]:
 def test_banded_lapack_calls_have_one_home():
     assert functions_referencing(SRC, "dgbtrf") == ["evolve_llg._chord"]
     assert functions_referencing(SRC, "dgbtrs") == ["evolve_llg.solve_banded"]
+
+
+def numpy_uses(src: Path, name: str) -> list[str]:
+    """module:line of every np.<name> or numpy.<name> attribute and every
+    `from numpy import <name>` under src."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == name:
+                hit = isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+                hit = any(alias.name == name for alias in node.names)
+            else:
+                continue
+            if hit:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def definitions_of(src: Path, name: str) -> list[str]:
+    """module.name of every function named name defined under src, at
+    any depth."""
+    return [
+        f"{path.stem}.{name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name
+    ]
+
+
+def test_cross_product_has_one_home():
+    assert numpy_uses(SRC, "cross") == []
+    assert definitions_of(SRC, "cross") == ["harmonic_family.cross"]
 
 
 def test_only_main_prints():
