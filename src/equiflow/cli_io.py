@@ -278,19 +278,20 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
                 meta[key.strip()] = val.strip()
             continue
         try:
-            rows.append([float(p) for p in stripped.split()])
+            row = [float(p) for p in stripped.split()]
         except ValueError as exc:
             raise ConfigError(f"snapshot {path}, line {lineno}: {exc}") from exc
+        if len(row) != 4:
+            raise ConfigError(f"snapshot {path}, line {lineno}: {len(row)} values, expected 4")
+        rows.append(row)
     try:
         m = int(meta["m"])
         grid = build_grid(float(meta["rho_min"]), float(meta["rho_max"]), int(meta["n"]))
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"snapshot {path} is missing grid metadata: {exc}") from exc
+    if len(rows) != grid.n:
+        raise ConfigError(f"snapshot {path} has {len(rows)} rows, expected {grid.n}")
     data = np.asarray(rows, dtype=float)
-    if data.shape != (grid.n, 4):
-        raise ConfigError(
-            f"snapshot {path} has shape {data.shape}, expected ({grid.n}, 4)"
-        )
     if not np.max(np.abs(data[:, 0] - grid.rho)) <= 1e-9:
         raise ConfigError(f"snapshot {path} nodes disagree with its grid metadata")
     v = data[:, 1:4]

@@ -9,10 +9,9 @@ and one chord iteration, _chord, for the implicit equation of a step:
   with L the Laplacian laplace_m pinned at the ends (laplace_operator)
   and P_a from pa_apply. The chord matrix is the Jacobian
   F'(x) = I - (dt/2) (P_a(x/|x|) L + D), D the per-node derivative of
-  P_a(x/|x|) L x in x, first at x = v. It is a product written through a
-  strided view of the LAPACK band array, with D added to its diagonal
-  blocks, and |v|, v/|v|, L v and P_a(v/|v|) L v at the start of a step
-  are computed once, for the dissipation rate at the end of the step
+  P_a(x/|x|) L x in x, first at x = v, written by plain slices into the
+  LAPACK band array. |v|, v/|v|, L v and P_a(v/|v|) L v at the start of a
+  step are computed once, for the dissipation rate at the end of the step
   before and for the Jacobian and first residual of the step itself. The
   update direction is tangent at the midpoint, so the new map 2 x - v
   keeps every node on the unit sphere to solver tolerance; run_vector
@@ -74,11 +73,10 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
-from .harmonic_family import energy as map_energy, laplace_m, pa_apply
+from .harmonic_family import cross, energy as map_energy, laplace_m, pa_apply
 from .radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, _apply_stencil, d2_rho
 
 @dataclass
@@ -324,15 +322,8 @@ class _VectorWork(_ChordCounters):
     top BAND rows are left spare for the fill-in of the factorization. The
     matrix is I - (dt/2) (P_a L + D), L the operator of laplace_operator
     and D block diagonal, with identity rows pinning the boundary nodes.
-    Column 3 k + be holds the entries of rows 3 (k + d) + al, d = -3..3 and
-    al = 0..2, as 21 consecutive band rows. __init__ stores their stencil
-    weights in that layout, indexed [be, k, 3 (d + 3) + al] and zero on
-    pinned rows, and assemble zeroes ab and writes the product with the
-    P_a blocks through one strided view of it, reading the blocks through a
-    matching strided view of a zero-padded copy; the D blocks go to the
-    d = 0 slots 9..11 of the same view in one more write. dgbtrf factors ab
-    in place, so the LU a run holds is ab itself, and the next assembly
-    drops it.
+    assemble writes it by plain slices. dgbtrf factors ab in place, so the
+    LU a run holds is ab itself, and the next assembly drops it.
     """
 
     BAND = 11
@@ -341,21 +332,11 @@ class _VectorWork(_ChordCounters):
     def __init__(self, grid: RadialGrid, m: int):
         n = grid.n
         self.grid = grid
-        be = np.arange(3)[:, None, None, None]
-        k = np.arange(n)[None, :, None, None]
-        d = np.arange(-3, 4)[None, None, :, None]
-        node = k + d
-        # the entries of -L in the rows of node k + d and the column of node k
         taps = _D2_CENTER / grid.drho**2
-        planar = (d == 0) * float(m * m) * np.array([1.0, 1.0, 0.0])[be]
-        decay = np.exp(-2.0 * grid.rho)[np.clip(node, 0, n - 1)]
-        evolving = (node >= N_PIN) & (node < n - N_PIN)
-        weights = np.where(evolving, decay * (planar - taps[3 - d]), 0.0)
-        self._weights = np.ascontiguousarray(
-            np.broadcast_to(weights, (3, n, 7, 3))
-        ).reshape(3, n, 21)
-        # (dt/2) P_a blocks as [be, 3 + node, al], zero off the evolving nodes
-        self._half_pa = np.zeros((3, n + 6, 3))
+        planar = float(m * m) * np.array([1.0, 1.0, 0.0])[:, None]
+        decay = np.exp(-2.0 * grid.rho)[N_PIN : n - N_PIN]
+        # -L from evolving node i to node i + d, as [column component, i]
+        self._coupling = [decay * ((d == 0) * planar - taps[3 + d]) for d in range(-3, 4)]
         self.ab = np.zeros((3 * self.BAND + 1, 3 * n), order="F")
 
     def assemble(self, pa: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
@@ -364,26 +345,20 @@ class _VectorWork(_ChordCounters):
         [node, row, column], written into ab and returned."""
         U = self.BAND
         n = self.grid.n
-        ld = 3 * U + 1
         ab = self.ab
-        # the strided write skips the spare rows and the slots outside
-        # each column's 21 rows, which a factorization has filled
+        # clears the fill-in of a factorization and every slot no write reaches
         ab.fill(0.0)
-        half = self._half_pa
-        half[:, 3 + N_PIN : n + 3 - N_PIN] = 0.5 * dt * pa.transpose(2, 0, 1)[:, N_PIN:-N_PIN]
-        # slot [be, k, s] of row 3 k + s - 9 in column 3 k + be: band row
-        # 2U - 9 - be + s, linear offset 2U - 9 + (ld - 1) be + 3 ld k + s
-        step = ab.itemsize
-        blocks = as_strided(half, shape=(3, n, 21), strides=(half.strides[0], 3 * step, step))
-        band = as_strided(
-            ab.reshape(-1, order="F")[2 * U - 9 :],
-            shape=(3, n, 21),
-            strides=((ld - 1) * step, 3 * ld * step, step),
-        )
-        np.multiply(blocks, self._weights, out=band)
-        # the d = 0 slots, as [al, be, k]
-        diagonal = band[:, :, 9:12].transpose(2, 0, 1)
-        diagonal -= (0.5 * dt) * deriv.transpose(1, 2, 0)
+        # (dt/2) P_a and, below, (dt/2) D as [column, row, node]
+        half = 0.5 * dt * np.ascontiguousarray(pa[N_PIN : n - N_PIN].T)
+        for d, coupling in zip(range(-3, 4), self._coupling):
+            for be in range(3):
+                # rows 3 i + al, al = 0..2, in the column 3 (i + d) + be
+                top = 2 * U - be - 3 * d
+                cols = slice(3 * (N_PIN + d) + be, 3 * (n - N_PIN + d), 3)
+                np.multiply(half[be], coupling[be], out=ab[top : top + 3, cols])
+        diagonal = (0.5 * dt) * np.ascontiguousarray(deriv.T)
+        for be in range(3):
+            ab[2 * U - be : 2 * U - be + 3, be::3] -= diagonal[be]
         ab[2 * U] += 1.0
         return ab
 
@@ -418,8 +393,7 @@ def _pa_derivative(unit: np.ndarray, radius: np.ndarray, w: np.ndarray, a: compl
         out.reshape(9, n)[::4] -= s * uw
     if a.imag != 0:
         s = a.imag / radius[:, 0]
-        cross = w[[1, 2, 0]] * u[[2, 0, 1]] - w[[2, 0, 1]] * u[[1, 2, 0]]
-        turn = np.multiply((s * cross)[:, None], u[None], out=np.empty((3, 3, n)))
+        turn = np.multiply((s * cross(w.T, u.T).T)[:, None], u[None], out=np.empty((3, 3, n)))
         # minus the cross-product matrix of s w, entry by entry
         flat, sw = turn.reshape(9, n), s * w
         flat[[1, 5, 6]] += sw[[2, 0, 1]]

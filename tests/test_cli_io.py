@@ -173,19 +173,23 @@ def test_snapshot_errors(tmp_path, capsys):
             assert f"positive integer, got {m}" in capsys.readouterr().err
 
 
-def corrupt_snapshot(tmp_path, token):
-    """Stored snapshot with one map value of its middle row replaced."""
+def edit_snapshot_row(tmp_path, edit):
+    """Stored snapshot whose middle row holds edit(values of that row), and
+    the line number of that row."""
     grid = build_grid(-8.0, 10.0, 256)
     vmap, _ = build_initial_data(TailFamily("log_drift", kappa=-0.3), grid)
     snap = tmp_path / "state.dat"
     save_snapshot(snap, vmap, grid)
     lines = snap.read_text().splitlines()
     row = len(lines) - grid.n // 2
-    parts = lines[row].split()
-    parts[2] = token
-    lines[row] = " ".join(parts)
+    lines[row] = " ".join(edit(lines[row].split()))
     snap.write_text("\n".join(lines) + "\n")
     return snap, row + 1
+
+
+def corrupt_snapshot(tmp_path, token):
+    """Stored snapshot with one map value of its middle row replaced."""
+    return edit_snapshot_row(tmp_path, lambda parts: parts[:2] + [token] + parts[3:])
 
 
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
@@ -205,6 +209,45 @@ def test_non_numeric_snapshot_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, snapshot=str(snap))
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"line {lineno}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [3, 5])
+def test_ragged_snapshot_row_is_config_error(tmp_path, capsys, width):
+    """A row of 3 or 5 values is named by its line, also through decompose."""
+    snap, lineno = edit_snapshot_row(tmp_path, lambda parts: (parts + ["0.0"])[:width])
+    with pytest.raises(ConfigError, match=f"line {lineno}: {width} values, expected 4"):
+        load_snapshot(snap)
+    cfg = write_config(tmp_path, snapshot=str(snap))
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"line {lineno}" in capsys.readouterr().err
+
+
+def drop_last_row(text):
+    return "\n".join(text.splitlines()[:-1]) + "\n"
+
+
+def shift_last_node(text):
+    lines = text.splitlines()
+    parts = lines[-1].split()
+    parts[0] = repr(float(parts[0]) + 1e-6)
+    lines[-1] = " ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(drop_last_row, "has 15 rows, expected 16"), (shift_last_node, "nodes disagree")],
+    ids=["row-count", "nodes"],
+)
+def test_snapshot_disagreeing_with_its_metadata_is_config_error(tmp_path, edit, message):
+    """A snapshot with a row missing, or a node off its grid, is rejected."""
+    grid = build_grid(-2.0, 2.0, 16)
+    vmap, _ = build_initial_data(TailFamily("none"), grid, m=2)
+    snap = tmp_path / "state.dat"
+    save_snapshot(snap, vmap, grid)
+    snap.write_text(edit(snap.read_text()))
+    with pytest.raises(ConfigError, match=message):
+        load_snapshot(snap)
 
 
 # ---------------------------------------------------------------------------

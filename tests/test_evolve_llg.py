@@ -270,6 +270,41 @@ def derivative_blocks(x, w, a):
     return out
 
 
+def _reference_pa_derivative(unit, radius, w, a):
+    """_pa_derivative with its cross product w x u written out on the
+    transposed (3, n) layout by fancy-index gathers."""
+    u, w = unit.T, w.T
+    n = u.shape[1]
+    if a.real != 0:
+        s = a.real / radius[:, 0]
+        uw = u[0] * w[0] + u[1] * w[1] + u[2] * w[2]
+        out = np.multiply(u[:, None], (s * (2.0 * uw * u - w))[None], out=np.empty((3, 3, n)))
+        out.reshape(9, n)[::4] -= s * uw
+    if a.imag != 0:
+        s = a.imag / radius[:, 0]
+        cross = w[[1, 2, 0]] * u[[2, 0, 1]] - w[[2, 0, 1]] * u[[1, 2, 0]]
+        turn = np.multiply((s * cross)[:, None], u[None], out=np.empty((3, 3, n)))
+        flat, sw = turn.reshape(9, n), s * w
+        flat[[1, 5, 6]] += sw[[2, 0, 1]]
+        flat[[2, 3, 7]] -= sw[[1, 2, 0]]
+        out = turn if a.real == 0 else out + turn
+    return out.transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j])
+def test_pa_derivative_matches_gathered_cross_bytes(grid, perturbed, a):
+    """The derivative blocks equal those of the gathered cross product
+    byte for byte."""
+    x = perturbed * np.linspace(0.9, 1.1, grid.n)[:, None]
+    radius = np.linalg.norm(x, axis=1, keepdims=True)
+    unit = x / radius
+    lap = laplace_operator(x, grid, 3)
+    got = evolve_llg._pa_derivative(unit, radius, lap, complex(a))
+    ref = _reference_pa_derivative(unit, radius, lap, complex(a))
+    assert np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j])
 def test_step_projection_blocks_match_reference(grid, perturbed, a, monkeypatch):
     """The P_a blocks and the derivative blocks step_vector hands to the
@@ -305,7 +340,7 @@ def test_step_cap_raises(grid, perturbed, monkeypatch):
 def assemble_loop(grid, m, pa, dt, deriv=None):
     """Reference band matrix of I - (dt/2) (Pa L + D) in solve_banded
     storage, built slice by slice, D the block diagonal of deriv (none when
-    deriv is None); _VectorWork.assemble replaces it with a strided write."""
+    deriv is None); _VectorWork.assemble writes the same band by slices."""
     n = grid.n
     U = _VectorWork.BAND
     ab = np.zeros((2 * U + 1, 3 * n))
@@ -416,11 +451,11 @@ def assemble_scatter(grid, m, pa, dt, deriv):
 
 @pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j])
 def test_assemble_strided_write_matches_scatter_bytes(grid, perturbed, a):
-    """The strided write reproduces the scatter byte for byte, spare rows
-    and signed zeros included, also on a work object used before. Every
-    call writes the one band array of the work object, and dgbtrf
-    factors it in place; the zeroing in assemble clears every slot the
-    factorization filled and the strided write skips."""
+    """The slice writes of assemble reproduce the scatter byte for byte,
+    spare rows and signed zeros included, also on a work object used
+    before. Every call writes the one band array of the work object, and
+    dgbtrf factors it in place; the zeroing in assemble clears every slot
+    the factorization filled and no slice write reaches."""
     work = _VectorWork(grid, 3)
     pa = pa_blocks(perturbed, complex(a))
     lap = laplace_operator(perturbed, grid, 3)

@@ -202,6 +202,19 @@ def test_roundtrip_reconstruction(grid):
         assert strec.grid is grid
 
 
+def test_roundtrip_through_damped_fixed_point(grid):
+    """A residual coordinate past 0.1 in sup norm takes the damped
+    fixed-point step, and the map still comes back in the energy norm."""
+    m = 3
+    vm = perturbed_map(Mu(1.0, 0.3, m), grid, amp_re=0.2)
+    phi = bump_phi(m, grid)
+    fit = fit_mu(vm, None, phi, grid)
+    assert np.abs(fit.z).max() > 0.1
+    st = hasimoto_forward(vm, fit.mu, grid)
+    vrec, _ = reconstruct_v(fit.mu, st.q, phi, grid)
+    assert norm(vrec.v - vm.v, grid, kind="X") <= 1e-6
+
+
 def test_reconstruct_zero_q_returns_profile(grid):
     """With no gauge field the fixed point is the bare profile."""
     m = 3
@@ -500,6 +513,15 @@ def test_degree_mismatch_rejected(grid):
         hasimoto_forward(vm, Mu(1.0, 0.0, 2), grid)
     with pytest.raises(ConfigError):
         reconstruct_v(Mu(1.0, 0.0, 2), np.zeros(grid.n, complex), bump_phi(3, grid), grid)
+
+
+@pytest.mark.parametrize("n", [2047, 2049])
+def test_map_and_grid_sizes_must_agree(grid, n):
+    """A map stored on another number of nodes is a ConfigError."""
+    m = 3
+    vm = SphereMap(h_profile(Mu(1.0, 0.0, m), build_grid(grid.rho_min, grid.rho_max, n)).h, m)
+    with pytest.raises(ConfigError, match="map and grid sizes differ"):
+        hasimoto_forward(vm, Mu(1.0, 0.0, m), grid)
 
 
 def test_qeq_rhs_zero_field(grid):

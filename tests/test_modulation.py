@@ -230,6 +230,32 @@ def test_fit_falls_back_to_finite_difference_jacobian(monkeypatch):
     assert pairings > state.iterations + 1
 
 
+def test_fit_planar_map_falls_back_to_slope_of_real_part(monkeypatch):
+    """On a great-circle map on which the identity Jacobian fails to halve
+    the residual, the finite-difference step keeps the rotation pinned at
+    zero and divides by the slope of the real part alone; it pairs with
+    the window once more per iteration."""
+    m = 2
+    grid = build_grid(-6.0, 6.0, 512)
+    prof = h_profile(Mu(s=0.5, alpha=0.0, m=m), grid)
+    bump = 0.9 * np.exp(-((grid.rho / 0.5) ** 2))
+    v = prof.h + bump[:, None] * prof.f.real
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    assert np.abs(v[:, 1]).max() == 0.0
+    pairings = 0
+
+    def counted(*args):
+        nonlocal pairings
+        pairings += 1
+        return inner_product(*args)
+
+    monkeypatch.setattr(modulation, "inner_product", counted)
+    state = fit_mu(SphereMap(v, m), None, bump_phi(m, grid), grid, strict=False)
+    assert state.residual <= 1e-12
+    assert state.mu.alpha == 0.0
+    assert pairings > state.iterations + 1
+
+
 def test_fit_error_without_crossing(grid):
     """Maps that never cross the equator admit no seed."""
     v = np.tile(np.array([0.8, 0.0, 0.6]), (grid.n, 1))
@@ -246,6 +272,48 @@ def test_fit_error_on_large_residual(grid):
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     with pytest.raises(FitError):
         fit_mu(SphereMap(v, m), None, bump_phi(m, grid), grid)
+
+
+def _profile_map(grid, m):
+    return SphereMap(h_profile(Mu(1.0, 0.0, m), grid).h, m)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda g: bump_phi(3, g).paired_values(g, 0.0), "scale must be positive"),
+        (lambda g: bump_phi(0, g), "must be a positive integer"),
+        (lambda g: r_inverse(np.zeros(g.n), bump_phi(3, g), -1.0, g), "scale must be positive"),
+        (lambda g: r_inverse(np.zeros((g.n, 2)), bump_phi(3, g), 1.0, g), "scalar radial field"),
+        (lambda g: fit_mu(_profile_map(g, 2), None, bump_phi(3, g), g), "window and map disagree"),
+        (
+            lambda g: fit_mu(_profile_map(g, 2), Mu(1.0, 0.0, 3), bump_phi(2, g), g),
+            "initial parameters and map disagree",
+        ),
+        (lambda g: psi_and_c(bump_phi(3, g), 2, g), "built for a different degree"),
+        (
+            lambda g: normal_form_correction(
+                np.zeros(g.n, complex), Mu(1.0, 0.0, 2), 0.0, psi_and_c(bump_phi(3, g), 3, g)
+            ),
+            "adjoint window disagree",
+        ),
+    ],
+    ids=[
+        "window-scale",
+        "window-degree",
+        "inverse-scale",
+        "inverse-field-rank",
+        "fit-window-degree",
+        "fit-guess-degree",
+        "psi-window-degree",
+        "normal-form-degree",
+    ],
+)
+def test_bad_arguments_are_config_errors(grid, call, message):
+    """Each argument check raises ConfigError itself; without it the call
+    fails otherwise, or not at all."""
+    with pytest.raises(ConfigError, match=message):
+        call(grid)
 
 
 def test_psi_constant_and_tail(grid):

@@ -19,6 +19,9 @@ iteration.
 The nodewise cross product has one home, harmonic_family.cross: numpy's
 np.cross is not used in the package.
 
+Arrays are written through plain indexing: nothing of
+numpy.lib.stride_tricks (as_strided, sliding_window_view) is used.
+
 Commands compute and the command line entry point reports: print is
 called only in cli_io.main.
 
@@ -200,6 +203,35 @@ def definitions_of(src: Path, name: str) -> list[str]:
 def test_cross_product_has_one_home():
     assert numpy_uses(SRC, "cross") == []
     assert definitions_of(SRC, "cross") == ["harmonic_family.cross"]
+
+
+_STRIDE_TRICKS = {"stride_tricks", "as_strided", "sliding_window_view"}
+
+
+def stride_trick_uses(src: Path) -> list[str]:
+    """module:line of every import of or from numpy.lib.stride_tricks and
+    every name or attribute stride_tricks, as_strided or
+    sliding_window_view under src."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(alias.name for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            if any(part in _STRIDE_TRICKS for name in names for part in name.split(".")):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_no_stride_tricks():
+    assert stride_trick_uses(SRC) == []
 
 
 def test_only_main_prints():
