@@ -1,8 +1,11 @@
 """Time integration of m-equivariant flows into the sphere.
 
-Two solvers share one mesh, one run loop, _march, which steps each to
-the record times in turn with dt from FlowConfig.dt_at, at most MAX_STEPS,
-and one chord iteration, _chord, for the implicit equation of a step:
+Two solvers share one mesh, one chord iteration, _chord, for the
+implicit equation of a step, and one run driver, _drive, which owns the
+record times, the step loop with dt from FlowConfig.dt_at and at most
+MAX_STEPS steps, the record arrays and the RunSeries. Each solver hands
+the driver advance, one step with the solver's own checks, and observe,
+the energy and dissipation booked at a record time. The solvers are:
 
 * a vector scheme for the full three-component map, implicit midpoint in
   time. The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0,
@@ -69,7 +72,8 @@ degree during evolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+import cmath
 import math
 
 import numpy as np
@@ -111,7 +115,7 @@ class SphereMap:
 class FlowConfig:
     """The run schedule: the flow and its time steps.
 
-    a is the flow coefficient, stored as complex: a = 1 is the heat flow,
+    a is the finite flow coefficient, stored as complex: a = 1 is the heat flow,
     a = i the rotational flow, mixtures in between need Re a > 0. The step size is
     dt(t) = clip(ramp * t, dt0, dt_max); ramp = 0 keeps dt0 throughout.
     These four fields are the whole schedule: the tolerances and caps of
@@ -127,6 +131,8 @@ class FlowConfig:
     def __post_init__(self):
         a = complex(self.a)
         object.__setattr__(self, "a", a)
+        if not cmath.isfinite(a):
+            raise ValueError(f"flow coefficient a must be finite, got {a}")
         if a == 0:
             raise ValueError("flow coefficient a must be nonzero")
         if a.real < 0:
@@ -463,44 +469,51 @@ def step_vector(
     return 2.0 * vmid - v
 
 
-def _record_schedule(t_end: float, record_times) -> np.ndarray:
+# cap on the number of steps of one run
+MAX_STEPS = 2_000_000
+
+
+def _drive(state, work, m: int, config: FlowConfig, t_end, record_times, advance, observe):
+    """The run driver of both solvers. From t = 0 it steps
+    state = advance(state, t, dt) to each record time, dt from config.dt_at
+    clipped to meet it exactly, and at the k-th, t = 0 included, snapshots
+    state and books energy[k], dissipated[k] = observe(state, k, t, energy).
+    The record times, 33 evenly spaced by default, with 0 and t_end added,
+    must be finite and lie in [0, t_end], else ValueError before any step;
+    one within 1e-12 max(1, t_end) of t counts as reached. More than
+    MAX_STEPS steps raise StepError. work supplies the run's counters.
+    """
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if record_times is None:
         times = np.linspace(0.0, t_end, 33)
     else:
         times = np.atleast_1d(np.asarray(record_times, dtype=float))
     times = np.unique(np.concatenate([[0.0, t_end], times]))
-    if times[0] < 0 or times[-1] > t_end * (1 + 1e-12):
-        raise ValueError("record times must lie in [0, t_end]")
-    return times
-
-
-# cap on the number of steps of one run
-MAX_STEPS = 2_000_000
-
-
-def _march(times: np.ndarray, t_end: float, config: FlowConfig, advance, record) -> int:
-    """The run loop shared by both solvers; returns the number of steps.
-
-    From t = 0 it steps to each record time in turn, calling
-    advance(t, dt) for every step and record(k, t) on reaching times[k],
-    k >= 1. dt follows config.dt_at, clipped so that each record time is
-    met exactly; a record time within 1e-12 max(1, t_end) of t counts as
-    reached. More than MAX_STEPS steps raise StepError.
-    """
+    # written so that a NaN, which np.unique sorts last, fails the check
+    if not (times[0] >= 0 and times[-1] <= t_end * (1 + 1e-12)):
+        raise ValueError("record times must be finite and lie in [0, t_end]")
+    snaps = np.empty((times.size, *np.shape(state)))
+    energies = np.empty(times.size)
+    dissipated = np.empty(times.size)
     t = 0.0
     steps = 0
     tol = 1e-12 * max(1.0, t_end)
-    for k in range(1, times.size):
-        target = times[k]
+    for k, target in enumerate(times):
         while t < target - tol:
             dt = min(config.dt_at(t), target - t)
             if steps >= MAX_STEPS:
                 raise StepError(f"exceeded {MAX_STEPS} steps before t={target:.6g}")
-            advance(t, dt)
+            state = advance(state, t, dt)
             t += dt
             steps += 1
-        record(k, t)
-    return steps
+        snaps[k] = state
+        energies[k], dissipated[k] = observe(state, k, t, energies)
+    return RunSeries(
+        t=times, v=snaps, energy=energies, dissipated=dissipated,
+        steps=steps, m=m, a=config.a, iterations=work.iterations,
+        max_step_iterations=work.max_step_iterations, factorizations=work.factorizations,
+    )
 
 
 def run_vector(
@@ -520,15 +533,11 @@ def run_vector(
     """
     v = grid.check_field(np.array(v0, dtype=float))
     SphereMap(v=v, m=m).check_unit()
-    times = _record_schedule(t_end, record_times)
     work = _VectorWork(grid, m)
-    snaps = np.empty((times.size, grid.n, 3))
-    energies = np.empty(times.size)
-    dissipated = np.empty(times.size)
     spent = 0.0
 
-    def advance(t: float, dt: float) -> None:
-        nonlocal v, spent, rate_prev, terms
+    def advance(v: np.ndarray, t: float, dt: float) -> np.ndarray:
+        nonlocal spent, rate_prev, terms
         v = step_vector(v, t, dt, grid, m, config, work, terms)
         radii = np.linalg.norm(v, axis=1, keepdims=True)
         if np.max(np.abs(radii - 1.0)) > 0.1:
@@ -544,27 +553,20 @@ def run_vector(
         rate_now = dissipation_rate(v, grid, m, config.a, terms)
         spent += 0.5 * dt * (rate_prev + rate_now)
         rate_prev = rate_now
+        return v
 
-    def record(k: int, t: float) -> None:
+    def observe(v: np.ndarray, k: int, t: float, energies: np.ndarray):
         e_now = scheme_energy(v, grid, m)
         if k and config.a.real > 0 and e_now > energies[k - 1] + 1e-8 * max(1.0, energies[0]):
             raise InstabilityError(
                 f"energy grew from {energies[k - 1]:.9g} to {e_now:.9g} "
                 f"under a dissipative flow at t={t:.6g}"
             )
-        snaps[k] = v
-        energies[k] = e_now
-        dissipated[k] = spent
+        return e_now, spent
 
-    record(0, 0.0)
     terms = _midpoint_terms(v, grid, m, config.a)
     rate_prev = dissipation_rate(v, grid, m, config.a, terms)
-    steps = _march(times, t_end, config, advance, record)
-    return RunSeries(
-        t=times, v=snaps, energy=energies, dissipated=dissipated,
-        steps=steps, m=m, a=config.a, iterations=work.iterations,
-        max_step_iterations=work.max_step_iterations, factorizations=work.factorizations,
-    )
+    return _drive(v, work, m, config, t_end, record_times, advance, observe)
 
 
 def energy_identity_residual(series: RunSeries) -> float:
@@ -720,32 +722,19 @@ def run_scalar(
     beta = np.array(grid.check_field(beta0), dtype=float)
     if not np.all(np.isfinite(beta)):
         raise ValueError("initial angle has non-finite entries")
-    times = _record_schedule(t_end, record_times)
     work = _ScalarWork(grid, m, config.a.real)
-    betas = np.empty((times.size, grid.n))
-    energies = np.empty(times.size)
     # the accepted angle and step size of the step before
-    history = None
+    prev = dt_prev = None
 
-    def advance(t: float, dt: float) -> None:
-        nonlocal beta, history
-        seed = None
-        if history is not None:
-            prev, dt_prev = history
-            seed = beta + (dt / dt_prev) * (beta - prev)
-        history = beta, dt
-        beta = step_scalar(beta, t, dt, work, seed)
+    def advance(beta: np.ndarray, t: float, dt: float) -> np.ndarray:
+        nonlocal prev, dt_prev
+        seed = None if prev is None else beta + (dt / dt_prev) * (beta - prev)
+        prev, dt_prev = beta, dt
+        return step_scalar(beta, t, dt, work, seed)
 
-    def record(k: int, t: float) -> None:
-        betas[k] = beta
-        energies[k] = scalar_energy(beta, grid, m)
+    def observe(beta: np.ndarray, k: int, t: float, energies: np.ndarray):
+        e_now = scalar_energy(beta, grid, m)
+        return e_now, (energies[0] if k else e_now) - e_now
 
-    record(0, 0.0)
-    steps = _march(times, t_end, config, advance, record)
-    snaps = beta_to_map(betas)
-    return RunSeries(
-        t=times, v=snaps, energy=energies,
-        dissipated=energies[0] - energies, steps=steps, m=m, a=config.a, beta=betas,
-        iterations=work.iterations, max_step_iterations=work.max_step_iterations,
-        factorizations=work.factorizations,
-    )
+    series = _drive(beta, work, m, config, t_end, record_times, advance, observe)
+    return replace(series, v=beta_to_map(series.v), beta=series.v)

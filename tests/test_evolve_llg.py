@@ -3,6 +3,7 @@ energy identity bookkeeping, and the scalar great-circle reduction."""
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,16 @@ def test_flow_config_validation():
     assert cfg.dt_at(0.0) == 0.01
     assert cfg.dt_at(1.0) == 0.05
     assert cfg.dt_at(1e9) == 500.0
+
+
+@pytest.mark.parametrize(
+    "a", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(0.0, math.inf)]
+)
+def test_flow_config_rejects_non_finite_a(a):
+    """A non-finite flow coefficient is a ValueError when the schedule is
+    built, not an instability at the first residual of a run."""
+    with pytest.raises(ValueError, match="a must be finite"):
+        FlowConfig(a=a)
 
 
 def test_flow_config_is_the_run_schedule():
@@ -716,6 +727,28 @@ def test_run_vector_rejects_a_bad_step(grid, profile, monkeypatch, bad_step, mes
         run_vector(profile.h, grid, 3, FlowConfig(a=1.0, dt0=0.01), t_end=0.1)
 
 
+@pytest.mark.parametrize(
+    "a, rise, grows",
+    [(1.0, 1.0, True), (1.0, 2e-7, True), (1.0, 5e-8, False), (1j, 1.0, False)],
+    ids=["heat", "heat_past_tolerance", "heat_within_tolerance", "rotational"],
+)
+def test_run_vector_energy_growth_check(grid, profile, monkeypatch, a, rise, grows):
+    """Under a dissipative flow run_vector rejects a scheme energy that
+    rises from one record to the next by more than 1e-8 max(1, E(0)); the
+    rotational flow, which conserves it, takes no such check."""
+    booked = iter(10.0 + rise * k for k in range(10))
+    monkeypatch.setattr(evolve_llg, "scheme_energy", lambda v, grid, m: next(booked))
+    cfg = FlowConfig(a=a, dt0=0.01)
+    marks = [0.01, 0.02, 0.03]
+    if grows:
+        grew = f"energy grew from 10 to {10.0 + rise:.9g} .* at t=0.01$"
+        with pytest.raises(InstabilityError, match=grew):
+            run_vector(profile.h, grid, 3, cfg, t_end=0.03, record_times=marks)
+    else:
+        series = run_vector(profile.h, grid, 3, cfg, t_end=0.03, record_times=marks)
+        assert series.energy.tolist() == [10.0 + rise * k for k in range(4)]
+
+
 @pytest.mark.parametrize("solver", ["vector", "scalar"])
 def test_non_finite_step_is_instability(grid, profile, solver):
     """A NaN in the state makes the first residual of the chord iteration
@@ -934,6 +967,34 @@ def test_record_times_validation(grid, perturbed):
         run_vector(perturbed, grid, 3, cfg, t_end=0.1, record_times=[-0.5])
     with pytest.raises(ValueError, match="record times"):
         run_vector(perturbed, grid, 3, cfg, t_end=0.1, record_times=[0.2])
+
+
+@pytest.mark.parametrize(
+    "t_end, record_times",
+    [(math.nan, None), (math.inf, None), (0.1, [math.nan]), (0.1, [0.05, math.nan])],
+    ids=["nan_end", "inf_end", "nan_record", "nan_among_records"],
+)
+@pytest.mark.parametrize("solver", ["vector", "scalar"])
+def test_non_finite_record_times_rejected_before_any_step(
+    grid, profile, monkeypatch, solver, t_end, record_times
+):
+    """A non-finite t_end or record time is a ValueError on both solvers,
+    raised before any step, with no numpy warning, instead of a series
+    that records a NaN or an infinite time."""
+
+    def no_step(*args, **kwargs):
+        raise AssertionError(f"step_{solver} ran")
+
+    monkeypatch.setattr(evolve_llg, f"step_{solver}", no_step)
+    cfg = FlowConfig(a=1.0, dt0=0.01)
+    if solver == "vector":
+        run, state, m = run_vector, profile.h, 3
+    else:
+        run, state, m = run_scalar, stationary_angle(0.0, grid, 2), 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            run(state, grid, m, cfg, t_end=t_end, record_times=record_times)
 
 
 def test_cross_solver_agreement(wide_grid):

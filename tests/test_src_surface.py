@@ -16,6 +16,10 @@ The banded LU factorization and back-solve, LAPACK dgbtrf and dgbtrs, are
 each called from one function, so both implicit steppers share one chord
 iteration.
 
+RunSeries(...) is called from one function, the run driver _drive, and
+run_vector and run_scalar both call it, so the record times, the record
+arrays and the step loop are written once.
+
 The nodewise cross product has one home, harmonic_family.cross: numpy's
 np.cross is not used in the package.
 
@@ -145,18 +149,22 @@ def test_no_environment_reads():
     assert environment_reads(SRC) == []
 
 
-def functions_referencing(src: Path, name: str) -> list[str]:
+def functions_referencing(src: Path, name: str, calls_only: bool = False) -> list[str]:
     """module.qualified_name of every function or method under src that
-    refers to name by an ast.Name or ast.Attribute node in its own body;
-    nested functions count on their own, as outer.inner, and a reference
-    outside any function as module.<module>."""
+    refers to name by an ast.Name or ast.Attribute node in its own body,
+    with calls_only only as the callee of an ast.Call; nested functions
+    count on their own, as outer.inner, and a reference outside any
+    function as module.<module>."""
     found = set()
     for path in sorted(src.glob("*.py")):
         stack = [(ast.parse(path.read_text(encoding="utf-8")), "")]
         while stack:
             node, owner = stack.pop()
-            if (isinstance(node, ast.Name) and node.id == name) or (
-                isinstance(node, ast.Attribute) and node.attr == name
+            target = node
+            if calls_only:
+                target = node.func if isinstance(node, ast.Call) else None
+            if (isinstance(target, ast.Name) and target.id == name) or (
+                isinstance(target, ast.Attribute) and target.attr == name
             ):
                 found.add(f"{path.stem}.{owner or '<module>'}")
             for child in ast.iter_child_nodes(node):
@@ -170,6 +178,12 @@ def functions_referencing(src: Path, name: str) -> list[str]:
 def test_banded_lapack_calls_have_one_home():
     assert functions_referencing(SRC, "dgbtrf") == ["evolve_llg._chord"]
     assert functions_referencing(SRC, "dgbtrs") == ["evolve_llg.solve_banded"]
+
+
+def test_run_series_is_built_by_one_driver():
+    assert functions_referencing(SRC, "RunSeries", calls_only=True) == ["evolve_llg._drive"]
+    runs = ["evolve_llg.run_scalar", "evolve_llg.run_vector"]
+    assert functions_referencing(SRC, "_drive", calls_only=True) == runs
 
 
 def numpy_uses(src: Path, name: str) -> list[str]:
