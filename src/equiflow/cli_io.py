@@ -48,6 +48,7 @@ from .evolve_llg import (
     run_vector,
 )
 from .gauge import hasimoto_forward
+from .harmonic_family import _norm3
 from .modulation import (
     M1_UNSUPPORTED,
     bump_phi,
@@ -297,7 +298,7 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
     v = data[:, 1:4]
     if not np.isfinite(v).all():
         raise NumericalError(f"snapshot {path} holds non-finite map values")
-    radii = np.linalg.norm(v, axis=1)
+    radii = _norm3(v)
     deviation = float(np.max(np.abs(radii - 1.0)))
     if deviation > 1e-6:
         raise NumericalError(f"snapshot {path} leaves the unit sphere")
@@ -357,7 +358,7 @@ def _seeded_perturbation(
         bump *= delta / peak
     w = v.copy()
     w[:, :2] += bump
-    return w / np.linalg.norm(w, axis=1)[:, None]
+    return w / _norm3(w)[:, None]
 
 
 def _initial_data(cfg: ExperimentConfig) -> tuple[SphereMap, RadialGrid, float]:

@@ -80,7 +80,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
-from .harmonic_family import cross, energy as map_energy, laplace_m, pa_apply
+from .harmonic_family import _dot3, _norm3, cross, energy as map_energy, laplace_m, pa_apply
 from .radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, _apply_stencil, d2_rho
 
 @dataclass
@@ -105,7 +105,7 @@ class SphereMap:
 
     def check_unit(self) -> None:
         """ValueError if a node is off the unit sphere by more than 1e-8."""
-        err = float(np.max(np.abs(np.linalg.norm(self.v, axis=1) - 1.0)))
+        err = float(np.max(np.abs(_norm3(self.v) - 1.0)))
         # written so that a NaN error fails the check
         if not err <= 1e-8:
             raise ValueError(f"map leaves the unit sphere by {err:.3e}")
@@ -340,7 +340,7 @@ class _VectorWork(_ChordCounters):
         self.grid = grid
         taps = _D2_CENTER / grid.drho**2
         planar = float(m * m) * np.array([1.0, 1.0, 0.0])[:, None]
-        decay = np.exp(-2.0 * grid.rho)[N_PIN : n - N_PIN]
+        decay = grid.decay[N_PIN : n - N_PIN]
         # -L from evolving node i to node i + d, as [column component, i]
         self._coupling = [decay * ((d == 0) * planar - taps[3 + d]) for d in range(-3, 4)]
         self.ab = np.zeros((3 * self.BAND + 1, 3 * n), order="F")
@@ -374,7 +374,7 @@ def _midpoint_terms(x: np.ndarray, grid: RadialGrid, m: int, a: complex):
     laplace_operator: the terms of the midpoint residual F and of its
     Jacobian at x. At the start of a step they serve the step and
     dissipation_rate alike."""
-    radius = np.linalg.norm(x, axis=1, keepdims=True)
+    radius = _norm3(x)[:, None]
     unit = x / radius
     lap = laplace_operator(x, grid, m)
     return radius, unit, lap, pa_apply(unit, lap, a)
@@ -422,7 +422,7 @@ def dissipation_rate(v: np.ndarray, grid: RadialGrid, m: int, a: complex, terms=
         return 0.0
     _, _, lap, pa_lap = _midpoint_terms(v, grid, m, a) if terms is None else terms
     w = grid.drho * np.exp(2.0 * grid.rho)
-    return 2.0 * math.pi * float(w @ np.sum(lap * pa_lap, axis=1))
+    return 2.0 * math.pi * float(w @ _dot3(lap, pa_lap))
 
 
 def step_vector(
@@ -535,11 +535,15 @@ def run_vector(
     SphereMap(v=v, m=m).check_unit()
     work = _VectorWork(grid, m)
     spent = 0.0
+    terms = rate_prev = None  # of the next step's start map; the first step sets them
 
     def advance(v: np.ndarray, t: float, dt: float) -> np.ndarray:
         nonlocal spent, rate_prev, terms
+        if terms is None:
+            terms = _midpoint_terms(v, grid, m, config.a)
+            rate_prev = dissipation_rate(v, grid, m, config.a, terms)
         v = step_vector(v, t, dt, grid, m, config, work, terms)
-        radii = np.linalg.norm(v, axis=1, keepdims=True)
+        radii = _norm3(v)[:, None]
         if np.max(np.abs(radii - 1.0)) > 0.1:
             raise InstabilityError(
                 f"sphere constraint violated by {np.max(np.abs(radii - 1.0)):.3e} "
@@ -564,8 +568,6 @@ def run_vector(
             )
         return e_now, spent
 
-    terms = _midpoint_terms(v, grid, m, config.a)
-    rate_prev = dissipation_rate(v, grid, m, config.a, terms)
     return _drive(v, work, m, config, t_end, record_times, advance, observe)
 
 
@@ -631,17 +633,16 @@ class _ScalarWork(_ChordCounters):
         self.m = m
         self.a1 = a1
         self.u = u = 6
-        self.decay = np.exp(-2.0 * grid.rho)
-        self.a1_decay = a1 * self.decay
+        self.a1_decay = a1 * grid.decay
         self.neg_d2 = np.zeros((2 * u + 1, n), order="F")
         taps = _D2_CENTER / grid.drho**2
         for k, off in enumerate(range(-3, 4)):
-            self.neg_d2[u - off, 3 + off : n - 3 + off] = -taps[k] * self.decay[3 : n - 3]
+            self.neg_d2[u - off, 3 + off : n - 3 + off] = -taps[k] * grid.decay[3 : n - 3]
         for i in (1, 2):
             taps = _D2_EDGE[i] / grid.drho**2
             for k in range(8):
-                self.neg_d2[u + i - k, k] = -taps[k] * self.decay[i]
-                self.neg_d2[u + k - i, n - 1 - k] = -taps[k] * self.decay[n - 1 - i]
+                self.neg_d2[u + i - k, k] = -taps[k] * grid.decay[i]
+                self.neg_d2[u + k - i, n - 1 - k] = -taps[k] * grid.decay[n - 1 - i]
         self.ab = np.zeros((3 * u + 1, n), order="F")
 
     def rhs(self, beta: np.ndarray, d2: np.ndarray) -> np.ndarray:
@@ -655,7 +656,7 @@ class _ScalarWork(_ChordCounters):
         """The Newton matrix at beta, written into ab and returned."""
         u = self.u
         band = np.multiply(0.5 * dt * self.a1, self.neg_d2, out=self.ab[u:])
-        band[u, :] += 1.0 - 0.5 * dt * self.a1 * self.decay * self.m**2 * np.cos(2.0 * beta)
+        band[u, :] += 1.0 - 0.5 * dt * self.a1 * self.grid.decay * self.m**2 * np.cos(2.0 * beta)
         band[u, 0] = band[u, -1] = 1.0
         return self.ab
 

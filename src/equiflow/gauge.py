@@ -20,7 +20,9 @@ import numpy as np
 
 from .errors import ConfigError, GaugeError, ReconstructionError
 from .evolve_llg import SphereMap
-from .harmonic_family import Mu, _frame_coords, _residual_terms, cross, h_profile, project_tangent
+from .harmonic_family import (
+    Mu, _frame_coords, _norm3, _residual_terms, cross, h_profile, project_tangent
+)
 from .modulation import BumpProfile, r_inverse
 from .radial_grid import RadialGrid, cumint_dr, d2_rho, d_rho, norm
 
@@ -196,7 +198,7 @@ def _transport_frame(
     # everywhere at once (the transported phase is untouched).  At the
     # block ends this is the renormalization the chain applied.
     re = e_re - np.einsum("ij,ij->i", e_re, v)[:, None] * v
-    re /= np.linalg.norm(re, axis=1, keepdims=True)
+    re /= _norm3(re)[:, None]
     return re + 1j * cross(v, re)
 
 

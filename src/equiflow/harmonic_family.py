@@ -94,10 +94,22 @@ def h_profile(mu: Mu, grid: RadialGrid) -> HarmonicProfile:
     return HarmonicProfile(mu=mu, h1s=h1s, h3s=h3s, h=h, f=f)
 
 
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over the last axis, broadcasting: np.sum(a * b, axis=-1) byte
+    for byte, summed from +0.0 in component order, without its overhead."""
+    p = a * b
+    return 0.0 + p[..., 0] + p[..., 1] + p[..., 2]
+
+
+def _norm3(a: np.ndarray) -> np.ndarray:
+    """|a| over the last axis, byte for byte np.linalg.norm(a, axis=-1)."""
+    return np.sqrt(_dot3(a, a))
+
+
 def project_tangent(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """P^v w = w - (v.w) v, nodewise (v assumed unit); the vector
     components run along the last axis."""
-    return w - np.sum(v * w, axis=-1, keepdims=True) * v
+    return w - _dot3(v, w)[..., None] * v
 
 
 def pa_apply(v: np.ndarray, w: np.ndarray, a: complex) -> np.ndarray:
@@ -144,7 +156,7 @@ def energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
     """Equivariant Dirichlet energy pi int (|v_r|^2 + m^2 (v1^2+v2^2)/r^2) r dr."""
     v = grid.check_field(v)
     vr = deriv_r(v, grid)
-    integrand = (vr**2).sum(axis=1) + (m**2 / grid.r**2) * (v[:, 0] ** 2 + v[:, 1] ** 2)
+    integrand = _dot3(vr, vr) + (m**2 / grid.r**2) * (v[:, 0] ** 2 + v[:, 1] ** 2)
     return math.pi * float(quad_rdr(integrand, grid))
 
 
@@ -174,7 +186,7 @@ def laplace_m(v: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
     out = d2_rho(v, grid)
     out[:, 0] -= m * m * v[:, 0]
     out[:, 1] -= m * m * v[:, 1]
-    out *= np.exp(-2.0 * grid.rho)[:, None]
+    out *= grid.decay[:, None]
     return out
 
 

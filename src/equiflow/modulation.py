@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError
 from .evolve_llg import SphereMap
-from .harmonic_family import Mu, _checked_cosh, _frame_coords, _gamma, h_profile
+from .harmonic_family import Mu, _checked_cosh, _frame_coords, _gamma, _norm3, h_profile
 from .radial_grid import (
     RadialGrid,
     cell_dr,
@@ -198,7 +198,7 @@ def fit_mu(
     if mu_guess is not None and mu_guess.m != m:
         raise ConfigError("initial parameters and map disagree on the degree m")
     if mu_guess is not None:
-        gap = float(np.max(np.linalg.norm(v - h_profile(mu_guess, grid).h, axis=1)))
+        gap = float(np.max(_norm3(v - h_profile(mu_guess, grid).h)))
         if gap > 0.3:
             mu_guess = None
     if mu_guess is None:

@@ -84,9 +84,10 @@ class RadialGrid:
     """Uniform-in-log radial mesh with its quadrature weights attached.
 
     w_rdr, the one weight vector, integrates against r dr; integrals
-    against dr go through cell_dr and cumint_dr. Fields live on the
-    nodes as plain numpy arrays of length n (last axis free for vector
-    components).
+    against dr go through cell_dr and cumint_dr. decay is e^{-2 rho}, the
+    Laplacian's factor in log coordinates, made once per grid. Fields live
+    on the nodes as plain numpy arrays of length n (last axis free for
+    vector components).
     """
 
     rho_min: float
@@ -96,6 +97,7 @@ class RadialGrid:
     r: np.ndarray = field(repr=False)
     drho: float
     w_rdr: np.ndarray = field(repr=False)
+    decay: np.ndarray = field(repr=False)
 
     def check_field(self, f: np.ndarray) -> np.ndarray:
         f = np.asarray(f)
@@ -121,7 +123,7 @@ def build_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
 def _shared_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
     rho = np.linspace(rho_min, rho_max, n)
     r = np.exp(rho)
-    arrays = {"rho": rho, "r": r, "w_rdr": _product_weights(r)}
+    arrays = {"rho": rho, "r": r, "w_rdr": _product_weights(r), "decay": np.exp(-2.0 * rho)}
     for arr in arrays.values():
         arr.flags.writeable = False
     return RadialGrid(
@@ -178,11 +180,13 @@ def _apply_stencil(f: np.ndarray, center, left=(), right=None, parity: float = 1
     f_cols, body_cols = _real_columns(f), _real_columns(body)
     for c in range(f_cols.shape[1]):
         body_cols[:, c] = np.correlate(f_cols[:, c], center, "valid")
+    if right is None and left:
+        rev = np.ascontiguousarray(f[: -max(map(len, left)) - 1 : -1])
     for i, w in enumerate(left):
         out[i] = w @ f[: len(w)]
         if right is None:
-            rev = np.ascontiguousarray(f[: -len(w) - 1 : -1])
-            out[out.shape[0] - 1 - i] = parity * (w @ rev)
+            row = w @ rev[: len(w)]
+            out[-1 - i] = row if parity == 1.0 else parity * row
     for i, w in enumerate(right or ()):
         out[out.shape[0] - tail + i] = w @ f[-len(w) :]
     return out

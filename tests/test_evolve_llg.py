@@ -31,7 +31,7 @@ from equiflow.evolve_llg import (
     step_scalar,
     step_vector,
 )
-from equiflow.harmonic_family import Mu, energy, h_profile, pa_apply
+from equiflow.harmonic_family import Mu, energy, h_profile
 from equiflow.radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, build_grid, d2_rho
 from equiflow.scenarios import TailFamily, build_initial_data
 
@@ -483,10 +483,37 @@ def test_assemble_strided_write_matches_scatter_bytes(grid, perturbed, a):
         assert info == 0 and lu is ab and lu.tobytes() != ref.tobytes()
 
 
+def _reference_laplacian(x, grid, m):
+    """laplace_operator by its formula, e^{-2 rho} (d2_rho x - m^2 (x1, x2, 0))
+    with e^{-2 rho} from np.exp, zeroed on the pinned nodes."""
+    out = d2_rho(x, grid)
+    out[:, 0] -= m * m * x[:, 0]
+    out[:, 1] -= m * m * x[:, 1]
+    out *= np.exp(-2.0 * grid.rho)[:, None]
+    out[:N_PIN] = out[-N_PIN:] = 0.0
+    return out
+
+
+def _reference_pa(u, w, a):
+    """pa_apply by its formula, a1 (w - (u.w) u) + a2 u x w, with numpy's
+    axis sum and np.cross."""
+    out = a.real * (w - np.sum(u * w, axis=-1, keepdims=True) * u)
+    return out + a.imag * np.cross(u, w) if a.imag != 0.0 else out
+
+
+def _reference_rate(v, grid, a):
+    """dissipation_rate of v by its formula, with numpy's axis sums."""
+    lap = _reference_laplacian(v, grid, 3)
+    pa_lap = _reference_pa(v / np.linalg.norm(v, axis=1, keepdims=True), lap, a)
+    w = grid.drho * np.exp(2.0 * grid.rho)
+    return 0.0 if a.real == 0 else 2.0 * math.pi * float(w @ np.sum(lap * pa_lap, axis=1))
+
+
 def _reference_step_vector(v, dt, grid, m, config, held=None):
     """The midpoint step written out apart from step_vector: the scatter
     band with the loop-built derivative blocks, and L x, x/|x| and
-    P_a L x evaluated afresh in every iteration, under the same re-factor
+    P_a L x evaluated afresh in every iteration by the formulas of
+    _reference_laplacian and _reference_pa, under the same re-factor
     rule. The step starts from held, the (lu, piv, dt) of an earlier
     factorization, unless held is None or its dt is more than
     CHORD_DT_DRIFT off. Returns the new map, the iteration count, the
@@ -500,15 +527,15 @@ def _reference_step_vector(v, dt, grid, m, config, held=None):
     refactor = held is None or abs(dt - lu_dt) > evolve_llg.CHORD_DT_DRIFT * lu_dt
     vmid, factors, before = v, 0, math.inf
     for count in range(1, evolve_llg.MIDPOINT_CAP + 1):
-        lap = laplace_operator(vmid, grid, m)
+        lap = _reference_laplacian(vmid, grid, m)
         if refactor:
-            pa = pa_apply(unit(vmid), np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
+            pa = _reference_pa(unit(vmid), np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
             band = assemble_scatter(grid, m, pa, dt, derivative_blocks(vmid, lap, config.a))
             lu, piv, info = dgbtrf(band, U, U, overwrite_ab=True)
             assert info == 0
             lu_dt = dt
             factors += 1
-        resid = vmid - v - 0.5 * dt * pa_apply(unit(vmid), lap, config.a)
+        resid = vmid - v - 0.5 * dt * _reference_pa(unit(vmid), lap, config.a)
         update, _ = dgbtrs(lu, U, U, resid.reshape(-1), piv)
         vmid = vmid - update.reshape(-1, 3)
         delta = float(np.max(np.abs(update)))
@@ -523,18 +550,18 @@ def _reference_step_vector(v, dt, grid, m, config, held=None):
 
 def _reference_run_vector(v, dt, steps, grid, config):
     """run_vector by the reference step, each step starting from the LU
-    the step before left, recomputing the step-start terms in
-    dissipation_rate, with a record every 5 steps. Returns the snapshots,
+    the step before left, recomputing the step-start terms in the
+    reference rate, with a record every 5 steps. Returns the snapshots,
     energies, dissipated energies and the iteration and factorization
     counts."""
     spent, iterations, factors, held = 0.0, 0, 0, None
     snaps, energies, dissipated = [v], [scheme_energy(v, grid, 3)], [0.0]
-    rate_prev = dissipation_rate(v, grid, 3, config.a)
+    rate_prev = _reference_rate(v, grid, config.a)
     for k in range(1, steps + 1):
         v, count, refactors, held = _reference_step_vector(v, dt, grid, 3, config, held)
         iterations += count
         factors += refactors
-        rate_now = dissipation_rate(v, grid, 3, config.a)
+        rate_now = _reference_rate(v, grid, config.a)
         spent += 0.5 * dt * (rate_prev + rate_now)
         rate_prev = rate_now
         if k % 5 == 0:
@@ -548,7 +575,8 @@ def _reference_run_vector(v, dt, steps, grid, config):
 def test_run_vector_matches_reference_loop_bytes(grid, perturbed, a):
     """20 steps of run_vector reproduce, byte for byte, a run loop whose
     step builds its band and derivative blocks apart from step_vector and
-    recomputes the step-start terms in the step and in dissipation_rate.
+    recomputes the step-start terms in the step and in the rate, with the
+    Laplacian, P_a and the norms written out in numpy's own formulas.
     Both hold their LU across steps, so they factor fewer times than they
     step."""
     dt = 2.0**-7  # a power of two, so that the step times add up exactly
@@ -979,13 +1007,16 @@ def test_non_finite_record_times_rejected_before_any_step(
     grid, profile, monkeypatch, solver, t_end, record_times
 ):
     """A non-finite t_end or record time is a ValueError on both solvers,
-    raised before any step, with no numpy warning, instead of a series
-    that records a NaN or an infinite time."""
+    raised before any step and, on the vector solver, before the midpoint
+    terms of the initial map are computed, with no numpy warning, instead
+    of a series that records a NaN or an infinite time."""
 
-    def no_step(*args, **kwargs):
-        raise AssertionError(f"step_{solver} ran")
+    def no_compute(*args, **kwargs):
+        raise AssertionError(f"the {solver} solver computed before checking its times")
 
-    monkeypatch.setattr(evolve_llg, f"step_{solver}", no_step)
+    monkeypatch.setattr(evolve_llg, f"step_{solver}", no_compute)
+    if solver == "vector":
+        monkeypatch.setattr(evolve_llg, "_midpoint_terms", no_compute)
     cfg = FlowConfig(a=1.0, dt0=0.01)
     if solver == "vector":
         run, state, m = run_vector, profile.h, 3

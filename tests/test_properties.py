@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from equiflow import evolve_llg
 from equiflow.cli_io import _KEYS, load_snapshot, parse_config, save_snapshot
 from equiflow.errors import ConfigError
 from equiflow.evolve_llg import FlowConfig, SphereMap, _pa_derivative, run_vector, step_vector
-from equiflow.harmonic_family import Mu, degree, h_profile, pa_apply
+from equiflow.harmonic_family import Mu, _dot3, _norm3, degree, h_profile, pa_apply
 from equiflow.radial_grid import build_grid
 
 # derandomized so that tier-1 runs the same examples every time
@@ -90,6 +91,36 @@ def test_projection_derivative_matches_central_differences(pairs, a):
         minus[:, col] -= h
         values = [pa_apply(y / np.linalg.norm(y, axis=1, keepdims=True), w, a) for y in (plus, minus)]
         assert np.max(np.abs(deriv[:, :, col] - (values[0] - values[1]) / (2 * h))) <= 1e-7
+
+
+# finite floats of every size, subnormals included, and the special values
+ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -2e-310]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def component_pairs(draw):
+    """(a, b): b of shape (n, 3) and a of shape (n, 3) or (3, n, 3), the
+    broadcast P_a blocks take, with entries from ENTRIES."""
+    n = draw(st.integers(1, 12))
+    b = draw(hnp.arrays(np.float64, (n, 3), elements=ENTRIES))
+    a = draw(hnp.arrays(np.float64, draw(st.sampled_from([(n, 3), (3, n, 3)])), elements=ENTRIES))
+    return a, b
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(component_pairs())
+def test_nodewise_kernels_match_numpy_bytes(pair):
+    """_dot3 and _norm3 equal numpy's axis sum and norm byte for byte:
+    signed zeros, infinities, NaNs and subnormals included."""
+    a, b = pair
+    with np.errstate(all="ignore"):
+        for x, y in ((a, b), (b, a)):
+            assert _dot3(x, y).tobytes() == np.sum(x * y, axis=-1).tobytes()
+        for x in (a, b):
+            assert _norm3(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
 
 
 STEP_GRID = build_grid(-4.0, 4.0, 64)

@@ -16,7 +16,9 @@ from equiflow.radial_grid import (
     _D2_CENTER,
     _D2_EDGE,
     _apply_stencil,
+    _real_columns,
     build_grid,
+    cell_dr,
     cumint_dr,
     d2_rho,
     d_rho,
@@ -205,6 +207,48 @@ def test_apply_stencil_matches_reference_bytes(f, which):
     assert (got + 0.0).tobytes() == (ref + 0.0).tobytes()
 
 
+def _per_weight_stencil(f, center, left=(), right=None, parity=1.0):
+    """_apply_stencil as it was before its reversed tail block was shared
+    by the closure rows: a contiguous reversed copy of the last nodes per
+    closure weight, and every mirrored row multiplied by parity."""
+    f = np.ascontiguousarray(f, dtype=np.result_type(f.dtype, np.float64))
+    interior = f.shape[0] - len(center) + 1
+    tail = len(left) if right is None else len(right)
+    out = np.empty((len(left) + interior + tail,) + f.shape[1:], dtype=f.dtype)
+    body = out[len(left) : len(left) + interior]
+    f_cols, body_cols = _real_columns(f), _real_columns(body)
+    for c in range(f_cols.shape[1]):
+        body_cols[:, c] = np.correlate(f_cols[:, c], center, "valid")
+    for i, w in enumerate(left):
+        out[i] = w @ f[: len(w)]
+        if right is None:
+            rev = np.ascontiguousarray(f[: -len(w) - 1 : -1])
+            out[out.shape[0] - 1 - i] = parity * (w @ rev)
+    for i, w in enumerate(right or ()):
+        out[out.shape[0] - tail + i] = w @ f[-len(w) :]
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(stencil_fields().filter(lambda f: f.shape[0] >= 16), st.sampled_from(["d1", "d2", "cell"]))
+def test_derivatives_and_cells_match_per_weight_stencil_bytes(f, which):
+    """d_rho, d2_rho and cell_dr equal their formulas over the per-weight
+    stencil byte for byte, signed zeros included, on real, (n, 3) and
+    complex fields."""
+    grid = build_grid(-2.0, 3.0, f.shape[0])
+    if which == "d1":
+        got, ref = d_rho(f, grid), _per_weight_stencil(f, _D1_CENTER, _D1_EDGE, parity=-1.0)
+        ref = ref / grid.drho
+    elif which == "d2":
+        got, ref = d2_rho(f, grid), _per_weight_stencil(f, _D2_CENTER, _D2_EDGE) / grid.drho**2
+    else:
+        c = f * grid.r.reshape((-1,) + (1,) * (f.ndim - 1))
+        got = cell_dr(f, grid)
+        ref = _per_weight_stencil(c, _CUM_CELL[2], _CUM_CELL[:2], _CUM_CELL[3:]) * grid.drho
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_cumint_dr_polynomial(grid):
     """Cumulative integral of r^2 dr matches r^3/3 - r0^3/3 at every node."""
     got = cumint_dr(grid.r**2, grid)
@@ -340,8 +384,9 @@ def test_interp_rho_smooth_accuracy_and_clamping(grid):
 
 def test_grids_are_shared_and_read_only():
     grid = build_grid(-3.0, 5.0, 40)
+    assert grid.decay.tobytes() == np.exp(-2.0 * grid.rho).tobytes()
     assert build_grid(-3.0, 5.0, 40) is grid
     assert build_grid(-3.0, 5.0, 41) is not grid
-    for arr in (grid.rho, grid.r, grid.w_rdr):
+    for arr in (grid.rho, grid.r, grid.w_rdr, grid.decay):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1.0

@@ -21,7 +21,8 @@ run_vector and run_scalar both call it, so the record times, the record
 arrays and the step loop are written once.
 
 The nodewise cross product has one home, harmonic_family.cross: numpy's
-np.cross is not used in the package.
+np.cross is not used in the package. Likewise the nodewise norm has one
+home, harmonic_family._norm3: np.linalg.norm is not used in the package.
 
 Arrays are written through plain indexing: nothing of
 numpy.lib.stride_tricks (as_strided, sliding_window_view) is used.
@@ -217,6 +218,40 @@ def definitions_of(src: Path, name: str) -> list[str]:
 def test_cross_product_has_one_home():
     assert numpy_uses(SRC, "cross") == []
     assert definitions_of(SRC, "cross") == ["harmonic_family.cross"]
+
+
+def linalg_norm_uses(src: Path) -> list[str]:
+    """module:line of every np.linalg.norm or numpy.linalg.norm attribute
+    and every `from numpy.linalg import norm` under src."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr == "norm":
+                owner = node.value
+                hit = isinstance(owner, ast.Attribute) and owner.attr == "linalg"
+                hit = hit and isinstance(owner.value, ast.Name)
+                hit = hit and owner.value.id in ("np", "numpy")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                hit = any(alias.name == "norm" for alias in node.names)
+            else:
+                continue
+            if hit:
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_nodewise_norm_has_one_home(tmp_path):
+    assert linalg_norm_uses(SRC) == []
+    assert definitions_of(SRC, "_norm3") == ["harmonic_family._norm3"]
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import norm\n"
+        "a = np.linalg.norm(x, axis=1)\n"
+        "b = np.linalg.solve(m, x)\n"
+        "c = norm(x)\n",
+        encoding="utf-8",
+    )
+    assert linalg_norm_uses(tmp_path) == ["mod:2", "mod:3"]
 
 
 _STRIDE_TRICKS = {"stride_tricks", "as_strided", "sliding_window_view"}
