@@ -7,8 +7,9 @@ In this frame the radial derivative of the map, with the equivariant
 rotation term removed, becomes a single complex scalar field q; the
 time-dependent part of the connection becomes a real phase integral S;
 and the change of frame to the fitted harmonic profile becomes a
-pointwise rotation M.  The reverse direction rebuilds the map from the
-profile parameters and q by a damped fixed-point iteration.
+pointwise rotation M.  The reverse direction rebuilds the map, with its
+residual coordinate, from the profile parameters and q by a damped
+fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .harmonic_family import (
     Mu, _frame_coords, _norm3, _residual_terms, cross, h_profile, project_tangent
 )
 from .modulation import BumpProfile, r_inverse
-from .radial_grid import RadialGrid, cumint_dr, d2_rho, d_rho, norm
+from .radial_grid import RadialGrid, _apply_stencil, cumint_dr, d2_rho, d_rho, norm
 
 _RENORM_EVERY = 16
 _DRIFT_LIMIT = 1e-3
@@ -60,18 +61,14 @@ class GaugeState:
     grid: RadialGrid
 
 
-def _midpoints(field: np.ndarray, n: int) -> np.ndarray:
-    """Quintic interpolation of nodal data to the n-1 cell midpoints.
+def _midpoints(field: np.ndarray) -> np.ndarray:
+    """Quintic interpolation of nodal data to the cell midpoints.
 
     The stencil repeats the edge node near the ends, so the data is padded
-    with two copies of its first and last node; the six shifted slices of
-    the padded copy are weighted and added onto zero in the order j = 0..5.
+    with two copies of its first and last node before the stencil runs.
     """
     pad = np.concatenate((field[:1], field[:1], field, field[-1:], field[-1:]))
-    out = np.zeros_like(pad[: n - 1])
-    for j, c in enumerate(_MID6):
-        out += c * pad[j : j + n - 1]
-    return out
+    return _apply_stencil(pad, _MID6)
 
 
 def _cell_propagators(v: np.ndarray, v_rho: np.ndarray, h: float) -> np.ndarray:
@@ -86,9 +83,8 @@ def _cell_propagators(v: np.ndarray, v_rho: np.ndarray, h: float) -> np.ndarray:
     products; I goes in through a strided view of the diagonals.
     Returns the (n-1, 3, 3) stack indexed by cell.
     """
-    n = v.shape[0]
     u1, w1 = -v[1:], v_rho[1:]
-    u2, w2 = -_midpoints(v, n), _midpoints(v_rho, n)
+    u2, w2 = -_midpoints(v), _midpoints(v_rho)
     u4, w4 = -v[:-1], v_rho[:-1]
     w2p = w2 + (0.5 * h * np.einsum("ij,ij->i", w2, u1))[:, None] * w1
     w3p = w2 + (0.5 * h * np.einsum("ij,ij->i", w2, u2))[:, None] * w2p
@@ -324,15 +320,16 @@ def reconstruct_v(
     q: np.ndarray,
     phi: BumpProfile,
     grid: RadialGrid,
-) -> tuple[SphereMap, GaugeState]:
+) -> tuple[SphereMap, np.ndarray]:
     """Rebuild the map from profile parameters and the flat-frame field.
 
     Fixed-point iteration for the residual coordinate z: reassemble the
     map, transport the frame on it, rotate q into the profile frame, and
     invert the linearized radial operator on the window-free complement.
     The step is damped by half once z grows past 0.1 in sup norm, and
-    abandoned past 0.3. The returned state holds the phase integral of
-    the heat flow, a = 1; qeq_rhs recomputes it for any other a.
+    abandoned past 0.3. Returns the map and the residual coordinate z of
+    the last iterate, from which the map is built; hasimoto_forward on
+    the map gives its flat-frame state.
     """
     if phi.m != mu.m:
         raise ConfigError("bump window and parameters disagree on the degree m")
@@ -369,5 +366,4 @@ def reconstruct_v(
             "fixed point did not contract to tolerance within 200 iterations"
         )
     _, terms = _residual_terms(z, prof)
-    vmap = SphereMap(hmap + terms[0] + terms[1] + terms[2], m)
-    return vmap, hasimoto_forward(vmap, mu, grid)
+    return SphereMap(hmap + terms[0] + terms[1] + terms[2], m), z

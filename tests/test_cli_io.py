@@ -173,6 +173,19 @@ def test_snapshot_errors(tmp_path, capsys):
             assert f"positive integer, got {m}" in capsys.readouterr().err
 
 
+def test_snapshot_slightly_off_the_sphere_is_renormalized(tmp_path):
+    """Rows off the unit sphere by 1e-9, inside the load tolerance, load
+    as v/|v|."""
+    grid = build_grid(-6.0, 6.0, 128)
+    v = (1.0 + 1e-9) * h_profile(Mu(1.0, 0.4, 3), grid).h
+    path = tmp_path / "off.dat"
+    save_snapshot(path, SphereMap(v, 3), grid)
+    loaded, _ = load_snapshot(path)
+    radii = np.linalg.norm(v, axis=1, keepdims=True)
+    np.testing.assert_array_equal(loaded.v, v / radii)
+    assert np.abs(np.linalg.norm(loaded.v, axis=1) - 1.0).max() <= 1e-15
+
+
 def edit_snapshot_row(tmp_path, edit):
     """Stored snapshot whose middle row holds edit(values of that row), and
     the line number of that row."""
@@ -325,6 +338,42 @@ def test_simulate_vector_path(tmp_path, capsys):
     assert np.all(np.isfinite(cols["energy"]))
     assert np.all(np.isnan(cols["prediction"]))
     assert np.nanmax(cols["z_sup"]) < 0.3
+
+
+def snapshot_run(tmp_path, capsys, vmap, grid):
+    """simulate from a stored snapshot of vmap on grid: the summary line,
+    the series comments and the final map."""
+    snap = tmp_path / "start.dat"
+    save_snapshot(snap, vmap, grid)
+    cfg = write_config(tmp_path, snapshot=snap, dt0=2e-3, t_end=0.02, records=3)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    comments, _, _ = read_csv(out / "series.csv")
+    final, _ = load_snapshot(out / "snapshot_final.dat")
+    return summary, comments, final
+
+
+def test_simulate_from_non_planar_snapshot_runs_vector_path(tmp_path, capsys):
+    """A snapshot off the great circle runs on the vector stepper, with no
+    family and so no initial energy excess, and ends on the sphere."""
+    grid = build_grid(-6.0, 6.0, 128)
+    prof = h_profile(Mu(1.0, 0.4, 3), grid)
+    bump = 0.02 * np.exp(-(((grid.rho - 0.5) / 0.8) ** 2))
+    v = prof.h + bump[:, None] * (prof.f.real + prof.f.imag)
+    vmap = SphereMap(v / np.linalg.norm(v, axis=1, keepdims=True), 3)
+    summary, comments, final = snapshot_run(tmp_path, capsys, vmap, grid)
+    assert "solver=vector" in summary
+    assert any("initial energy excess = nan" in c for c in comments)
+    assert final.m == 3
+    assert np.abs(np.linalg.norm(final.v, axis=1) - 1.0).max() <= 1e-10
+
+
+def test_simulate_from_planar_snapshot_runs_scalar_path(tmp_path, capsys):
+    grid = build_grid(-6.0, 6.0, 128)
+    vmap = SphereMap(h_profile(Mu(1.0, 0.0, 2), grid).h, 2)
+    summary, _, _ = snapshot_run(tmp_path, capsys, vmap, grid)
+    assert "solver=scalar" in summary
 
 
 def test_quiet_suppresses_report(tmp_path, capsys):

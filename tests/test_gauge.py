@@ -28,7 +28,7 @@ from equiflow.gauge import (
     qeq_rhs,
     reconstruct_v,
 )
-from equiflow.harmonic_family import Mu, energy, h_profile
+from equiflow.harmonic_family import Mu, _residual_terms, energy, h_profile
 from equiflow.modulation import bump_phi, fit_mu
 from equiflow.radial_grid import build_grid, d_rho, deriv_r, norm
 
@@ -189,6 +189,13 @@ def test_transition_matrix_isometry(grid):
     assert st_h.alpha_tilde == pytest.approx(-alpha, abs=1e-8)
 
 
+def assert_built_from(vmap, z, mu, grid):
+    """The map is h[mu] plus the residual terms of z, bit for bit."""
+    prof = h_profile(mu, grid)
+    _, terms = _residual_terms(z, prof)
+    assert (prof.h + terms[0] + terms[1] + terms[2]).tobytes() == vmap.v.tobytes()
+
+
 def test_roundtrip_reconstruction(grid):
     """map -> (mu, q) -> map returns to the start in the energy norm."""
     for m, amp in ((2, 0.05), (3, 0.05)):
@@ -197,9 +204,10 @@ def test_roundtrip_reconstruction(grid):
         phi = bump_phi(m, grid)
         fit = fit_mu(vm, None, phi, grid)
         st = hasimoto_forward(vm, fit.mu, grid)
-        vrec, strec = reconstruct_v(fit.mu, st.q, phi, grid)
+        vrec, z = reconstruct_v(fit.mu, st.q, phi, grid)
         assert norm(vrec.v - vm.v, grid, kind="X") <= 1e-6
-        assert strec.grid is grid
+        assert hasimoto_forward(vrec, fit.mu, grid).grid is grid
+        assert_built_from(vrec, z, fit.mu, grid)
 
 
 def test_roundtrip_through_damped_fixed_point(grid):
@@ -220,9 +228,10 @@ def test_reconstruct_zero_q_returns_profile(grid):
     m = 3
     mu = Mu(0.7, 1.2, m)
     phi = bump_phi(m, grid)
-    vrec, st = reconstruct_v(mu, np.zeros(grid.n, dtype=complex), phi, grid)
+    vrec, z = reconstruct_v(mu, np.zeros(grid.n, dtype=complex), phi, grid)
     assert np.abs(vrec.v - h_profile(mu, grid).h).max() <= 1e-13
-    assert np.abs(st.q).max() <= 1e-7
+    assert np.abs(hasimoto_forward(vrec, mu, grid).q).max() <= 1e-7
+    assert_built_from(vrec, z, mu, grid)
 
 
 def test_reconstruction_lipschitz(grid):
@@ -265,8 +274,8 @@ def transport_frame_loop(v, grid):
     """
     n = grid.n
     v_rho = d_rho(v, grid)
-    vmid = _midpoints(v, n)
-    vrmid = _midpoints(v_rho, n)
+    vmid = _midpoints(v)
+    vrmid = _midpoints(v_rho)
     e = np.empty((n, 3), dtype=complex)
     vk = v[n - 1]
     re0 = np.array([1.0, 0.0, 0.0]) - vk[0] * vk
@@ -421,7 +430,7 @@ def _reference_transport_frame(v, grid, v_rho=None):
 
 @pytest.mark.parametrize("n", [16, 17, 1024, 2050])
 def test_midpoints_match_gathered_contraction_bytes(n):
-    """The shifted-slice midpoints of (n, 3) vector data, the only shape
+    """The stencil midpoints of (n, 3) vector data, the only shape
     the transport interpolates, equal the gathered einsum contraction bit
     for bit, on a map, its derivative, node-to-node noise and signed
     zeros."""
@@ -433,7 +442,56 @@ def test_midpoints_match_gathered_contraction_bytes(n):
     signed = np.zeros((n, 3))
     signed[[8, 10, 11, 13]] = -0.0
     for field in (v, d_rho(v, g), noise, signed):
-        assert _midpoints(field, n).tobytes() == _reference_midpoints(field, n).tobytes()
+        assert _midpoints(field).tobytes() == _reference_midpoints(field, n).tobytes()
+
+
+def _shifted_slice_midpoints(field, n):
+    """_midpoints as six shifted slices of the edge-padded data, weighted
+    and added onto zero in the order j = 0..5, the loop that
+    _apply_stencil's correlation replaced."""
+    pad = np.concatenate((field[:1], field[:1], field, field[-1:], field[-1:]))
+    out = np.zeros_like(pad[: n - 1])
+    for j, c in enumerate(_MID6):
+        out += c * pad[j : j + n - 1]
+    return out
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_midpoints_match_shifted_slices_bytes(n):
+    """The stencil midpoints equal the shifted-slice loop bit for bit on
+    noise, a profile map and its derivative, signed zeros, and a field
+    holding +-0.0, +-inf and NaN. Each column is interpolated on its own;
+    the column of infinities, where inf - inf makes NaNs, holds no NaN
+    of the data (see the next test)."""
+    g = build_grid(-8.0, 16.0, n)
+    h = h_profile(Mu(1.1, 0.7, 3), g).h
+    rng = np.random.default_rng(n)
+    special = np.stack(
+        [
+            rng.choice([0.0, -0.0, 1.0, np.inf, -np.inf], size=n),
+            rng.choice([0.0, -0.0, 1.0, np.nan], size=n),
+            rng.choice([0.0, -0.0], size=n),
+        ],
+        axis=1,
+    )
+    with np.errstate(invalid="ignore"):
+        for field in (rng.normal(size=(n, 3)), h, d_rho(h, g), special):
+            assert _midpoints(field).tobytes() == _shifted_slice_midpoints(field, n).tobytes()
+
+
+@pytest.mark.parametrize("n", [1024, 2048])
+def test_midpoints_differ_from_shifted_slices_only_in_nan_signs(n):
+    """Where a cell's sum is already the NaN of inf - inf (sign bit set)
+    and adds a NaN of the data (sign bit clear), which of the two NaNs
+    survives is up to the summation kernel, so the stencil and the loop
+    may disagree in that sign bit; every other byte agrees."""
+    values = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    with np.errstate(invalid="ignore"):
+        for seed in range(20):
+            field = np.random.default_rng(seed).choice(values, size=(n, 3))
+            new, old = _midpoints(field), _shifted_slice_midpoints(field, n)
+            same = new.view(np.uint64) == old.view(np.uint64)
+            assert np.isnan(new[~same]).all() and np.isnan(old[~same]).all()
 
 
 @pytest.mark.parametrize("given_v_rho", [False, True])

@@ -256,6 +256,21 @@ def test_fit_planar_map_falls_back_to_slope_of_real_part(monkeypatch):
     assert pairings > state.iterations + 1
 
 
+@pytest.mark.parametrize(
+    "alpha, message", [(0.0, "flat residual"), (0.4, "singular Jacobian")]
+)
+def test_fit_error_on_a_pairing_blind_to_the_parameters(monkeypatch, alpha, message):
+    """A window pairing that does not move with the parameters fails the
+    identity step, and its finite-difference Jacobian is zero: a slope of
+    zero on a great-circle map (alpha = 0), a singular 2x2 matrix off it."""
+    m = 2
+    grid = build_grid(-6.0, 6.0, 512)
+    vmap = SphereMap(h_profile(Mu(1.0, alpha, m), grid).h, m)
+    monkeypatch.setattr(modulation, "inner_product", lambda *args: 0.3 + 0.2j)
+    with pytest.raises(FitError, match=message):
+        fit_mu(vmap, None, bump_phi(m, grid), grid)
+
+
 def test_fit_error_without_crossing(grid):
     """Maps that never cross the equator admit no seed."""
     v = np.tile(np.array([0.8, 0.0, 0.6]), (grid.n, 1))
@@ -474,7 +489,8 @@ def test_energy_norm_chain(grid):
             * np.exp(-(((grid.rho - 0.4) / 0.9) ** 2))
             * (1.0 + 0.6j)
         ).astype(complex)
-        vrec, gauge = reconstruct_v(Mu(1.0, 0.2, m), q, phi, grid)
+        vrec, _ = reconstruct_v(Mu(1.0, 0.2, m), q, phi, grid)
+        gauge = hasimoto_forward(vrec, Mu(1.0, 0.2, m), grid)
         state = fit_mu(vrec, Mu(1.0, 0.2, m), phi, grid)
         zx = norm(state.z, grid, kind="X")
         budget = norm(gauge.q, grid, kind="L2x") + np.abs(

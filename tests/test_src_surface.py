@@ -27,6 +27,12 @@ home, harmonic_family._norm3: np.linalg.norm is not used in the package.
 Arrays are written through plain indexing: nothing of
 numpy.lib.stride_tricks (as_strided, sliding_window_view) is used.
 
+Centered stencils have one implementation, radial_grid._apply_stencil:
+it is the only function that refers to np.correlate.
+
+The inverse gauge transform does not re-run the forward one: no
+function in gauge calls hasimoto_forward.
+
 Commands compute and the command line entry point reports: print is
 called only in cli_io.main.
 
@@ -281,6 +287,15 @@ def stride_trick_uses(src: Path) -> list[str]:
 
 def test_no_stride_tricks():
     assert stride_trick_uses(SRC) == []
+
+
+def test_stencil_correlation_has_one_home():
+    assert functions_referencing(SRC, "correlate") == ["radial_grid._apply_stencil"]
+
+
+def test_gauge_does_not_call_its_forward_transform():
+    callers = functions_referencing(SRC, "hasimoto_forward", calls_only=True)
+    assert [name for name in callers if name.startswith("gauge.")] == []
 
 
 def test_only_main_prints():
