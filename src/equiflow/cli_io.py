@@ -285,11 +285,17 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
         if len(row) != 4:
             raise ConfigError(f"snapshot {path}, line {lineno}: {len(row)} values, expected 4")
         rows.append(row)
-    try:
-        m = int(meta["m"])
-        grid = build_grid(float(meta["rho_min"]), float(meta["rho_max"]), int(meta["n"]))
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"snapshot {path} is missing grid metadata: {exc}") from exc
+    numbers = {}
+    for key, kind in (("m", int), ("n", int), ("rho_min", float), ("rho_max", float)):
+        if key not in meta:
+            raise ConfigError(f"snapshot {path} is missing grid metadata {key}")
+        try:
+            numbers[key] = kind(meta[key])
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ConfigError(f"snapshot {path}: grid metadata {key} is not {what}") from None
+    m = numbers["m"]
+    grid = build_grid(numbers["rho_min"], numbers["rho_max"], numbers["n"])
     if len(rows) != grid.n:
         raise ConfigError(f"snapshot {path} has {len(rows)} rows, expected {grid.n}")
     data = np.asarray(rows, dtype=float)
@@ -317,13 +323,14 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
 # table output
 
 
-def _write_table(out_dir: Path, kind: str, columns, comments=()) -> Path:
+def _write_table(out_dir: Path, kind: str, columns, comments) -> Path:
     """Write out_dir/kind.csv, with a stamped schema version and
     per-column documentation, and return its path.
 
-    columns is a list of (name, documentation, array) triples; all
-    floats are rendered at full precision so identical inputs give
-    bit-identical files.
+    comments are written one per line after the stamp, and columns is
+    a list of (name, documentation, array) triples; all floats are
+    rendered at full precision so identical inputs give bit-identical
+    files.
     """
     lines = [f"# equiflow {kind} schema {SCHEMA_VERSION}"]
     lines.extend(f"# {comment}" for comment in comments)

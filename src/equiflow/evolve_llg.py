@@ -49,15 +49,15 @@ dgbtrs back-solve per iteration, and re-factors at the current iterate
 only when an update has not shrunk to CHORD_CONTRACTION of the one before.
 It stops once the largest update is below MIDPOINT_TOL (vector) or
 NEWTON_TOL (scalar) and fails after MIDPOINT_CAP or NEWTON_CAP
-iterations. The scalar stepper factors at the start of every step. The
-vector stepper holds its LU across steps (Hairer and Wanner, Solving ODEs
-II, sec. IV.8): a step starts from the factorization the step before left
-unless dt has moved by more than CHORD_DT_DRIFT of the dt it was made at,
-and re-factors under the same contraction rule. Near a harmonic map, where the Jacobian barely
-moves, a run at one dt then factors a few times in all; a step cut short
-to meet a record time factors at its own dt, and the step after it at
-the full dt again. A step that fails drops the held LU. The matrix only
-steers the iteration; the residual alone fixes the result.
+iterations. A call leaves its LU on the run's work object, and a vector
+step starts from it (Hairer and Wanner, Solving ODEs II, sec. IV.8)
+unless dt has moved by more than CHORD_DT_DRIFT of the dt it was made
+at. Near a harmonic map, where the Jacobian barely moves, a run at one dt
+then factors a few times in all; a step cut short to meet a record time
+factors at its own dt, and the step after it at the full dt again. A
+failed step drops the LU, and a scalar step drops it to factor at its
+seed. The matrix only steers the iteration; the residual alone fixes
+the result.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -233,11 +233,9 @@ NEWTON_TOL, NEWTON_CAP = 1e-10, 12
 class _ChordCounters:
     """The chord state _chord keeps on the work object of a run: the
     counters (chord iterations in all, the most taken in one step, the
-    band matrices factored) and, when HOLD_LU is true, the LU factors lu
-    and piv of the last factorization and the dt lu_dt it was made at, for
-    the next call to start from. lu is None while no LU is held."""
+    band matrices factored) and the LU factors lu, piv of the last
+    factorization, made at dt lu_dt; lu is None while no LU is held."""
 
-    HOLD_LU = False
     iterations = 0
     max_step_iterations = 0
     factorizations = 0
@@ -262,14 +260,14 @@ def _chord(
     largest update falls below tol. Convergence is measured on the update:
     the raw residual sits on a roundoff floor amplified by e^{-2 rho} near
     the inner boundary, which the solve removes. A call that returns
-    leaves its LU on work when work.HOLD_LU is true; an exception leaves
-    none, as the band array may already hold a new assembly. A non-finite
-    residual raises InstabilityError before any solve; a non-finite update
-    ends the iteration, for the finiteness check of step_scalar or
-    run_vector. A singular matrix, or cap iterations without convergence,
-    raises StepError naming the iteration by what; cap iterations whose
-    last update is larger than the first are reported as diverged,
-    otherwise as stalled.
+    leaves its LU on work; an exception leaves none, as the band array
+    may already hold a new assembly. A non-finite residual raises
+    InstabilityError before any solve; a non-finite update ends the
+    iteration, for the finiteness check of step_scalar or run_vector. A
+    singular matrix, or cap iterations without convergence, raises
+    StepError naming the iteration by what; cap iterations whose last
+    update is larger than the first are reported as diverged, otherwise
+    as stalled.
     """
     lu, piv, lu_dt = work.lu, work.piv, work.lu_dt
     # the call takes the held LU; only a call that returns gives one back
@@ -305,8 +303,7 @@ def _chord(
             "reduce the step size"
         )
     work.max_step_iterations = max(work.max_step_iterations, count)
-    if work.HOLD_LU:
-        work.lu, work.piv, work.lu_dt = lu, piv, lu_dt
+    work.lu, work.piv, work.lu_dt = lu, piv, lu_dt
     return x
 
 
@@ -333,7 +330,6 @@ class _VectorWork(_ChordCounters):
     """
 
     BAND = 11
-    HOLD_LU = True
 
     def __init__(self, grid: RadialGrid, m: int):
         n = grid.n
@@ -408,19 +404,18 @@ def _pa_derivative(unit: np.ndarray, radius: np.ndarray, w: np.ndarray, a: compl
     return out.transpose(2, 0, 1)
 
 
-def dissipation_rate(v: np.ndarray, grid: RadialGrid, m: int, a: complex, terms=None) -> float:
+def dissipation_rate(terms, grid: RadialGrid, a: complex) -> float:
     """Instantaneous decay rate of the scheme energy,
-    2 pi a1 sum drho e^{2 rho} |P^v L v|^2.
+    2 pi a1 sum drho e^{2 rho} |P^v L v|^2, from terms, the _midpoint_terms of v.
 
     Pointwise the summand is (L v) . (P_a L v) with the scheme's own
     weights, so minus this rate is the exact time derivative of
     scheme_energy along the semi-discrete flow; the rotational part drops
-    out and the rate is identically zero when Re a = 0. terms, when
-    given, are the _midpoint_terms of v, which are then not recomputed.
+    out and the rate is identically zero when Re a = 0.
     """
     if a.real == 0:
         return 0.0
-    _, _, lap, pa_lap = _midpoint_terms(v, grid, m, a) if terms is None else terms
+    _, _, lap, pa_lap = terms
     w = grid.drho * np.exp(2.0 * grid.rho)
     return 2.0 * math.pi * float(w @ _dot3(lap, pa_lap))
 
@@ -432,8 +427,8 @@ def step_vector(
     grid: RadialGrid,
     m: int,
     config: FlowConfig,
-    work: _VectorWork | None = None,
-    terms=None,
+    work: _VectorWork,
+    terms,
 ) -> np.ndarray:
     """One implicit midpoint step of the vector scheme: the new map
     2 x - v, unprojected.
@@ -445,15 +440,9 @@ def step_vector(
     pinned rows of F' are identity rows and F vanishes on them, so the
     pinned nodes stay put. The update is tangent at the midpoint, so the
     new map keeps |v| = 1 to solver tolerance by the scheme alone. The
-    chord matrix is factored where _chord calls for it; otherwise the step
-    starts from the LU that work holds from the step before. A step without
-    work builds its own and factors at x = v. terms, when given, are the
-    _midpoint_terms of v, which the step then does not recompute.
+    step starts from the LU that work, the run's _VectorWork, holds and
+    factors where _chord calls for it. terms are the _midpoint_terms of v.
     """
-    if work is None:
-        work = _VectorWork(grid, m)
-    if terms is None:
-        terms = _midpoint_terms(v, grid, m, config.a)
 
     def evaluate(x: np.ndarray, factor: bool):
         radius, unit, lap, pa_lap = terms if x is v else _midpoint_terms(x, grid, m, config.a)
@@ -541,7 +530,7 @@ def run_vector(
         nonlocal spent, rate_prev, terms
         if terms is None:
             terms = _midpoint_terms(v, grid, m, config.a)
-            rate_prev = dissipation_rate(v, grid, m, config.a, terms)
+            rate_prev = dissipation_rate(terms, grid, config.a)
         v = step_vector(v, t, dt, grid, m, config, work, terms)
         radii = _norm3(v)[:, None]
         if np.max(np.abs(radii - 1.0)) > 0.1:
@@ -554,7 +543,7 @@ def run_vector(
             raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
         # computed once, for the rate here and the next step
         terms = _midpoint_terms(v, grid, m, config.a)
-        rate_now = dissipation_rate(v, grid, m, config.a, terms)
+        rate_now = dissipation_rate(terms, grid, config.a)
         spent += 0.5 * dt * (rate_prev + rate_now)
         rate_prev = rate_now
         return v
@@ -666,16 +655,16 @@ def step_scalar(
     t: float,
     dt: float,
     work: _ScalarWork,
-    seed: np.ndarray | None = None,
+    seed: np.ndarray,
 ) -> np.ndarray:
     """One Crank-Nicolson step of the great-circle angle.
 
     The new angle x solves G(x) = x - beta - (dt/2) (f(x) + f(beta)) = 0,
     f the rhs of work, by _chord with the Newton matrix G' of work, to
-    NEWTON_TOL in at most NEWTON_CAP iterations. seed, when given, is the
-    starting iterate and must hold beta's Dirichlet end values; run_scalar
-    passes the linear extrapolation in time of its last two accepted
-    angles. Without it the iteration starts from beta.
+    NEWTON_TOL in at most NEWTON_CAP iterations, factored afresh at seed.
+    seed is the starting iterate and must hold beta's Dirichlet end
+    values; run_scalar passes beta itself at the first step and the
+    linear extrapolation in time of its last two accepted angles after.
     """
     # d2_rho(x) is evaluated as d2_rho(beta) + d2_rho(x - beta). The
     # stencil's roundoff scales with the values it reads: on the angle
@@ -698,8 +687,8 @@ def step_scalar(
     # convergence basin once dt is large. From beta itself, or extrapolated
     # from two accepted Crank-Nicolson states, which evaluates no rhs, the
     # diffusion-dominated Jacobian reaches the solution in a few iterations.
-    start = beta if seed is None else seed
-    new = _chord(start, evaluate, work.u, NEWTON_TOL, NEWTON_CAP, work, "Newton", t, dt)
+    work.lu = None
+    new = _chord(seed, evaluate, work.u, NEWTON_TOL, NEWTON_CAP, work, "Newton", t, dt)
     if not np.all(np.isfinite(new)):
         raise InstabilityError(f"non-finite angle after step at t={t:.6g}")
     return new
@@ -729,7 +718,7 @@ def run_scalar(
 
     def advance(beta: np.ndarray, t: float, dt: float) -> np.ndarray:
         nonlocal prev, dt_prev
-        seed = None if prev is None else beta + (dt / dt_prev) * (beta - prev)
+        seed = beta if prev is None else beta + (dt / dt_prev) * (beta - prev)
         prev, dt_prev = beta, dt
         return step_scalar(beta, t, dt, work, seed)
 

@@ -96,9 +96,7 @@ def _cell_propagators(v: np.ndarray, v_rho: np.ndarray, h: float) -> np.ndarray:
     return prop
 
 
-def _transport_frame(
-    v: np.ndarray, grid: RadialGrid, v_rho: np.ndarray | None = None
-) -> np.ndarray:
+def _transport_frame(v: np.ndarray, grid: RadialGrid, v_rho: np.ndarray) -> np.ndarray:
     """Integrate the frame transport inward from the outer edge.
 
     Classical fourth-order explicit steps on the transport rule (the
@@ -113,11 +111,9 @@ def _transport_frame(
     and the frame is re-orthonormalized.  The chain is sequential, on
     three floats per leg, so it runs on Python scalar locals: a numpy
     call costs more than its arithmetic.  v_rho is the radial
-    derivative of v, computed here when not given.
+    derivative of v.
     """
     n = grid.n
-    if v_rho is None:
-        v_rho = d_rho(v, grid)
     # anchor the frame at the outer edge: the reference direction
     # projected onto the tangent plane there, so that slowly decaying
     # far fields (where the map has not yet reached the pole) still
@@ -344,7 +340,7 @@ def reconstruct_v(
         gamma, terms = _residual_terms(z, prof)
         vres = terms[0] + terms[1] + terms[2]
         v = hmap + vres
-        e = _transport_frame(v, grid)
+        e = _transport_frame(v, grid, d_rho(v, grid))
         eq = q.real[:, None] * e.real + q.imag[:, None] * e.imag
         mq = _frame_coords(eq, f)
         rhs = mq - (m / grid.r) * vres[:, 2] * z + (m / grid.r) * h1s * gamma

@@ -181,7 +181,8 @@ def fit_mu(
     using the identity as the (negated) leading Jacobian; if a step
     fails to halve the residual the Jacobian is re-estimated by finite
     differences.  Maps with an identically zero second component are fit
-    with the rotation pinned to zero.
+    with the rotation pinned to zero, its row of that Jacobian the
+    identity's.  A singular Jacobian or 50 iterations raise FitError.
 
     By default a residual coordinate exceeding 0.3 in sup norm is
     rejected: the decomposition is only meaningful close to the family.
@@ -228,24 +229,19 @@ def fit_mu(
             break
         if use_fd:
             f_s, _ = evaluate(muc + eps)
-            if planar_rigid:
-                slope = (f_s.real - F.real) / eps
-                if slope == 0.0:
-                    raise FitError("parameter fit stalled: flat residual")
-                step = complex(-F.real / slope, 0.0)
-            else:
-                f_a, _ = evaluate(muc + 1j * eps)
-                jac = np.array(
-                    [
-                        [(f_s.real - F.real) / eps, (f_a.real - F.real) / eps],
-                        [(f_s.imag - F.imag) / eps, (f_a.imag - F.imag) / eps],
-                    ]
-                )
-                try:
-                    dx = np.linalg.solve(jac, -np.array([F.real, F.imag]))
-                except np.linalg.LinAlgError as exc:
-                    raise FitError("parameter fit stalled: singular Jacobian") from exc
-                step = complex(dx[0], dx[1])
+            # a pinned rotation makes the second row of the Jacobian the identity's
+            f_a = complex(F.real, F.imag + eps) if planar_rigid else evaluate(muc + 1j * eps)[0]
+            jac = np.array(
+                [
+                    [(f_s.real - F.real) / eps, (f_a.real - F.real) / eps],
+                    [(f_s.imag - F.imag) / eps, (f_a.imag - F.imag) / eps],
+                ]
+            )
+            try:
+                dx = np.linalg.solve(jac, -np.array([F.real, F.imag]))
+            except np.linalg.LinAlgError as exc:
+                raise FitError("parameter fit stalled: singular Jacobian") from exc
+            step = complex(dx[0], dx[1])
         else:
             step = F
         F_new, z_new = evaluate(muc + step)

@@ -30,27 +30,16 @@ from .errors import ConfigError
 _QUAD_DEGREE = 5
 
 
-def _fd_weights(offsets: np.ndarray, order: int) -> np.ndarray:
-    """Finite-difference weights for the given derivative order on integer
-    node offsets (unit spacing), exact for polynomials up to len(offsets)-1."""
-    k = len(offsets)
-    rhs = np.zeros(k)
-    rhs[order] = math.factorial(order)
-    return np.linalg.solve(np.vander(offsets, k, increasing=True).T, rhs)
-
-
-def _cell_weights(offsets: np.ndarray) -> np.ndarray:
-    """Weights integrating the Lagrange interpolant on integer offsets over
-    the unit cell [0, 1] (used with a shift so the cell sits between two
-    of the nodes)."""
-    k = len(offsets)
-    mom = np.array([1.0 / (j + 1) for j in range(k)])
-    return np.linalg.solve(np.vander(offsets, k, increasing=True).T, mom)
+def _weights(offsets: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """Weights w on integer node offsets o with sum_i w_i o_i^j = moments[j]
+    for j < len(offsets): j! at one j gives the j-th derivative at 0, and
+    1/(j + 1) the integral over the unit cell [0, 1]."""
+    return np.linalg.solve(np.vander(offsets, len(offsets), increasing=True).T, moments)
 
 
 # quintic per-cell cumulative weights; index = position of the cell inside
 # its 6-node window (2 = centered interior, 0/1 left edge, 3/4 right edge)
-_CUM_CELL = [_cell_weights(np.arange(-pos, 6 - pos)) for pos in range(5)]
+_CUM_CELL = [_weights(np.arange(-pos, 6 - pos), 1.0 / np.arange(1, 7)) for pos in range(5)]
 
 
 def _product_weights(r: np.ndarray) -> np.ndarray:
@@ -136,10 +125,10 @@ def _shared_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
 
 
 # 7-point interior stencils (order 6) and matching one-sided closures
-_D1_CENTER = _fd_weights(np.arange(-3, 4), 1)
-_D2_CENTER = _fd_weights(np.arange(-3, 4), 2)
-_D1_EDGE = [_fd_weights(np.arange(0, 7) - i, 1) for i in range(3)]
-_D2_EDGE = [_fd_weights(np.arange(0, 8) - i, 2) for i in range(3)]
+_D1_CENTER = _weights(np.arange(-3, 4), np.eye(7)[1])
+_D2_CENTER = _weights(np.arange(-3, 4), 2.0 * np.eye(7)[2])
+_D1_EDGE = [_weights(np.arange(0, 7) - i, np.eye(7)[1]) for i in range(3)]
+_D2_EDGE = [_weights(np.arange(0, 8) - i, 2.0 * np.eye(8)[2]) for i in range(3)]
 
 
 def _along_nodes(x: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -131,7 +131,7 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tail_angle(fam: TailFamily, grid: RadialGrid, cut_width: float = 1.0) -> np.ndarray:
+def tail_angle(fam: TailFamily, grid: RadialGrid, cut_width: float) -> np.ndarray:
     """Angle perturbation of the tail recipe on the grid.
 
     Zero below the activation radius, and -sign * P'(ln ln r)/ln r far
@@ -162,9 +162,7 @@ def build_initial_data(
             "grid too narrow to resolve the iterated-log tail: need "
             f"r_max >= {_LNLN_HEADROOM * fam.r1:.3g}, have {grid.r[-1]:.3g}"
         )
-    beta = stationary_angle(math.log(fam.s0), grid, m) + tail_angle(
-        fam, grid, cut_width
-    )
+    beta = stationary_angle(math.log(fam.s0), grid, m) + tail_angle(fam, grid, cut_width)
     v = beta_to_map(beta)
     excess = energy(v, grid, m) - 4.0 * math.pi * m
     return SphereMap(v=v, m=m, beta=beta), float(excess)

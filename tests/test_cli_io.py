@@ -173,6 +173,33 @@ def test_snapshot_errors(tmp_path, capsys):
             assert f"positive integer, got {m}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, edited, message",
+    [
+        ("# n = 16\n", "", "is missing grid metadata n$"),
+        ("# m = 2\n", "# m = 2.5\n", "grid metadata m is not an integer$"),
+        ("# n = 16\n", "# n = 6.4e1\n", "grid metadata n is not an integer$"),
+        ("# rho_min = -2\n", "# rho_min = -2,0\n", "grid metadata rho_min is not a number$"),
+    ],
+    ids=["missing-n", "m", "n", "rho_min"],
+)
+def test_snapshot_metadata_error_names_the_key(tmp_path, capsys, line, edited, message):
+    """A missing grid key is called missing, and a malformed one is named
+    and called not a number, in load_snapshot and through decompose."""
+    grid = build_grid(-2.0, 2.0, 16)
+    vmap, _ = build_initial_data(TailFamily("none"), grid, m=2)
+    snap = tmp_path / "state.dat"
+    save_snapshot(snap, vmap, grid)
+    text = snap.read_text()
+    assert line in text
+    snap.write_text(text.replace(line, edited))
+    with pytest.raises(ConfigError, match=message):
+        load_snapshot(snap)
+    cfg = write_config(tmp_path, snapshot=str(snap))
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert re.search(message, capsys.readouterr().err.strip())
+
+
 def test_snapshot_slightly_off_the_sphere_is_renormalized(tmp_path):
     """Rows off the unit sphere by 1e-9, inside the load tolerance, load
     as v/|v|."""
@@ -184,6 +211,22 @@ def test_snapshot_slightly_off_the_sphere_is_renormalized(tmp_path):
     radii = np.linalg.norm(v, axis=1, keepdims=True)
     np.testing.assert_array_equal(loaded.v, v / radii)
     assert np.abs(np.linalg.norm(loaded.v, axis=1) - 1.0).max() <= 1e-15
+
+
+def test_snapshot_blank_lines_are_skipped(tmp_path):
+    """Blank and whitespace-only lines, among the metadata and between
+    the rows, change nothing in the loaded map or its grid."""
+    grid = build_grid(-6.0, 6.0, 64)
+    path = tmp_path / "state.dat"
+    save_snapshot(path, SphereMap(h_profile(Mu(1.0, 0.4, 3), grid).h, 3), grid)
+    plain, plain_grid = load_snapshot(path)
+    lines = path.read_text().splitlines()
+    spaced = ["", *lines[:2], "   ", *lines[2:40], "\t", "", *lines[40:], ""]
+    path.write_text("\n".join(spaced) + "\n")
+    loaded, loaded_grid = load_snapshot(path)
+    assert loaded_grid is plain_grid
+    assert loaded.m == plain.m and loaded.beta is plain.beta is None
+    assert loaded.v.tobytes() == plain.v.tobytes()
 
 
 def edit_snapshot_row(tmp_path, edit):

@@ -18,6 +18,7 @@ from equiflow.evolve_llg import (
     SphereMap,
     _ScalarWork,
     _VectorWork,
+    _midpoint_terms,
     beta_to_map,
     dissipation_rate,
     energy_identity_residual,
@@ -57,6 +58,13 @@ def perturbed(grid, profile):
     bump = 0.1 * np.exp(-(((grid.rho - 0.5) / 0.6) ** 2))
     v = profile.h + bump[:, None] * profile.f.real
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def first_step(v, t, dt, grid, m, config):
+    """step_vector as the first step of a run: a new _VectorWork, which
+    holds no LU, and the _midpoint_terms of v."""
+    terms = _midpoint_terms(v, grid, m, config.a)
+    return step_vector(v, t, dt, grid, m, config, _VectorWork(grid, m), terms)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +123,7 @@ def test_flow_config_is_the_run_schedule():
 def test_harmonic_profile_is_near_stationary(grid, profile):
     """One heat-flow step moves the harmonic map by far less than dt."""
     dt = 0.02
-    v1 = step_vector(profile.h, 0.0, dt, grid, 3, FlowConfig(a=1.0, dt0=dt))
+    v1 = first_step(profile.h, 0.0, dt, grid, 3, FlowConfig(a=1.0, dt0=dt))
     assert np.max(np.abs(v1 - profile.h)) < 1e-6 * dt
 
 
@@ -130,7 +138,7 @@ def test_steps_stay_on_sphere_without_renormalization(grid, perturbed):
     cfg = FlowConfig(a=1.0, dt0=0.02)
     v = perturbed
     for k in range(10):
-        v = step_vector(v, 0.02 * k, 0.02, grid, 3, cfg)
+        v = first_step(v, 0.02 * k, 0.02, grid, 3, cfg)
     assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) < 1e-12
 
 
@@ -157,7 +165,7 @@ def test_conservative_flow_preserves_scheme_energy(grid, perturbed):
     drift = np.max(np.abs(series.energy - series.energy[0])) / series.energy[0]
     assert drift < 1e-11
     assert np.all(series.dissipated == 0.0)
-    assert dissipation_rate(series.v[-1], grid, 3, 1j) == 0.0
+    assert dissipation_rate(_midpoint_terms(series.v[-1], grid, 3, 1j), grid, 1j) == 0.0
 
 
 def test_mixed_flow_dissipates(grid, perturbed):
@@ -191,26 +199,6 @@ def test_rotation_equivariance(wide_grid):
     plain = run_vector(v0, wide_grid, 3, cfg, t_end=0.5, record_times=[0.5])
     turned = run_vector(v0 @ rot.T, wide_grid, 3, cfg, t_end=0.5, record_times=[0.5])
     assert np.max(np.abs(turned.v[-1] - plain.v[-1] @ rot.T)) < 1e-12
-
-
-def test_scale_covariance(wide_grid):
-    """Shifting the profile by j nodes and rescaling time by e^{2 j drho}
-    reproduces the shifted evolution on the common interior."""
-    prof = h_profile(Mu(s=1.0, alpha=0.0, m=3), wide_grid)
-    bump = 0.1 * np.exp(-(((wide_grid.rho - 0.5) / 0.6) ** 2))
-    v0 = prof.h + bump[:, None] * prof.f.real
-    v0 /= np.linalg.norm(v0, axis=1, keepdims=True)
-    j = 50
-    lam2 = math.exp(2 * j * wide_grid.drho)
-    v0s = np.roll(v0, j, axis=0)
-    v0s[:j] = v0[0]
-    plain = run_vector(v0, wide_grid, 3, FlowConfig(a=1.0, dt0=0.005), t_end=0.5, record_times=[0.5])
-    moved = run_vector(
-        v0s, wide_grid, 3, FlowConfig(a=1.0, dt0=0.005 * lam2), t_end=0.5 * lam2,
-        record_times=[0.5 * lam2],
-    )
-    diff = moved.v[-1][3 + j : -8] - plain.v[-1][3 : -8 - j]
-    assert np.max(np.abs(diff)) < 1e-9
 
 
 def test_outer_iteration_stall_raises(grid, perturbed, monkeypatch):
@@ -328,7 +316,7 @@ def test_step_projection_blocks_match_reference(grid, perturbed, a, monkeypatch)
         return assemble(self, pa, deriv, dt)
 
     monkeypatch.setattr(_VectorWork, "assemble", spy)
-    step_vector(perturbed, 0.0, 0.01, grid, 3, FlowConfig(a=a, dt0=0.01))
+    first_step(perturbed, 0.0, 0.01, grid, 3, FlowConfig(a=a, dt0=0.01))
     assert len(seen) == 1
     pa, deriv = seen[0]
     assert np.array_equal(pa, pa_blocks(perturbed, complex(a)))
@@ -659,7 +647,7 @@ def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
     _count_calls(monkeypatch, evolve_llg, "d2_rho", d2_calls)
     step = evolve_llg.step_vector
 
-    def counted_step(v, t, dt, grid, m, config, work=None, terms=None):
+    def counted_step(v, t, dt, grid, m, config, work, terms):
         before = work.iterations
         out = step(v, t, dt, grid, m, config, work, terms)
         per_step.append(work.iterations - before)
@@ -679,7 +667,7 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     Newton iteration, one dgbtrf per step plus a re-factor after each
     update that has not shrunk to CHORD_CONTRACTION of the one before, and
     one d2_rho per iteration plus one per step for the seed, the first
-    step starting from beta and reusing its rhs and every later one from
+    step seeded with beta itself and reusing its rhs and every later one from
     the linear extrapolation in time of the two accepted angles before
     it; max_step_iterations is the most Newton iterations of one step."""
     solves, factors, d2_calls, per_step, seeds = [], [], [], [], []
@@ -695,10 +683,10 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     monkeypatch.setattr(evolve_llg, "solve_banded", counted_solve)
     step = evolve_llg.step_scalar
 
-    def counted_step(beta, t, dt, work, seed=None):
+    def counted_step(beta, t, dt, work, seed):
         before = work.iterations, len(factors)
         out = step(beta, t, dt, work, seed)
-        per_step.append((work.iterations - before[0], len(factors) - before[1], seed is None))
+        per_step.append((work.iterations - before[0], len(factors) - before[1], seed is beta))
         seeds.append((beta, dt, seed))
         return out
 
@@ -708,7 +696,7 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     series = run_scalar(beta0, grid, 2, cfg, t_end=1e3)
     its = [k for k, _, _ in per_step]
     assert series.steps == len(per_step) > 0
-    assert [unseeded for _, _, unseeded in per_step] == [True] + [False] * (series.steps - 1)
+    assert [at_beta for _, _, at_beta in per_step] == [True] + [False] * (series.steps - 1)
     # each later step is seeded by extrapolating the two accepted angles before it
     for (prev, dt_prev, _), (beta, dt, seed) in zip(seeds, seeds[1:]):
         assert seed.tobytes() == (beta + (dt / dt_prev) * (beta - prev)).tobytes()
@@ -788,13 +776,13 @@ def test_non_finite_step_is_instability(grid, profile, solver):
         v[400, 1] = math.nan
         work = _VectorWork(grid, 3)
         with pytest.raises(InstabilityError, match="non-finite midpoint residual"):
-            step_vector(v, 0.0, 0.01, grid, 3, cfg, work)
+            step_vector(v, 0.0, 0.01, grid, 3, cfg, work, _midpoint_terms(v, grid, 3, cfg.a))
     else:
         beta = stationary_angle(0.0, grid, 2)
         beta[300] = np.nan
         work = _ScalarWork(grid, 2, 1.0)
         with pytest.raises(InstabilityError, match="non-finite Newton residual"):
-            step_scalar(beta, 0.0, 0.01, work)
+            step_scalar(beta, 0.0, 0.01, work, beta)
     assert work.iterations == work.factorizations == 0
 
 
@@ -821,8 +809,9 @@ def test_chord_exact_jacobian_converges_on_one_factorization():
     assert np.array_equal(x, c)
     # one update to c, then a zero update that meets the tolerance
     assert (work.iterations, work.factorizations, work.max_step_iterations) == (2, 1, 2)
+    # the second call at the same dt starts from the LU the first left
     evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
-    assert (work.iterations, work.factorizations, work.max_step_iterations) == (4, 2, 2)
+    assert (work.iterations, work.factorizations, work.max_step_iterations) == (4, 1, 2)
 
 
 def test_chord_stall_reports_last_update():
@@ -876,12 +865,6 @@ def test_chord_zero_band_is_singular():
     assert (work.iterations, work.factorizations, work.max_step_iterations) == (0, 0, 0)
 
 
-class _HeldChord(evolve_llg._ChordCounters):
-    """A chord state that holds its LU across calls, as _VectorWork does."""
-
-    HOLD_LU = True
-
-
 def _hold_lu(work, diagonal, dt):
     """Put the LU of diagonal times I, in the toy's band storage, on work
     as if a call at dt had factored it."""
@@ -917,7 +900,7 @@ def test_chord_reuses_the_held_lu_unless_dt_drifts(dt, factors):
     change factors at the first iterate and holds the new LU at the new
     dt."""
     c, evaluate = _toy_problem()
-    work = _HeldChord()
+    work = evolve_llg._ChordCounters()
     evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.0, 0.25)
     assert work.factorizations == 1 and work.lu_dt == 0.25
     x = evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.25, dt)
@@ -940,7 +923,7 @@ def test_chord_held_lu_with_growing_updates_refactors_at_the_current_iterate():
         calls.append((x.copy(), factor))
         return evaluate(x, factor)
 
-    work = _HeldChord()
+    work = evolve_llg._ChordCounters()
     _hold_lu(work, 0.25, 0.25)
     x = evolve_llg._chord(np.zeros(6), spy, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
     assert np.array_equal(x, c)
@@ -965,7 +948,7 @@ def test_chord_failure_drops_the_held_lu(diagonal, start, dt, cap, error, messag
     even at the dt of the dropped LU."""
     _, failing = _toy_problem(diagonal)
     c, evaluate = _toy_problem()
-    work = _HeldChord()
+    work = evolve_llg._ChordCounters()
     _hold_lu(work, 1.0, 0.25)
     with pytest.raises(error, match=message):
         evolve_llg._chord(np.full(6, start), failing, 1, 1e-12, cap, work, "toy", 0.5, dt)
@@ -976,17 +959,27 @@ def test_chord_failure_drops_the_held_lu(diagonal, start, dt, cap, error, messag
     assert work.factorizations == before + 1
 
 
-def test_scalar_work_factors_afresh_at_the_same_dt(grid):
-    """_ScalarWork holds no LU: two calls at one dt with the exact
-    Jacobian each factor at their first iterate, and neither leaves an LU
-    behind."""
-    c, evaluate = _toy_problem()
+def test_scalar_work_factors_afresh_at_the_same_dt(grid, monkeypatch):
+    """_chord leaves its LU on the work and step_scalar drops it: two
+    steps at one dt each build and factor the Newton matrix at their seed
+    first."""
     work = _ScalarWork(grid, 2, 1.0)
-    for calls in (1, 2):
-        x = evolve_llg._chord(np.zeros(6), evaluate, 1, 1e-12, 5, work, "toy", 0.5, 0.25)
-        assert np.array_equal(x, c)
-        assert (work.iterations, work.factorizations) == (2 * calls, calls)
-        assert work.lu is None
+    built = []
+    newton_matrix = work.newton_matrix
+
+    def spy(x, dt):
+        built.append(x)
+        return newton_matrix(x, dt)
+
+    monkeypatch.setattr(work, "newton_matrix", spy)
+    beta = stationary_angle(0.0, grid, 2) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
+    for steps in (1, 2):
+        built.clear()
+        new = step_scalar(beta, 0.0, 0.01, work, beta)
+        assert built and built[0] is beta
+        assert work.lu is not None and work.lu_dt == 0.01
+        assert work.factorizations >= steps
+        beta = new
 
 
 def test_record_times_validation(grid, perturbed):
@@ -1217,10 +1210,10 @@ def _full_newton_step_scalar(beta, dt, grid, m, a1):
     raise StepError("reference Newton loop stalled")
 
 
-def _reference_step_scalar(beta, dt, grid, m, a1, seed=None):
+def _reference_step_scalar(beta, dt, grid, m, a1, seed):
     """The seeded chord iteration of step_scalar, written independently: a
     fresh 7-diagonal band from banded_d2, factored by dgbtrf and
-    back-solved by dgbtrs at l = u = 7, from seed (beta when None), with
+    back-solved by dgbtrs at l = u = 7, from seed, with
     d2_rho(x) evaluated as d2_rho(beta) + d2_rho(x - beta) and a
     re-factor at the current iterate after each update larger than
     CHORD_CONTRACTION times the one before. Returns the new angle, the
@@ -1229,14 +1222,14 @@ def _reference_step_scalar(beta, dt, grid, m, a1, seed=None):
     d2_beta = d2_rho(beta, grid)
 
     def rhs(b):
-        # beta itself, at the step's start or as the first unseeded iterate
+        # beta itself, at the step's start or as the first iterate
         d2 = d2_beta if b is beta else d2_beta + d2_rho(b - beta, grid)
         out = a1 * decay * (d2 + 0.5 * m**2 * np.sin(2.0 * b))
         out[0] = out[-1] = 0.0
         return out
 
     rhs_old = rhs(beta)
-    new = beta if seed is None else seed
+    new = seed
     factors, last = 0, None
     refactor = True
     for it in range(1, evolve_llg.NEWTON_CAP + 1):
@@ -1275,7 +1268,7 @@ def test_scalar_step_matches_reference_bytes(grid):
         history = None
         for _ in range(20):
             dt = cfg.dt_at(t)
-            seed = ref_seed = None
+            seed, ref_seed = beta, ref
             if history is not None:
                 (prev, ref_prev), dt_prev = history
                 seed = beta + (dt / dt_prev) * (beta - prev)
@@ -1345,8 +1338,24 @@ def test_scalar_step_reports_singular_matrix(grid, monkeypatch):
     work = _ScalarWork(grid, 2, 1.0)
     # an all-zero band: LAPACK finds a zero pivot and returns info > 0
     monkeypatch.setattr(work, "newton_matrix", lambda beta, dt: np.zeros_like(work.ab))
+    beta = stationary_angle(0.0, grid, 2)
     with pytest.raises(StepError, match="singular"):
-        step_scalar(stationary_angle(0.0, grid, 2), 0.0, 0.01, work)
+        step_scalar(beta, 0.0, 0.01, work, beta)
+
+
+def test_scalar_step_rejects_a_non_finite_angle(grid, monkeypatch):
+    """Back-solves that return NaN end the chord iteration on a non-finite
+    update; step_scalar then raises InstabilityError, not a NaN angle."""
+
+    def nan_solve(lu, piv, b, u):
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(evolve_llg, "solve_banded", nan_solve)
+    work = _ScalarWork(grid, 2, 1.0)
+    beta = stationary_angle(0.0, grid, 2)
+    with pytest.raises(InstabilityError, match="^non-finite angle after step at t=0.5$"):
+        step_scalar(beta, 0.5, 0.01, work, beta)
+    assert work.iterations == 1
 
 
 def test_run_scalar_rejects_non_finite_initial_angle(grid, monkeypatch):

@@ -233,7 +233,8 @@ def test_fit_falls_back_to_finite_difference_jacobian(monkeypatch):
 def test_fit_planar_map_falls_back_to_slope_of_real_part(monkeypatch):
     """On a great-circle map on which the identity Jacobian fails to halve
     the residual, the finite-difference step keeps the rotation pinned at
-    zero and divides by the slope of the real part alone; it pairs with
+    zero: the rotation's row of its Jacobian is the identity's, so the
+    scale moves by the slope of the real part alone, and it pairs with
     the window once more per iteration."""
     m = 2
     grid = build_grid(-6.0, 6.0, 512)
@@ -257,18 +258,43 @@ def test_fit_planar_map_falls_back_to_slope_of_real_part(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "alpha, message", [(0.0, "flat residual"), (0.4, "singular Jacobian")]
+    "alpha, message", [(0.0, "singular Jacobian"), (0.4, "singular Jacobian")]
 )
 def test_fit_error_on_a_pairing_blind_to_the_parameters(monkeypatch, alpha, message):
     """A window pairing that does not move with the parameters fails the
-    identity step, and its finite-difference Jacobian is zero: a slope of
-    zero on a great-circle map (alpha = 0), a singular 2x2 matrix off it."""
+    identity step, and its finite-difference Jacobian is singular: a zero
+    first row on a great-circle map (alpha = 0), whose second row is the
+    identity's, and a zero matrix off it."""
     m = 2
     grid = build_grid(-6.0, 6.0, 512)
     vmap = SphereMap(h_profile(Mu(1.0, alpha, m), grid).h, m)
     monkeypatch.setattr(modulation, "inner_product", lambda *args: 0.3 + 0.2j)
     with pytest.raises(FitError, match=message):
         fit_mu(vmap, None, bump_phi(m, grid), grid)
+
+
+def test_fit_error_after_fifty_iterations(monkeypatch):
+    """A pairing that never moves from 1 fails the identity step, and its
+    finite-difference Jacobian is the identity: every Newton step is
+    taken and none lowers the pairing, so the fit gives up after 50
+    iterations. The pairings come in order: the start, the identity
+    step's trial, then per iteration the scale and rotation probes and
+    the new point."""
+    m = 3
+    grid = build_grid(-6.0, 6.0, 512)
+    vmap = SphereMap(h_profile(Mu(1.0, 0.4, m), grid).h, m)
+    calls = []
+
+    def stuck(*args):
+        k = len(calls) - 2
+        calls.append(1)
+        probe = {0: 1.0, 1: 1j}.get(k % 3, 0.0) if k >= 0 else 0.0
+        return 1.0 + 1e-7 * probe
+
+    monkeypatch.setattr(modulation, "inner_product", stuck)
+    with pytest.raises(FitError, match="^parameter fit did not converge within 50 iterations$"):
+        fit_mu(vmap, None, bump_phi(m, grid), grid)
+    assert len(calls) == 2 + 3 * 49
 
 
 def test_fit_error_without_crossing(grid):

@@ -1,5 +1,5 @@
-"""Property tests: config parsing, snapshot persistence and the vector step
-on generated inputs."""
+"""Property tests: config parsing, snapshot persistence, the vector step
+and the scale covariance of vector runs on generated inputs."""
 
 from contextlib import contextmanager
 import math
@@ -8,13 +8,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from equiflow import evolve_llg
 from equiflow.cli_io import _KEYS, load_snapshot, parse_config, save_snapshot
 from equiflow.errors import ConfigError
-from equiflow.evolve_llg import FlowConfig, SphereMap, _pa_derivative, run_vector, step_vector
+from equiflow.evolve_llg import (
+    FlowConfig,
+    SphereMap,
+    _midpoint_terms,
+    _pa_derivative,
+    _VectorWork,
+    run_vector,
+    step_vector,
+)
 from equiflow.harmonic_family import Mu, _dot3, _norm3, degree, h_profile, pa_apply
 from equiflow.radial_grid import build_grid
 
@@ -156,12 +164,19 @@ def tight_chord():
         yield
 
 
+def first_step(v, dt, m, config):
+    """step_vector on STEP_GRID as the first step of a run: a new
+    _VectorWork and the _midpoint_terms of v."""
+    terms = _midpoint_terms(v, STEP_GRID, m, config.a)
+    return step_vector(v, 0.0, dt, STEP_GRID, m, config, _VectorWork(STEP_GRID, m), terms)
+
+
 @PROPERTY
 @given(step_inputs())
 def test_step_stays_on_the_sphere(inputs):
     v, m, a, dt = inputs
     with tight_chord():
-        v_new = step_vector(v, 0.0, dt, STEP_GRID, m, FlowConfig(a=a, dt0=dt))
+        v_new = first_step(v, dt, m, FlowConfig(a=a, dt0=dt))
     assert np.max(np.abs(np.linalg.norm(v_new, axis=1) - 1.0)) <= 1e-12
 
 
@@ -173,8 +188,8 @@ def test_step_commutes_with_rotation_about_e3(inputs, theta):
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     cfg = FlowConfig(a=a, dt0=dt)
     with tight_chord():
-        rotated_first = step_vector(v @ rot.T, 0.0, dt, STEP_GRID, m, cfg)
-        rotated_after = step_vector(v, 0.0, dt, STEP_GRID, m, cfg) @ rot.T
+        rotated_first = first_step(v @ rot.T, dt, m, cfg)
+        rotated_after = first_step(v, dt, m, cfg) @ rot.T
     assert np.max(np.abs(rotated_first - rotated_after)) <= 1e-11
 
 
@@ -214,3 +229,47 @@ def test_heat_flow_dissipates_and_keeps_degree(inputs):
     for snap in series.v:
         assert degree(snap, HEAT_GRID, m) == target
         assert abs(degree(snap, HEAT_GRID, m, method="integral") - target) <= 1e-8
+
+
+WIDE_GRID = build_grid(-8.0, 16.0, 1024)
+
+
+@st.composite
+def scale_shifts(draw):
+    """A shift of j nodes and the place and width of a tangent bump of
+    size 0.1 on the m = 3 profile at s = 1. The centre lies in
+    [-0.5, 3], where the heat flow moves the bump by t = 0.5 but has not
+    carried it to the inner pinned end, at which the plain and the
+    shifted run hold different radii."""
+    return draw(st.integers(1, 100)), draw(st.floats(-0.5, 3.0)), draw(st.floats(0.3, 1.0))
+
+
+@settings(PROPERTY, max_examples=8)
+@example((50, 0.5, 0.6))
+@given(scale_shifts())
+def test_scale_covariance(shift):
+    """Shifting the data by j nodes and rescaling time by e^{2 j drho}
+    reproduces the shifted evolution on the common interior: on the log
+    grid a shift by j nodes is the scaling r -> e^{j drho} r."""
+    j, centre, width = shift
+    # the bump's support, five widths each side, stays more than j nodes
+    # from both ends, past the pinned and the uncompared nodes
+    drho = WIDE_GRID.drho
+    assert WIDE_GRID.rho_min + (j + 3) * drho < centre - 5.0 * width
+    assert centre + 5.0 * width < WIDE_GRID.rho_max - (j + 8) * drho
+    prof = h_profile(Mu(s=1.0, alpha=0.0, m=3), WIDE_GRID)
+    bump = 0.1 * np.exp(-(((WIDE_GRID.rho - centre) / width) ** 2))
+    v0 = prof.h + bump[:, None] * prof.f.real
+    v0 /= np.linalg.norm(v0, axis=1, keepdims=True)
+    lam2 = math.exp(2 * j * drho)
+    v0s = np.roll(v0, j, axis=0)
+    v0s[:j] = v0[0]
+    plain = run_vector(
+        v0, WIDE_GRID, 3, FlowConfig(a=1.0, dt0=0.005), t_end=0.5, record_times=[0.5]
+    )
+    moved = run_vector(
+        v0s, WIDE_GRID, 3, FlowConfig(a=1.0, dt0=0.005 * lam2), t_end=0.5 * lam2,
+        record_times=[0.5 * lam2],
+    )
+    diff = moved.v[-1][3 + j : -8] - plain.v[-1][3 : -8 - j]
+    assert np.max(np.abs(diff)) < 1e-9

@@ -31,7 +31,7 @@ def synthetic_planar_map(fam: TailFamily, grid) -> SphereMap:
     map, so prediction readouts over the fully switched-on region obey
     the antiderivative of P in closed form.
     """
-    v1 = -tail_angle(fam, grid)
+    v1 = -tail_angle(fam, grid, 1.0)
     beta = np.arccos(np.clip(v1, -1.0, 1.0))
     v = np.stack([np.cos(beta), np.zeros_like(beta), np.sin(beta)], axis=-1)
     return SphereMap(v=v, m=2, beta=beta)
@@ -84,7 +84,7 @@ def test_drift_profile_consistency():
 
 def test_tail_angle_support_and_smoothness(grid):
     fam = TailFamily("log_drift", kappa=-0.8, r1=math.e)
-    p = tail_angle(fam, grid)
+    p = tail_angle(fam, grid, 1.0)
     assert np.all(p[grid.rho <= 1.0] == 0.0)
     assert np.all(p[grid.rho >= 2.5] != 0.0)
     # the switched-on region carries -sign * P' / ln r exactly

@@ -36,6 +36,11 @@ function in gauge calls hasimoto_forward.
 Commands compute and the command line entry point reports: print is
 called only in cli_io.main.
 
+Every parameter default of a function, or of a method of a class, that
+is not in ``equiflow.__all__`` is relied on by the package: at least one
+call in src/equiflow omits that parameter. A default that only tests
+take is a second path through the function that the program never runs.
+
 Every exception class of errors.py is raised somewhere in the package.
 """
 
@@ -300,6 +305,109 @@ def test_gauge_does_not_call_its_forward_transform():
 
 def test_only_main_prints():
     assert functions_referencing(SRC, "print") == ["cli_io.main"]
+
+
+def _defaulted_parameters(fn: ast.FunctionDef, skip_first: bool):
+    """(name, position) of every parameter of fn that has a default, the
+    position counted among the arguments a call passes (None for a
+    keyword-only parameter); skip_first drops self or cls."""
+    positional = [arg.arg for arg in fn.args.posonlyargs + fn.args.args]
+    if skip_first:
+        positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
+    found = [(name, k) for k, name in enumerate(positional) if k >= first]
+    found += [
+        (arg.arg, None)
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if default is not None
+    ]
+    return found
+
+
+def _omits(call: ast.Call, name: str, position) -> bool:
+    """Whether call leaves the parameter name, at position among its
+    arguments, to its default; a *args or **kwargs call passes it."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return False
+    if any(kw.arg is None or kw.arg == name for kw in call.keywords):
+        return False
+    return position is None or len(call.args) <= position
+
+
+def unrelied_defaults(src: Path, exported) -> list[str]:
+    """module.function(parameter), or module.Class.method(parameter), of
+    every parameter default under src that no call under src relies on,
+    for the module-level functions not in exported and the methods of the
+    module-level classes not in exported. A call is matched by the
+    callee's name, or by the class name for __init__."""
+    trees = [(p.stem, ast.parse(p.read_text(encoding="utf-8"))) for p in sorted(src.glob("*.py"))]
+    calls = [node for _, tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def callee(call: ast.Call):
+        func = call.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    owners = []
+    for stem, tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name not in exported:
+                owners.append((f"{stem}.{node.name}", node.name, node, False))
+            elif isinstance(node, ast.ClassDef) and node.name not in exported:
+                for fn in node.body:
+                    if not isinstance(fn, ast.FunctionDef):
+                        continue
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in fn.decorator_list
+                    )
+                    called_as = node.name if fn.name == "__init__" else fn.name
+                    owners.append((f"{stem}.{node.name}.{fn.name}", called_as, fn, not static))
+    found = []
+    for label, called_as, fn, skip_first in owners:
+        for name, position in _defaulted_parameters(fn, skip_first):
+            if not any(
+                callee(call) == called_as and _omits(call, name, position) for call in calls
+            ):
+                found.append(f"{label}({name})")
+    return found
+
+
+def test_every_default_is_relied_on():
+    assert unrelied_defaults(SRC, set(equiflow.__all__)) == []
+
+
+def test_unrelied_defaults_are_found(tmp_path):
+    """A default is relied on by a call that omits it, positionally and by
+    keyword; calls that pass it, positionally, by keyword or through
+    *args or **kwargs, do not rely on it. Methods skip self, __init__ is
+    called by the class name, and exported names are exempt."""
+    (tmp_path / "mod.py").write_text(
+        "def f(a, b=1, *, c=2):\n"
+        "    return a\n"
+        "def g(a, b=1, *, c=2):\n"
+        "    return a\n"
+        "def h(a=0):\n"
+        "    return a\n"
+        "class Box:\n"
+        "    def __init__(self, size=1):\n"
+        "        self.size = size\n"
+        "    def grow(self, by=1):\n"
+        "        return self.size + by\n"
+        "    @staticmethod\n"
+        "    def make(size=3):\n"
+        "        return Box(size)\n"
+        "f(0)\n"
+        "g(0, 1, c=2)\n"
+        "g(*args)\n"
+        "g(0, **kwargs)\n"
+        "Box().grow(2)\n"
+        "Box.make(3)\n",
+        encoding="utf-8",
+    )
+    assert unrelied_defaults(tmp_path, {"h"}) == [
+        "mod.g(b)", "mod.g(c)", "mod.Box.grow(by)", "mod.Box.make(size)"
+    ]
+    assert unrelied_defaults(tmp_path, {"h", "g", "Box"}) == []
 
 
 def unraised_exceptions(src: Path) -> list[str]:
