@@ -276,7 +276,10 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
             body = stripped.lstrip("# ")
             if "=" in body:
                 key, _, val = body.partition("=")
-                meta[key.strip()] = val.strip()
+                key = key.strip()
+                if key in meta:
+                    raise ConfigError(f"snapshot {path}, line {lineno}: duplicate key {key!r}")
+                meta[key] = val.strip()
             continue
         try:
             row = [float(p) for p in stripped.split()]

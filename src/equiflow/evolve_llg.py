@@ -35,7 +35,8 @@ the energy and dissipation booked at a record time. The solvers are:
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
   hundred steps. The Newton matrix is written into one preallocated
   array in LAPACK gbtrf storage, 6 diagonals wide on each side, first at
-  a seed extrapolated linearly in time from the last two accepted angles.
+  a seed extrapolated in time, from the third step on by the quadratic
+  through the last three accepted angles.
   Within a step d2_rho of an iterate is d2_rho of the step's start plus
   d2_rho of the change, which keeps the stencil's roundoff, and with it
   the floor of the Newton updates, well below NEWTON_TOL.
@@ -663,8 +664,9 @@ def step_scalar(
     f the rhs of work, by _chord with the Newton matrix G' of work, to
     NEWTON_TOL in at most NEWTON_CAP iterations, factored afresh at seed.
     seed is the starting iterate and must hold beta's Dirichlet end
-    values; run_scalar passes beta itself at the first step and the
-    linear extrapolation in time of its last two accepted angles after.
+    values; run_scalar passes beta itself at the first step, the linear
+    extrapolation in time of its last two accepted angles at the second
+    and the quadratic one of its last three after.
     """
     # d2_rho(x) is evaluated as d2_rho(beta) + d2_rho(x - beta). The
     # stencil's roundoff scales with the values it reads: on the angle
@@ -685,13 +687,30 @@ def step_scalar(
     # The seed never comes from an explicit predictor: near the inner
     # boundary the e^{-2 rho} factor blows an explicit guess far outside the
     # convergence basin once dt is large. From beta itself, or extrapolated
-    # from two accepted Crank-Nicolson states, which evaluates no rhs, the
-    # diffusion-dominated Jacobian reaches the solution in a few iterations.
+    # from two or three accepted Crank-Nicolson states, which evaluates no
+    # rhs, the diffusion-dominated Jacobian reaches the solution in a few
+    # iterations; on long m = 2 runs, two per step from the quadratic seed on.
     work.lu = None
     new = _chord(seed, evaluate, work.u, NEWTON_TOL, NEWTON_CAP, work, "Newton", t, dt)
     if not np.all(np.isfinite(new)):
         raise InstabilityError(f"non-finite angle after step at t={t:.6g}")
+    # dgbtrf swaps the Dirichlet row 0 with row 1, whose column-0 entry
+    # (dt/2) a1 e^{-2 rho} times a d2_rho weight outgrows 1 at all but tiny
+    # dt, so the back-solves move the inner end by roundoff; the ends are
+    # put back as beta holds them, which the seed's differences rely on.
+    new[0], new[-1] = beta[0], beta[-1]
     return new
+
+
+def _quadratic_seed(beta, prev, prev2, dt: float, h1: float, h2: float) -> np.ndarray:
+    """The quadratic in time through the accepted angles prev2, prev and
+    beta, h2 and h1 apart, dt past beta: beta + dt d1 + c (d1 - d0) in the
+    divided differences d1 = (beta - prev)/h1, d0 = (prev - prev2)/h2,
+    c = dt (dt + h1)/(h1 + h2), the divisions moved onto the scalar
+    weights, a third of the time of dividing arrays. The differences
+    vanish where the three angles agree, keeping beta's ends bit for bit."""
+    c = dt * (dt + h1) / (h1 + h2)
+    return beta + ((dt + c) / h1) * (beta - prev) - (c / h2) * (prev - prev2)
 
 
 def run_scalar(
@@ -703,23 +722,30 @@ def run_scalar(
     record_times=None,
 ) -> RunSeries:
     """Evolve a great-circle angle profile; snapshots hold both the angle
-    and the reconstructed map. From the second step on, each step's
-    Newton iteration is seeded by extrapolating the last two accepted
-    angles linearly in time; the ends stay exact, as the angles agree
-    there."""
+    and the reconstructed map. Each step's Newton iteration is seeded with
+    beta itself at the first step, the line in time through the last two
+    accepted angles at the second, and from the third on the quadratic
+    through the last three, _quadratic_seed, at the step's end; the ends
+    stay exact, as the angles agree there."""
     if config.a.imag != 0:
         raise ValueError("the scalar reduction is only valid for real a")
     beta = np.array(grid.check_field(beta0), dtype=float)
     if not np.all(np.isfinite(beta)):
         raise ValueError("initial angle has non-finite entries")
     work = _ScalarWork(grid, m, config.a.real)
-    # the accepted angle and step size of the step before
-    prev = dt_prev = None
+    # the two accepted angles before beta, latest first, and the step
+    # sizes from each of them to the next
+    prev = prev2 = h1 = h2 = None
 
     def advance(beta: np.ndarray, t: float, dt: float) -> np.ndarray:
-        nonlocal prev, dt_prev
-        seed = beta if prev is None else beta + (dt / dt_prev) * (beta - prev)
-        prev, dt_prev = beta, dt
+        nonlocal prev, prev2, h1, h2
+        if prev is None:
+            seed = beta
+        elif prev2 is None:
+            seed = beta + (dt / h1) * (beta - prev)
+        else:
+            seed = _quadratic_seed(beta, prev, prev2, dt, h1, h2)
+        prev, prev2, h1, h2 = beta, prev, dt, h1
         return step_scalar(beta, t, dt, work, seed)
 
     def observe(beta: np.ndarray, k: int, t: float, energies: np.ndarray):

@@ -200,6 +200,34 @@ def test_snapshot_metadata_error_names_the_key(tmp_path, capsys, line, edited, m
     assert re.search(message, capsys.readouterr().err.strip())
 
 
+@pytest.mark.parametrize(
+    "where, lineno, key",
+    [("header", 3, "m"), ("after_rows", 23, "m"), ("grid", 5, "rho_max")],
+)
+def test_snapshot_duplicate_metadata_key_is_rejected(tmp_path, capsys, where, lineno, key):
+    """A repeated metadata key, in the header or after the data rows, is
+    a ConfigError naming the key and its line, in load_snapshot and
+    through decompose with exit code 2, as parse_config treats a repeated
+    config key."""
+    grid = build_grid(-2.0, 2.0, 16)
+    vmap, _ = build_initial_data(TailFamily("none"), grid, m=2)
+    snap = tmp_path / "state.dat"
+    save_snapshot(snap, vmap, grid)
+    lines = snap.read_text().splitlines()
+    repeat = f"# {key} = 3"
+    if where == "after_rows":
+        lines.append(repeat)
+    else:
+        lines.insert(2, repeat)
+    snap.write_text("\n".join(lines) + "\n")
+    message = f"line {lineno}: duplicate key '{key}'$"
+    with pytest.raises(ConfigError, match=message):
+        load_snapshot(snap)
+    cfg = write_config(tmp_path, snapshot=str(snap))
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert re.search(message, capsys.readouterr().err.strip())
+
+
 def test_snapshot_slightly_off_the_sphere_is_renormalized(tmp_path):
     """Rows off the unit sphere by 1e-9, inside the load tolerance, load
     as v/|v|."""

@@ -667,12 +667,15 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     Newton iteration, one dgbtrf per step plus a re-factor after each
     update that has not shrunk to CHORD_CONTRACTION of the one before, and
     one d2_rho per iteration plus one per step for the seed, the first
-    step seeded with beta itself and reusing its rhs and every later one from
-    the linear extrapolation in time of the two accepted angles before
-    it; max_step_iterations is the most Newton iterations of one step."""
-    solves, factors, d2_calls, per_step, seeds = [], [], [], [], []
+    step seeded with beta itself and reusing its rhs, the second with the
+    linear extrapolation in time of the two accepted angles before it and
+    every later one with the quadratic through the three before it, each
+    seed holding beta's end values bit for bit; max_step_iterations is the
+    most Newton iterations of one step."""
+    solves, factors, d2_calls, per_step, seeds, quadratic = [], [], [], [], [], []
     _count_calls(monkeypatch, evolve_llg, "dgbtrf", factors)
     _count_calls(monkeypatch, evolve_llg, "d2_rho", d2_calls)
+    _count_calls(monkeypatch, evolve_llg, "_quadratic_seed", quadratic)
     solve = evolve_llg.solve_banded
 
     def counted_solve(*args):
@@ -697,9 +700,14 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     its = [k for k, _, _ in per_step]
     assert series.steps == len(per_step) > 0
     assert [at_beta for _, _, at_beta in per_step] == [True] + [False] * (series.steps - 1)
-    # each later step is seeded by extrapolating the two accepted angles before it
-    for (prev, dt_prev, _), (beta, dt, seed) in zip(seeds, seeds[1:]):
-        assert seed.tobytes() == (beta + (dt / dt_prev) * (beta - prev)).tobytes()
+    # the second step is seeded by the line through the two accepted angles
+    # before it, every later one by the quadratic through the three before
+    # it, which run_scalar takes from _quadratic_seed
+    assert len(quadratic) == series.steps - 2
+    for k, (beta, dt, seed) in enumerate(seeds):
+        past = [(prev, h) for prev, h, _ in seeds[max(k - 2, 0) : k]]
+        assert seed.tobytes() == _run_scalar_seed(beta, past, dt).tobytes()
+        assert seed[[0, -1]].tobytes() == beta[[0, -1]].tobytes()
     assert series.iterations == sum(its) == len(solves)
     assert len(d2_calls) == series.iterations + series.steps - 1
     assert series.max_step_iterations == max(its) > 1
@@ -1118,6 +1126,39 @@ def test_scalar_tail_run_keeps_newton_margin(kappa):
     assert series.factorizations <= 1.05 * series.steps
 
 
+def test_scalar_tail_steps_take_two_newton_iterations(monkeypatch):
+    """The quadratic seed on a run shaped like the long m = 2 tail run
+    (log_drift data on rho in [-14, 10], n = 1536, dt0 = 1e-4, ramp 0.01)
+    cut to t = 100, with records off the step grid: every step from the
+    third on takes exactly 2 Newton iterations and 1 factorization. The
+    linear seed took 3 iterations on about one step in nine here."""
+    grid = build_grid(-14.0, 10.0, 1536)
+    vmap, _ = build_initial_data(TailFamily("log_drift", kappa=0.8), grid, m=2)
+    cfg = FlowConfig(a=1.0, dt0=1e-4, ramp=0.01)
+    per_step = []
+    step = evolve_llg.step_scalar
+
+    def counted_step(beta, t, dt, work, seed):
+        before = work.iterations, work.factorizations
+        out = step(beta, t, dt, work, seed)
+        per_step.append((work.iterations - before[0], work.factorizations - before[1]))
+        return out
+
+    monkeypatch.setattr(evolve_llg, "step_scalar", counted_step)
+    series = run_scalar(vmap.beta, grid, 2, cfg, 100.0, np.geomspace(0.0123, 93.0, 9))
+    assert series.steps == len(per_step) > 1000
+    assert per_step[2:] == [(2, 1)] * (series.steps - 2)
+
+
+def test_scalar_run_holds_the_dirichlet_ends_exactly(grid):
+    """Over the relaxation run, where dgbtrf swaps the Dirichlet row 0
+    with row 1 and the back-solves move the inner end by roundoff, every
+    recorded angle keeps the initial end values bit for bit."""
+    beta0, cfg = _relaxation_run(grid)
+    series = run_scalar(beta0, grid, 2, cfg, t_end=1e4)
+    assert series.beta[:, [0, -1]].tobytes() == np.tile(beta0[[0, -1]], series.t.size).tobytes()
+
+
 def test_scalar_second_order_in_dt(grid):
     # record only the endpoint: the default snapshot schedule would clamp
     # the step size below dt0 and hide the dt dependence
@@ -1216,8 +1257,9 @@ def _reference_step_scalar(beta, dt, grid, m, a1, seed):
     back-solved by dgbtrs at l = u = 7, from seed, with
     d2_rho(x) evaluated as d2_rho(beta) + d2_rho(x - beta) and a
     re-factor at the current iterate after each update larger than
-    CHORD_CONTRACTION times the one before. Returns the new angle, the
-    number of iterations and the number of factorizations."""
+    CHORD_CONTRACTION times the one before, and beta's end values put
+    back on the result. Returns the new angle, the number of iterations
+    and the number of factorizations."""
     scaled_d2, boundary, decay, u = _scaled_band(grid)
     d2_beta = d2_rho(beta, grid)
 
@@ -1246,10 +1288,29 @@ def _reference_step_scalar(beta, dt, grid, m, a1, seed):
         new = new - delta
         size = float(np.max(np.abs(delta)))
         if size < evolve_llg.NEWTON_TOL:
+            new[[0, -1]] = beta[[0, -1]]
             return new, it, factors
         refactor = last is not None and size > evolve_llg.CHORD_CONTRACTION * last
         last = size
     raise StepError("reference chord loop stalled")
+
+
+def _run_scalar_seed(now, past, dt):
+    """The seed run_scalar takes for a step of size dt from the angle now,
+    written independently: now itself with no accepted angle before it,
+    the line through the last one with one, the quadratic through the
+    last two with two, in divided differences with the divisions on the
+    scalar weights. past holds (angle, step size to the next angle),
+    oldest first."""
+    if not past:
+        return now
+    prev, h1 = past[-1]
+    if len(past) == 1:
+        return now + (dt / h1) * (now - prev)
+    prev2, h2 = past[-2]
+    # now + dt d1 + curve (d1 - d0), d1 and d0 the last two differences
+    curve = dt * (dt + h1) / (h1 + h2)
+    return now + ((dt + curve) / h1) * (now - prev) - (curve / h2) * (prev - prev2)
 
 
 def test_scalar_step_matches_reference_bytes(grid):
@@ -1265,15 +1326,12 @@ def test_scalar_step_matches_reference_bytes(grid):
         ref = beta.copy()
         work = _ScalarWork(grid, m, 1.0)
         t, ref_iters, ref_factors = 0.0, 0, 0
-        history = None
+        # the accepted angles before beta and ref, with the step size from each to the next
+        past, ref_past = [], []
         for _ in range(20):
             dt = cfg.dt_at(t)
-            seed, ref_seed = beta, ref
-            if history is not None:
-                (prev, ref_prev), dt_prev = history
-                seed = beta + (dt / dt_prev) * (beta - prev)
-                ref_seed = ref + (dt / dt_prev) * (ref - ref_prev)
-            history = (beta, ref), dt
+            seed, ref_seed = _run_scalar_seed(beta, past, dt), _run_scalar_seed(ref, ref_past, dt)
+            past, ref_past = [*past[-1:], (beta, dt)], [*ref_past[-1:], (ref, dt)]
             beta = step_scalar(beta, t, dt, work, seed)
             ref, its, factors = _reference_step_scalar(ref, dt, grid, m, 1.0, ref_seed)
             ref_iters += its

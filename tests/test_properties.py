@@ -1,5 +1,6 @@
-"""Property tests: config parsing, snapshot persistence, the vector step
-and the scale covariance of vector runs on generated inputs."""
+"""Property tests: config parsing, snapshot persistence, the vector step,
+the scale covariance of vector runs and the quadratic seed of the scalar
+stepper on generated inputs."""
 
 from contextlib import contextmanager
 import math
@@ -19,6 +20,7 @@ from equiflow.evolve_llg import (
     SphereMap,
     _midpoint_terms,
     _pa_derivative,
+    _quadratic_seed,
     _VectorWork,
     run_vector,
     step_vector,
@@ -273,3 +275,50 @@ def test_scale_covariance(shift):
     )
     diff = moved.v[-1][3 + j : -8] - plain.v[-1][3 : -8 - j]
     assert np.max(np.abs(diff)) < 1e-9
+
+
+EPS = np.finfo(float).eps
+# in steps of 1e-3, so that no term of the quadratic underflows
+COEFF = st.integers(-2000, 2000).map(lambda k: k / 1000)
+
+
+@st.composite
+def quadratic_histories(draw):
+    """Three accepted angles on a quadratic in time, per node
+    a + b x + c x^2 with x the time from the latest over h1 + h2, the
+    end nodes held constant at -pi/2 and pi/2; the steps h2 then h1
+    between them, with h1/h2 in [1e-6, 1e2]; the next step dt, from 1e-6
+    to 2 times the longer of them; and the quadratic's value dt past the
+    latest angle, with the size of its terms over the four times."""
+    n = draw(st.integers(3, 24))
+    a, b, c = (draw(hnp.arrays(float, n, elements=COEFF)) for _ in range(3))
+    a[[0, -1]] = -math.pi / 2, math.pi / 2
+    b[[0, -1]] = c[[0, -1]] = 0.0
+    h2 = 10.0 ** draw(st.floats(-4.0, 3.0))
+    h1 = h2 * 10.0 ** draw(st.floats(-6.0, 2.0))
+    dt = max(h1, h2) * 10.0 ** draw(st.floats(-6.0, math.log10(2.0)))
+    span = h1 + h2
+    angles = [a + b * x + c * x * x for x in (dt / span, 0.0, -h1 / span, -1.0)]
+    size = np.abs(a) + np.abs(b) * (1.0 + dt / span) + np.abs(c) * (1.0 + dt / span) ** 2
+    return angles, h1, h2, dt, size
+
+
+@PROPERTY
+@example(([np.array([-math.pi / 2, 1.0, math.pi / 2])] * 4, 1e-6, 1.0, 2.0, np.full(3, 2.0)))
+@given(quadratic_histories())
+def test_quadratic_seed_reproduces_quadratic_histories(history):
+    """The scalar stepper's seed reproduces any angle history quadratic in
+    time to roundoff, bounded by the Lebesgue constant of the three-point
+    extrapolation to dt times the size of the quadratic's terms, for any
+    ratio of the steps the record clip makes; and it keeps the constant
+    Dirichlet end values bit for bit."""
+    (target, beta, prev, prev2), h1, h2, dt, size = history
+    seed = _quadratic_seed(beta, prev, prev2, dt, h1, h2)
+    # the Lagrange weights of beta, prev and prev2 at dt past beta
+    lebesgue = (
+        (dt + h1) * (dt + h1 + h2) / (h1 * (h1 + h2))
+        + dt * (dt + h1 + h2) / (h1 * h2)
+        + dt * (dt + h1) / ((h1 + h2) * h2)
+    )
+    assert np.all(np.abs(seed - target) <= 16.0 * EPS * lebesgue * size)
+    assert seed[[0, -1]].tobytes() == beta[[0, -1]].tobytes()
