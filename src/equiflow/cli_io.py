@@ -226,6 +226,12 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.tail_family()
     except ConfigError as exc:
         problems.append(str(exc))
+    else:  # the profile at scale s0 is centred at rho = log s0
+        check(
+            bool(cfg.snapshot) or cfg.rho_min < math.log(cfg.s0) < cfg.rho_max,
+            f"initial scale s0 = {cfg.s0!r} puts log s0 = {math.log(cfg.s0):.4g} outside "
+            f"the grid's rho range ({cfg.rho_min!r}, {cfg.rho_max!r})",
+        )
     if cfg.snapshot and cfg.family != "none":
         problems.append("give either tail-family parameters or a snapshot path, not both")
     if problems:

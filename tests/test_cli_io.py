@@ -659,6 +659,37 @@ def test_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, ke
     assert "Traceback" not in err
 
 
+OUT_OF_REACH = [
+    ({"rho_min": -400.0, "rho_max": 400.0}, "grid spacing drho = 12.7 on [-400.0, 400.0] exceeds 2.0"),
+    ({"s0": 1e300}, "s0 = 1e+300 puts log s0 = 690.8 outside the grid's rho range (-8.0, 8.0)"),
+    ({"s0": 1e-300, "rho_min": -6.0, "rho_max": 6.0}, "log s0 = -690.8 outside the grid's rho range (-6.0, 6.0)"),
+]
+
+
+@pytest.mark.parametrize("command", ["simulate", "predict"])
+@pytest.mark.parametrize("keys,message", OUT_OF_REACH, ids=["drho", "s0_above", "s0_below"])
+def test_grid_and_scale_out_of_reach_are_config_errors(
+    tmp_path, capsys, monkeypatch, recwarn, command, keys, message
+):
+    """A grid spacing the quadrature weights cannot resolve (a singular
+    matrix traceback before), and an initial scale whose log lies off the
+    grid (an overflow warning and NaN fits before), exit 2 before any
+    compute, name the limit, warn nothing and leave no --out behind."""
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computation started on an invalid config")
+
+    for name in ("run_vector", "run_scalar", "predict_log_s", "build_initial_data"):
+        monkeypatch.setattr(cli_io, name, no_compute)
+    cfg = write_config(tmp_path, n=64, **keys)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "equiflow error [config] code=2" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    assert len(recwarn) == 0
+
+
 def test_snapshots_of_one_grid_share_it(tmp_path):
     grid = build_grid(-6.0, 6.0, 64)
     paths = [tmp_path / f"map{k}.dat" for k in range(2)]

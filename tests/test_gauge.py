@@ -15,13 +15,10 @@ from equiflow.evolve_llg import (
     run_vector,
     stationary_angle,
 )
-from equiflow import gauge
 from equiflow.gauge import (
-    _DRIFT_LIMIT,
-    _MID6,
-    _RENORM_EVERY,
+    _MIN_OFF_AXIS,
+    _RESOLVED,
     GaugeState,
-    _midpoints,
     _transport_frame,
     hasimoto_forward,
     phase_integral,
@@ -30,7 +27,7 @@ from equiflow.gauge import (
 )
 from equiflow.harmonic_family import Mu, _residual_terms, energy, h_profile
 from equiflow.modulation import bump_phi, fit_mu
-from equiflow.radial_grid import build_grid, d_rho, deriv_r, norm
+from equiflow.radial_grid import build_grid, cumint_dr, d_rho, deriv_r, norm
 
 
 @pytest.fixture(scope="module")
@@ -250,6 +247,55 @@ def test_reconstruction_lipschitz(grid):
     assert gap <= 10.0 * budget
 
 
+def swung_map(grid, amp, m=2, centre=0.5, width=0.6):
+    """The m-equivariant harmonic great circle turned about e3 by an
+    angle that rises smoothly to amp at rho = centre: an analytic map
+    that leaves its plane by up to amp radians."""
+    beta = stationary_angle(0.0, grid, m)
+    turn = amp * np.exp(-(((grid.rho - centre) / width) ** 2))
+    return np.stack(
+        (np.cos(beta) * np.cos(turn), np.cos(beta) * np.sin(turn), np.sin(beta)), axis=1
+    )
+
+
+def swung_frame(n, amp, m):
+    g = build_grid(-6.0, 8.0, n)
+    v = swung_map(g, amp, m)
+    return _transport_frame(v, g, d_rho(v, g))
+
+
+@pytest.mark.parametrize("amp", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_transport_converges_at_sixth_order(m, amp):
+    """Against the same map's frame on the grid refined eightfold, the
+    frame error falls by at least 2^5.5 per halving of the spacing (2^6
+    is the order of the angle integral and of d_rho) and reaches 1e-8
+    at n = 1025."""
+    errs = []
+    for n in (257, 513, 1025):
+        fine = swung_frame(8 * (n - 1) + 1, amp, m)[::8]
+        errs.append(np.abs(swung_frame(n, amp, m) - fine).max())
+    assert errs[0] / errs[1] >= 2.0**5.5
+    assert errs[1] / errs[2] >= 2.0**5.5
+    assert errs[2] <= 1e-8
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("bump", [0.0, 0.3, -0.8])
+def test_transport_along_a_great_circle_is_a_constant_angle(grid, m, bump):
+    """On a map of beta_to_map the reference normal c is e2, so the
+    connection angle is constant: the imaginary leg stays the normal,
+    as at the outer edge, to roundoff, and q has no imaginary part."""
+    beta = stationary_angle(0.2, grid, m) + bump * np.exp(-(((grid.rho - 0.5) / 0.9) ** 2))
+    v = beta_to_map(beta)
+    e = _transport_frame(v, grid, d_rho(v, grid))
+    assert np.abs(e.imag - e.imag[-1]).max() <= 1e-14
+    assert np.abs(np.abs(e.imag[-1, 1]) - 1.0) <= 1e-15
+    # q reads the frame and not the profile parameters
+    st = hasimoto_forward(SphereMap(v, m), Mu(1.0, 0.0, m), grid)
+    assert np.abs(st.q.imag).max() <= 1e-9
+
+
 def _noise_map(grid):
     """Unit vectors with independent normal components at every node."""
     rng = np.random.default_rng(3)
@@ -258,24 +304,56 @@ def _noise_map(grid):
 
 
 def test_gauge_error_on_unresolved_map(grid):
-    """Node-to-node noise makes the transport drift past its tolerance."""
-    with pytest.raises(GaugeError):
+    """Node-to-node noise puts the connection angle's 6th-order integral
+    far from its trapezoid rule."""
+    with pytest.raises(GaugeError, match="not resolved on this grid$"):
         hasimoto_forward(SphereMap(_noise_map(grid), 3), Mu(1.0, 0.0, 3), grid)
 
 
-def transport_frame_loop(v, grid):
-    """Reference transport: one RK4 step per cell on the frame itself.
+def test_transport_frame_rejects_a_map_through_the_reference_normal(grid):
+    """A great circle turned out of its plane by 3 radians, mostly near
+    the equator, passes close to the normal c of its nearest plane, where
+    the reference frame degenerates; the map is resolved, so the axis
+    check raises."""
+    v = swung_map(grid, 3.0)
+    c = np.linalg.eigh(v.T @ v)[1][:, 0]
+    assert np.sqrt(1.0 - (v @ c) ** 2).min() < 0.2 * _MIN_OFF_AXIS
+    with pytest.raises(GaugeError, match=r"comes within \|P_v c\| = 0\.\d+ < 0\.5 of the normal c"):
+        _transport_frame(v, grid, d_rho(v, grid))
 
-    The node-by-node loop that the batched propagators in
-    _transport_frame replace, kept to check them against to roundoff.
-    It takes its midpoint values from the package's _midpoints, whose
-    bytes _reference_midpoints guards; _reference_transport_frame is the
-    byte-level reference of the batched transport.
-    """
+
+def test_transport_frame_rejects_the_reference_direction_at_the_edge(grid):
+    """A great circle that ends on e1 leaves no tangent projection of the
+    reference direction to anchor the frame at the outer edge."""
+    v = beta_to_map(0.5 * np.pi * np.exp(-(((grid.rho - grid.rho_min) / 4.0) ** 2)))
+    assert abs(v[-1, 0] - 1.0) <= 1e-15
+    with pytest.raises(GaugeError, match="frame reference direction at the outer edge"):
+        _transport_frame(v, grid, d_rho(v, grid))
+
+
+# quintic interpolation to the midpoint of a cell from the six nearest
+# nodes (offsets -2..3 relative to the cell's left node)
+_MID6 = np.array([3.0, -25.0, 150.0, 150.0, -25.0, 3.0]) / 256.0
+
+
+def _midpoints(field):
+    """field at the cell midpoints: the six stencil nodes gathered,
+    index-clipped at the ends, and contracted with _MID6."""
+    n = field.shape[0]
+    idx = np.arange(n - 1)[:, None] + np.arange(-2, 4)[None, :]
+    np.clip(idx, 0, n - 1, out=idx)
+    return np.einsum("j,ij...->i...", _MID6, field[idx])
+
+
+def transport_frame_loop(v, grid):
+    """Reference transport: one classical RK4 step per cell on the
+    transport rule e' = -v (v_rho . e) itself, inward from the outer
+    edge, each leg projected onto the tangent plane and the real leg
+    normalized at the end.  An integrator of the same ODE independent of
+    the connection angle, fourth order in the spacing."""
     n = grid.n
     v_rho = d_rho(v, grid)
-    vmid = _midpoints(v)
-    vrmid = _midpoints(v_rho)
+    vmid, vrmid = _midpoints(v), _midpoints(v_rho)
     e = np.empty((n, 3), dtype=complex)
     vk = v[n - 1]
     re0 = np.array([1.0, 0.0, 0.0]) - vk[0] * vk
@@ -283,7 +361,6 @@ def transport_frame_loop(v, grid):
     ec = re0 + 1j * np.cross(vk, re0)
     e[n - 1] = ec
     h = -grid.drho
-    since = 0
     for k in range(n - 2, -1, -1):
         k1 = -v[k + 1] * (v_rho[k + 1] @ ec)
         e2 = ec + 0.5 * h * k1
@@ -293,22 +370,6 @@ def transport_frame_loop(v, grid):
         e4 = ec + h * k3
         k4 = -v[k] * (v_rho[k] @ e4)
         ec = ec + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        since += 1
-        if since >= _RENORM_EVERY or k == 0:
-            re, im = ec.real.copy(), ec.imag.copy()
-            vk = v[k]
-            drift = max(
-                abs(float(re @ re) - 1.0),
-                abs(float(im @ im) - 1.0),
-                abs(float(re @ im)),
-                abs(float(re @ vk)),
-                abs(float(im @ vk)),
-            )
-            assert drift <= _DRIFT_LIMIT
-            re -= (re @ vk) * vk
-            re /= math.sqrt(re @ re)
-            ec = re + 1j * np.cross(vk, re)
-            since = 0
         e[k] = ec
     re = e.real - np.einsum("ij,ij->i", e.real, v)[:, None] * v
     re /= np.linalg.norm(re, axis=1, keepdims=True)
@@ -316,190 +377,75 @@ def transport_frame_loop(v, grid):
 
 
 def _transport_grid(n):
-    """A grid on which a perturbed profile is resolved: narrow below two
-    renormalization blocks, the module grid's span above."""
-    return build_grid(-0.2, 0.2, n) if n < _RENORM_EVERY + 2 else build_grid(-8.0, 16.0, n)
+    """A grid on which a perturbed profile is resolved: narrow at 16 and
+    17 nodes, the module grid's span above."""
+    return build_grid(-0.2, 0.2, n) if n < 18 else build_grid(-8.0, 16.0, n)
 
 
 @pytest.mark.parametrize("n", [16, 1024, 2048, 2050])
 @pytest.mark.parametrize("m", [2, 3])
 def test_transport_matches_node_loop(n, m):
-    """Batched propagators reproduce the per-node RK4 loop to roundoff.
-
-    n = 16 is less than one renormalization block, n = 2050 leaves a
-    partial last block.  The products are summed in another order, so
-    the frames agree to a tolerance, not bit for bit.
-    """
+    """The connection-angle frame agrees with the per-node RK4 loop on
+    the transport rule: two integrators of one ODE, each within its own
+    order, on a profile perturbed in and out of its plane.  At n = 16
+    the loop's index-clipped midpoints in the two end cells dominate (it
+    is 7.7e-5 off the eightfold refined frame, the angle form 1.4e-9)."""
     g = _transport_grid(n)
     vm = perturbed_map(Mu(1.1, 0.7, m), g, amp_re=0.04, amp_im=0.02)
     ref = transport_frame_loop(vm.v, g)
     e = _transport_frame(vm.v, g, d_rho(vm.v, g))
-    assert np.abs(e - ref).max() <= 1e-13
-
-
-def _reference_midpoints(field, n):
-    """_midpoints as a gather of the six stencil nodes, index-clipped at
-    the ends, contracted with einsum."""
-    idx = np.arange(n - 1)[:, None] + np.arange(-2, 4)[None, :]
-    np.clip(idx, 0, n - 1, out=idx)
-    return np.einsum("j,ij...->i...", _MID6, field[idx])
-
-
-def _reference_cell_propagators(v, v_rho, h):
-    """_cell_propagators on _reference_midpoints, the identity added by
-    fancy indexing."""
-    n = v.shape[0]
-    u1, w1 = -v[1:], v_rho[1:]
-    u2, w2 = -_reference_midpoints(v, n), _reference_midpoints(v_rho, n)
-    u4, w4 = -v[:-1], v_rho[:-1]
-    w2p = w2 + (0.5 * h * np.einsum("ij,ij->i", w2, u1))[:, None] * w1
-    w3p = w2 + (0.5 * h * np.einsum("ij,ij->i", w2, u2))[:, None] * w2p
-    w4p = w4 + (h * np.einsum("ij,ij->i", w4, u2))[:, None] * w3p
-    us = np.stack((u1, 2.0 * u2, u4), axis=2)
-    ws = np.stack((w1, w2p + w3p, w4p), axis=1)
-    prop = (h / 6.0) * (us @ ws)
-    prop[:, [0, 1, 2], [0, 1, 2]] += 1.0
-    return prop
-
-
-def _reference_cross3(a, b):
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    assert np.abs(e - ref).max() <= (2e-4 if n == 16 else 1e-6)
 
 
 def _reference_transport_frame(v, grid, v_rho=None):
-    """_transport_frame with the block chain on lists, each leg component
-    a list comprehension over the block matrix rows, and the final
-    imaginary legs from np.cross; the same floating-point operations in
-    the same order, so the frames agree bit for bit."""
-    n = grid.n
+    """_transport_frame in plain numpy: np.cross for the package's cross
+    and np.sum over the components for its _dot3, the operations in the
+    package's order, so the frames agree bit for bit and the checks raise
+    the same GaugeError texts."""
     if v_rho is None:
         v_rho = d_rho(v, grid)
-    vk = v[n - 1]
+    gram = v.T @ v
+    if not np.isfinite(gram).all():
+        raise GaugeError("map has non-finite values; no frame can be transported along it")
+    vk = v[-1]
     re0 = np.array([1.0, 0.0, 0.0]) - vk[0] * vk
     scale = math.sqrt(re0 @ re0)
     if not scale >= 1e-6:
         raise GaugeError(
             "the map is within 1e-6 of the frame reference direction at "
-            "the outer edge, or not finite there; the transported frame "
-            "is not defined"
+            "the outer edge; the transported frame is not defined"
         )
-    re0 /= scale
-    steps = n - 1
-    nblocks = -(-steps // _RENORM_EVERY)
-    prop = np.empty((nblocks * _RENORM_EVERY, 3, 3))
-    prop[:steps] = _reference_cell_propagators(v, v_rho, -grid.drho)[::-1]
-    prop[steps:] = np.eye(3)
-    cum = prop.reshape(nblocks, _RENORM_EVERY, 3, 3)
-    for i in range(1, _RENORM_EVERY):
-        cum[:, i] = cum[:, i] @ cum[:, i - 1]
-    end_nodes = np.minimum(np.arange(1, nblocks + 1) * _RENORM_EVERY, steps)
-    v_end = v[n - 1 - end_nodes].tolist()
-    re, im = re0.tolist(), _reference_cross3(vk, re0)
-    starts = []
-    for c, vb in zip(cum[:, -1].tolist(), v_end):
-        starts.append(re)
-        re = [ci[0] * re[0] + ci[1] * re[1] + ci[2] * re[2] for ci in c]
-        im = [ci[0] * im[0] + ci[1] * im[1] + ci[2] * im[2] for ci in c]
-        rv = re[0] * vb[0] + re[1] * vb[1] + re[2] * vb[2]
-        terms = (
-            abs(re[0] * re[0] + re[1] * re[1] + re[2] * re[2] - 1.0),
-            abs(im[0] * im[0] + im[1] * im[1] + im[2] * im[2] - 1.0),
-            abs(re[0] * im[0] + re[1] * im[1] + re[2] * im[2]),
-            abs(rv),
-            abs(im[0] * vb[0] + im[1] * vb[1] + im[2] * vb[2]),
+    c = np.linalg.eigh(gram)[1][:, 0]
+    vc = v @ c
+    off2 = 1.0 - vc * vc
+    vxc = np.cross(v, c)
+    rate = vc * np.sum(v_rho * vxc, axis=1) / np.maximum(off2, _MIN_OFF_AXIS**2)
+    theta = cumint_dr(rate / grid.r, grid)
+    gap = float(np.max(np.abs(theta[1:] - np.cumsum(0.5 * grid.drho * (rate[1:] + rate[:-1])))))
+    if not gap <= _RESOLVED:
+        raise GaugeError(
+            f"the connection angle's integral is off its trapezoid rule by "
+            f"{gap:.2e}: the map is not resolved on this grid"
         )
-        drift = math.nan if math.isnan(sum(terms)) else max(terms)
-        if not drift <= _DRIFT_LIMIT:
-            raise GaugeError(
-                f"frame transport drifted by {drift:.2e} between "
-                "renormalizations: the map is not resolved on this grid"
-            )
-        re = [re[i] - rv * vb[i] for i in range(3)]
-        scale = math.sqrt(re[0] * re[0] + re[1] * re[1] + re[2] * re[2])
-        re = [x / scale for x in re]
-        im = _reference_cross3(vb, re)
-    legs = (cum @ np.asarray(starts)[:, None, :, None]).reshape(-1, 3)
-    e_re = np.empty((n, 3))
-    e_re[n - 1] = re0
-    e_re[: n - 1] = legs[:steps][::-1]
-    re = e_re - np.einsum("ij,ij->i", e_re, v)[:, None] * v
-    re /= np.linalg.norm(re, axis=1, keepdims=True)
+    least = math.sqrt(max(float(off2.min()), 0.0))
+    if not least >= _MIN_OFF_AXIS:
+        raise GaugeError(
+            f"the map comes within |P_v c| = {least:.3f} < {_MIN_OFF_AXIS} of "
+            "the normal c of its nearest plane; the reference frame is not defined"
+        )
+    g = (c - vc[:, None] * v) / np.sqrt(off2)[:, None]
+    b = vxc / np.sqrt(off2)[:, None]
+    theta += math.atan2(re0 @ b[-1], re0 @ g[-1]) - theta[-1]
+    re = np.cos(theta)[:, None] * g + np.sin(theta)[:, None] * b
     return re + 1j * np.cross(v, re)
-
-
-@pytest.mark.parametrize("n", [16, 17, 1024, 2050])
-def test_midpoints_match_gathered_contraction_bytes(n):
-    """The stencil midpoints of (n, 3) vector data, the only shape
-    the transport interpolates, equal the gathered einsum contraction bit
-    for bit, on a map, its derivative, node-to-node noise and signed
-    zeros."""
-    g = _transport_grid(n)
-    v = perturbed_map(Mu(1.1, 0.7, 3), g, amp_re=0.04, amp_im=0.02).v
-    noise = np.random.default_rng(n).normal(size=(n, 3))
-    # signed zeros that make all six terms of cell 10 a negative zero:
-    # the sum starts from +0.0, as the contraction's does
-    signed = np.zeros((n, 3))
-    signed[[8, 10, 11, 13]] = -0.0
-    for field in (v, d_rho(v, g), noise, signed):
-        assert _midpoints(field).tobytes() == _reference_midpoints(field, n).tobytes()
-
-
-def _shifted_slice_midpoints(field, n):
-    """_midpoints as six shifted slices of the edge-padded data, weighted
-    and added onto zero in the order j = 0..5, the loop that
-    _apply_stencil's correlation replaced."""
-    pad = np.concatenate((field[:1], field[:1], field, field[-1:], field[-1:]))
-    out = np.zeros_like(pad[: n - 1])
-    for j, c in enumerate(_MID6):
-        out += c * pad[j : j + n - 1]
-    return out
-
-
-@pytest.mark.parametrize("n", [1024, 2048])
-def test_midpoints_match_shifted_slices_bytes(n):
-    """The stencil midpoints equal the shifted-slice loop bit for bit on
-    noise, a profile map and its derivative, signed zeros, and a field
-    holding +-0.0, +-inf and NaN. Each column is interpolated on its own;
-    the column of infinities, where inf - inf makes NaNs, holds no NaN
-    of the data (see the next test)."""
-    g = build_grid(-8.0, 16.0, n)
-    h = h_profile(Mu(1.1, 0.7, 3), g).h
-    rng = np.random.default_rng(n)
-    special = np.stack(
-        [
-            rng.choice([0.0, -0.0, 1.0, np.inf, -np.inf], size=n),
-            rng.choice([0.0, -0.0, 1.0, np.nan], size=n),
-            rng.choice([0.0, -0.0], size=n),
-        ],
-        axis=1,
-    )
-    with np.errstate(invalid="ignore"):
-        for field in (rng.normal(size=(n, 3)), h, d_rho(h, g), special):
-            assert _midpoints(field).tobytes() == _shifted_slice_midpoints(field, n).tobytes()
-
-
-@pytest.mark.parametrize("n", [1024, 2048])
-def test_midpoints_differ_from_shifted_slices_only_in_nan_signs(n):
-    """Where a cell's sum is already the NaN of inf - inf (sign bit set)
-    and adds a NaN of the data (sign bit clear), which of the two NaNs
-    survives is up to the summation kernel, so the stencil and the loop
-    may disagree in that sign bit; every other byte agrees."""
-    values = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
-    with np.errstate(invalid="ignore"):
-        for seed in range(20):
-            field = np.random.default_rng(seed).choice(values, size=(n, 3))
-            new, old = _midpoints(field), _shifted_slice_midpoints(field, n)
-            same = new.view(np.uint64) == old.view(np.uint64)
-            assert np.isnan(new[~same]).all() and np.isnan(old[~same]).all()
 
 
 @pytest.mark.parametrize("given_v_rho", [False, True])
 @pytest.mark.parametrize("n", [16, 1024, 2048, 2050])
 @pytest.mark.parametrize("m", [2, 3])
 def test_transport_frame_matches_reference_bytes(m, n, given_v_rho):
-    """The scalar block chain and the shifted-slice midpoints leave the
-    transported frame's bytes as the list-based reference has them, with
-    the reference handed the same v_rho or computing its own."""
+    """The transported frame's bytes are the plain-numpy reference's,
+    with the reference handed the same v_rho or computing its own."""
     g = _transport_grid(n)
     v = perturbed_map(Mu(1.1, 0.7, m), g, amp_re=0.04, amp_im=0.02).v
     v_rho = d_rho(v, g)
@@ -510,17 +456,18 @@ def test_transport_frame_matches_reference_bytes(m, n, given_v_rho):
 
 @pytest.mark.parametrize("where", [None, 0, 1000, 2047])
 def test_transport_frame_errors_match_reference(grid, where):
-    """The noise map, and a profile with a NaN at the innermost, a middle
-    and the outermost node, stop the transport with the reference's
-    GaugeError text."""
+    """The noise map stops the transport as not resolved: it comes near
+    +-c too, but the resolution check speaks first.  A profile with a NaN
+    at the innermost, a middle or the outermost node stops it as
+    non-finite before any frame is built.  The texts are the reference's."""
     if where is None:
-        v = _noise_map(grid)
+        v, text = _noise_map(grid), "not resolved on this grid$"
     else:
-        v = h_profile(Mu(1.0, 0.0, 3), grid).h.copy()
+        v, text = h_profile(Mu(1.0, 0.0, 3), grid).h.copy(), "^map has non-finite values"
         v[where] = np.nan
     with pytest.raises(GaugeError) as ref:
         _reference_transport_frame(v, grid)
-    with pytest.raises(GaugeError) as got:
+    with pytest.raises(GaugeError, match=text) as got:
         _transport_frame(v, grid, d_rho(v, grid))
     assert str(got.value) == str(ref.value)
 

@@ -15,6 +15,7 @@ from equiflow.radial_grid import (
     _D1_EDGE,
     _D2_CENTER,
     _D2_EDGE,
+    _QUAD_DEGREE,
     _apply_stencil,
     _real_columns,
     build_grid,
@@ -53,6 +54,20 @@ def test_build_grid_validation():
         build_grid(0.0, -1.0, 64)
     with pytest.raises(ConfigError):
         build_grid(-1.0, 1.0, 8)
+
+
+@pytest.mark.parametrize("lo,hi,n", [(-400.0, 400.0, 64), (-15.1, 15.0, 16), (-1e308, 1e308, 64)])
+def test_build_grid_rejects_spacing_the_weights_cannot_resolve(lo, hi, n):
+    """A spacing past 2.0 in rho, where the product weights' Vandermonde
+    solve loses exactness on r^k (singular at 12.7), and a span that
+    overflows, are configuration errors; 2.0 itself is built."""
+    with pytest.raises(ConfigError):
+        build_grid(lo, hi, n)
+    grid = build_grid(-15.0, 15.0, 16)
+    assert grid.drho == 2.0
+    for k in range(_QUAD_DEGREE + 1):
+        exact = (grid.r[-1] ** (k + 2) - grid.r[0] ** (k + 2)) / (k + 2)
+        assert abs(quad_rdr(grid.r**k, grid) - exact) <= 1e-8 * exact
 
 
 def test_grid_nodes_are_log_uniform(grid):

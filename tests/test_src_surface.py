@@ -42,6 +42,10 @@ call in src/equiflow omits that parameter. A default that only tests
 take is a second path through the function that the program never runs.
 
 Every exception class of errors.py is raised somewhere in the package.
+
+gauge._transport_frame has no loop, neither a for or while statement
+nor a comprehension: the frame is one cumulative integral over the
+nodes, not a chain of steps.
 """
 
 import ast
@@ -430,3 +434,34 @@ def unraised_exceptions(src: Path) -> list[str]:
 
 def test_every_error_class_is_raised():
     assert unraised_exceptions(SRC) == []
+
+
+def loops_in(src: Path, module: str, name: str) -> list[str]:
+    """module:line of every for or while statement and every comprehension
+    in the body of the module-level function name of src/module.py."""
+    tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    loops = (
+        ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
+    )
+    return [f"{module}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, loops)]
+
+
+def test_frame_transport_has_no_loop():
+    assert loops_in(SRC, "gauge", "_transport_frame") == []
+
+
+def test_loops_are_found(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "def chain(xs):\n"
+        "    for x in xs:\n"
+        "        pass\n"
+        "    while xs:\n"
+        "        xs.pop()\n"
+        "    return [y for y in xs], {y: y for y in xs}, sum(y for y in xs)\n"
+        "def flat(xs):\n"
+        "    return xs\n",
+        encoding="utf-8",
+    )
+    assert loops_in(tmp_path, "mod", "chain") == ["mod:2", "mod:4", "mod:6", "mod:6", "mod:6"]
+    assert loops_in(tmp_path, "mod", "flat") == []
