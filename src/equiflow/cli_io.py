@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evolve_llg import (
+    MAX_STEPS,
     FlowConfig,
     RunSeries,
     SphereMap,
@@ -56,7 +57,7 @@ from .modulation import (
     normal_form_correction,
     psi_and_c,
 )
-from .radial_grid import RadialGrid, build_grid, norm
+from .radial_grid import RadialGrid, build_grid, check_grid, norm
 from .scenarios import (
     BehaviorClass,
     TailFamily,
@@ -165,6 +166,11 @@ def _parse_scalar(key: str, raw: str, lineno: int, problems: list):
     return value
 
 
+# the largest m |rho - log s0| the initial profile arctan(sinh(m (rho -
+# log s0))) is evaluated at: sinh overflows past 710.47
+_SINH_REACH = 710.0
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a flat key = value config.
 
@@ -205,8 +211,10 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.m != 1, M1_UNSUPPORTED)
     check(cfg.a != 0, "a must be nonzero")
     check(cfg.a_re >= 0.0, "a1 = Re a must be nonnegative")
-    check(cfg.rho_min < cfg.rho_max, "grid bounds need rho_min < rho_max")
-    check(cfg.n >= 16, "grid needs at least 16 nodes")
+    try:
+        check_grid(cfg.rho_min, cfg.rho_max, cfg.n)
+    except ConfigError as exc:
+        problems.append(str(exc))
     check(cfg.dt0 > 0.0, "dt0 must be positive")
     check(cfg.dt_max >= 0.0, "dt_max must be nonnegative (0 disables the cap)")
     check(cfg.ramp >= 0.0, "ramp must be nonnegative")
@@ -227,11 +235,18 @@ def parse_config(text: str) -> ExperimentConfig:
     except ConfigError as exc:
         problems.append(str(exc))
     else:  # the profile at scale s0 is centred at rho = log s0
-        check(
-            bool(cfg.snapshot) or cfg.rho_min < math.log(cfg.s0) < cfg.rho_max,
-            f"initial scale s0 = {cfg.s0!r} puts log s0 = {math.log(cfg.s0):.4g} outside "
-            f"the grid's rho range ({cfg.rho_min!r}, {cfg.rho_max!r})",
-        )
+        log_s0 = math.log(cfg.s0)
+        reach = cfg.m * max(cfg.rho_max - log_s0, log_s0 - cfg.rho_min)
+        on_grid = f"the grid's rho range ({cfg.rho_min!r}, {cfg.rho_max!r})"
+        if not cfg.snapshot and not cfg.rho_min < log_s0 < cfg.rho_max:
+            problems.append(
+                f"initial scale s0 = {cfg.s0!r} puts log s0 = {log_s0:.4g} outside {on_grid}"
+            )
+        elif not cfg.snapshot and reach > _SINH_REACH:
+            problems.append(
+                f"initial scale s0 = {cfg.s0!r} puts m |rho - log s0| = {reach:.4g} past "
+                f"{_SINH_REACH:g} on {on_grid}, where the profile's sinh overflows"
+            )
     if cfg.snapshot and cfg.family != "none":
         problems.append("give either tail-family parameters or a snapshot path, not both")
     if problems:
@@ -471,6 +486,14 @@ def series_observables(
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> tuple[str, list[Path]]:
     """Run the flow, fit each record, and persist series plus snapshot."""
+    # each record can cut a step short and add one
+    budget = cfg.flow().steps_to(cfg.t_end) + cfg.records
+    if budget > MAX_STEPS:
+        raise ConfigError(
+            f"the time steps (dt0 = {cfg.dt0!r}, ramp = {cfg.ramp!r}, dt_max = {cfg.dt_max!r}) "
+            f"and {cfg.records} records take about {budget:.4g} steps to t_end = {cfg.t_end!r}, "
+            f"more than the {MAX_STEPS} a run may take"
+        )
     vmap, grid, excess = _initial_data(cfg)
     # beta is set only on maps confined to the great circle
     if cfg.a.imag == 0.0 and vmap.beta is not None:

@@ -47,18 +47,19 @@ the energy and dissipation booked at a record time. The solvers are:
 The chord iteration (Kelley, Iterative Methods for Linear and Nonlinear
 Equations, 1995, ch. 5) factors a band matrix with dgbtrf, does one
 dgbtrs back-solve per iteration, and re-factors at the current iterate
-only when an update has not shrunk to CHORD_CONTRACTION of the one before.
-It stops once the largest update is below MIDPOINT_TOL (vector) or
-NEWTON_TOL (scalar) and fails after MIDPOINT_CAP or NEWTON_CAP
-iterations. A call leaves its LU on the run's work object, and a vector
-step starts from it (Hairer and Wanner, Solving ODEs II, sec. IV.8)
-unless dt has moved by more than CHORD_DT_DRIFT of the dt it was made
-at. Near a harmonic map, where the Jacobian barely moves, a run at one dt
-then factors a few times in all; a step cut short to meet a record time
-factors at its own dt, and the step after it at the full dt again. A
-failed step drops the LU, and a scalar step drops it to factor at its
-seed. The matrix only steers the iteration; the residual alone fixes
-the result.
+only when an update has not shrunk to CHORD_CONTRACTION of the one
+before. It stops once the largest update is below MIDPOINT_TOL (vector)
+or NEWTON_TOL (scalar), a scalar step also once the error its first
+update leaves is predicted below NEWTON_KAPPA NEWTON_TOL, and fails
+after MIDPOINT_CAP or NEWTON_CAP iterations. A call leaves its LU on the
+run's work object, and a vector step starts from it (Hairer and Wanner,
+Solving ODEs II, sec. IV.8) unless dt has moved by more than
+CHORD_DT_DRIFT of the dt it was made at. Near a harmonic map, where the
+Jacobian barely moves, a run at one dt then factors a few times in all;
+a step cut short to meet a record time factors at its own dt, and the
+step after it at the full dt again. A failed step drops the LU, and a
+scalar step drops it to factor at its seed. The matrix only steers the
+iteration; the residual alone fixes the result.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -121,7 +122,8 @@ class FlowConfig:
     dt(t) = clip(ramp * t, dt0, dt_max); ramp = 0 keeps dt0 throughout.
     These four fields are the whole schedule: the tolerances and caps of
     the chord iteration are module constants, MIDPOINT_TOL, MIDPOINT_CAP,
-    NEWTON_TOL and NEWTON_CAP.
+    NEWTON_TOL and NEWTON_CAP, and so are NEWTON_KAPPA and NEWTON_REFRESH
+    of the scalar iteration's early stop.
     """
 
     a: complex = 1.0 + 0.0j
@@ -143,6 +145,21 @@ class FlowConfig:
 
     def dt_at(self, t: float) -> float:
         return min(max(self.dt0, self.ramp * t), self.dt_max)
+
+    def steps_to(self, t_end: float) -> float:
+        """About how many steps of dt_at reach t_end from t = 0, before any
+        cut to a record time: t_end / dt at a fixed dt, else a phase at dt0
+        up to t = dt0 / ramp, a geometric phase at dt = ramp t, where each
+        step multiplies t by 1 + ramp, and a phase at dt_max. The count is
+        a float, inf where it overflows."""
+        dt0, dt_max, ramp = self.dt0, self.dt_max, self.ramp
+        if ramp == 0 or dt_max <= dt0:
+            return t_end / min(dt0, dt_max)
+        fixed = min(t_end, dt0 / ramp) / dt0
+        # the log of the growth of dt over the geometric phase
+        growth = min(math.log(t_end) + math.log(ramp), math.log(dt_max)) - math.log(dt0)
+        capped = max(t_end - dt_max / ramp, 0.0) / dt_max
+        return fixed + max(growth, 0.0) / math.log1p(ramp) + capped
 
 
 @dataclass
@@ -229,19 +246,29 @@ CHORD_DT_DRIFT = 1e-2
 # (Newton) stepper
 MIDPOINT_TOL, MIDPOINT_CAP = 1e-12, 40
 NEWTON_TOL, NEWTON_CAP = 1e-10, 12
+# the scalar (Newton) iteration stops after its first update d1 once
+# K d1^2, its predicted remaining error, is at most NEWTON_KAPPA NEWTON_TOL;
+# K is measured on a call that takes a second update, and a call more than
+# NEWTON_REFRESH calls after that measurement takes a second update again
+NEWTON_KAPPA, NEWTON_REFRESH = 0.01, 16
 
 
 class _ChordCounters:
     """The chord state _chord keeps on the work object of a run: the
     counters (chord iterations in all, the most taken in one step, the
     band matrices factored) and the LU factors lu, piv of the last
-    factorization, made at dt lu_dt; lu is None while no LU is held."""
+    factorization, made at dt lu_dt; lu is None while no LU is held.
+    newton_k is the Newton constant of the early stop, and newton_k_age
+    the calls since it was measured; newton_k is None on a state that
+    never stops early, inf on one that has not measured it yet."""
 
     iterations = 0
     max_step_iterations = 0
     factorizations = 0
     lu = piv = None
     lu_dt = math.nan
+    newton_k = None
+    newton_k_age = 0
 
 
 def _chord(
@@ -260,20 +287,40 @@ def _chord(
     is one solve_banded back-solve, x <- x - G'^{-1} G(x), until the
     largest update falls below tol. Convergence is measured on the update:
     the raw residual sits on a roundoff floor amplified by e^{-2 rho} near
-    the inner boundary, which the solve removes. A call that returns
-    leaves its LU on work; an exception leaves none, as the band array
-    may already hold a new assembly. A non-finite residual raises
-    InstabilityError before any solve; a non-finite update ends the
-    iteration, for the finiteness check of step_scalar or run_vector. A
-    singular matrix, or cap iterations without convergence, raises
-    StepError naming the iteration by what; cap iterations whose last
-    update is larger than the first are reported as diverged, otherwise
-    as stalled.
+    the inner boundary, which the solve removes.
+
+    A work object whose newton_k is not None (the scalar stepper's) may
+    also stop after the first update d1, when K d1^2 <= NEWTON_KAPPA tol:
+    the Newton form of the stop on the estimated remaining error,
+    theta/(1 - theta) |d| <= tol (Hairer and Wanner, sec. IV.8; Shampine,
+    SIAM J. Sci. Stat. Comput. 1 (1980) 103-118). K = d2/d1^2 is taken
+    from the last call whose second update d2 was made, as every second
+    update is, on the LU of the first. A call more than NEWTON_REFRESH
+    calls after that one, or before any, takes the second update and
+    measures K again: a K measured on a roundoff-sized d2 and never
+    refreshed left errors up to 7e-8 on an m = 2 tail run at ramp 0.1.
+    The rule needs quadratic convergence, which the scalar stepper has, as
+    it factors afresh at each step's seed; the vector stepper holds its LU
+    across steps, converges linearly, and keeps the stop on d < tol.
+
+    A call that returns leaves its LU on work; an exception leaves none,
+    as the band array may already hold a new assembly. A non-finite
+    residual raises InstabilityError before any solve; a non-finite update
+    ends the iteration, for the finiteness check of step_scalar or
+    run_vector. A singular matrix, or cap iterations without convergence,
+    raises StepError naming the iteration by what; cap iterations whose
+    last update is larger than the first are reported as diverged,
+    otherwise as stalled.
     """
     lu, piv, lu_dt = work.lu, work.piv, work.lu_dt
     # the call takes the held LU; only a call that returns gives one back
     work.lu = None
     factor = lu is None or abs(dt - lu_dt) > CHORD_DT_DRIFT * lu_dt
+    newton_k = work.newton_k
+    if newton_k is not None:
+        work.newton_k_age += 1
+        if work.newton_k_age > NEWTON_REFRESH:
+            newton_k = math.inf
     delta = math.inf
     for count in range(1, cap + 1):
         resid, ab = evaluate(x, factor)
@@ -291,7 +338,11 @@ def _chord(
         delta, before = float(np.max(np.abs(step))), delta
         if count == 1:
             first = delta
+        elif count == 2 and newton_k is not None:
+            work.newton_k, work.newton_k_age = delta / (first * first), 0
         if delta < tol or not math.isfinite(delta):
+            break
+        if count == 1 and newton_k is not None and newton_k * delta * delta <= NEWTON_KAPPA * tol:
             break
         factor = delta > CHORD_CONTRACTION * before
     else:
@@ -615,11 +666,14 @@ class _ScalarWork(_ChordCounters):
     written straight into ab, plus its diagonal 1 - (dt/2) a1 e^{-2 rho}
     m^2 cos(2 beta). Every step factors afresh at its seed: an LU held
     across steps made the ramped runs slower, as dt moves every step.
+    The fresh LU makes the Newton iteration converge quadratically, so a
+    scalar run takes _chord's early stop, newton_k unmeasured at first.
     """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
         n = grid.n
         self.grid = grid
+        self.newton_k = math.inf
         self.m = m
         self.a1 = a1
         self.u = u = 6
@@ -663,10 +717,12 @@ def step_scalar(
     The new angle x solves G(x) = x - beta - (dt/2) (f(x) + f(beta)) = 0,
     f the rhs of work, by _chord with the Newton matrix G' of work, to
     NEWTON_TOL in at most NEWTON_CAP iterations, factored afresh at seed.
-    seed is the starting iterate and must hold beta's Dirichlet end
-    values; run_scalar passes beta itself at the first step, the linear
-    extrapolation in time of its last two accepted angles at the second
-    and the quadratic one of its last three after.
+    Once work has measured its Newton constant, one iteration whose
+    predicted remaining error is at most NEWTON_KAPPA NEWTON_TOL ends the
+    step; see _chord. seed is the starting iterate and must hold beta's
+    Dirichlet end values; run_scalar passes beta itself at the first step,
+    the linear extrapolation in time of its last two accepted angles at
+    the second and the quadratic one of its last three after.
     """
     # d2_rho(x) is evaluated as d2_rho(beta) + d2_rho(x - beta). The
     # stencil's roundoff scales with the values it reads: on the angle
@@ -689,7 +745,8 @@ def step_scalar(
     # convergence basin once dt is large. From beta itself, or extrapolated
     # from two or three accepted Crank-Nicolson states, which evaluates no
     # rhs, the diffusion-dominated Jacobian reaches the solution in a few
-    # iterations; on long m = 2 runs, two per step from the quadratic seed on.
+    # iterations; on long m = 2 runs, one per step from the quadratic seed on,
+    # and a second on every NEWTON_REFRESH + 1-th step.
     work.lu = None
     new = _chord(seed, evaluate, work.u, NEWTON_TOL, NEWTON_CAP, work, "Newton", t, dt)
     if not np.all(np.isfinite(new)):

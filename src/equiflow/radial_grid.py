@@ -31,6 +31,11 @@ _QUAD_DEGREE = 5
 # widest spacing in rho the product weights resolve: they integrate r^k,
 # k <= 5, to 6e-10 at 2.0, 9e-5 at 3.0, no digit at 4, singular past 10
 _MAX_DRHO = 2.0
+# largest |rho| of a grid: e^{2 rho} in the product weights overflows past
+# 354.9, and e^{-2 rho} below -354.9; predict on m = 2 data ran clean up to
+# rho_max = 350 and fitted a NaN scale from 352, so the limit leaves room for
+# the products of the weights with the integrands
+_MAX_ABS_RHO = 300.0
 
 
 def _weights(offsets: np.ndarray, moments: np.ndarray) -> np.ndarray:
@@ -99,11 +104,18 @@ class RadialGrid:
 
 
 def build_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
-    """The grid on [rho_min, rho_max] with n nodes.
+    """The grid on [rho_min, rho_max] with n nodes, after check_grid.
 
     Grids are shared: equal arguments return the same object, whose
     arrays are read-only.
     """
+    check_grid(rho_min, rho_max, n)
+    return _shared_grid(rho_min, rho_max, n)
+
+
+def check_grid(rho_min: float, rho_max: float, n: int) -> None:
+    """ConfigError unless [rho_min, rho_max] with n nodes is a grid the
+    quadrature and the exponentials of rho can be evaluated on."""
     span = rho_max - rho_min
     if not 0.0 < span < math.inf:  # also for NaN, infinite or overflowing bounds
         raise ConfigError(f"invalid grid bounds [{rho_min}, {rho_max}]")
@@ -115,7 +127,11 @@ def build_grid(rho_min: float, rho_max: float, n: int) -> RadialGrid:
             f"{_MAX_DRHO}, the widest the quadrature weights resolve; use at least "
             f"n = {math.ceil(span / _MAX_DRHO) + 1} nodes"
         )
-    return _shared_grid(rho_min, rho_max, n)
+    if max(-rho_min, rho_max) > _MAX_ABS_RHO:
+        raise ConfigError(
+            f"grid bounds [{rho_min}, {rho_max}] reach past |rho| = {_MAX_ABS_RHO:g}, "
+            "where the grid's e^{2 rho} and e^{-2 rho} overflow"
+        )
 
 
 @functools.lru_cache(maxsize=32)

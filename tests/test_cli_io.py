@@ -663,18 +663,31 @@ OUT_OF_REACH = [
     ({"rho_min": -400.0, "rho_max": 400.0}, "grid spacing drho = 12.7 on [-400.0, 400.0] exceeds 2.0"),
     ({"s0": 1e300}, "s0 = 1e+300 puts log s0 = 690.8 outside the grid's rho range (-8.0, 8.0)"),
     ({"s0": 1e-300, "rho_min": -6.0, "rho_max": 6.0}, "log s0 = -690.8 outside the grid's rho range (-6.0, 6.0)"),
+    (
+        {"s0": 1e-108, "rho_min": -310.0, "rho_max": -200.0},
+        "grid bounds [-310.0, -200.0] reach past |rho| = 300",
+    ),
+    (
+        {"m": 6, "rho_min": -120.0, "rho_max": 5.0},
+        "s0 = 1.0 puts m |rho - log s0| = 720 past 710 on the grid's rho range (-120.0, 5.0)",
+    ),
 ]
 
 
 @pytest.mark.parametrize("command", ["simulate", "predict"])
-@pytest.mark.parametrize("keys,message", OUT_OF_REACH, ids=["drho", "s0_above", "s0_below"])
+@pytest.mark.parametrize(
+    "keys,message", OUT_OF_REACH, ids=["drho", "s0_above", "s0_below", "rho_far", "sinh_reach"]
+)
 def test_grid_and_scale_out_of_reach_are_config_errors(
     tmp_path, capsys, monkeypatch, recwarn, command, keys, message
 ):
     """A grid spacing the quadrature weights cannot resolve (a singular
-    matrix traceback before), and an initial scale whose log lies off the
-    grid (an overflow warning and NaN fits before), exit 2 before any
-    compute, name the limit, warn nothing and leave no --out behind."""
+    matrix traceback before), an initial scale whose log lies off the
+    grid (an overflow warning and NaN fits before), a grid past the |rho|
+    where e^{2 rho} or e^{-2 rho} overflows, and a profile whose
+    sinh(m (rho - log s0)) overflows on the grid (overflow warnings and
+    NaN fits before) exit 2 before any compute, name the limit, warn
+    nothing and leave no --out behind."""
 
     def no_compute(*args, **kwargs):
         raise AssertionError("computation started on an invalid config")
@@ -686,6 +699,30 @@ def test_grid_and_scale_out_of_reach_are_config_errors(
     err = capsys.readouterr().err
     assert "equiflow error [config] code=2" in err and message in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize(
+    "keys, steps",
+    [({"dt0": 1e-300}, "1e+300"), ({"dt_max": 1e-300}, "1e+300"), ({"t_end": 1e300}, "1e+303")],
+    ids=["dt0", "dt_max", "t_end"],
+)
+def test_step_budget_is_a_config_error(tmp_path, capsys, monkeypatch, recwarn, keys, steps):
+    """A schedule whose step count passes MAX_STEPS exits 2 before any
+    compute and names the count; before, each of these ran step by step
+    until MAX_STEPS = 2,000,000 steps."""
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computation started on an invalid config")
+
+    for name in ("run_vector", "run_scalar", "build_initial_data", "load_snapshot"):
+        monkeypatch.setattr(cli_io, name, no_compute)
+    cfg = write_config(tmp_path, n=64, **keys)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "equiflow error [config] code=2" in err
+    assert f"take about {steps} steps" in err and "more than the 2000000 a run may take" in err
     assert not (tmp_path / "o").exists()
     assert len(recwarn) == 0
 

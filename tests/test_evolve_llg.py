@@ -336,6 +336,35 @@ def test_step_cap_raises(grid, perturbed, monkeypatch):
     assert run_scalar(beta0, grid, 2, cfg, t_end=0.03, record_times=[0.03]).steps == 3
 
 
+@pytest.mark.parametrize(
+    "cfg, t_end",
+    [
+        (FlowConfig(dt0=0.01), 1.0),
+        (FlowConfig(dt0=0.02, dt_max=0.005), 1.0),
+        (FlowConfig(dt0=1e-4, ramp=0.01), 1e5),
+        (FlowConfig(dt0=0.01, ramp=0.05, dt_max=500.0), 1e4),
+        (FlowConfig(dt0=0.5, ramp=0.3, dt_max=40.0), 1e4),
+    ],
+    ids=["fixed", "capped_below_dt0", "ramp", "ramp_and_cap", "short_ramp"],
+)
+def test_steps_to_counts_the_schedule(cfg, t_end):
+    """FlowConfig.steps_to is within one step of the steps the run driver
+    takes with records only at 0 and t_end, and each of the 33 default
+    records cuts at most one step more."""
+    work = evolve_llg._ChordCounters()
+
+    def steps(record_times):
+        series = evolve_llg._drive(
+            0.0, work, 2, cfg, t_end, record_times,
+            lambda state, t, dt: state, lambda state, k, t, energies: (0.0, 0.0),
+        )
+        return series.steps
+
+    count = cfg.steps_to(t_end)
+    assert abs(steps([]) - count) < 1.0
+    assert steps([]) < steps(None) <= count + 33
+
+
 def assemble_loop(grid, m, pa, dt, deriv=None):
     """Reference band matrix of I - (dt/2) (Pa L + D) in solve_banded
     storage, built slice by slice, D the block diagonal of deriv (none when
@@ -716,7 +745,7 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     for k, _, _ in per_step:
         updates = solves[at : at + k]
         at += k
-        # the last update converged; each earlier one after the first
+        # the last update ended the step; each earlier one after the first
         # re-factors unless it shrank to CHORD_CONTRACTION of its forerunner
         shrink = evolve_llg.CHORD_CONTRACTION
         expected.append(1 + sum(b > shrink * a for a, b in zip(updates, updates[1:-1])))
@@ -1126,14 +1155,25 @@ def test_scalar_tail_run_keeps_newton_margin(kappa):
     assert series.factorizations <= 1.05 * series.steps
 
 
-def test_scalar_tail_steps_take_two_newton_iterations(monkeypatch):
-    """The quadratic seed on a run shaped like the long m = 2 tail run
-    (log_drift data on rho in [-14, 10], n = 1536, dt0 = 1e-4, ramp 0.01)
-    cut to t = 100, with records off the step grid: every step from the
-    third on takes exactly 2 Newton iterations and 1 factorization. The
-    linear seed took 3 iterations on about one step in nine here."""
+def _tail_run_data():
+    """The grid and initial angle of the long m = 2 tail run at kappa = 0.8:
+    log_drift data on rho in [-14, 10] with n = 1536."""
     grid = build_grid(-14.0, 10.0, 1536)
     vmap, _ = build_initial_data(TailFamily("log_drift", kappa=0.8), grid, m=2)
+    return grid, vmap.beta
+
+
+def test_scalar_tail_steps_take_one_newton_iteration(grid, perturbed, monkeypatch):
+    """The quadratic seed and the early stop on a run shaped like the long
+    m = 2 tail run (dt0 = 1e-4, ramp 0.01) cut to t = 100, with records off
+    the step grid: the first step takes 2 Newton iterations, as no Newton
+    constant is measured yet, and every step from the third on takes 1
+    iteration and 1 factorization, except every NEWTON_REFRESH + 1-th
+    step, which takes a second iteration to measure the constant again.
+    Before the early stop every step from the third on took 2. A vector
+    run never takes the early stop: with it switched on for every call,
+    its bytes and counts stay the same."""
+    tail_grid, beta0 = _tail_run_data()
     cfg = FlowConfig(a=1.0, dt0=1e-4, ramp=0.01)
     per_step = []
     step = evolve_llg.step_scalar
@@ -1145,9 +1185,77 @@ def test_scalar_tail_steps_take_two_newton_iterations(monkeypatch):
         return out
 
     monkeypatch.setattr(evolve_llg, "step_scalar", counted_step)
-    series = run_scalar(vmap.beta, grid, 2, cfg, 100.0, np.geomspace(0.0123, 93.0, 9))
+    series = run_scalar(beta0, tail_grid, 2, cfg, 100.0, np.geomspace(0.0123, 93.0, 9))
     assert series.steps == len(per_step) > 1000
-    assert per_step[2:] == [(2, 1)] * (series.steps - 2)
+    period = evolve_llg.NEWTON_REFRESH + 1
+    assert per_step[0] == (2, 1)
+    assert per_step[2:] == [(1 + (k % period == 0), 1) for k in range(2, series.steps)]
+    assert series.iterations < 1.1 * series.steps
+
+    vector_cfg = FlowConfig(a=1.0, dt0=2.0**-7)
+    runs = []
+    on = (evolve_llg.NEWTON_KAPPA, evolve_llg.NEWTON_REFRESH)
+    for kappa, refresh in (on, (math.inf, math.inf)):
+        monkeypatch.setattr(evolve_llg, "NEWTON_KAPPA", kappa)
+        monkeypatch.setattr(evolve_llg, "NEWTON_REFRESH", refresh)
+        runs.append(run_vector(perturbed, grid, 3, vector_cfg, t_end=10 * 2.0**-7))
+    assert runs[0].v.tobytes() == runs[1].v.tobytes()
+    assert runs[0].iterations == runs[1].iterations > 2 * runs[0].steps
+
+
+def _newton_update_size(beta, new, dt, grid, band):
+    """The largest entry of one Newton update from new for the
+    Crank-Nicolson step of size dt from beta: the Newton matrix built
+    from band, the _scaled_band of grid, and factored afresh at new, with
+    d2_rho(new) evaluated as d2_rho(beta) + d2_rho(new - beta), as
+    step_scalar evaluates it, so the update is not held up by the stencil's
+    roundoff on the angle itself; m = 2 and a1 = 1, as on the tail run."""
+    m, a1 = 2, 1.0
+    scaled_d2, boundary, decay, u = band
+    d2_beta = d2_rho(beta, grid)
+
+    def rhs(b, d2):
+        out = a1 * decay * (d2 + 0.5 * m**2 * np.sin(2.0 * b))
+        out[0] = out[-1] = 0.0
+        return out
+
+    rhs_new = rhs(new, d2_beta + d2_rho(new - beta, grid))
+    resid = new - beta - 0.5 * dt * (rhs_new + rhs(beta, d2_beta))
+    resid[0] = resid[-1] = 0.0
+    ab = np.zeros((3 * u + 1, grid.n))
+    ab[u:] = _reference_newton_matrix(new, dt, m, a1, scaled_d2, boundary, decay, u)
+    lu, piv, info = dgbtrf(ab, u, u)
+    assert info == 0
+    update, info = dgbtrs(lu, u, u, resid, piv)
+    assert info == 0
+    return float(np.max(np.abs(update)))
+
+
+@pytest.mark.parametrize("ramp, t_end", [(0.01, 100.0), (0.03, 1e5), (0.1, 1e5)])
+def test_scalar_early_stop_leaves_less_than_newton_tol(ramp, t_end, monkeypatch):
+    """Every step of a tail run that stops after one Newton update leaves
+    an error below NEWTON_TOL: one more Newton update from the returned
+    angle, with a fresh factorization there, is at most NEWTON_TOL. The
+    ramps 0.03 and 0.1 grow dt fast enough that the Newton constant moves
+    between refreshes; a constant never refreshed (NEWTON_REFRESH = inf),
+    or the stop at K d1^2 <= NEWTON_TOL (NEWTON_KAPPA = 1), leaves up to
+    7e-8 and 1.5e-9 there."""
+    grid, beta0 = _tail_run_data()
+    band = _scaled_band(grid)
+    left = []
+    step = evolve_llg.step_scalar
+
+    def checked_step(beta, t, dt, work, seed):
+        before = work.iterations
+        new = step(beta, t, dt, work, seed)
+        if work.iterations - before == 1:
+            left.append(_newton_update_size(beta, new, dt, grid, band))
+        return new
+
+    monkeypatch.setattr(evolve_llg, "step_scalar", checked_step)
+    series = run_scalar(beta0, grid, 2, FlowConfig(a=1.0, dt0=1e-4, ramp=ramp), t_end)
+    assert len(left) > 0.2 * series.steps
+    assert max(left) <= evolve_llg.NEWTON_TOL
 
 
 def test_scalar_run_holds_the_dirichlet_ends_exactly(grid):

@@ -70,6 +70,19 @@ def test_build_grid_rejects_spacing_the_weights_cannot_resolve(lo, hi, n):
         assert abs(quad_rdr(grid.r**k, grid) - exact) <= 1e-8 * exact
 
 
+@pytest.mark.parametrize("lo,hi", [(-300.5, -200.0), (200.0, 300.5), (-400.0, 400.0)])
+def test_build_grid_rejects_bounds_whose_exponentials_overflow(lo, hi, recwarn):
+    """Bounds past |rho| = 300 are configuration errors at any spacing, raised
+    before any array is made; before, rho_max = 352 gave NaN integrals and
+    |rho| = 355 overflow warnings. |rho| = 300 itself is built, with
+    finite weights and decay."""
+    with pytest.raises(ConfigError, match=r"reach past \|rho\| = 300"):
+        build_grid(lo, hi, 2001)
+    grid = build_grid(-300.0, 300.0, 601)
+    assert np.all(np.isfinite(grid.w_rdr)) and np.all(np.isfinite(grid.decay))
+    assert len(recwarn) == 0
+
+
 def test_grid_nodes_are_log_uniform(grid):
     """Nodes are uniform in log r and r = e^rho."""
     assert grid.rho[0] == pytest.approx(-8.0)

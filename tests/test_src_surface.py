@@ -46,6 +46,10 @@ Every exception class of errors.py is raised somewhere in the package.
 gauge._transport_frame has no loop, neither a for or while statement
 nor a comprehension: the frame is one cumulative integral over the
 nodes, not a chain of steps.
+
+FlowConfig's fields are a, dt0, dt_max and ramp, the run schedule and
+nothing else: the tolerances, caps and stop rules of the chord iteration
+are module constants of evolve_llg, not settings of a run.
 """
 
 import ast
@@ -465,3 +469,34 @@ def test_loops_are_found(tmp_path):
     )
     assert loops_in(tmp_path, "mod", "chain") == ["mod:2", "mod:4", "mod:6", "mod:6", "mod:6"]
     assert loops_in(tmp_path, "mod", "flat") == []
+
+
+def dataclass_fields(src: Path, module: str, name: str) -> list[str]:
+    """The names annotated in the body of the module-level class name of
+    src/module.py, in order: the fields of a dataclass."""
+    tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name]
+    return [node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)]
+
+
+def test_flow_config_holds_only_the_schedule():
+    assert dataclass_fields(SRC, "evolve_llg", "FlowConfig") == ["a", "dt0", "dt_max", "ramp"]
+
+
+def test_dataclass_fields_are_found(tmp_path):
+    """A solver tolerance added as a field is found; a plain class
+    attribute and an annotation inside a method are not fields."""
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class FlowConfig:\n"
+        "    a: complex = 1.0\n"
+        "    dt0: float = 1e-3\n"
+        "    LIMIT = 3\n"
+        "    newton_tol: float = 1e-10\n"
+        "    def dt_at(self, t):\n"
+        "        x: float = t\n"
+        "        return x\n",
+        encoding="utf-8",
+    )
+    assert dataclass_fields(tmp_path, "mod", "FlowConfig") == ["a", "dt0", "newton_tol"]
