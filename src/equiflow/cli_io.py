@@ -169,6 +169,9 @@ def _parse_scalar(key: str, raw: str, lineno: int, problems: list):
 # the largest m |rho - log s0| the initial profile arctan(sinh(m (rho -
 # log s0))) is evaluated at: sinh overflows past 710.47
 _SINH_REACH = 710.0
+# the largest delta: the renormalization of the perturbed map squares its
+# components, which overflows past about 1.3e154
+_DELTA_MAX = 1e150
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -225,7 +228,10 @@ def parse_config(text: str) -> ExperimentConfig:
         "t_record_min must lie in [0, t_end)",
     )
     check(cfg.cut_width > 0.0, "cut_width must be positive")
-    check(cfg.delta >= 0.0, "delta must be nonnegative")
+    check(
+        0.0 <= cfg.delta <= _DELTA_MAX,
+        f"delta must lie in [0, {_DELTA_MAX:g}], where the perturbed map can be renormalized",
+    )
     check(cfg.seed >= 0, "seed must be nonnegative")
     check(cfg.t_min > 0.0, "t_min must be positive")
     check(cfg.t_max > cfg.t_min, "t_max must exceed t_min")

@@ -49,17 +49,19 @@ Equations, 1995, ch. 5) factors a band matrix with dgbtrf, does one
 dgbtrs back-solve per iteration, and re-factors at the current iterate
 only when an update has not shrunk to CHORD_CONTRACTION of the one
 before. It stops once the largest update is below MIDPOINT_TOL (vector)
-or NEWTON_TOL (scalar), a scalar step also once the error its first
-update leaves is predicted below NEWTON_KAPPA NEWTON_TOL, and fails
-after MIDPOINT_CAP or NEWTON_CAP iterations. A call leaves its LU on the
-run's work object, and a vector step starts from it (Hairer and Wanner,
-Solving ODEs II, sec. IV.8) unless dt has moved by more than
-CHORD_DT_DRIFT of the dt it was made at. Near a harmonic map, where the
-Jacobian barely moves, a run at one dt then factors a few times in all;
-a step cut short to meet a record time factors at its own dt, and the
-step after it at the full dt again. A failed step drops the LU, and a
-scalar step drops it to factor at its seed. The matrix only steers the
-iteration; the residual alone fixes the result.
+or NEWTON_TOL (scalar), or once the error the last update leaves is
+estimated below CHORD_KAPPA times that tolerance: from the second update
+on by the contraction of the updates, after the first update of a scalar
+step by its Newton constant. It fails after MIDPOINT_CAP or NEWTON_CAP
+iterations. A call leaves its LU on the run's work object, and a vector
+step starts from it (Hairer and Wanner, Solving ODEs II, sec. IV.8)
+unless dt has moved by more than CHORD_DT_DRIFT of the dt it was made at.
+Near a harmonic map, where the Jacobian barely moves, a run at one dt
+then factors a few times in all; a step cut short to meet a record time
+factors at its own dt, and the step after it at the full dt again. A
+failed step drops the LU, and a scalar step drops it to factor at its
+seed. The matrix only steers the iteration; the residual alone fixes the
+result.
 
 Vector runs report the scheme's own quadratic energy (6th-order accurate
 for decaying profiles); the dissipation integral is accumulated by
@@ -122,8 +124,9 @@ class FlowConfig:
     dt(t) = clip(ramp * t, dt0, dt_max); ramp = 0 keeps dt0 throughout.
     These four fields are the whole schedule: the tolerances and caps of
     the chord iteration are module constants, MIDPOINT_TOL, MIDPOINT_CAP,
-    NEWTON_TOL and NEWTON_CAP, and so are NEWTON_KAPPA and NEWTON_REFRESH
-    of the scalar iteration's early stop.
+    NEWTON_TOL and NEWTON_CAP, and so are CHORD_KAPPA of its stop on the
+    estimated remaining error and NEWTON_REFRESH of the scalar iteration's
+    first-update stop.
     """
 
     a: complex = 1.0 + 0.0j
@@ -246,11 +249,13 @@ CHORD_DT_DRIFT = 1e-2
 # (Newton) stepper
 MIDPOINT_TOL, MIDPOINT_CAP = 1e-12, 40
 NEWTON_TOL, NEWTON_CAP = 1e-10, 12
-# the scalar (Newton) iteration stops after its first update d1 once
-# K d1^2, its predicted remaining error, is at most NEWTON_KAPPA NEWTON_TOL;
-# K is measured on a call that takes a second update, and a call more than
-# NEWTON_REFRESH calls after that measurement takes a second update again
-NEWTON_KAPPA, NEWTON_REFRESH = 0.01, 16
+# the chord iteration also stops once its estimated remaining error is at
+# most CHORD_KAPPA tol: after the k-th update d_k, k >= 2, the error
+# theta/(1 - theta) d_k with theta = d_k/d_{k-1}, and after the first
+# update d1 of a scalar (Newton) call K d1^2; K is measured on a call that
+# takes a second update, and a call more than NEWTON_REFRESH calls after
+# that measurement takes a second update again
+CHORD_KAPPA, NEWTON_REFRESH = 0.01, 16
 
 
 class _ChordCounters:
@@ -258,9 +263,10 @@ class _ChordCounters:
     counters (chord iterations in all, the most taken in one step, the
     band matrices factored) and the LU factors lu, piv of the last
     factorization, made at dt lu_dt; lu is None while no LU is held.
-    newton_k is the Newton constant of the early stop, and newton_k_age
-    the calls since it was measured; newton_k is None on a state that
-    never stops early, inf on one that has not measured it yet."""
+    newton_k is the Newton constant of the first-update stop, and
+    newton_k_age the calls since it was measured; newton_k is None on a
+    state that never stops after its first update, inf on one that has
+    not measured it yet."""
 
     iterations = 0
     max_step_iterations = 0
@@ -289,19 +295,26 @@ def _chord(
     the raw residual sits on a roundoff floor amplified by e^{-2 rho} near
     the inner boundary, which the solve removes.
 
-    A work object whose newton_k is not None (the scalar stepper's) may
-    also stop after the first update d1, when K d1^2 <= NEWTON_KAPPA tol:
-    the Newton form of the stop on the estimated remaining error,
-    theta/(1 - theta) |d| <= tol (Hairer and Wanner, sec. IV.8; Shampine,
-    SIAM J. Sci. Stat. Comput. 1 (1980) 103-118). K = d2/d1^2 is taken
-    from the last call whose second update d2 was made, as every second
-    update is, on the LU of the first. A call more than NEWTON_REFRESH
-    calls after that one, or before any, takes the second update and
-    measures K again: a K measured on a roundoff-sized d2 and never
-    refreshed left errors up to 7e-8 on an m = 2 tail run at ramp 0.1.
-    The rule needs quadratic convergence, which the scalar stepper has, as
-    it factors afresh at each step's seed; the vector stepper holds its LU
-    across steps, converges linearly, and keeps the stop on d < tol.
+    It also stops on the estimated remaining error (Hairer and Wanner,
+    sec. IV.8; Shampine, SIAM J. Sci. Stat. Comput. 1 (1980) 103-118):
+    after the k-th update d_k, k >= 2, once theta/(1 - theta) d_k <=
+    CHORD_KAPPA tol, with theta = d_k/d_{k-1} < 1 measured within the
+    call. This spares the update whose only job is to confirm the one
+    before. On heat_vector-shaped data one Newton update from where it
+    stops is at most 4.5e-14, against MIDPOINT_TOL = 1e-12; at
+    CHORD_KAPPA = 1 it was up to 3.6e-12. A work object whose newton_k is
+    not None (the scalar stepper's) may stop after the first update d1
+    too, when K d1^2 <= CHORD_KAPPA tol, the Newton form of the same
+    estimate.
+    K = d2/d1^2 is taken from the last call whose second update d2 was
+    made, as every second update is, on the LU of the first. A call more
+    than NEWTON_REFRESH calls after that one, or before any, takes the
+    second update and measures K again: a K measured on a roundoff-sized
+    d2 and never refreshed left errors up to 7e-8 on an m = 2 tail run at
+    ramp 0.1. That rule needs quadratic convergence, which the scalar
+    stepper has, as it factors afresh at each step's seed; the vector
+    stepper holds its LU across steps and converges linearly, so its
+    first update has no rate to go by.
 
     A call that returns leaves its LU on work; an exception leaves none,
     as the band array may already hold a new assembly. A non-finite
@@ -342,7 +355,11 @@ def _chord(
             work.newton_k, work.newton_k_age = delta / (first * first), 0
         if delta < tol or not math.isfinite(delta):
             break
-        if count == 1 and newton_k is not None and newton_k * delta * delta <= NEWTON_KAPPA * tol:
+        if count == 1:
+            if newton_k is not None and newton_k * delta * delta <= CHORD_KAPPA * tol:
+                break
+        elif delta < before and delta * delta / (before - delta) <= CHORD_KAPPA * tol:
+            # theta/(1 - theta) d_k, theta = d_k/d_{k-1} < 1
             break
         factor = delta > CHORD_CONTRACTION * before
     else:
@@ -488,10 +505,12 @@ def step_vector(
     The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0, L
     from laplace_operator, by _chord from x = v with the Jacobian
     F'(x) = I - (dt/2) (P_a(x/|x|) L + D), D the blocks of _pa_derivative
-    at w = L x, to MIDPOINT_TOL in at most MIDPOINT_CAP iterations. The
-    pinned rows of F' are identity rows and F vanishes on them, so the
-    pinned nodes stay put. The update is tangent at the midpoint, so the
-    new map keeps |v| = 1 to solver tolerance by the scheme alone. The
+    at w = L x, until an update is below MIDPOINT_TOL or the estimated
+    remaining error below CHORD_KAPPA MIDPOINT_TOL, in at most
+    MIDPOINT_CAP iterations. The pinned rows of F' are identity rows and F
+    vanishes on them, so the pinned nodes stay put. The update is tangent
+    at the midpoint, so the new map keeps |v| = 1 to solver tolerance by
+    the scheme alone. The
     step starts from the LU that work, the run's _VectorWork, holds and
     factors where _chord calls for it. terms are the _midpoint_terms of v.
     """
@@ -717,12 +736,13 @@ def step_scalar(
     The new angle x solves G(x) = x - beta - (dt/2) (f(x) + f(beta)) = 0,
     f the rhs of work, by _chord with the Newton matrix G' of work, to
     NEWTON_TOL in at most NEWTON_CAP iterations, factored afresh at seed.
-    Once work has measured its Newton constant, one iteration whose
-    predicted remaining error is at most NEWTON_KAPPA NEWTON_TOL ends the
-    step; see _chord. seed is the starting iterate and must hold beta's
-    Dirichlet end values; run_scalar passes beta itself at the first step,
-    the linear extrapolation in time of its last two accepted angles at
-    the second and the quadratic one of its last three after.
+    An iteration whose estimated remaining error is at most
+    CHORD_KAPPA NEWTON_TOL also ends the step, the first one once work
+    has measured its Newton constant; see _chord. seed is the starting
+    iterate and must hold beta's Dirichlet end values; run_scalar passes
+    beta itself at the first step, the linear extrapolation in time of its
+    last two accepted angles at the second and the quadratic one of its
+    last three after.
     """
     # d2_rho(x) is evaluated as d2_rho(beta) + d2_rho(x - beta). The
     # stencil's roundoff scales with the values it reads: on the angle

@@ -636,6 +636,7 @@ BAD_VALUES = [
     {"dt0": "inf"},
     {"family": "log_drift", "kappa": 0.3, "cut_width": -1.0},
     {"family": "log_drift", "kappa": 0.3, "cut_width": 0.0},
+    {"delta": 1e300},
 ]
 
 
@@ -644,8 +645,9 @@ BAD_VALUES = [
     "keys", BAD_VALUES, ids=lambda keys: ",".join(f"{k}={v}" for k, v in keys.items())
 )
 def test_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, keys):
-    """Non-finite numbers and a nonpositive cut_width exit 2 with a config
-    error line before any compute."""
+    """Non-finite numbers, a nonpositive cut_width and a delta whose
+    perturbed map cannot be renormalized (a traceback from run_vector
+    before) exit 2 with a config error line before any compute."""
 
     def no_compute(*args, **kwargs):
         raise AssertionError("computation started on an invalid config")

@@ -531,10 +531,12 @@ def _reference_step_vector(v, dt, grid, m, config, held=None):
     band with the loop-built derivative blocks, and L x, x/|x| and
     P_a L x evaluated afresh in every iteration by the formulas of
     _reference_laplacian and _reference_pa, under the same re-factor
-    rule. The step starts from held, the (lu, piv, dt) of an earlier
-    factorization, unless held is None or its dt is more than
-    CHORD_DT_DRIFT off. Returns the new map, the iteration count, the
-    factorization count and the (lu, piv, dt) the step leaves held."""
+    rule and the same stop, on an update below MIDPOINT_TOL or on an
+    estimated remaining error at most CHORD_KAPPA MIDPOINT_TOL. The step
+    starts from held, the (lu, piv, dt) of an earlier factorization,
+    unless held is None or its dt is more than CHORD_DT_DRIFT off.
+    Returns the new map, the iteration count, the factorization count and
+    the (lu, piv, dt) the step leaves held."""
     U = _VectorWork.BAND
 
     def unit(x):
@@ -558,6 +560,10 @@ def _reference_step_vector(v, dt, grid, m, config, held=None):
         delta = float(np.max(np.abs(update)))
         if delta < evolve_llg.MIDPOINT_TOL:
             break
+        # the estimated remaining error theta/(1 - theta) delta, theta = delta/before
+        if count > 1 and delta < before:
+            if delta * delta / (before - delta) <= evolve_llg.CHORD_KAPPA * evolve_llg.MIDPOINT_TOL:
+                break
         refactor, before = delta > evolve_llg.CHORD_CONTRACTION * before, delta
     else:
         raise StepError("reference chord iteration stalled")
@@ -631,25 +637,103 @@ def test_run_vector_refactoring_matches_reference_bytes(grid, perturbed, monkeyp
     assert series.factorizations == factors > series.steps == 10
 
 
-@pytest.mark.parametrize("a", [1.0, 1j])
-def test_heat_vector_run_keeps_chord_margin(a):
-    """On data like the heat_vector benchmark's (m = 3, a perturbed h[mu],
-    rho in [-6, 10], n = 1024, dt0 = 2e-3, t_end = 0.2, 11 records) the
-    Newton-chord iteration takes at most 4 iterations in any step, and
-    with the LU held across steps it factors at most once every two steps
-    on average. A chord matrix without the derivative blocks takes 6
-    iterations in every step."""
+def _heat_vector_data():
+    """The grid and initial map of data like the heat_vector benchmark's:
+    m = 3, h[mu] plus two tangent Gaussian bumps, rho in [-6, 10],
+    n = 1024."""
     grid = build_grid(-6.0, 10.0, 1024)
     prof = h_profile(Mu(s=1.1, alpha=0.4, m=3), grid)
     v = prof.h.copy()
     for amp, centre, width, direction in ((0.03, 0.5, 0.8, prof.f.real), (-0.02, 1.0, 1.0, prof.f.imag)):
         v += (amp * np.exp(-(((grid.rho - centre) / width) ** 2)))[:, None] * direction
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return grid, v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+# the heat_vector benchmark's record times
+HEAT_VECTOR_RECORDS = np.geomspace(0.002, 0.2, 11)
+
+
+@pytest.mark.parametrize("a", [1.0, 1j])
+def test_heat_vector_run_keeps_chord_margin(a):
+    """On data like the heat_vector benchmark's (_heat_vector_data,
+    dt0 = 2e-3, t_end = 0.2, 11 records) the Newton-chord iteration takes
+    at most 4 iterations in any step, and with the LU held across steps it
+    factors at most once every two steps on average. A chord matrix
+    without the derivative blocks takes 6 iterations in every step."""
+    grid, v = _heat_vector_data()
     cfg = FlowConfig(a=a, dt0=2e-3)
     series = run_vector(v, grid, 3, cfg, t_end=0.2, record_times=np.linspace(0.0, 0.2, 11))
     assert series.steps == 100
     assert series.max_step_iterations <= 4
     assert series.factorizations <= 0.5 * series.steps
+
+
+@dataclasses.dataclass(frozen=True)
+class _JumpConfig(FlowConfig):
+    """A schedule whose dt jumps from dt0 to 4 dt0 at t = 0.1."""
+
+    def dt_at(self, t: float) -> float:
+        return self.dt0 if t < 0.1 else 4.0 * self.dt0
+
+
+def _midpoint_update_size(v, x, dt, grid, a):
+    """The largest entry of one Newton update from the midpoint x of the
+    step of size dt from v: the residual and the Jacobian
+    I - (dt/2) (P_a L + D) evaluated at x by the formulas of
+    _reference_laplacian, _reference_pa, pa_blocks and assemble_loop, D
+    the blocks d/dx [P_a(x/|x|) w] at w = L x in numpy's own array
+    formulas, factored afresh by scipy's solve_banded."""
+    lap = _reference_laplacian(x, grid, 3)
+    radius = np.linalg.norm(x, axis=1)
+    u, w = x / radius[:, None], lap
+    uw = np.sum(u * w, axis=1)[:, None, None]
+    heat = u[:, :, None] * (2.0 * uw[:, :, 0] * u - w)[:, None, :] - uw * np.eye(3)
+    skew = np.zeros((grid.n, 3, 3))
+    skew[:, 0, 1], skew[:, 0, 2], skew[:, 1, 2] = -w[:, 2], w[:, 1], -w[:, 0]
+    skew -= skew.transpose(0, 2, 1)
+    turn = np.cross(w, u)[:, :, None] * u[:, None, :] - skew
+    deriv = (a.real * heat + a.imag * turn) / radius[:, None, None]
+    resid = x - v - 0.5 * dt * _reference_pa(u, lap, a)
+    U = _VectorWork.BAND
+    band = assemble_loop(grid, 3, pa_blocks(x, a), dt, deriv)
+    return float(np.max(np.abs(solve_banded((U, U), band, resid.reshape(-1)))))
+
+
+@pytest.mark.parametrize(
+    "a, schedule",
+    [(1.0, FlowConfig), (1j, FlowConfig), (0.6 + 0.8j, FlowConfig), (1.0, _JumpConfig)],
+    ids=["1", "i", "0.6+0.8i", "1-dt_jump"],
+)
+def test_vector_early_stop_leaves_less_than_midpoint_tol(a, schedule, monkeypatch):
+    """Every midpoint step of a run on heat_vector-shaped data that stops
+    on its estimated remaining error, before an update falls below
+    MIDPOINT_TOL, leaves an error below MIDPOINT_TOL: one Newton update
+    from the midpoint it returns, with a Jacobian built apart from
+    _VectorWork and factored afresh there, is at most MIDPOINT_TOL. One
+    case quadruples dt mid-run, where the chord iteration contracts more
+    slowly. The stop at CHORD_KAPPA = 1 leaves up to 3.6e-12 at a = i and
+    1.7e-12 after the dt jump."""
+    grid, v0 = _heat_vector_data()
+    chord, solve = evolve_llg._chord, evolve_llg.solve_banded
+    updates, left = [], []
+
+    def spy_solve(*args):
+        out = solve(*args)
+        updates.append(float(np.max(np.abs(out))))
+        return out
+
+    def checked_chord(x, evaluate, u, tol, cap, work, what, t, dt):
+        updates.clear()
+        out = chord(x, evaluate, u, tol, cap, work, what, t, dt)
+        if updates[-1] >= tol:
+            left.append(_midpoint_update_size(x, out, dt, grid, complex(a)))
+        return out
+
+    monkeypatch.setattr(evolve_llg, "solve_banded", spy_solve)
+    monkeypatch.setattr(evolve_llg, "_chord", checked_chord)
+    series = run_vector(v0, grid, 3, schedule(a=a, dt0=2e-3), 0.2, HEAT_VECTOR_RECORDS)
+    assert len(left) > 0.2 * series.steps
+    assert max(left) <= evolve_llg.MIDPOINT_TOL
 
 
 def _count_calls(monkeypatch, owner, name, log):
@@ -1163,7 +1247,7 @@ def _tail_run_data():
     return grid, vmap.beta
 
 
-def test_scalar_tail_steps_take_one_newton_iteration(grid, perturbed, monkeypatch):
+def test_scalar_tail_steps_take_one_newton_iteration(monkeypatch):
     """The quadratic seed and the early stop on a run shaped like the long
     m = 2 tail run (dt0 = 1e-4, ramp 0.01) cut to t = 100, with records off
     the step grid: the first step takes 2 Newton iterations, as no Newton
@@ -1171,8 +1255,10 @@ def test_scalar_tail_steps_take_one_newton_iteration(grid, perturbed, monkeypatc
     iteration and 1 factorization, except every NEWTON_REFRESH + 1-th
     step, which takes a second iteration to measure the constant again.
     Before the early stop every step from the third on took 2. A vector
-    run never takes the early stop: with it switched on for every call,
-    its bytes and counts stay the same."""
+    run on heat_vector-shaped data stops on its estimated remaining error
+    too, from the second update on: it takes fewer than 2.75 iterations
+    per step, against 2.99 when it stops only on an update below
+    MIDPOINT_TOL (CHORD_KAPPA = 0), with the same factorizations."""
     tail_grid, beta0 = _tail_run_data()
     cfg = FlowConfig(a=1.0, dt0=1e-4, ramp=0.01)
     per_step = []
@@ -1192,15 +1278,15 @@ def test_scalar_tail_steps_take_one_newton_iteration(grid, perturbed, monkeypatc
     assert per_step[2:] == [(1 + (k % period == 0), 1) for k in range(2, series.steps)]
     assert series.iterations < 1.1 * series.steps
 
-    vector_cfg = FlowConfig(a=1.0, dt0=2.0**-7)
+    heat_grid, v0 = _heat_vector_data()
     runs = []
-    on = (evolve_llg.NEWTON_KAPPA, evolve_llg.NEWTON_REFRESH)
-    for kappa, refresh in (on, (math.inf, math.inf)):
-        monkeypatch.setattr(evolve_llg, "NEWTON_KAPPA", kappa)
-        monkeypatch.setattr(evolve_llg, "NEWTON_REFRESH", refresh)
-        runs.append(run_vector(perturbed, grid, 3, vector_cfg, t_end=10 * 2.0**-7))
-    assert runs[0].v.tobytes() == runs[1].v.tobytes()
-    assert runs[0].iterations == runs[1].iterations > 2 * runs[0].steps
+    for kappa in (evolve_llg.CHORD_KAPPA, 0.0):
+        monkeypatch.setattr(evolve_llg, "CHORD_KAPPA", kappa)
+        runs.append(run_vector(v0, heat_grid, 3, FlowConfig(dt0=2e-3), 0.2, HEAT_VECTOR_RECORDS))
+    early, late = runs
+    assert early.steps == late.steps == 104
+    assert early.iterations < 2.75 * early.steps < 2.95 * late.steps < late.iterations
+    assert early.factorizations == late.factorizations
 
 
 def _newton_update_size(beta, new, dt, grid, band):
@@ -1233,25 +1319,33 @@ def _newton_update_size(beta, new, dt, grid, band):
 
 @pytest.mark.parametrize("ramp, t_end", [(0.01, 100.0), (0.03, 1e5), (0.1, 1e5)])
 def test_scalar_early_stop_leaves_less_than_newton_tol(ramp, t_end, monkeypatch):
-    """Every step of a tail run that stops after one Newton update leaves
-    an error below NEWTON_TOL: one more Newton update from the returned
-    angle, with a fresh factorization there, is at most NEWTON_TOL. The
-    ramps 0.03 and 0.1 grow dt fast enough that the Newton constant moves
-    between refreshes; a constant never refreshed (NEWTON_REFRESH = inf),
-    or the stop at K d1^2 <= NEWTON_TOL (NEWTON_KAPPA = 1), leaves up to
-    7e-8 and 1.5e-9 there."""
+    """Every step of a tail run that stops after one Newton update, or
+    later on its estimated remaining error before an update falls below
+    NEWTON_TOL, leaves an error below NEWTON_TOL: one more Newton update
+    from the returned angle, with a fresh factorization there, is at most
+    NEWTON_TOL. The ramps 0.03 and 0.1 grow dt fast enough that the Newton
+    constant moves between refreshes, and there 132 and 64 steps stop on
+    the estimated error after two or more updates; a constant never
+    refreshed (NEWTON_REFRESH = inf), or the stop at K d1^2 <= NEWTON_TOL
+    (CHORD_KAPPA = 1), leaves up to 7e-8 and 1.5e-9 there."""
     grid, beta0 = _tail_run_data()
     band = _scaled_band(grid)
-    left = []
-    step = evolve_llg.step_scalar
+    left, updates = [], []
+    step, solve = evolve_llg.step_scalar, evolve_llg.solve_banded
+
+    def spy_solve(*args):
+        out = solve(*args)
+        updates.append(float(np.max(np.abs(out))))
+        return out
 
     def checked_step(beta, t, dt, work, seed):
-        before = work.iterations
+        updates.clear()
         new = step(beta, t, dt, work, seed)
-        if work.iterations - before == 1:
+        if len(updates) == 1 or updates[-1] >= evolve_llg.NEWTON_TOL:
             left.append(_newton_update_size(beta, new, dt, grid, band))
         return new
 
+    monkeypatch.setattr(evolve_llg, "solve_banded", spy_solve)
     monkeypatch.setattr(evolve_llg, "step_scalar", checked_step)
     series = run_scalar(beta0, grid, 2, FlowConfig(a=1.0, dt0=1e-4, ramp=ramp), t_end)
     assert len(left) > 0.2 * series.steps
@@ -1365,9 +1459,11 @@ def _reference_step_scalar(beta, dt, grid, m, a1, seed):
     back-solved by dgbtrs at l = u = 7, from seed, with
     d2_rho(x) evaluated as d2_rho(beta) + d2_rho(x - beta) and a
     re-factor at the current iterate after each update larger than
-    CHORD_CONTRACTION times the one before, and beta's end values put
-    back on the result. Returns the new angle, the number of iterations
-    and the number of factorizations."""
+    CHORD_CONTRACTION times the one before, a stop on an update below
+    NEWTON_TOL or on an estimated remaining error at most
+    CHORD_KAPPA NEWTON_TOL, and beta's end values put back on the result.
+    Returns the new angle, the number of iterations and the number of
+    factorizations."""
     scaled_d2, boundary, decay, u = _scaled_band(grid)
     d2_beta = d2_rho(beta, grid)
 
@@ -1395,7 +1491,14 @@ def _reference_step_scalar(beta, dt, grid, m, a1, seed):
         assert info == 0
         new = new - delta
         size = float(np.max(np.abs(delta)))
-        if size < evolve_llg.NEWTON_TOL:
+        # below tol, or the estimated remaining error theta/(1 - theta) size,
+        # theta = size/last, at most CHORD_KAPPA tol
+        converged = size < evolve_llg.NEWTON_TOL or (
+            last is not None
+            and size < last
+            and size * size / (last - size) <= evolve_llg.CHORD_KAPPA * evolve_llg.NEWTON_TOL
+        )
+        if converged:
             new[[0, -1]] = beta[[0, -1]]
             return new, it, factors
         refactor = last is not None and size > evolve_llg.CHORD_CONTRACTION * last

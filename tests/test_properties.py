@@ -1,10 +1,13 @@
-"""Property tests: config parsing, snapshot persistence, the vector step,
-the scale covariance of vector runs and the quadratic seed of the scalar
-stepper on generated inputs."""
+"""Property tests: config parsing, the command line on generated configs
+and snapshots, snapshot persistence, the vector step, the scale
+covariance of vector runs and the quadratic seed of the scalar stepper on
+generated inputs."""
 
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
+import io
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from equiflow import evolve_llg
-from equiflow.cli_io import _KEYS, load_snapshot, parse_config, save_snapshot
+from equiflow.cli_io import _KEYS, load_snapshot, main, parse_config, save_snapshot
 from equiflow.errors import ConfigError
 from equiflow.evolve_llg import (
     FlowConfig,
@@ -22,7 +25,9 @@ from equiflow.evolve_llg import (
     _pa_derivative,
     _quadratic_seed,
     _VectorWork,
+    beta_to_map,
     run_vector,
+    stationary_angle,
     step_vector,
 )
 from equiflow.harmonic_family import Mu, _dot3, _norm3, degree, h_profile, pa_apply
@@ -51,6 +56,132 @@ def test_parse_config_fails_only_with_config_error(lines):
     except ConfigError:
         return
     assert cfg.a != 0 and cfg.n >= 16
+
+
+# per config key: valid values, then boundary and absurd ones; n, records
+# and t_points stay small, and t_end, dt0, dt_max and ramp keep a valid
+# run to a few hundred steps on a small grid
+CLI_VALUES = {
+    "m": (["2", "3", "4"], ["1", "0", "-2", "400", "2.5", "x"]),
+    "a_re": (["1.0", "0.0", "0.5"], ["-1", "1e308", "nan", "1e-300"]),
+    "a_im": (["0.0", "1.0", "-0.7"], ["1e308", "-1e-300"]),
+    "rho_min": (["-6.0", "-4", "-3"], ["-400", "-310", "5", "-inf", "-300"]),
+    "rho_max": (["6.0", "10", "12"], ["400", "-200", "-5", "300"]),
+    "n": (["16", "32", "64"], ["15", "0", "-3", "64.5", "17"]),
+    "dt0": (["1e-3", "0.01", "0.002"], ["0.5", "1e-300", "0", "-1e-3", "1e300"]),
+    "dt_max": (["0", "1e-3", "0.01"], ["1e-300", "-1", "1e300"]),
+    "ramp": (["0", "0.5", "1"], ["1e300", "-0.1", "1e-300"]),
+    "t_end": (["0.01", "0.05", "0.02"], ["0", "-1", "1e300", "1e-300"]),
+    "t_record_min": (["0", "1e-3", "0.005"], ["0.05", "-1", "1e300", "1e-300"]),
+    "records": (["2", "3", "4"], ["1", "0", "-1"]),
+    "family": (["none", "log_drift", "ln_ln_oscillation", "mixed"], ["bogus", ""]),
+    "kappa": (["0", "0.8", "-1.2"], ["1e6", "-1e300", "1e-300"]),
+    "lam": (["1", "0.5", "2"], ["0", "-1", "1e300"]),
+    "r1": (["2.718281828", "2", "5"], ["1", "0.5", "1e300"]),
+    "sign": (["1", "-1"], ["0", "2"]),
+    "s0": (["1", "0.5", "2"], ["0", "-1", "1e300", "1e-300", "1e20"]),
+    "cut_width": (["1", "0.5", "2"], ["0", "-1", "1e300", "1e-300"]),
+    "delta": (["0", "0.02", "0.1"], ["-0.1", "1e300", "1e-300", "10"]),
+    "seed": (["0", "7", "3"], ["-1", "99999999999999999999"]),
+    "t_min": (["10", "1", "100"], ["0", "1e300", "1e-300"]),
+    "t_max": (["1e5", "1000", "1e4"], ["1e300", "10"]),
+    "t_points": (["2", "8", "12"], ["1", "0", "-4"]),
+    "sweep_kappa": (["0.5", "0.5,-0.8", "-1"], [",", "nan", "1e300", "0"]),
+    "sweep_lam": (["1", "0.5,2", "3"], ["0", "-1", "1e300"]),
+}
+# every command starts from a small grid and a short run, and predict and
+# sweep from a tail family unless they read a snapshot
+CLI_BASE = {
+    "n": "48", "rho_min": "-6.0", "rho_max": "10.0", "t_end": "0.02", "records": "3", "t_points": "8",
+}
+CLI_FAMILY = {
+    "simulate": {},
+    "decompose": {},
+    "predict": {"family": "log_drift", "kappa": "0.8"},
+    "sweep": {"family": "log_drift", "sweep_kappa": "0.5,-0.8"},
+}
+SNAPSHOT_TOKENS = [
+    "nan", "inf", "1e400", "x", "#", "# n = 17", "# m = 1", "# m = 3", "0 0 0", "1 0 0 0 0", "1e-300",
+]
+
+
+def _snapshot_lines(m: int) -> list[str]:
+    """The lines of a stored snapshot on rho in [-6, 6], n = 32: the
+    great-circle m = 2 profile, or the m = 3 profile h[mu] off the circle."""
+    grid = build_grid(-6.0, 6.0, 32)
+    if m == 2:
+        vmap = SphereMap(beta_to_map(stationary_angle(0.0, grid, 2)), 2)
+    else:
+        vmap = SphereMap(h_profile(Mu(s=1.0, alpha=0.3, m=m), grid).h, m)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.dat"
+        save_snapshot(path, vmap, grid)
+        return path.read_text(encoding="utf-8").splitlines()
+
+
+SNAPSHOTS = [_snapshot_lines(2), _snapshot_lines(3)]
+
+
+@st.composite
+def cli_inputs(draw):
+    """Config keys, up to six valid values and up to two boundary or
+    absurd ones, and the text of a snapshot or None: one of SNAPSHOTS with
+    up to two lines deleted, doubled, replaced by a token, or with one of
+    their fields replaced by a token."""
+    keys = sorted(CLI_VALUES)
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=6))
+    cfg = {key: draw(st.sampled_from(CLI_VALUES[key][0])) for key in chosen}
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=2)):
+        cfg[key] = draw(st.sampled_from(CLI_VALUES[key][1]))
+    if not draw(st.booleans()):
+        return cfg, None
+    lines = list(draw(st.sampled_from(SNAPSHOTS)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        token = draw(st.sampled_from(SNAPSHOT_TOKENS))
+        edit = draw(st.sampled_from(["delete", "double", "line", "field"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "double":
+            lines.insert(i, lines[i])
+        elif edit == "line":
+            lines[i] = token
+        elif lines[i].split():
+            parts = lines[i].split()
+            parts[draw(st.integers(0, len(parts) - 1))] = token
+            lines[i] = " ".join(parts)
+    return cfg, "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "decompose", "predict", "sweep"])
+@settings(PROPERTY, max_examples=60)
+@example(inputs=({"delta": "1e300"}, None))
+@example(inputs=({"delta": "1e300"}, "\n".join(SNAPSHOTS[1]) + "\n"))
+@given(inputs=cli_inputs())
+def test_cli_ends_in_exit_0_2_or_3(command, inputs):
+    """main on generated configs and snapshots returns 0, 2 or 3 and never
+    raises, which would end the command line in a traceback; a command
+    that fails prints its error line, and one that succeeds warns
+    nothing. delta = 1e300 overflowed the renormalization of the perturbed
+    map and raised ValueError from the unit-sphere check of run_vector."""
+    cfg, snapshot = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = {**CLI_BASE, **(CLI_FAMILY[command] if snapshot is None else {}), **cfg}
+        if snapshot is not None:
+            (tmp / "state.dat").write_text(snapshot, encoding="utf-8")
+            cfg["snapshot"] = str(tmp / "state.dat")
+        text = "".join(f"{key} = {value}\n" for key, value in cfg.items())
+        (tmp / "run.cfg").write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(tmp / "run.cfg"), "--out", str(tmp / "out")])
+    assert code in (0, 2, 3), text
+    if code:
+        assert f"code={code}: " in err.getvalue(), text
+    else:
+        assert [str(w.message) for w in caught] == [], text
 
 
 UNIT = st.tuples(*(st.floats(-1.0, 1.0),) * 3).filter(lambda x: 0.1 < math.hypot(*x))
