@@ -236,6 +236,13 @@ def parse_config(text: str) -> ExperimentConfig:
     check(cfg.t_min > 0.0, "t_min must be positive")
     check(cfg.t_max > cfg.t_min, "t_max must exceed t_min")
     check(cfg.t_points >= 2, "t_points must be at least 2")
+    # the sizes that set an allocation, bounded before any array is made
+    for what, size, cap in (
+        ("n", cfg.n, 2**16),
+        ("the record array, records x n x 3 floats,", 3 * cfg.records * cfg.n, 2**25),
+        ("t_points", cfg.t_points, 2**20),
+    ):
+        check(size <= cap, f"{what} must be at most {cap}, got {size}")
     try:
         cfg.tail_family()
     except ConfigError as exc:
@@ -429,14 +436,14 @@ _SERIES_COLUMNS = (
 )
 
 
-def _decompose(vmap: SphereMap, guess, phi, grid: RadialGrid, a: complex) -> tuple:
+def _decompose(vmap: SphereMap, guess, phi, grid: RadialGrid) -> tuple:
     """Fit from guess, flat-frame transform, and the q_norm, z_xnorm and
     z_sup norms by name. The fit is never rejected on residual size; z_sup
     is the consumer's validity indicator."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         state = fit_mu(vmap, guess, phi, grid, strict=False)
-        gauge = hasimoto_forward(vmap, state.mu, grid, a=a)
+        gauge = hasimoto_forward(vmap, state.mu, grid)
         norms = {
             "q_norm": norm(gauge.q, grid, "L2x"),
             "z_xnorm": norm(state.z, grid, "X"),
@@ -464,7 +471,7 @@ def series_observables(
     for k in range(n_rec):
         vmap = series.map_at(k)
         try:
-            state, gauge, norms = _decompose(vmap, guess, phi, grid, series.a)
+            state, gauge, norms = _decompose(vmap, guess, phi, grid)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 correction = normal_form_correction(gauge.q, state.mu, gauge.alpha_tilde, psi)
@@ -538,7 +545,7 @@ def cmd_decompose(cfg: ExperimentConfig, out_dir: Path) -> tuple[str, list[Path]
     if not cfg.snapshot:
         raise ConfigError("decompose needs a snapshot path in the config")
     vmap, grid = load_snapshot(cfg.snapshot)
-    state, gauge, norms = _decompose(vmap, None, bump_phi(vmap.m, grid), grid, cfg.a)
+    state, gauge, norms = _decompose(vmap, None, bump_phi(vmap.m, grid), grid)
     comments = [
         f"source = {cfg.snapshot}",
         f"m = {vmap.m}, fitted s = {_fmt(state.mu.s)}, fitted alpha = {_fmt(state.mu.alpha)}",

@@ -9,12 +9,14 @@ nearest; a map that comes near +-c, or whose angle the grid does not
 resolve, has no frame (GaugeError).
 
 In this frame the radial derivative of the map, with the equivariant
-rotation term removed, becomes a single complex scalar field q; the
-time-dependent part of the connection becomes a real phase integral S;
-and the change of frame to the fitted harmonic profile becomes a
-pointwise rotation M.  The reverse direction rebuilds the map, with its
-residual coordinate, from the profile parameters and q by a damped
-fixed-point iteration.
+rotation term removed, becomes a single complex scalar field q, and the
+change of frame to the fitted harmonic profile becomes a pointwise
+rotation M; both are functions of the map at one instant.  The flow
+coefficient a enters only the evolution equation of q, through the
+time-dependent part of the connection, a real phase integral S that
+qeq_rhs computes for its own a.  The reverse direction rebuilds the
+map, with its residual coordinate, from the profile parameters and q by
+a damped fixed-point iteration.
 """
 
 from __future__ import annotations
@@ -46,22 +48,17 @@ class GaugeState:
 
     e is the transported frame; w the rotation-free radial derivative;
     q and nu the frame coordinates of w and of the projected vertical
-    direction; S the phase integral vanishing at the outer edge; Q the
-    conserved-flow integrand whose weighted tail reproduces S when the
-    flow is purely conservative; M the per-node rotation taking frame
-    coordinates to profile-frame coordinates.  alpha_tilde is the angle
-    of M at the innermost node.
+    direction; M the per-node rotation taking frame coordinates to
+    profile-frame coordinates.  alpha_tilde is the angle of M at the
+    innermost node.  None of it depends on the flow coefficient.
     """
 
     e: np.ndarray
     w: np.ndarray
     q: np.ndarray
     nu: np.ndarray
-    S: np.ndarray
-    Q: np.ndarray
     M: np.ndarray
     v: np.ndarray
-    a: complex
     alpha_tilde: float
     grid: RadialGrid
 
@@ -153,31 +150,30 @@ def phase_integral(
     return cum - cum[-1]
 
 
-def _phase(a: complex, q, nu, bigq, v3, m: int, grid: RadialGrid) -> np.ndarray:
+def _phase(a: complex, state: GaugeState, v3: np.ndarray, m: int) -> np.ndarray:
     """The phase integral S for the flow coefficient a: in closed form
-    from the integrand Q for the conservative flow a = i, otherwise by
-    direct quadrature."""
+    for the conservative flow a = i, from the integrand Q = |q|^2/2 +
+    m w3 / r whose weighted tail reproduces S, otherwise by direct
+    quadrature."""
+    grid = state.grid
     if a == 1j:
+        bigq = 0.5 * np.abs(state.q) ** 2 + m * state.w[:, 2] / grid.r
         cum = cumint_dr(2.0 * bigq / grid.r, grid)
         return bigq - (cum[-1] - cum)
-    return phase_integral(q, nu, v3, a, m, grid)
+    return phase_integral(state.q, state.nu, v3, a, m, grid)
 
 
-def hasimoto_forward(
-    vmap: SphereMap, mu: Mu, grid: RadialGrid, a: complex = 1.0 + 0.0j
-) -> GaugeState:
+def hasimoto_forward(vmap: SphereMap, mu: Mu, grid: RadialGrid) -> GaugeState:
     """Transform a map to its flat-frame field relative to a profile.
 
-    The flow coefficient a only affects the stored phase integral; for
-    the conservative flow (a = i) the phase is evaluated in closed form
-    from the integrand Q, otherwise by direct quadrature.
+    The transform reads the map at one instant and no flow coefficient;
+    the phase integral of the q equation is computed by qeq_rhs.
     """
     if vmap.m != mu.m:
         raise ConfigError("map and parameters disagree on the degree m")
     if not np.all(np.isfinite(vmap.v)):
         raise GaugeError("map has non-finite values; no frame can be transported along it")
     vmap.check_unit()
-    a = complex(a)
     v = vmap.v
     m = vmap.m
     n = grid.n
@@ -203,22 +199,7 @@ def hasimoto_forward(
         mmat[:, row, 1] = coords.imag
     alpha_tilde = math.atan2(mmat[0, 1, 0], mmat[0, 0, 0])
 
-    bigq = 0.5 * np.abs(q) ** 2 + m * w[:, 2] / grid.r
-    s_field = _phase(a, q, nu, bigq, v[:, 2], m, grid)
-
-    return GaugeState(
-        e=e,
-        w=w,
-        q=q,
-        nu=nu,
-        S=s_field,
-        Q=bigq,
-        M=mmat,
-        v=v,
-        a=a,
-        alpha_tilde=alpha_tilde,
-        grid=grid,
-    )
+    return GaugeState(e=e, w=w, q=q, nu=nu, M=mmat, v=v, alpha_tilde=alpha_tilde, grid=grid)
 
 
 def qeq_rhs(state: GaugeState, vmap: SphereMap, a: complex, m: int) -> np.ndarray:
@@ -227,14 +208,13 @@ def qeq_rhs(state: GaugeState, vmap: SphereMap, a: complex, m: int) -> np.ndarra
     Returns i S q - a (second-order radial operator applied to q), with
     the operator in its expanded form: the flat (m-1)-equivariant
     Laplacian plus the vertical-deficit and derivative-coupling
-    potentials.  If the requested flow coefficient differs from the one
-    stored in the state, the phase integral is recomputed for it.
+    potentials.  The phase integral S is computed here, for this a.
     """
     grid = state.grid
     a = complex(a)
     q = state.q
     v3 = vmap.v[:, 2]
-    s_field = state.S if a == state.a else _phase(a, q, state.nu, state.Q, v3, m, grid)
+    s_field = _phase(a, state, v3, m)
     r2 = grid.r**2
     op = (
         -d2_rho(q, grid) / r2

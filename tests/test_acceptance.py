@@ -261,7 +261,7 @@ def test_criterion_4_dissipation_and_conservation_bookkeeping():
     series = run_vector(v0, g, 3, FlowConfig(a=1j, dt0=0.01), 5.0, [0.0, 2.5, 5.0])
     assert energy_identity_residual(series) <= 1e-6
     qn = [
-        norm(hasimoto_forward(series.map_at(k), mu0, g, a=1j).q, g, kind="L2x")
+        norm(hasimoto_forward(series.map_at(k), mu0, g).q, g, kind="L2x")
         for k in range(series.t.size)
     ]
     assert max(abs(q - qn[0]) for q in qn) <= 1e-6 * qn[0]
@@ -284,7 +284,7 @@ def test_criterion_5_gauge_field_evolution_equation():
     series = run_vector(v0, g, m, FlowConfig(a=1.0, dt0=1e-3), times[-1], times)
     mu0 = Mu(1.0, 0.3, m)
     states = [
-        hasimoto_forward(series.map_at(k), mu0, g, a=1.0)
+        hasimoto_forward(series.map_at(k), mu0, g)
         for k in range(series.t.size)
     ]
     weights = 2.0 * math.pi * g.w_rdr

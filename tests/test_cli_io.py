@@ -729,6 +729,30 @@ def test_step_budget_is_a_config_error(tmp_path, capsys, monkeypatch, recwarn, k
     assert len(recwarn) == 0
 
 
+
+@pytest.mark.parametrize("command", ["simulate", "predict"])
+def test_allocation_sizes_are_bounded(tmp_path, capsys, monkeypatch, recwarn, command):
+    """records, t_points and n in the millions exit 2 before any compute
+    and name each bound; before, the config was accepted, and simulate
+    would have allocated records x n x 3 floats and predict a 1e8-point
+    time grid."""
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computation started on an invalid config")
+
+    for name in ("run_vector", "run_scalar", "predict_log_s", "build_initial_data"):
+        monkeypatch.setattr(cli_io, name, no_compute)
+    cfg = write_config(tmp_path, records=100000000, t_points=100000000, n=10000000)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "equiflow error [config] code=2" in err
+    assert "n must be at most 65536, got 10000000" in err
+    assert "records x n x 3 floats, must be at most 33554432, got 3000000000000000" in err
+    assert "t_points must be at most 1048576, got 100000000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    assert len(recwarn) == 0
+
 def test_snapshots_of_one_grid_share_it(tmp_path):
     grid = build_grid(-6.0, 6.0, 64)
     paths = [tmp_path / f"map{k}.dat" for k in range(2)]
@@ -843,6 +867,52 @@ def test_report_is_summary_then_written_paths(tmp_path, capsys, command):
     assert main([command, "--config", str(cfg), "--out", str(quiet), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
     assert sorted(path.name for path in quiet.iterdir()) == sorted(names)
+
+
+def test_failed_fit_leaves_its_row_nan(monkeypatch):
+    """A record whose fit fails (here: no equator crossing, the profile
+    reflected through the equator) reads NaN in every fitted column but
+    keeps t, energy and dissipated; the next record is fit from the last
+    good fit."""
+    grid = build_grid(-6.0, 10.0, 512)
+    first, last = Mu(1.0, 0.3, 3), Mu(1.1, 0.35, 3)
+    h = h_profile(first, grid).h
+    maps = [h, h * np.array([1.0, 1.0, -1.0]), h_profile(last, grid).h]
+    series = evolve_llg.RunSeries(
+        t=np.array([0.0, 0.5, 1.0]),
+        v=np.stack(maps),
+        energy=np.array([3.0, 2.0, 1.0]),
+        dissipated=np.array([0.0, 1.0, 2.0]),
+        steps=2,
+        m=3,
+        a=1.0 + 0.0j,
+    )
+    fit_mu, guesses, failures = cli_io.fit_mu, [], []
+
+    def spy(vmap, guess, *args, **kwargs):
+        guesses.append(guess)
+        try:
+            return fit_mu(vmap, guess, *args, **kwargs)
+        except NumericalError as exc:
+            failures.append(str(exc))
+            raise
+
+    monkeypatch.setattr(cli_io, "fit_mu", spy)
+    out = cli_io.series_observables(series, grid, series.map_at(0))
+    assert len(failures) == 1 and failures[0].startswith("no equatorial crossing found")
+    assert guesses[0] is None and guesses[1] == guesses[2]
+    assert abs(guesses[1].s - 1.0) <= 1e-9 and abs(guesses[1].alpha - 0.3) <= 1e-9
+    for name in ("t", "energy", "dissipated"):
+        assert np.array_equal(out[name], getattr(series, name))
+    fitted = ("s", "alpha", "q_norm", "z_xnorm", "z_sup", "normal_form_re", "normal_form_im")
+    for name in fitted:
+        assert np.isnan(out[name][1]), name
+        assert np.isfinite(out[name][[0, 2]]).all(), name
+    assert abs(out["s"][2] - 1.1) <= 1e-9 and abs(out["alpha"][2] - 0.35) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# decompose
 
 
 # ---------------------------------------------------------------------------

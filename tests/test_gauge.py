@@ -27,7 +27,7 @@ from equiflow.gauge import (
 )
 from equiflow.harmonic_family import Mu, _residual_terms, energy, h_profile
 from equiflow.modulation import bump_phi, fit_mu
-from equiflow.radial_grid import build_grid, cumint_dr, d_rho, deriv_r, norm
+from equiflow.radial_grid import build_grid, cumint_dr, d2_rho, d_rho, deriv_r, norm
 
 
 @pytest.fixture(scope="module")
@@ -155,11 +155,12 @@ def test_phase_integral_two_ways(grid):
     m = 3
     mu = Mu(1.0, 0.4, m)
     vm = perturbed_map(mu, grid, amp_im=0.05)
-    st = hasimoto_forward(vm, mu, grid, a=1j)
+    st = hasimoto_forward(vm, mu, grid)
+    s_closed = gauge._phase(1j, st, vm.v[:, 2], m)
     s_quad = phase_integral(st.q, st.nu, vm.v[:, 2], 1j, m, grid)
-    scale = max(1.0, np.abs(st.S).max())
-    assert np.abs(st.S - s_quad).max() <= 1e-6 * scale
-    assert abs(st.S[-1]) <= 1e-12
+    scale = max(1.0, np.abs(s_closed).max())
+    assert np.abs(s_closed - s_quad).max() <= 1e-6 * scale
+    assert abs(s_closed[-1]) <= 1e-12
     assert s_quad[-1] == 0.0
 
 
@@ -555,11 +556,32 @@ def test_qeq_rhs_zero_field(grid):
     mu = Mu(1.0, 0.4, m)
     vm = SphereMap(h_profile(mu, grid).h, m)
     st = hasimoto_forward(vm, mu, grid)
-    zeroed = dataclasses.replace(
-        st, q=np.zeros(grid.n, complex), S=np.zeros(grid.n)
-    )
+    zeroed = dataclasses.replace(st, q=np.zeros(grid.n, complex))
     rhs = qeq_rhs(zeroed, vm, 1.0, m)
     assert np.abs(rhs).max() == 0.0
+
+
+@pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j], ids=["1", "i", "0.6+0.8i"])
+def test_qeq_rhs_pairing_with_q_is_the_dissipation(a):
+    """Re <qeq_rhs(a), q> = -Re(a) Re <H q, q> on a map perturbed in and
+    out of its plane: the phase term i S q is orthogonal to q for the
+    real S that qeq_rhs computes for each a, so the conservative flow
+    keeps the norm of q.  H is built here from its expanded form."""
+    m = 3
+    g = build_grid(-6.0, 10.0, 1024)
+    mu = Mu(1.0, 0.3, m)
+    vm = perturbed_map(mu, g, amp_re=0.05, amp_im=0.03)
+    st = hasimoto_forward(vm, mu, g)
+    q, v3, r2 = st.q, vm.v[:, 2], g.r**2
+    hq = (
+        -d2_rho(q, g) / r2
+        + ((m - 1) ** 2 / r2) * q
+        + (2.0 * m * (1.0 - v3) / r2) * q
+        + (m / g.r) * st.w[:, 2] * q
+    )
+    hqq = float(g.w_rdr @ (hq * np.conj(q)).real)
+    pairing = float(g.w_rdr @ (qeq_rhs(st, vm, a, m) * np.conj(q)).real)
+    assert abs(pairing + complex(a).real * hqq) <= 1e-12 * abs(hqq)
 
 
 def test_q_norm_dissipation_identity():

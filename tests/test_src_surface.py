@@ -50,6 +50,11 @@ nodes, not a chain of steps.
 FlowConfig's fields are a, dt0, dt_max and ramp, the run schedule and
 nothing else: the tolerances, caps and stop rules of the chord iteration
 are module constants of evolve_llg, not settings of a run.
+
+The flat-frame transform is a function of the map at one instant:
+hasimoto_forward takes no flow coefficient, and GaugeState holds no
+phase integral, no conserved-flow integrand and no flow coefficient.
+The flow enters only through the phase that qeq_rhs computes.
 """
 
 import ast
@@ -500,3 +505,31 @@ def test_dataclass_fields_are_found(tmp_path):
         encoding="utf-8",
     )
     assert dataclass_fields(tmp_path, "mod", "FlowConfig") == ["a", "dt0", "newton_tol"]
+
+
+def parameters_of(src: Path, module: str, name: str) -> list[str]:
+    """The parameter names of the module-level function name of
+    src/module.py, in order, keyword-only ones last."""
+    tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return [arg.arg for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)]
+
+
+def test_flat_frame_transform_takes_no_flow_coefficient():
+    assert parameters_of(SRC, "gauge", "hasimoto_forward") == ["vmap", "mu", "grid"]
+    assert dataclass_fields(SRC, "gauge", "GaugeState") == [
+        "e", "w", "q", "nu", "M", "v", "alpha_tilde", "grid"
+    ]
+
+
+def test_parameters_are_found(tmp_path):
+    """A defaulted and a keyword-only parameter are found; a nested
+    function's are not."""
+    (tmp_path / "mod.py").write_text(
+        "def forward(vmap, mu, grid, a=1.0, *, strict=True):\n"
+        "    def inner(b):\n"
+        "        return b\n"
+        "    return inner(a)\n",
+        encoding="utf-8",
+    )
+    assert parameters_of(tmp_path, "mod", "forward") == ["vmap", "mu", "grid", "a", "strict"]
