@@ -268,8 +268,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def _rows(columns, sep: str) -> list[str]:
-    """Table rows at full precision, one per entry of the columns."""
-    return [sep.join(_fmt(col[i]) for col in columns) for i in range(len(columns[0]))]
+    """Table rows at full precision, one per entry of the columns, each value as _fmt has it."""
+    row = sep.join(["%.17g"] * len(columns))
+    return [row % values for values in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +299,16 @@ def _read_text(path, what: str) -> str:
 
 
 def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
-    """Rebuild a map and its grid from a stored snapshot."""
+    """Rebuild a map and its grid from a stored snapshot. Its lines are
+    blank, `#` comments (`# key = value`: grid metadata) or rows rho v1 v2
+    v3 of ASCII decimals or nan, inf, infinity in any case, read by one
+    np.loadtxt call with no comment character: `1_0`, non-ASCII digits
+    (which float() takes) and a trailing `# ...` are rejected. A row that
+    does not parse into 4 values, or a repeated metadata key, is a
+    ConfigError naming the first such line of the file."""
     text = _read_text(path, f"snapshot {path}")
     meta: dict[str, str] = {}
-    rows = []
+    rows, linenos, duplicate = [], [], None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped:
@@ -311,17 +318,28 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
             if "=" in body:
                 key, _, val = body.partition("=")
                 key = key.strip()
-                if key in meta:
-                    raise ConfigError(f"snapshot {path}, line {lineno}: duplicate key {key!r}")
+                if key in meta:  # raised after a faulty row above it
+                    duplicate = ConfigError(f"snapshot {path}, line {lineno}: duplicate key {key!r}")
+                    break
                 meta[key] = val.strip()
             continue
-        try:
-            row = [float(p) for p in stripped.split()]
-        except ValueError as exc:
-            raise ConfigError(f"snapshot {path}, line {lineno}: {exc}") from exc
-        if len(row) != 4:
-            raise ConfigError(f"snapshot {path}, line {lineno}: {len(row)} values, expected 4")
-        rows.append(row)
+        rows.append(stripped)
+        linenos.append(lineno)
+    try:
+        data = np.loadtxt(rows, comments=None, ndmin=2) if rows else np.empty((0, 4))
+    except ValueError:
+        data = np.empty((0, 0))
+    if data.shape[1] != 4:  # each row again, by the same parser, for the first faulty line
+        for lineno, row in zip(linenos, rows):
+            try:
+                count = np.loadtxt([row], comments=None).size
+            except ValueError as exc:
+                reason = str(exc).replace(" at row 0,", " at")
+                raise ConfigError(f"snapshot {path}, line {lineno}: {reason}") from None
+            if count != 4:
+                raise ConfigError(f"snapshot {path}, line {lineno}: {count} values, expected 4")
+    if duplicate is not None:
+        raise duplicate
     numbers = {}
     for key, kind in (("m", int), ("n", int), ("rho_min", float), ("rho_max", float)):
         if key not in meta:
@@ -333,9 +351,8 @@ def load_snapshot(path) -> tuple[SphereMap, RadialGrid]:
             raise ConfigError(f"snapshot {path}: grid metadata {key} is not {what}") from None
     m = numbers["m"]
     grid = build_grid(numbers["rho_min"], numbers["rho_max"], numbers["n"])
-    if len(rows) != grid.n:
-        raise ConfigError(f"snapshot {path} has {len(rows)} rows, expected {grid.n}")
-    data = np.asarray(rows, dtype=float)
+    if len(data) != grid.n:
+        raise ConfigError(f"snapshot {path} has {len(data)} rows, expected {grid.n}")
     if not np.max(np.abs(data[:, 0] - grid.rho)) <= 1e-9:
         raise ConfigError(f"snapshot {path} nodes disagree with its grid metadata")
     v = data[:, 1:4]

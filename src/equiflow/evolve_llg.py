@@ -599,17 +599,18 @@ def run_vector(
 
     def advance(v: np.ndarray, t: float, dt: float) -> np.ndarray:
         nonlocal spent, rate_prev, terms
-        if terms is None:
-            terms = _midpoint_terms(v, grid, m, config.a)
-            rate_prev = dissipation_rate(terms, grid, config.a)
-        v = step_vector(v, t, dt, grid, m, config, work, terms)
-        radii = _norm3(v)[:, None]
-        if np.max(np.abs(radii - 1.0)) > 0.1:
-            raise InstabilityError(
-                f"sphere constraint violated by {np.max(np.abs(radii - 1.0)):.3e} "
-                f"at t={t:.6g}; reduce the step size"
-            )
-        v = v / radii
+        with np.errstate(all="ignore"):  # an overflow up to here fails a check, unwarned
+            if terms is None:
+                terms = _midpoint_terms(v, grid, m, config.a)
+                rate_prev = dissipation_rate(terms, grid, config.a)
+            v = step_vector(v, t, dt, grid, m, config, work, terms)
+            radii = _norm3(v)[:, None]
+            if np.max(np.abs(radii - 1.0)) > 0.1:
+                raise InstabilityError(
+                    f"sphere constraint violated by {np.max(np.abs(radii - 1.0)):.3e} "
+                    f"at t={t:.6g}; reduce the step size"
+                )
+            v = v / radii
         if not np.all(np.isfinite(v)):
             raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
         # computed once, for the rate here and the next step
@@ -696,7 +697,8 @@ class _ScalarWork(_ChordCounters):
         self.m = m
         self.a1 = a1
         self.u = u = 6
-        self.a1_decay = a1 * grid.decay
+        with np.errstate(over="ignore"):  # an infinite entry fails a step's checks, unwarned
+            self.a1_decay = a1 * grid.decay
         self.neg_d2 = np.zeros((2 * u + 1, n), order="F")
         taps = _D2_CENTER / grid.drho**2
         for k, off in enumerate(range(-3, 4)):
@@ -823,7 +825,8 @@ def run_scalar(
         else:
             seed = _quadratic_seed(beta, prev, prev2, dt, h1, h2)
         prev, prev2, h1, h2 = beta, prev, dt, h1
-        return step_scalar(beta, t, dt, work, seed)
+        with np.errstate(all="ignore"):  # an overflow fails step_scalar's checks, unwarned
+            return step_scalar(beta, t, dt, work, seed)
 
     def observe(beta: np.ndarray, k: int, t: float, energies: np.ndarray):
         e_now = scalar_energy(beta, grid, m)

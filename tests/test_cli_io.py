@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -304,6 +305,105 @@ def test_ragged_snapshot_row_is_config_error(tmp_path, capsys, width):
     cfg = write_config(tmp_path, snapshot=str(snap))
     assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"line {lineno}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, token",
+    [
+        (lambda parts: parts[:2] + ["1_0"] + parts[3:], "1_0"),
+        (lambda parts: parts[:2] + ["\u0661"] + parts[3:], "\u0661"),
+        (lambda parts: parts + ["#", "c"], "#"),
+    ],
+    ids=["underscore", "arabic-indic-digit", "trailing-comment"],
+)
+def test_snapshot_token_that_only_float_takes_is_config_error(tmp_path, capsys, edit, token):
+    """A digit separator or a non-ASCII digit, which Python's float()
+    takes, and a trailing comment on a row are a ConfigError naming the
+    line and the token; decompose exits 2 with its one error line."""
+    snap, lineno = edit_snapshot_row(tmp_path, edit)
+    with pytest.raises(ConfigError, match=f"line {lineno}: .*'{token}'"):
+        load_snapshot(snap)
+    cfg = write_config(tmp_path, snapshot=str(snap))
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"line {lineno}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key_first", [False, True], ids=["row-first", "key-first"])
+def test_first_faulty_snapshot_line_is_named(tmp_path, capsys, key_first):
+    """Of a faulty row and a repeated metadata key, the one earlier in the
+    file is named, in load_snapshot and through decompose."""
+    snap, row_line = corrupt_snapshot(tmp_path, "abc")
+    lines = snap.read_text().splitlines()
+    where = 3 if key_first else len(lines)
+    lines.insert(where, "# m = 3")
+    snap.write_text("\n".join(lines) + "\n")
+    message = "line 4: duplicate key 'm'" if key_first else f"line {row_line}: could not convert"
+    with pytest.raises(ConfigError, match=message):
+        load_snapshot(snap)
+    cfg = write_config(tmp_path, snapshot=str(snap))
+    assert main(["decompose", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert re.search(message, capsys.readouterr().err)
+
+
+def reference_rows(path) -> np.ndarray:
+    """The data rows of a stored snapshot, read one float() per value."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return np.array([[float(p) for p in line.split()] for line in lines if line and line[0] != "#"])
+
+
+def test_snapshot_parse_matches_a_float_reader(tmp_path):
+    """On a perturbed n = 2048 map like those the round-trip bench loads,
+    load_snapshot reads the bytes a per-value float() reader reads, and
+    those are the stored map's."""
+    grid = build_grid(-8.0, 16.0, 2048)
+    prof = h_profile(Mu(s=math.exp(0.13), alpha=2.1, m=3), grid)
+    bump = np.exp(-(((grid.rho - 0.4) / 0.7) ** 2))[:, None]
+    v = prof.h + bump * (0.031 * prof.f.real - 0.017 * prof.f.imag)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    snap = tmp_path / "state.dat"
+    save_snapshot(snap, SphereMap(v, 3), grid)
+    loaded, lgrid = load_snapshot(snap)
+    ref = reference_rows(snap)
+    assert ref.shape == (2048, 4) and lgrid is grid
+    assert loaded.v.tobytes() == ref[:, 1:].tobytes() == v.tobytes()
+
+
+def test_rows_render_each_value_as_fmt():
+    """Table rows hold each value as _fmt renders it: NaN, infinities,
+    signed zeros, the smallest subnormal, the largest float and integer
+    values, from float and integer columns, with either separator."""
+    values = np.array([
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+        -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16, 1e22, 0.1, 1 / 3, 2.5e-308,
+    ])
+    columns = [values, values[::-1], np.arange(values.size), -values]
+    for sep in (" ", ","):
+        expected = [
+            sep.join(cli_io._fmt(col[i]) for col in columns) for i in range(values.size)
+        ]
+        assert cli_io._rows(columns, sep) == expected
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        dict(m=3, n=128, delta=0.01, a_re=1e300),
+        dict(family="log_drift", kappa=0.4, m=2, n=256, rho_min=-8.0, rho_max=12.0, a_re=1e300),
+    ],
+    ids=["vector", "log_drift"],
+)
+def test_overflowing_run_prints_only_its_error_line(tmp_path, capsys, keys):
+    """A flow coefficient that overflows the first step exits 3 with its
+    error line and no floating-point warning, on the vector path and on
+    the scalar path of an m = 2 tail."""
+    cfg = write_config(tmp_path, **keys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite" in err
 
 
 def drop_last_row(text):

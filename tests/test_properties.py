@@ -157,13 +157,17 @@ def cli_inputs(draw):
 @settings(PROPERTY, max_examples=60)
 @example(inputs=({"delta": "1e300"}, None))
 @example(inputs=({"delta": "1e300"}, "\n".join(SNAPSHOTS[1]) + "\n"))
+@example(inputs=({"delta": "0.02", "a_im": "1e308"}, None))
+@example(inputs=({"dt0": "0.5", "a_re": "1e308"}, None))
 @given(inputs=cli_inputs())
 def test_cli_ends_in_exit_0_2_or_3(command, inputs):
     """main on generated configs and snapshots returns 0, 2 or 3 and never
     raises, which would end the command line in a traceback; a command
-    that fails prints its error line, and one that succeeds warns
-    nothing. delta = 1e300 overflowed the renormalization of the perturbed
-    map and raised ValueError from the unit-sphere check of run_vector."""
+    that fails prints its error line, and no command warns. delta = 1e300
+    overflowed the renormalization of the perturbed map and raised
+    ValueError from the unit-sphere check of run_vector; a_im = 1e308
+    overflowed the start terms of a vector run, and a_re = 1e308
+    a1 e^{-2 rho} of a scalar run, each warning next to its exit 3."""
     cfg, snapshot = inputs
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -180,8 +184,7 @@ def test_cli_ends_in_exit_0_2_or_3(command, inputs):
     assert code in (0, 2, 3), text
     if code:
         assert f"code={code}: " in err.getvalue(), text
-    else:
-        assert [str(w.message) for w in caught] == [], text
+    assert [str(w.message) for w in caught] == [], text
 
 
 UNIT = st.tuples(*(st.floats(-1.0, 1.0),) * 3).filter(lambda x: 0.1 < math.hypot(*x))
@@ -205,6 +208,45 @@ def test_snapshot_round_trip_is_exact(rows, m, rho_min, span):
     assert lgrid is grid
     assert loaded.m == m
     assert np.array_equal(loaded.v, v)
+
+
+# unit rows whose text is hard to read back: signed zeros, subnormals,
+# components near 1e-300 and a third component 1 ulp from +-1
+ONE_ULP_BELOW = math.nextafter(1.0, 0.0)
+EDGE_ROWS = [
+    (0.0, -0.0, 1.0),
+    (-0.0, -0.0, -1.0),
+    (5e-324, -5e-324, 1.0),
+    (-2.2250738585072014e-308, 4e-320, -1.0),
+    (1e-300, -3.3e-300, 1.0),
+    (math.sqrt(1.0 - ONE_ULP_BELOW**2), -0.0, ONE_ULP_BELOW),
+    (-0.0, -math.sqrt(1.0 - ONE_ULP_BELOW**2), -ONE_ULP_BELOW),
+    (1.0, 7e-301, -0.0),
+]
+EDGE_UNIT = st.one_of(
+    st.sampled_from(EDGE_ROWS).flatmap(lambda row: st.permutations(row).map(tuple)),
+    UNIT.map(lambda x: tuple(np.array(x) / np.linalg.norm(x))),
+)
+
+
+@PROPERTY
+@given(
+    st.integers(16, 40).flatmap(lambda n: st.lists(EDGE_UNIT, min_size=n, max_size=n)),
+    st.integers(2, 5),
+    st.floats(-8.0, 0.0),
+)
+def test_snapshot_round_trip_is_bit_exact_on_edge_values(rows, m, rho_min):
+    """save_snapshot then load_snapshot gives the stored map back bit for
+    bit, the sign of every zero included, on rows of edge values."""
+    v = np.array(rows)
+    assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-15
+    grid = build_grid(rho_min, rho_min + 12.0, len(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.dat"
+        save_snapshot(path, SphereMap(v, m), grid)
+        loaded, lgrid = load_snapshot(path)
+    assert lgrid is grid and loaded.m == m
+    assert loaded.v.tobytes() == v.tobytes()
 
 
 VECTOR = st.tuples(*(st.floats(-2.0, 2.0),) * 3)

@@ -47,6 +47,10 @@ gauge._transport_frame has no loop, neither a for or while statement
 nor a comprehension: the frame is one cumulative integral over the
 nodes, not a chain of steps.
 
+cli_io.load_snapshot parses its rows in one numpy call: no for or while
+statement and no comprehension in it calls the builtin float, directly or
+through map, so a snapshot is not read one Python float per value.
+
 FlowConfig's fields are a, dt0, dt_max and ramp, the run schedule and
 nothing else: the tolerances, caps and stop rules of the chord iteration
 are module constants of evolve_llg, not settings of a run.
@@ -445,15 +449,21 @@ def test_every_error_class_is_raised():
     assert unraised_exceptions(SRC) == []
 
 
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _function(src: Path, module: str, name: str) -> ast.FunctionDef:
+    """The module-level function name of src/module.py."""
+    tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    return fn
+
+
 def loops_in(src: Path, module: str, name: str) -> list[str]:
     """module:line of every for or while statement and every comprehension
     in the body of the module-level function name of src/module.py."""
-    tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
-    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
-    loops = (
-        ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp
-    )
-    return [f"{module}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, loops)]
+    fn = _function(src, module, name)
+    return [f"{module}:{node.lineno}" for node in ast.walk(fn) if isinstance(node, LOOPS)]
 
 
 def test_frame_transport_has_no_loop():
@@ -474,6 +484,58 @@ def test_loops_are_found(tmp_path):
     )
     assert loops_in(tmp_path, "mod", "chain") == ["mod:2", "mod:4", "mod:6", "mod:6", "mod:6"]
     assert loops_in(tmp_path, "mod", "flat") == []
+
+
+def _calls_float(node: ast.AST) -> bool:
+    """Whether node is a call of the builtin float, or of map with float."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+        return False
+    if node.func.id == "map":
+        return bool(node.args) and isinstance(node.args[0], ast.Name) and node.args[0].id == "float"
+    return node.func.id == "float"
+
+
+def float_calls_in_loops(src: Path, module: str, name: str) -> list[str]:
+    """module:line of every call of float, directly or through map, inside
+    a for or while statement or a comprehension of the module-level
+    function name of src/module.py, each line once."""
+    fn = _function(src, module, name)
+    lines = {
+        call.lineno
+        for loop in ast.walk(fn) if isinstance(loop, LOOPS)
+        for call in ast.walk(loop) if _calls_float(call)
+    }
+    return [f"{module}:{line}" for line in sorted(lines)]
+
+
+def test_snapshot_rows_are_not_parsed_per_value():
+    assert float_calls_in_loops(SRC, "cli_io", "load_snapshot") == []
+
+
+def test_per_value_float_parses_are_found(tmp_path):
+    """float called in a comprehension, in a for loop or through map in a
+    while loop is found; a call outside any loop, float as a loop value
+    and a call of another converter are not."""
+    (tmp_path / "mod.py").write_text(
+        "def nested(lines):\n"
+        "    return [[float(p) for p in line.split()] for line in lines]\n"
+        "def looped(lines, meta):\n"
+        "    rows = [float(meta['x'])]\n"
+        "    for line in lines:\n"
+        "        rows.append([float(p) for p in line.split()])\n"
+        "    while lines:\n"
+        "        rows.append(list(map(float, lines.pop().split())))\n"
+        "    return rows\n"
+        "def clean(lines, meta, np):\n"
+        "    scale = float(meta['scale'])\n"
+        "    for key, kind in (('m', int), ('x', float)):\n"
+        "        meta[key] = kind(meta[key])\n"
+        "    return scale * np.loadtxt(lines, dtype=float)\n",
+        encoding="utf-8",
+    )
+    assert float_calls_in_loops(tmp_path, "mod", "nested") == ["mod:2"]
+    assert float_calls_in_loops(tmp_path, "mod", "looped") == ["mod:6", "mod:8"]
+    assert float_calls_in_loops(tmp_path, "mod", "clean") == []
 
 
 def dataclass_fields(src: Path, module: str, name: str) -> list[str]:
