@@ -277,6 +277,14 @@ class _ChordCounters:
     newton_k_age = 0
 
 
+def _remaining(d: float, before: float) -> float:
+    """The error a linearly contracting iteration leaves after an update
+    of size d that followed one of size before: theta/(1 - theta) d with
+    theta = d/before (Hairer and Wanner, Solving ODEs II, sec. IV.8); inf
+    unless d < before < inf, where no contraction has been measured."""
+    return d * d / (before - d) if d < before < math.inf else math.inf
+
+
 def _chord(
     x, evaluate, u: int, tol: float, cap: int, work: _ChordCounters, what: str, t: float, dt: float
 ):
@@ -358,8 +366,7 @@ def _chord(
         if count == 1:
             if newton_k is not None and newton_k * delta * delta <= CHORD_KAPPA * tol:
                 break
-        elif delta < before and delta * delta / (before - delta) <= CHORD_KAPPA * tol:
-            # theta/(1 - theta) d_k, theta = d_k/d_{k-1} < 1
+        elif _remaining(delta, before) <= CHORD_KAPPA * tol:
             break
         factor = delta > CHORD_CONTRACTION * before
     else:
@@ -589,7 +596,8 @@ def run_vector(
     After each step_vector it raises InstabilityError if a node has left
     the unit sphere by more than 0.1, projects every node back to
     |v| = 1, removing the solver-tolerance drift, and raises
-    InstabilityError if the map is not finite.
+    InstabilityError if the map, or the dissipation booked up to it, is
+    not finite.
     """
     v = grid.check_field(np.array(v0, dtype=float))
     SphereMap(v=v, m=m).check_unit()
@@ -599,7 +607,7 @@ def run_vector(
 
     def advance(v: np.ndarray, t: float, dt: float) -> np.ndarray:
         nonlocal spent, rate_prev, terms
-        with np.errstate(all="ignore"):  # an overflow up to here fails a check, unwarned
+        with np.errstate(all="ignore"):  # an overflow in here fails a check, unwarned
             if terms is None:
                 terms = _midpoint_terms(v, grid, m, config.a)
                 rate_prev = dissipation_rate(terms, grid, config.a)
@@ -611,12 +619,14 @@ def run_vector(
                     f"at t={t:.6g}; reduce the step size"
                 )
             v = v / radii
-        if not np.all(np.isfinite(v)):
-            raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
-        # computed once, for the rate here and the next step
-        terms = _midpoint_terms(v, grid, m, config.a)
-        rate_now = dissipation_rate(terms, grid, config.a)
+            if not np.all(np.isfinite(v)):
+                raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
+            # computed once, for the rate here and the next step
+            terms = _midpoint_terms(v, grid, m, config.a)
+            rate_now = dissipation_rate(terms, grid, config.a)
         spent += 0.5 * dt * (rate_prev + rate_now)
+        if not math.isfinite(spent):
+            raise InstabilityError(f"non-finite dissipation after step at t={t:.6g}, dt={dt:.3g}")
         rate_prev = rate_now
         return v
 

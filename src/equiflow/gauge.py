@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GaugeError, ReconstructionError
-from .evolve_llg import SphereMap
+from .evolve_llg import SphereMap, _remaining
 from .harmonic_family import (
     Mu, _dot3, _frame_coords, _residual_terms, cross, h_profile, project_tangent
 )
@@ -237,9 +237,12 @@ def reconstruct_v(
     map, transport the frame on it, rotate q into the profile frame, and
     invert the linearized radial operator on the window-free complement.
     The step is damped by half once z grows past 0.1 in sup norm, and
-    abandoned past 0.3. Returns the map and the residual coordinate z of
-    the last iterate, from which the map is built; hasimoto_forward on
-    the map gives its flat-frame state.
+    abandoned past 0.3. The iteration stops once the X-norm gap between
+    iterates is at most 1e-10, or once the error it leaves, estimated
+    from the contraction of the last two gaps by _remaining, is at most
+    1e-10; the first gap alone never stops it. Returns the map and the
+    residual coordinate z of the last iterate, from which the map is
+    built; hasimoto_forward on the map gives its flat-frame state.
     """
     if phi.m != mu.m:
         raise ConfigError("bump window and parameters disagree on the degree m")
@@ -250,6 +253,7 @@ def reconstruct_v(
     prof = h_profile(mu, grid)
     f, hmap, h1s = prof.f, prof.h, prof.h1s
     z = np.zeros(grid.n, dtype=complex)
+    gap = math.inf
     for _ in range(200):
         gamma, terms = _residual_terms(z, prof)
         vres = terms[0] + terms[1] + terms[2]
@@ -267,9 +271,9 @@ def reconstruct_v(
             )
         if zmax > 0.1:
             z_new = z + 0.5 * (z_new - z)
-        gap = norm(z_new - z, grid, kind="X")
+        gap, before = norm(z_new - z, grid, kind="X"), gap
         z = z_new
-        if gap <= 1e-10:
+        if gap <= 1e-10 or _remaining(gap, before) <= 1e-10:
             break
     else:
         raise ReconstructionError(

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .radial_grid import RadialGrid, cumint_dr, d2_rho, deriv_r, quad_rdr
+from .radial_grid import RadialGrid, d2_rho, deriv_r, quad_rdr
 
 # cosh arguments beyond this overflow float64 (exp(710) > 1e308)
 _COSH_LIMIT = 690.0
@@ -160,21 +160,11 @@ def energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:
     return math.pi * float(quad_rdr(integrand, grid))
 
 
-def degree(v: np.ndarray, grid: RadialGrid, m: int, method: str = "boundary") -> float:
-    """Topological degree of the equivariant map.
-
-    boundary: (m/2) (v3(r_max) - v3(r_min)).
-    integral: the same quantity from the bulk formula (m/2) int dv3/dr dr,
-    which is the equivariant reduction of the usual degree integral,
-    evaluated as the last entry of cumint_dr.
-    """
+def degree(v: np.ndarray, grid: RadialGrid, m: int) -> float:
+    """Topological degree of the equivariant map from its boundary values,
+    (m/2) (v3(r_max) - v3(r_min))."""
     v = grid.check_field(v)
-    if method == "boundary":
-        return 0.5 * m * float(v[-1, 2] - v[0, 2])
-    if method == "integral":
-        v3r = deriv_r(v[:, 2], grid)
-        return 0.5 * m * float(cumint_dr(v3r, grid)[-1])
-    raise ValueError(f"unknown degree method {method!r}")
+    return 0.5 * m * float(v[-1, 2] - v[0, 2])
 
 
 def laplace_m(v: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:

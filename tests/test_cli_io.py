@@ -406,6 +406,43 @@ def test_overflowing_run_prints_only_its_error_line(tmp_path, capsys, keys):
     assert err.count("\n") == 1 and "non-finite" in err
 
 
+def test_rate_overflowing_after_the_last_step_prints_only_its_error_line(
+    tmp_path, capsys, monkeypatch
+):
+    """A vector run whose dissipation rate overflows after its last
+    step, its terms scaled past the float range there, exits 3 with its
+    error line and no floating-point warning, and writes nothing to
+    stdout, rather than booking an infinite dissipation and exiting 0."""
+    cfg = write_config(tmp_path, m=3, n=128, delta=0.01)
+    rate = evolve_llg.dissipation_rate
+    calls = []
+
+    def counted(terms, grid, a):
+        calls.append(1)
+        return rate(terms, grid, a)
+
+    monkeypatch.setattr(evolve_llg, "dissipation_rate", counted)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "finite")]) == 0
+    capsys.readouterr()
+    last, calls[:] = len(calls), []
+
+    def overflowing(terms, grid, a):
+        calls.append(1)
+        if len(calls) == last:
+            radius, unit, lap, pa_lap = terms
+            terms = radius, unit, 1e200 * lap, 1e200 * pa_lap
+        return rate(terms, grid, a)
+
+    monkeypatch.setattr(evolve_llg, "dissipation_rate", overflowing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert len(calls) == last
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and "non-finite dissipation" in err
+
+
 def drop_last_row(text):
     return "\n".join(text.splitlines()[:-1]) + "\n"
 

@@ -25,8 +25,8 @@ from equiflow.gauge import (
     qeq_rhs,
     reconstruct_v,
 )
-from equiflow.harmonic_family import Mu, _residual_terms, energy, h_profile
-from equiflow.modulation import bump_phi, fit_mu
+from equiflow.harmonic_family import Mu, _frame_coords, _residual_terms, energy, h_profile
+from equiflow.modulation import bump_phi, fit_mu, r_inverse
 from equiflow.radial_grid import build_grid, cumint_dr, d2_rho, d_rho, deriv_r, norm
 
 
@@ -511,10 +511,9 @@ def test_reconstruction_error_on_large_q(grid):
         reconstruct_v(Mu(1.0, 0.0, m), q, phi, grid)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-def test_reconstruction_error_on_non_finite_q(grid, bad, monkeypatch):
-    """A non-finite gauge field is rejected before any frame transport;
-    the counter sees the transports of a finite field."""
+@pytest.fixture
+def transports(monkeypatch):
+    """A list that gains one entry per gauge._transport_frame call."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -522,14 +521,123 @@ def test_reconstruction_error_on_non_finite_q(grid, bad, monkeypatch):
         return _transport_frame(*args, **kwargs)
 
     monkeypatch.setattr(gauge, "_transport_frame", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_reconstruction_error_on_non_finite_q(grid, bad, transports):
+    """A non-finite gauge field is rejected before any frame transport;
+    the counter sees the transports of a finite field."""
     q = np.zeros(grid.n, dtype=complex)
     reconstruct_v(Mu(1.0, 0.0, 3), q, bump_phi(3, grid), grid)
-    assert calls
-    calls.clear()
+    assert transports
+    transports.clear()
     q[900] = bad
     with pytest.raises(ReconstructionError, match="non-finite"):
         reconstruct_v(Mu(1.0, 0.0, 3), q, bump_phi(3, grid), grid)
-    assert calls == []
+    assert transports == []
+
+
+def bench_shaped_maps(seed, grid):
+    """The eight maps the gauge round trip benchmark draws at seed: m = 2,
+    3, 2, 3, ..., each h[mu] at scale exp(U(-0.2, 0.2)) and rotation
+    U(0, 2 pi) plus a bump of size U(0.02, 0.04) and width 0.8 along Re f
+    and one of size U(0.01, 0.03) and width 1.0 along Im f, each with a
+    random sign and a centre U(-0.5, 1.5) in rho, renormalized."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    for k in range(8):
+        m = (2, 3)[k % 2]
+        mu = Mu(math.exp(rng.uniform(-0.2, 0.2)), rng.uniform(0.0, 2.0 * math.pi), m)
+        prof = h_profile(mu, grid)
+        v = prof.h.copy()
+        for size, width, direction in (
+            ((0.02, 0.04), 0.8, prof.f.real), ((0.01, 0.03), 1.0, prof.f.imag)
+        ):
+            amp = rng.uniform(*size) * rng.choice((-1.0, 1.0))
+            centre = rng.uniform(-0.5, 1.5)
+            v += (amp * np.exp(-(((grid.rho - centre) / width) ** 2)))[:, None] * direction
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        maps.append(SphereMap(v, m))
+    return maps
+
+
+@pytest.fixture(scope="module")
+def bench_states(grid):
+    """Seed -> (mu, q, window) of the fit and forward state of each
+    bench-shaped map, at seeds 1 and 2."""
+    windows = {m: bump_phi(m, grid) for m in (2, 3)}
+    states = {}
+    for seed in (1, 2):
+        states[seed] = []
+        for vm in bench_shaped_maps(seed, grid):
+            mu = fit_mu(vm, None, windows[vm.m], grid).mu
+            states[seed].append((mu, hasimoto_forward(vm, mu, grid).q, windows[vm.m]))
+    return states
+
+
+def converged_z(mu, q, phi, grid):
+    """z of reconstruct_v's fixed-point loop, copied here, run until the
+    X-norm gap between iterates is at most 1e-14, and the largest |z| of
+    any iterate."""
+    m = mu.m
+    prof = h_profile(mu, grid)
+    z = np.zeros(grid.n, dtype=complex)
+    zmax = 0.0
+    for _ in range(200):
+        gamma, terms = _residual_terms(z, prof)
+        vres = terms[0] + terms[1] + terms[2]
+        v = prof.h + vres
+        e = _transport_frame(v, grid, d_rho(v, grid))
+        mq = _frame_coords(q.real[:, None] * e.real + q.imag[:, None] * e.imag, prof.f)
+        rhs = mq - (m / grid.r) * vres[:, 2] * z + (m / grid.r) * prof.h1s * gamma
+        z_new = r_inverse(rhs, phi, mu.s, grid)
+        sup = float(np.max(np.abs(z_new)))
+        zmax = max(zmax, sup)
+        if sup > 0.1:
+            z_new = z + 0.5 * (z_new - z)
+        gap = norm(z_new - z, grid, kind="X")
+        z = z_new
+        if gap <= 1e-14:
+            return z, zmax
+    raise AssertionError("the reference loop did not reach a gap of 1e-14")
+
+
+def test_reconstruction_stops_near_the_converged_fixed_point(grid, bench_states):
+    """Where reconstruct_v stops, on the gap or on its estimated remaining
+    error, z is within 1e-10 in the X norm of z converged to a gap of
+    1e-14, on the forward states of the bench-shaped maps at seeds 1 and
+    2 (sup |z| about 0.03, contraction about 5e-3 per pass).  On 8 q, which
+    takes z into the damped region (sup |z| in (0.1, 0.3), contraction
+    about 0.5), the bound is 2e-10: there a stop on the gap alone already
+    leaves up to 1.11e-10, and the stop on the estimate leaves the same.
+    Each seed's fourth map, at 8 q, leaves the contraction region and is
+    not taken."""
+    for states in bench_states.values():
+        for k, (mu, q, phi) in enumerate(states):
+            _, z = reconstruct_v(mu, q, phi, grid)
+            ref, _ = converged_z(mu, q, phi, grid)
+            assert norm(z - ref, grid, kind="X") <= 1e-10
+            if k == 3:
+                continue
+            _, z = reconstruct_v(mu, 8.0 * q, phi, grid)
+            ref, zmax = converged_z(mu, 8.0 * q, phi, grid)
+            assert 0.1 < zmax < 0.3
+            assert norm(z - ref, grid, kind="X") <= 2e-10
+
+
+def test_reconstruction_transports_per_inverse(grid, bench_states, transports):
+    """On the bench-shaped maps at seeds 1 and 2 an inverse takes at most
+    4.5 frame transports on average, and each takes at least 2: its first
+    gap is not zero, and one gap measures no contraction."""
+    for seed, states in bench_states.items():
+        counts = []
+        for mu, q, phi in states:
+            transports.clear()
+            reconstruct_v(mu, q, phi, grid)
+            counts.append(len(transports))
+        assert min(counts) >= 2, (seed, counts)
+        assert sum(counts) / len(counts) <= 4.5, (seed, counts)
 
 
 def test_degree_mismatch_rejected(grid):

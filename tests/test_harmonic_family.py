@@ -18,7 +18,7 @@ from equiflow.harmonic_family import (
     pa_apply,
     project_tangent,
 )
-from equiflow.radial_grid import build_grid, deriv_r, inner_product
+from equiflow.radial_grid import build_grid, cumint_dr, deriv_r, inner_product
 
 
 @pytest.fixture(scope="module")
@@ -122,11 +122,18 @@ def test_energy_of_harmonic_map(grid, m):
         assert energy(h, grid, m) == pytest.approx(4 * math.pi * m, rel=1e-8)
 
 
+def bulk_degree(v, grid, m):
+    """The degree from the bulk formula (m/2) int dv3/dr dr, the
+    equivariant reduction of the usual degree integral, as the last entry
+    of cumint_dr: the reference for degree's boundary value."""
+    return 0.5 * m * float(cumint_dr(deriv_r(v[:, 2], grid), grid)[-1])
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_degree_methods_agree(grid, m):
     h = h_profile(Mu(s=1.0, alpha=0.3, m=m), grid).h
-    assert degree(h, grid, m, method="boundary") == pytest.approx(float(m), abs=1e-9)
-    assert degree(h, grid, m, method="integral") == pytest.approx(float(m), abs=1e-8)
+    assert degree(h, grid, m) == pytest.approx(float(m), abs=1e-9)
+    assert bulk_degree(h, grid, m) == pytest.approx(float(m), abs=1e-8)
 
 
 def test_tangent_projection_algebra(grid):

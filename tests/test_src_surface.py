@@ -55,6 +55,12 @@ FlowConfig's fields are a, dt0, dt_max and ramp, the run schedule and
 nothing else: the tolerances, caps and stop rules of the chord iteration
 are module constants of evolve_llg, not settings of a run.
 
+The remaining-error estimate of a contracting iteration,
+theta/(1 - theta) d = d^2/(before - d), has one home, evolve_llg._remaining:
+no other function divides by a difference one of whose operands is the
+dividend or an operand of it, and both the chord iteration and the
+inverse gauge transform call it.
+
 The flat-frame transform is a function of the map at one instant:
 hasimoto_forward takes no flow coefficient, and GaugeState holds no
 phase integral, no conserved-flow integrand and no flow coefficient.
@@ -178,23 +184,17 @@ def test_no_environment_reads():
     assert environment_reads(SRC) == []
 
 
-def functions_referencing(src: Path, name: str, calls_only: bool = False) -> list[str]:
-    """module.qualified_name of every function or method under src that
-    refers to name by an ast.Name or ast.Attribute node in its own body,
-    with calls_only only as the callee of an ast.Call; nested functions
-    count on their own, as outer.inner, and a reference outside any
-    function as module.<module>."""
+def functions_holding(src: Path, hit) -> list[str]:
+    """module.qualified_name of every function or method under src whose
+    own body holds a node for which hit is true; nested functions count
+    on their own, as outer.inner, and a node outside any function as
+    module.<module>."""
     found = set()
     for path in sorted(src.glob("*.py")):
         stack = [(ast.parse(path.read_text(encoding="utf-8")), "")]
         while stack:
             node, owner = stack.pop()
-            target = node
-            if calls_only:
-                target = node.func if isinstance(node, ast.Call) else None
-            if (isinstance(target, ast.Name) and target.id == name) or (
-                isinstance(target, ast.Attribute) and target.attr == name
-            ):
+            if hit(node):
                 found.add(f"{path.stem}.{owner or '<module>'}")
             for child in ast.iter_child_nodes(node):
                 inner = owner
@@ -202,6 +202,22 @@ def functions_referencing(src: Path, name: str, calls_only: bool = False) -> lis
                     inner = f"{owner}.{child.name}" if owner else child.name
                 stack.append((child, inner))
     return sorted(found)
+
+
+def functions_referencing(src: Path, name: str, calls_only: bool = False) -> list[str]:
+    """functions_holding a reference to name by an ast.Name or
+    ast.Attribute node, with calls_only only as the callee of an
+    ast.Call."""
+
+    def hit(node: ast.AST) -> bool:
+        target = node
+        if calls_only:
+            target = node.func if isinstance(node, ast.Call) else None
+        return (isinstance(target, ast.Name) and target.id == name) or (
+            isinstance(target, ast.Attribute) and target.attr == name
+        )
+
+    return functions_holding(src, hit)
 
 
 def test_banded_lapack_calls_have_one_home():
@@ -595,3 +611,44 @@ def test_parameters_are_found(tmp_path):
         encoding="utf-8",
     )
     assert parameters_of(tmp_path, "mod", "forward") == ["vmap", "mu", "grid", "a", "strict"]
+
+
+def _is_estimate(node: ast.AST) -> bool:
+    """Whether node is a division by a difference one of whose operands
+    is the dividend, or an operand of it when the dividend is a binary
+    operation: the shape of d * d / (before - d)."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+        return False
+    den = node.right
+    if not (isinstance(den, ast.BinOp) and isinstance(den.op, ast.Sub)):
+        return False
+    num = node.left
+    parts = [num, num.left, num.right] if isinstance(num, ast.BinOp) else [num]
+    dumped = {ast.dump(part) for part in parts}
+    return ast.dump(den.left) in dumped or ast.dump(den.right) in dumped
+
+
+def test_remaining_error_estimate_has_one_home():
+    assert functions_holding(SRC, _is_estimate) == ["evolve_llg._remaining"]
+    callers = functions_referencing(SRC, "_remaining", calls_only=True)
+    assert callers == ["evolve_llg._chord", "gauge.reconstruct_v"]
+
+
+def test_estimate_shaped_divisions_are_found(tmp_path):
+    """The estimate written as d * d / (before - d), as d ** 2 / (before -
+    d) and as d / (before - d) * d is found; a secant step, a Lagrange
+    factor and a division by an unrelated difference are not."""
+    (tmp_path / "mod.py").write_text(
+        "def product(d, before):\n"
+        "    return d * d / (before - d)\n"
+        "def power(d, before):\n"
+        "    return d ** 2 / (before - d)\n"
+        "def ratio(d, before):\n"
+        "    return d / (before - d) * d\n"
+        "def clean(v, k, lk, x, m, a, b):\n"
+        "    t = -v[k] / (v[k + 1] - v[k])\n"
+        "    lk = lk * (x - m) / (k - m)\n"
+        "    return t, lk, a * b / (a + b), (a - b) / (k - 1.0)\n",
+        encoding="utf-8",
+    )
+    assert functions_holding(tmp_path, _is_estimate) == ["mod.power", "mod.product", "mod.ratio"]
