@@ -11,16 +11,17 @@ The modules split the work as follows:
 - ``radial_grid``: the log grid, high-order quadrature and derivatives,
   weighted norms.
 - ``harmonic_family``: the stationary harmonic profiles, their scale and
-  rotation parameters, energy, degree, the linearized operator, and the
-  frame algebra (frame coordinates, the residual reassembly and its
+  rotation parameters, energy, degree, the gauge operator L^s, P_a and
+  the frame algebra (frame coordinates, the residual reassembly and its
   vertical correction) that ``modulation`` and ``gauge`` share.
 - ``gauge``: the flat-frame (generalized Hasimoto) transform taking a
   map to a single complex gauge field, its evolution equation, and the
   inverse reconstruction.
 - ``modulation``: fitting scale and rotation to a map, the right inverse
   of the linearized operator, and the pairing window with its constant.
-- ``evolve_llg``: the implicit midpoint integrator for the full flow and
-  its great-circle scalar reduction, with energy bookkeeping.
+- ``evolve_llg``: the equivariant Laplacian, the implicit midpoint
+  integrator for the full flow and its great-circle scalar reduction,
+  with energy bookkeeping.
 - ``scenarios``: slowly decaying tail families for initial data, the
   closed-form scale-history prediction, and the behavior classifier.
 - ``cli_io``: the ``equiflow`` command line driver, its CSV tables and

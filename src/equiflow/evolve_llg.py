@@ -9,8 +9,8 @@ the energy and dissipation booked at a record time. The solvers are:
 
 * a vector scheme for the full three-component map, implicit midpoint in
   time. The midpoint x solves F(x) = x - v - (dt/2) P_a(x/|x|) L x = 0,
-  with L the Laplacian laplace_m pinned at the ends (laplace_operator)
-  and P_a from pa_apply. The chord matrix is the Jacobian
+  with L the equivariant Laplacian laplace_operator, which has its one
+  home here, and P_a from pa_apply. The chord matrix is the Jacobian
   F'(x) = I - (dt/2) (P_a(x/|x|) L + D), D the per-node derivative of
   P_a(x/|x|) L x in x, first at x = v, written by plain slices into the
   LAPACK band array. |v|, v/|v|, L v and P_a(v/|v|) L v at the start of a
@@ -84,7 +84,7 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
-from .harmonic_family import _dot3, _norm3, cross, energy as map_energy, laplace_m, pa_apply
+from .harmonic_family import _dot3, _norm3, cross, energy as map_energy, pa_apply
 from .radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, _apply_stencil, d2_rho
 
 @dataclass
@@ -206,12 +206,17 @@ N_PIN = 3
 
 
 def laplace_operator(v: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
-    """The solver's spatial operator e^{-2 rho} (d^2/drho^2 - m^2 diag(1,1,0)),
-    the equivariant Laplacian laplace_m zeroed on the pinned nodes at both
-    ends."""
-    out = laplace_m(v, grid, m)
-    out[:N_PIN] = 0.0
-    out[-N_PIN:] = 0.0
+    """The equivariant Laplacian (d_rr + d_r/r + (m^2/r^2) R^2) v, in log
+    coordinates e^{-2 rho} (v_rhorho - m^2 (v1, v2, 0)), on the evolving
+    nodes by d2_rho's centered stencil alone, whose reach is the N_PIN
+    pinned nodes at each end; +0.0 on the pinned nodes."""
+    out = np.zeros(v.shape)
+    body, inner = out[N_PIN:-N_PIN], v[N_PIN:-N_PIN]
+    np.divide(_apply_stencil(v, _D2_CENTER), grid.drho**2, out=body)
+    # column by column: a slice of two columns takes half as long again
+    body[:, 0] -= m * m * inner[:, 0]
+    body[:, 1] -= m * m * inner[:, 1]
+    body *= grid.decay[N_PIN:-N_PIN, None]
     return out
 
 
@@ -393,8 +398,9 @@ def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.n
 
 
 class _VectorWork(_ChordCounters):
-    """The midpoint band matrix of one grid, in LAPACK gbtrf storage, and
-    the chord state of a vector run, which holds its LU across steps.
+    """The midpoint band matrix of one grid, in LAPACK gbtrf storage, the
+    chord state of a vector run, which holds its LU across steps, and the
+    weight drho e^{2 rho} of dissipation_rate, rate_weight.
 
     Entry (r, c) of the 3n x 3n matrix sits at row 2 BAND + r - c of the
     Fortran-ordered (3 BAND + 1)-row band array ab, allocated once; the
@@ -416,18 +422,19 @@ class _VectorWork(_ChordCounters):
         # -L from evolving node i to node i + d, as [column component, i]
         self._coupling = [decay * ((d == 0) * planar - taps[3 + d]) for d in range(-3, 4)]
         self.ab = np.zeros((3 * self.BAND + 1, 3 * n), order="F")
+        self.rate_weight = grid.drho * np.exp(2.0 * grid.rho)
 
     def assemble(self, pa: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
-        """The band array of I - (dt/2) (Pa L + D) for the per-node blocks
-        pa and the block diagonal D of the blocks deriv, both indexed
-        [node, row, column], written into ab and returned."""
+        """The band array of I - (dt/2) (Pa L + D) for the _pa_blocks pa,
+        [column, row, evolving node], and the block diagonal D of the
+        blocks deriv, [node, row, column], written into ab and returned."""
         U = self.BAND
         n = self.grid.n
         ab = self.ab
         # clears the fill-in of a factorization and every slot no write reaches
         ab.fill(0.0)
         # (dt/2) P_a and, below, (dt/2) D as [column, row, node]
-        half = 0.5 * dt * np.ascontiguousarray(pa[N_PIN : n - N_PIN].T)
+        half = 0.5 * dt * pa
         for d, coupling in zip(range(-3, 4), self._coupling):
             for be in range(3):
                 # rows 3 i + al, al = 0..2, in the column 3 (i + d) + be
@@ -450,6 +457,18 @@ def _midpoint_terms(x: np.ndarray, grid: RadialGrid, m: int, a: complex):
     unit = x / radius
     lap = laplace_operator(x, grid, m)
     return radius, unit, lap, pa_apply(unit, lap, a)
+
+
+def _pa_blocks(unit: np.ndarray, a: complex) -> np.ndarray:
+    """pa_apply(u, e_k, a) byte for byte, [column k, row, evolving node] for
+    assemble, as a1 (delta_{row k} - u_k u_row) + a2 cross(u, e_k): u_k is
+    _dot3(u, e_k) up to the sign of a zero, which delta - 0.0 drops."""
+    # C-ordered: from transposed views the blocks come out node-major, and assemble takes 2x as long
+    ut = np.ascontiguousarray(unit[N_PIN:-N_PIN].T)
+    out = a.real * (np.eye(3)[:, :, None] - ut[:, None] * ut[None])
+    if a.imag != 0.0:
+        out += a.imag * cross(ut.T, np.eye(3)[:, None, :]).transpose(0, 2, 1)
+    return out
 
 
 def _pa_derivative(unit: np.ndarray, radius: np.ndarray, w: np.ndarray, a: complex) -> np.ndarray:
@@ -480,9 +499,10 @@ def _pa_derivative(unit: np.ndarray, radius: np.ndarray, w: np.ndarray, a: compl
     return out.transpose(2, 0, 1)
 
 
-def dissipation_rate(terms, grid: RadialGrid, a: complex) -> float:
+def dissipation_rate(terms, weight: np.ndarray, a: complex) -> float:
     """Instantaneous decay rate of the scheme energy,
-    2 pi a1 sum drho e^{2 rho} |P^v L v|^2, from terms, the _midpoint_terms of v.
+    2 pi a1 sum drho e^{2 rho} |P^v L v|^2, from terms, the _midpoint_terms
+    of v, and weight, the rate_weight drho e^{2 rho} of _VectorWork.
 
     Pointwise the summand is (L v) . (P_a L v) with the scheme's own
     weights, so minus this rate is the exact time derivative of
@@ -492,8 +512,7 @@ def dissipation_rate(terms, grid: RadialGrid, a: complex) -> float:
     if a.real == 0:
         return 0.0
     _, _, lap, pa_lap = terms
-    w = grid.drho * np.exp(2.0 * grid.rho)
-    return 2.0 * math.pi * float(w @ _dot3(lap, pa_lap))
+    return 2.0 * math.pi * float(weight @ _dot3(lap, pa_lap))
 
 
 def step_vector(
@@ -526,9 +545,8 @@ def step_vector(
         radius, unit, lap, pa_lap = terms if x is v else _midpoint_terms(x, grid, m, config.a)
         ab = None
         if factor:
-            # the per-node 3x3 blocks of P_a(x/|x|): column k is P_a applied to e_k
-            pa = pa_apply(unit, np.eye(3)[:, None, :], config.a).transpose(1, 2, 0)
-            ab = work.assemble(pa, _pa_derivative(unit, radius, lap, config.a), dt)
+            deriv = _pa_derivative(unit, radius, lap, config.a)
+            ab = work.assemble(_pa_blocks(unit, config.a), deriv, dt)
         return (x - v - 0.5 * dt * pa_lap).reshape(-1), ab
 
     U = _VectorWork.BAND
@@ -610,7 +628,7 @@ def run_vector(
         with np.errstate(all="ignore"):  # an overflow in here fails a check, unwarned
             if terms is None:
                 terms = _midpoint_terms(v, grid, m, config.a)
-                rate_prev = dissipation_rate(terms, grid, config.a)
+                rate_prev = dissipation_rate(terms, work.rate_weight, config.a)
             v = step_vector(v, t, dt, grid, m, config, work, terms)
             radii = _norm3(v)[:, None]
             if np.max(np.abs(radii - 1.0)) > 0.1:
@@ -623,7 +641,7 @@ def run_vector(
                 raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
             # computed once, for the rate here and the next step
             terms = _midpoint_terms(v, grid, m, config.a)
-            rate_now = dissipation_rate(terms, grid, config.a)
+            rate_now = dissipation_rate(terms, work.rate_weight, config.a)
         spent += 0.5 * dt * (rate_prev + rate_now)
         if not math.isfinite(spent):
             raise InstabilityError(f"non-finite dissipation after step at t={t:.6g}, dt={dt:.3g}")

@@ -18,7 +18,8 @@ parts. All maps here send r=0 to the south pole -k and r=inf to k.
 The frame algebra shared by the modulation split and the flat-frame
 gauge lives here too: frame coordinates of tangent fields, and the map
 h + (Re z) Re f + (Im z) Im f + gamma h at residual coordinate z, with
-gamma = sqrt(1 - |z|^2) - 1.
+gamma = sqrt(1 - |z|^2) - 1. So does the tangent projection P^v_a of
+the flows; their equivariant Laplacian is evolve_llg.laplace_operator.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError
-from .radial_grid import RadialGrid, d2_rho, deriv_r, quad_rdr
+from .radial_grid import RadialGrid, deriv_r, quad_rdr
 
 # cosh arguments beyond this overflow float64 (exp(710) > 1e308)
 _COSH_LIMIT = 690.0
@@ -165,19 +166,6 @@ def degree(v: np.ndarray, grid: RadialGrid, m: int) -> float:
     (m/2) (v3(r_max) - v3(r_min))."""
     v = grid.check_field(v)
     return 0.5 * m * float(v[-1, 2] - v[0, 2])
-
-
-def laplace_m(v: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
-    """The equivariant tension field input: (d_rr + d_r/r + (m^2/r^2) R^2) v.
-
-    In log coordinates this is e^(-2 rho) (v_rhorho - m^2 (v1, v2, 0)).
-    """
-    v = grid.check_field(v)
-    out = d2_rho(v, grid)
-    out[:, 0] -= m * m * v[:, 0]
-    out[:, 1] -= m * m * v[:, 1]
-    out *= grid.decay[:, None]
-    return out
 
 
 def _checked_cosh(x: np.ndarray, what: str) -> np.ndarray:

@@ -7,10 +7,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from equiflow import evolve_llg, harmonic_family
+from equiflow import evolve_llg
 from equiflow.errors import InstabilityError, StepError
 from equiflow.evolve_llg import (
     N_PIN,
@@ -32,7 +33,7 @@ from equiflow.evolve_llg import (
     step_scalar,
     step_vector,
 )
-from equiflow.harmonic_family import Mu, energy, h_profile
+from equiflow.harmonic_family import Mu, energy, h_profile, pa_apply
 from equiflow.radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, build_grid, d2_rho
 from equiflow.scenarios import TailFamily, build_initial_data
 
@@ -165,7 +166,8 @@ def test_conservative_flow_preserves_scheme_energy(grid, perturbed):
     drift = np.max(np.abs(series.energy - series.energy[0])) / series.energy[0]
     assert drift < 1e-11
     assert np.all(series.dissipated == 0.0)
-    assert dissipation_rate(_midpoint_terms(series.v[-1], grid, 3, 1j), grid, 1j) == 0.0
+    terms = _midpoint_terms(series.v[-1], grid, 3, 1j)
+    assert dissipation_rate(terms, _VectorWork(grid, 3).rate_weight, 1j) == 0.0
 
 
 def test_mixed_flow_dissipates(grid, perturbed):
@@ -228,6 +230,12 @@ def pa_blocks(vhat, a):
     cx[:, 2, 1] = nhat[:, 0]
     blocks += a.imag * cx
     return blocks
+
+
+def band_blocks(pa):
+    """The blocks pa, indexed [node, row, column], on the evolving nodes
+    and indexed [column, row, node], as _VectorWork.assemble reads them."""
+    return pa[N_PIN:-N_PIN].transpose(2, 1, 0)
 
 
 def derivative_blocks(x, w, a):
@@ -319,7 +327,7 @@ def test_step_projection_blocks_match_reference(grid, perturbed, a, monkeypatch)
     first_step(perturbed, 0.0, 0.01, grid, 3, FlowConfig(a=a, dt0=0.01))
     assert len(seen) == 1
     pa, deriv = seen[0]
-    assert np.array_equal(pa, pa_blocks(perturbed, complex(a)))
+    assert np.array_equal(pa, band_blocks(pa_blocks(perturbed, complex(a))))
     lap = laplace_operator(perturbed, grid, 3)
     assert np.array_equal(deriv, derivative_blocks(perturbed, lap, complex(a)))
 
@@ -437,7 +445,7 @@ def test_assemble_scatter_matches_loop(grid, perturbed):
     pa = pa_blocks(perturbed, 0.6 + 0.8j)
     deriv = derivative_blocks(perturbed, laplace_operator(perturbed, grid, 3), 0.6 + 0.8j)
     ref = assemble_loop(grid, 3, pa, 0.01, deriv)
-    ab = work.assemble(pa, deriv, 0.01)
+    ab = work.assemble(band_blocks(pa), deriv, 0.01)
     U = _VectorWork.BAND
     assert ab.shape == (3 * U + 1, 3 * grid.n)
     assert np.all(ab[:U] == 0.0)
@@ -491,7 +499,7 @@ def test_assemble_strided_write_matches_scatter_bytes(grid, perturbed, a):
     flipped = derivative_blocks(perturbed[::-1].copy(), lap[::-1].copy(), complex(a))
     U = _VectorWork.BAND
     for dt, blocks, d in ((0.01, pa, deriv), (0.3, pa[::-1].copy(), flipped), (0.01, pa, deriv)):
-        ab = work.assemble(blocks, d, dt)
+        ab = work.assemble(band_blocks(blocks), d, dt)
         ref = assemble_scatter(grid, 3, blocks, dt, d)
         assert ab is work.ab
         assert ab.flags.f_contiguous and ab.shape == ref.shape
@@ -509,6 +517,48 @@ def _reference_laplacian(x, grid, m):
     out *= np.exp(-2.0 * grid.rho)[:, None]
     out[:N_PIN] = out[-N_PIN:] = 0.0
     return out
+
+
+@st.composite
+def vector_fields(draw):
+    """An (n, 3) field, n from 16 to 400, with magnitudes from 1e-8 to 1e8
+    and a drawn share of +-0.0 entries per component."""
+    n = draw(st.integers(16, 400))
+    zeros = draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=3, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sign = rng.choice([-1.0, 1.0], (n, 3))
+    vals = sign * 10.0 ** rng.uniform(-8.0, 8.0, (n, 3))
+    vals[rng.random((n, 3)) < np.array(zeros)] = 0.0
+    return np.copysign(vals, sign)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(vector_fields(), st.sampled_from([2, 3, 4]))
+def test_laplace_operator_matches_reference_bytes(v, m):
+    """laplace_operator, the centered stencil on the evolving rows alone,
+    equals the Laplacian over d2_rho with its closure rows zeroed byte for
+    byte, signed zeros included, and holds +0.0 on the pinned rows."""
+    grid = build_grid(-2.0, 3.0, v.shape[0])
+    got = laplace_operator(v, grid, m)
+    assert got.tobytes() == _reference_laplacian(v, grid, m).tobytes()
+    pinned = np.concatenate([got[:N_PIN], got[-N_PIN:]])
+    assert pinned.tobytes() == np.zeros((2 * N_PIN, 3)).tobytes()
+
+
+@pytest.mark.parametrize("a", [1.0, 1j, 0.6 + 0.8j, 0.25 + 0.5j])
+def test_pa_blocks_match_pa_apply_bytes(grid, perturbed, a):
+    """The P_a blocks of the band, column k at row al and node i, equal
+    pa_apply on the identity, (P_a e_k)_al at node i, byte for byte on the
+    evolving nodes, on unit vectors with -0.0 components among them."""
+    u = perturbed.copy()
+    u[N_PIN : N_PIN + 8] = [
+        [-0.0, 0.0, 1.0], [0.0, -0.0, -1.0], [-0.0, -0.0, 1.0], [0.6, -0.0, -0.8],
+        [-0.0, 0.8, 0.6], [1.0, -0.0, 0.0], [-1.0, 0.0, -0.0], [0.0, -1.0, -0.0],
+    ]
+    ref = pa_apply(u, np.eye(3)[:, None, :], complex(a))[:, N_PIN:-N_PIN].transpose(0, 2, 1)
+    got = evolve_llg._pa_blocks(u, complex(a))
+    assert got.shape == ref.shape == (3, 3, grid.n - 2 * N_PIN)
+    assert got.tobytes() == ref.tobytes()
 
 
 def _reference_pa(u, w, a):
@@ -750,13 +800,14 @@ def _count_calls(monkeypatch, owner, name, log):
 def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
     """The layers the benchmark traces stay on the vector hot path: one
     band assembly per factorization, at least one in the run, as the LU is
-    held across steps, and one d2_rho per chord iteration plus one for the
-    terms at the initial map; max_step_iterations is the most chord
-    iterations of one step."""
-    assembles, factors, d2_calls, per_step = [], [], [], []
+    held across steps, and one laplace_operator per chord iteration plus
+    one for the terms at the initial map, with no d2_rho, whose closure
+    rows the vector scheme never reads; max_step_iterations is the most
+    chord iterations of one step."""
+    assembles, factors, laplacians, d2_calls, per_step = [], [], [], [], []
     _count_calls(monkeypatch, _VectorWork, "assemble", assembles)
     _count_calls(monkeypatch, evolve_llg, "dgbtrf", factors)
-    _count_calls(monkeypatch, harmonic_family, "d2_rho", d2_calls)
+    _count_calls(monkeypatch, evolve_llg, "laplace_operator", laplacians)
     _count_calls(monkeypatch, evolve_llg, "d2_rho", d2_calls)
     step = evolve_llg.step_vector
 
@@ -771,7 +822,8 @@ def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
     assert series.steps == len(per_step) > 0
     assert 1 <= series.factorizations == len(factors) == len(assembles)
     assert series.iterations == sum(per_step)
-    assert len(d2_calls) == series.iterations + 1
+    assert len(laplacians) == series.iterations + 1
+    assert d2_calls == []
     assert series.max_step_iterations == max(per_step) > 1
 
 

@@ -13,12 +13,11 @@ from equiflow.harmonic_family import (
     energy,
     h_profile,
     l_s_apply,
-    laplace_m,
     mu_distance,
     pa_apply,
     project_tangent,
 )
-from equiflow.radial_grid import build_grid, cumint_dr, deriv_r, inner_product
+from equiflow.radial_grid import build_grid, cumint_dr, d2_rho, deriv_r, inner_product
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +160,17 @@ def test_cross_matches_numpy_bytes(grid):
     basis = np.eye(3)[:, None, :]
     assert cross(v, basis).shape == (3, grid.n, 3)
     assert cross(v, basis).tobytes() == np.cross(v, basis).tobytes()
+
+
+def laplace_m(v, grid, m):
+    """The equivariant tension field input (d_rr + d_r/r + (m^2/r^2) R^2) v
+    on every node, d2_rho's closures included: in log coordinates
+    e^(-2 rho) (v_rhorho - m^2 (v1, v2, 0))."""
+    out = d2_rho(v, grid)
+    out[:, 0] -= m * m * v[:, 0]
+    out[:, 1] -= m * m * v[:, 1]
+    out *= grid.decay[:, None]
+    return out
 
 
 def stationarity_residual(mu: Mu, grid, a: complex = 1.0 + 0j) -> float:

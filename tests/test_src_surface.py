@@ -33,6 +33,11 @@ it is the only function that refers to np.correlate.
 The inverse gauge transform does not re-run the forward one: no
 function in gauge calls hasimoto_forward.
 
+The equivariant Laplacian has one home, evolve_llg.laplace_operator: no
+function refers to a laplace_m, and no function of evolve_llg other than
+the scalar stepper step_scalar, and the functions nested in it, refers
+to d2_rho, so the vector path computes no closure row it then discards.
+
 Commands compute and the command line entry point reports: print is
 called only in cli_io.main.
 
@@ -329,6 +334,52 @@ def test_no_stride_tricks():
 
 def test_stencil_correlation_has_one_home():
     assert functions_referencing(SRC, "correlate") == ["radial_grid._apply_stencil"]
+
+
+def laplacian_duplicates(src: Path) -> list[str]:
+    """module.function of every function under src that refers to
+    laplace_m, and of every function of evolve_llg that refers to d2_rho
+    and is neither step_scalar nor nested in it."""
+    found = functions_referencing(src, "laplace_m")
+    found += [
+        name
+        for name in functions_referencing(src, "d2_rho")
+        if name.startswith("evolve_llg.") and name.split(".")[1] != "step_scalar"
+    ]
+    return sorted(found)
+
+
+def test_equivariant_laplacian_has_one_home():
+    assert laplacian_duplicates(SRC) == []
+    assert definitions_of(SRC, "laplace_operator") == ["evolve_llg.laplace_operator"]
+
+
+def test_laplacian_duplicates_are_found(tmp_path):
+    """A caller of laplace_m anywhere and a vector-side user of d2_rho in
+    evolve_llg are found; the scalar stepper's own use of d2_rho, in it
+    and in a function nested in it, and d2_rho elsewhere are not."""
+    (tmp_path / "harmonic_family.py").write_text(
+        "from .radial_grid import d2_rho\n"
+        "def laplace_m(v, grid, m):\n"
+        "    return d2_rho(v, grid)\n"
+        "def energy(v, grid, m):\n"
+        "    return laplace_m(v, grid, m)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "evolve_llg.py").write_text(
+        "from .radial_grid import d2_rho\n"
+        "def laplace_operator(v, grid, m):\n"
+        "    return d2_rho(v, grid)\n"
+        "def step_scalar(beta, grid):\n"
+        "    old = d2_rho(beta, grid)\n"
+        "    def evaluate(x):\n"
+        "        return old + d2_rho(x - beta, grid)\n"
+        "    return evaluate(beta)\n",
+        encoding="utf-8",
+    )
+    assert laplacian_duplicates(tmp_path) == [
+        "evolve_llg.laplace_operator", "harmonic_family.energy"
+    ]
 
 
 def test_gauge_does_not_call_its_forward_transform():
