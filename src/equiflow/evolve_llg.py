@@ -398,9 +398,8 @@ def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.n
 
 
 class _VectorWork(_ChordCounters):
-    """The midpoint band matrix of one grid, in LAPACK gbtrf storage, the
-    chord state of a vector run, which holds its LU across steps, and the
-    weight drho e^{2 rho} of dissipation_rate, rate_weight.
+    """The midpoint band matrix of one grid, in LAPACK gbtrf storage, and
+    the chord state of a vector run, which holds its LU across steps.
 
     Entry (r, c) of the 3n x 3n matrix sits at row 2 BAND + r - c of the
     Fortran-ordered (3 BAND + 1)-row band array ab, allocated once; the
@@ -422,10 +421,9 @@ class _VectorWork(_ChordCounters):
         # -L from evolving node i to node i + d, as [column component, i]
         self._coupling = [decay * ((d == 0) * planar - taps[3 + d]) for d in range(-3, 4)]
         self.ab = np.zeros((3 * self.BAND + 1, 3 * n), order="F")
-        self.rate_weight = grid.drho * np.exp(2.0 * grid.rho)
 
     def assemble(self, pa: np.ndarray, deriv: np.ndarray, dt: float) -> np.ndarray:
-        """The band array of I - (dt/2) (Pa L + D) for the _pa_blocks pa,
+        """The band array of I - (dt/2) (Pa L + D) for the P_a blocks pa,
         [column, row, evolving node], and the block diagonal D of the
         blocks deriv, [node, row, column], written into ab and returned."""
         U = self.BAND
@@ -459,18 +457,6 @@ def _midpoint_terms(x: np.ndarray, grid: RadialGrid, m: int, a: complex):
     return radius, unit, lap, pa_apply(unit, lap, a)
 
 
-def _pa_blocks(unit: np.ndarray, a: complex) -> np.ndarray:
-    """pa_apply(u, e_k, a) byte for byte, [column k, row, evolving node] for
-    assemble, as a1 (delta_{row k} - u_k u_row) + a2 cross(u, e_k): u_k is
-    _dot3(u, e_k) up to the sign of a zero, which delta - 0.0 drops."""
-    # C-ordered: from transposed views the blocks come out node-major, and assemble takes 2x as long
-    ut = np.ascontiguousarray(unit[N_PIN:-N_PIN].T)
-    out = a.real * (np.eye(3)[:, :, None] - ut[:, None] * ut[None])
-    if a.imag != 0.0:
-        out += a.imag * cross(ut.T, np.eye(3)[:, None, :]).transpose(0, 2, 1)
-    return out
-
-
 def _pa_derivative(unit: np.ndarray, radius: np.ndarray, w: np.ndarray, a: complex) -> np.ndarray:
     """The per-node 3x3 blocks D = d/dx [P_a(x/|x|) w] at x = radius unit,
     w held fixed, indexed [node, row, column]:
@@ -502,7 +488,7 @@ def _pa_derivative(unit: np.ndarray, radius: np.ndarray, w: np.ndarray, a: compl
 def dissipation_rate(terms, weight: np.ndarray, a: complex) -> float:
     """Instantaneous decay rate of the scheme energy,
     2 pi a1 sum drho e^{2 rho} |P^v L v|^2, from terms, the _midpoint_terms
-    of v, and weight, the rate_weight drho e^{2 rho} of _VectorWork.
+    of v, and weight, the grid's drho e^{2 rho}.
 
     Pointwise the summand is (L v) . (P_a L v) with the scheme's own
     weights, so minus this rate is the exact time derivative of
@@ -545,8 +531,11 @@ def step_vector(
         radius, unit, lap, pa_lap = terms if x is v else _midpoint_terms(x, grid, m, config.a)
         ab = None
         if factor:
-            deriv = _pa_derivative(unit, radius, lap, config.a)
-            ab = work.assemble(_pa_blocks(unit, config.a), deriv, dt)
+            # column k of the per-node blocks of P_a(x/|x|) is P_a e_k, taken
+            # on the evolving nodes as [column, row, node] for assemble
+            pa = pa_apply(unit[N_PIN:-N_PIN], np.eye(3)[:, None, :], config.a)
+            pa = np.ascontiguousarray(pa.transpose(0, 2, 1))
+            ab = work.assemble(pa, _pa_derivative(unit, radius, lap, config.a), dt)
         return (x - v - 0.5 * dt * pa_lap).reshape(-1), ab
 
     U = _VectorWork.BAND
@@ -620,6 +609,7 @@ def run_vector(
     v = grid.check_field(np.array(v0, dtype=float))
     SphereMap(v=v, m=m).check_unit()
     work = _VectorWork(grid, m)
+    weight = grid.drho * np.exp(2.0 * grid.rho)  # of dissipation_rate
     spent = 0.0
     terms = rate_prev = None  # of the next step's start map; the first step sets them
 
@@ -628,7 +618,7 @@ def run_vector(
         with np.errstate(all="ignore"):  # an overflow in here fails a check, unwarned
             if terms is None:
                 terms = _midpoint_terms(v, grid, m, config.a)
-                rate_prev = dissipation_rate(terms, work.rate_weight, config.a)
+                rate_prev = dissipation_rate(terms, weight, config.a)
             v = step_vector(v, t, dt, grid, m, config, work, terms)
             radii = _norm3(v)[:, None]
             if np.max(np.abs(radii - 1.0)) > 0.1:
@@ -641,7 +631,7 @@ def run_vector(
                 raise InstabilityError(f"non-finite map after step at t={t:.6g}, dt={dt:.3g}")
             # computed once, for the rate here and the next step
             terms = _midpoint_terms(v, grid, m, config.a)
-            rate_now = dissipation_rate(terms, work.rate_weight, config.a)
+            rate_now = dissipation_rate(terms, weight, config.a)
         spent += 0.5 * dt * (rate_prev + rate_now)
         if not math.isfinite(spent):
             raise InstabilityError(f"non-finite dissipation after step at t={t:.6g}, dt={dt:.3g}")

@@ -183,8 +183,7 @@ def _apply_stencil(f: np.ndarray, center, left=(), right=None, parity: float = 1
     # BLAS rounds a product over a strided or reversed view differently
     # from one over contiguous memory, so every product below reads a
     # contiguous copy
-    one_column = f.ndim == 1 and f.dtype == np.float64
-    f = np.ascontiguousarray(f, dtype=None if one_column else np.result_type(f.dtype, np.float64))
+    f = np.ascontiguousarray(f, dtype=np.result_type(f.dtype, np.float64))
     interior = f.shape[0] - len(center) + 1
     tail = len(left) if right is None else len(right)
     out = np.empty((len(left) + interior + tail,) + f.shape[1:], dtype=f.dtype)
@@ -193,7 +192,7 @@ def _apply_stencil(f: np.ndarray, center, left=(), right=None, parity: float = 1
     # field), summing the products center[k] f[j + k] in the order of k;
     # it sums from +0.0, so the sign of an exactly zero sum is not that of
     # its products
-    f_cols, body_cols = (f[:, None], body[:, None]) if one_column else map(_real_columns, (f, body))
+    f_cols, body_cols = _real_columns(f), _real_columns(body)
     for c in range(f_cols.shape[1]):
         body_cols[:, c] = np.correlate(f_cols[:, c], center, "valid")
     if right is None and left:
