@@ -34,15 +34,16 @@ the energy and dissipation booked at a record time. The solvers are:
   Crank-Nicolson with a banded Newton solve makes very long dissipative
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
   hundred steps. The Newton matrix is written into one preallocated
-  array in LAPACK gbtrf storage, 6 diagonals wide on each side, first at
+  array in LAPACK gbtrf storage, 3 diagonals wide on each side, first at
   a seed extrapolated in time, from the third step on by the quadratic
   through the last three accepted angles.
-  Within a step d2_rho of an iterate is d2_rho of the step's start plus
-  d2_rho of the change, which keeps the stencil's roundoff, and with it
-  the floor of the Newton updates, well below NEWTON_TOL.
-  The band of -e^{-2 rho} d2_rho is built once per grid directly in
-  that layout, its Dirichlet rows left zero; each factorization scales
-  it by (dt/2) a1 into the array and adds the cos(2 beta) diagonal.
+  Within a step the stencil on an iterate is the stencil on the step's
+  start plus the stencil on the change, which keeps the stencil's
+  roundoff, and with it the floor of the Newton updates, well below
+  NEWTON_TOL. The band of -e^{-2 rho} times the stencil is built once
+  per grid directly in that layout, its pinned rows and columns left
+  zero; each factorization scales it by (dt/2) a1 into the array and
+  adds the cos(2 beta) diagonal.
 
 The chord iteration (Kelley, Iterative Methods for Linear and Nonlinear
 Equations, 1995, ch. 5) factors a band matrix with dgbtrf, does one
@@ -69,9 +70,9 @@ trapezoid sampling of the instantaneous rate at the step endpoints, so
 the energy identity residual is a genuine O(dt^2) quantity that refines
 at the scheme order.
 
-Both ends of the mesh hold Dirichlet data (the poles for the vector
-scheme, -pi/2 and pi/2 for the angle), so maps keep their topological
-degree during evolution.
+Both schemes pin N_PIN nodes at each end (near the poles for a map, near
+-pi/2 and pi/2 for the angle), so maps keep their topological degree,
+and both step only rows on the centered stencil.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InstabilityError, StepError
 from .harmonic_family import _dot3, _norm3, cross, energy as map_energy, pa_apply
-from .radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, _apply_stencil, d2_rho
+from .radial_grid import _D2_CENTER, RadialGrid, _apply_stencil
 
 @dataclass
 class SphereMap:
@@ -696,16 +697,18 @@ class _ScalarWork(_ChordCounters):
     2u + i - j; its top u rows take the fill-in of the factorization,
     which gbtrf clears itself. dgbtrf factors the matrix in place, so
     after a factorization ab holds the LU factors the back-solves read.
-    The band is u = 6 diagonals wide on each side, the reach of the
-    d2_rho closures of rows 1, 2, n - 3 and n - 2. __init__ stores
-    -e^{-2 rho} d2_rho in that layout, entry (i, j) at row u + i - j of
-    neg_d2, with rows 0 and n - 1 left zero: the Newton matrix holds
-    Dirichlet identity rows there. Each Newton matrix is (dt/2) a1 neg_d2,
-    written straight into ab, plus its diagonal 1 - (dt/2) a1 e^{-2 rho}
-    m^2 cos(2 beta). Every step factors afresh at its seed: an LU held
-    across steps made the ramped runs slower, as dt moves every step.
-    The fresh LU makes the Newton iteration converge quadratically, so a
-    scalar run takes _chord's early stop, newton_k unmeasured at first.
+    The band is u = N_PIN = 3 diagonals wide on each side, the centered
+    stencil's reach. __init__ stores -e^{-2 rho} times the stencil in that
+    layout, entry (i, j) at row u + i - j of neg_d2, zero in the pinned
+    rows, where the Newton matrix holds identity rows, and in the pinned
+    columns, so that dgbtrf's row swaps cannot carry an e^{28} dt/drho^2
+    coupling into a pinned unknown: the pinned updates are exactly zero.
+    Each Newton matrix is (dt/2) a1 neg_d2, written straight into ab, plus
+    its diagonal 1 - (dt/2) a1 e^{-2 rho} m^2 cos(2 beta) on the evolving
+    rows. Every step factors afresh at its seed: an LU held across steps
+    made the ramped runs slower, as dt moves every step. The fresh LU
+    makes the Newton iteration converge quadratically, so a scalar run
+    takes _chord's early stop, newton_k unmeasured at first.
     """
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
@@ -714,33 +717,30 @@ class _ScalarWork(_ChordCounters):
         self.newton_k = math.inf
         self.m = m
         self.a1 = a1
-        self.u = u = 6
+        self.u = u = N_PIN
+        self.decay = decay = grid.decay[N_PIN : n - N_PIN]
         with np.errstate(over="ignore"):  # an infinite entry fails a step's checks, unwarned
-            self.a1_decay = a1 * grid.decay
+            self.a1_decay = a1 * decay
         self.neg_d2 = np.zeros((2 * u + 1, n), order="F")
         taps = _D2_CENTER / grid.drho**2
         for k, off in enumerate(range(-3, 4)):
-            self.neg_d2[u - off, 3 + off : n - 3 + off] = -taps[k] * grid.decay[3 : n - 3]
-        for i in (1, 2):
-            taps = _D2_EDGE[i] / grid.drho**2
-            for k in range(8):
-                self.neg_d2[u + i - k, k] = -taps[k] * grid.decay[i]
-                self.neg_d2[u + k - i, n - 1 - k] = -taps[k] * grid.decay[n - 1 - i]
+            self.neg_d2[u - off, N_PIN + off : n - N_PIN + off] = -taps[k] * decay
+        self.neg_d2[:, :N_PIN] = self.neg_d2[:, n - N_PIN :] = 0.0
         self.ab = np.zeros((3 * u + 1, n), order="F")
 
     def rhs(self, beta: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """a1 e^{-2 rho} (d2 + (m^2/2) sin 2 beta), zero on the Dirichlet
-        rows, for d2 = d2_rho(beta) evaluated by the caller."""
-        out = self.a1_decay * (d2 + 0.5 * self.m**2 * np.sin(2.0 * beta))
-        out[0] = out[-1] = 0.0
-        return out
+        """a1 e^{-2 rho} (d2 + (m^2/2) sin 2 beta) on the evolving rows, for
+        d2 the centered second derivative of beta there, evaluated by the
+        caller."""
+        return self.a1_decay * (d2 + 0.5 * self.m**2 * np.sin(2.0 * beta[N_PIN:-N_PIN]))
 
     def newton_matrix(self, beta: np.ndarray, dt: float) -> np.ndarray:
         """The Newton matrix at beta, written into ab and returned."""
         u = self.u
         band = np.multiply(0.5 * dt * self.a1, self.neg_d2, out=self.ab[u:])
-        band[u, :] += 1.0 - 0.5 * dt * self.a1 * self.grid.decay * self.m**2 * np.cos(2.0 * beta)
-        band[u, 0] = band[u, -1] = 1.0
+        cos = np.cos(2.0 * beta[N_PIN:-N_PIN])
+        band[u, N_PIN:-N_PIN] += 1.0 - 0.5 * dt * self.a1 * self.decay * self.m**2 * cos
+        band[u, :N_PIN] = band[u, -N_PIN:] = 1.0
         return self.ab
 
 
@@ -759,25 +759,29 @@ def step_scalar(
     An iteration whose estimated remaining error is at most
     CHORD_KAPPA NEWTON_TOL also ends the step, the first one once work
     has measured its Newton constant; see _chord. seed is the starting
-    iterate and must hold beta's Dirichlet end values; run_scalar passes
-    beta itself at the first step, the linear extrapolation in time of its
-    last two accepted angles at the second and the quadratic one of its
-    last three after.
+    iterate and must hold beta's values on the N_PIN pinned nodes at each
+    end, which the step leaves as they are. run_scalar passes beta itself
+    at the first step, the linear extrapolation in time of its last two
+    accepted angles at the second and the quadratic one of its last three
+    after.
     """
-    # d2_rho(x) is evaluated as d2_rho(beta) + d2_rho(x - beta). The
-    # stencil's roundoff scales with the values it reads: on the angle
+    # d2 of an iterate x, on the evolving rows, is d2(beta) + d2(x - beta).
+    # The stencil's roundoff scales with the values it reads: on the angle
     # itself it leaves a noise in rhs that the Jacobian barely damps along
     # the slow scale mode, a floor of 1e-10 to 4e-10 on the Newton updates
     # at the dt of 400 to 900 that long m = 2 runs reach, against
     # NEWTON_TOL = 1e-10. On the change over the step the noise shrinks
-    # with the change, and d2_rho(beta) is one fixed vector within the step.
-    d2_old = d2_rho(beta, work.grid)
+    # with the change, and d2(beta) is one fixed vector within the step.
+    def d2(f: np.ndarray) -> np.ndarray:
+        return _apply_stencil(f, _D2_CENTER) / work.grid.drho**2
+
+    d2_old = d2(beta)
     rhs_old = work.rhs(beta, d2_old)
 
     def evaluate(x: np.ndarray, factor: bool):
-        rhs = rhs_old if x is beta else work.rhs(x, d2_old + d2_rho(x - beta, work.grid))
-        resid = x - beta - 0.5 * dt * (rhs + rhs_old)
-        resid[0] = resid[-1] = 0.0
+        rhs = rhs_old if x is beta else work.rhs(x, d2_old + d2(x - beta))
+        resid = np.zeros(x.shape)  # zero on the pinned rows
+        resid[N_PIN:-N_PIN] = (x - beta)[N_PIN:-N_PIN] - 0.5 * dt * (rhs + rhs_old)
         return resid, work.newton_matrix(x, dt) if factor else None
 
     # The seed never comes from an explicit predictor: near the inner
@@ -791,11 +795,6 @@ def step_scalar(
     new = _chord(seed, evaluate, work.u, NEWTON_TOL, NEWTON_CAP, work, "Newton", t, dt)
     if not np.all(np.isfinite(new)):
         raise InstabilityError(f"non-finite angle after step at t={t:.6g}")
-    # dgbtrf swaps the Dirichlet row 0 with row 1, whose column-0 entry
-    # (dt/2) a1 e^{-2 rho} times a d2_rho weight outgrows 1 at all but tiny
-    # dt, so the back-solves move the inner end by roundoff; the ends are
-    # put back as beta holds them, which the seed's differences rely on.
-    new[0], new[-1] = beta[0], beta[-1]
     return new
 
 

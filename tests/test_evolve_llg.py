@@ -785,14 +785,13 @@ def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
     """The layers the benchmark traces stay on the vector hot path: one
     band assembly per factorization, at least one in the run, as the LU is
     held across steps, and one laplace_operator per chord iteration plus
-    one for the terms at the initial map, with no d2_rho, whose closure
-    rows the vector scheme never reads; max_step_iterations is the most
-    chord iterations of one step."""
-    assembles, factors, laplacians, d2_calls, per_step = [], [], [], [], []
+    one for the terms at the initial map; max_step_iterations is the most
+    chord iterations of one step. d2_rho, whose closure rows neither
+    scheme reads, is kept out of evolve_llg by tests/test_src_surface.py."""
+    assembles, factors, laplacians, per_step = [], [], [], []
     _count_calls(monkeypatch, _VectorWork, "assemble", assembles)
     _count_calls(monkeypatch, evolve_llg, "dgbtrf", factors)
     _count_calls(monkeypatch, evolve_llg, "laplace_operator", laplacians)
-    _count_calls(monkeypatch, evolve_llg, "d2_rho", d2_calls)
     step = evolve_llg.step_vector
 
     def counted_step(v, t, dt, grid, m, config, work, terms):
@@ -807,7 +806,6 @@ def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
     assert 1 <= series.factorizations == len(factors) == len(assembles)
     assert series.iterations == sum(per_step)
     assert len(laplacians) == series.iterations + 1
-    assert d2_calls == []
     assert series.max_step_iterations == max(per_step) > 1
 
 
@@ -815,15 +813,16 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     """The scalar hot path: one evolve_llg.solve_banded back-solve per
     Newton iteration, one dgbtrf per step plus a re-factor after each
     update that has not shrunk to CHORD_CONTRACTION of the one before, and
-    one d2_rho per iteration plus one per step for the seed, the first
-    step seeded with beta itself and reusing its rhs, the second with the
-    linear extrapolation in time of the two accepted angles before it and
-    every later one with the quadratic through the three before it, each
-    seed holding beta's end values bit for bit; max_step_iterations is the
-    most Newton iterations of one step."""
-    solves, factors, d2_calls, per_step, seeds, quadratic = [], [], [], [], [], []
+    one centered stencil on the evolving rows, _apply_stencil, per
+    iteration plus one per step for the seed, the first step seeded with
+    beta itself and reusing its rhs, the second with the linear
+    extrapolation in time of the two accepted angles before it and every
+    later one with the quadratic through the three before it, each seed
+    holding beta's values on the N_PIN pinned nodes at each end bit for
+    bit; max_step_iterations is the most Newton iterations of one step."""
+    solves, factors, stencils, per_step, seeds, quadratic = [], [], [], [], [], []
     _count_calls(monkeypatch, evolve_llg, "dgbtrf", factors)
-    _count_calls(monkeypatch, evolve_llg, "d2_rho", d2_calls)
+    _count_calls(monkeypatch, evolve_llg, "_apply_stencil", stencils)
     _count_calls(monkeypatch, evolve_llg, "_quadratic_seed", quadratic)
     solve = evolve_llg.solve_banded
 
@@ -856,9 +855,11 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     for k, (beta, dt, seed) in enumerate(seeds):
         past = [(prev, h) for prev, h, _ in seeds[max(k - 2, 0) : k]]
         assert seed.tobytes() == _run_scalar_seed(beta, past, dt).tobytes()
-        assert seed[[0, -1]].tobytes() == beta[[0, -1]].tobytes()
+        ends = np.r_[:N_PIN, grid.n - N_PIN : grid.n]
+        assert seed[ends].tobytes() == beta[ends].tobytes()
     assert series.iterations == sum(its) == len(solves)
-    assert len(d2_calls) == series.iterations + series.steps - 1
+    assert len(stencils) == series.iterations + series.steps - 1
+    assert all(len(args) == 2 and args[1] is _D2_CENTER for args in stencils)
     assert series.max_step_iterations == max(its) > 1
     # the re-factor rule, read off the updates of each step
     expected, at = [], 0
@@ -1329,23 +1330,19 @@ def _newton_update_size(beta, new, dt, grid, band):
     """The largest entry of one Newton update from new for the
     Crank-Nicolson step of size dt from beta: the Newton matrix built
     from band, the _scaled_band of grid, and factored afresh at new, with
-    d2_rho(new) evaluated as d2_rho(beta) + d2_rho(new - beta), as
-    step_scalar evaluates it, so the update is not held up by the stencil's
-    roundoff on the angle itself; m = 2 and a1 = 1, as on the tail run."""
+    the second derivative of new evaluated as d2_rho(beta) + d2_rho(new -
+    beta), as step_scalar evaluates it on the evolving rows, so the update
+    is not held up by the stencil's roundoff on the angle itself; the
+    N_PIN pinned rows at each end are identity rows with zero residual;
+    m = 2 and a1 = 1, as on the tail run."""
     m, a1 = 2, 1.0
-    scaled_d2, boundary, decay, u = band
+    scaled_d2, pinned, decay, u = band
     d2_beta = d2_rho(beta, grid)
-
-    def rhs(b, d2):
-        out = a1 * decay * (d2 + 0.5 * m**2 * np.sin(2.0 * b))
-        out[0] = out[-1] = 0.0
-        return out
-
-    rhs_new = rhs(new, d2_beta + d2_rho(new - beta, grid))
-    resid = new - beta - 0.5 * dt * (rhs_new + rhs(beta, d2_beta))
-    resid[0] = resid[-1] = 0.0
+    rhs_new = _reference_rhs(new, d2_beta + d2_rho(new - beta, grid), m, a1, decay)
+    resid = new - beta - 0.5 * dt * (rhs_new + _reference_rhs(beta, d2_beta, m, a1, decay))
+    resid[:N_PIN] = resid[-N_PIN:] = 0.0
     ab = np.zeros((3 * u + 1, grid.n))
-    ab[u:] = _reference_newton_matrix(new, dt, m, a1, scaled_d2, boundary, decay, u)
+    ab[u:] = _reference_newton_matrix(new, dt, m, a1, scaled_d2, pinned, decay, u)
     lu, piv, info = dgbtrf(ab, u, u)
     assert info == 0
     update, info = dgbtrs(lu, u, u, resid, piv)
@@ -1389,12 +1386,15 @@ def test_scalar_early_stop_leaves_less_than_newton_tol(ramp, t_end, monkeypatch)
 
 
 def test_scalar_run_holds_the_dirichlet_ends_exactly(grid):
-    """Over the relaxation run, where dgbtrf swaps the Dirichlet row 0
-    with row 1 and the back-solves move the inner end by roundoff, every
-    recorded angle keeps the initial end values bit for bit."""
+    """Over the relaxation run, whose Newton matrices couple no evolving
+    row into a pinned node, so that dgbtrf's row swaps leave the pinned
+    unknowns alone and their updates are exactly zero, every recorded
+    angle keeps the initial values of the N_PIN pinned nodes at each end
+    bit for bit, with no end put back after the step."""
     beta0, cfg = _relaxation_run(grid)
     series = run_scalar(beta0, grid, 2, cfg, t_end=1e4)
-    assert series.beta[:, [0, -1]].tobytes() == np.tile(beta0[[0, -1]], series.t.size).tobytes()
+    ends = np.r_[:N_PIN, grid.n - N_PIN : grid.n]
+    assert series.beta[:, ends].tobytes() == np.tile(beta0[ends], series.t.size).tobytes()
 
 
 def test_scalar_second_order_in_dt(grid):
@@ -1442,46 +1442,64 @@ def banded_d2(grid: RadialGrid) -> tuple[np.ndarray, int, int]:
 
 
 def _scaled_band(grid):
-    """banded_d2 scaled row-wise by e^{-2 rho}, slots outside the matrix
-    zero, and the index array of its slots in rows 0 and n - 1."""
-    band, l, u = banded_d2(grid)
+    """banded_d2 cut to the pinned-end scheme: scaled row-wise by
+    e^{-2 rho}, on the 2 N_PIN + 1 diagonals of the centered stencil, which
+    hold every entry of its evolving rows, with every slot in a pinned row
+    or a pinned column, or outside the matrix, zero. Returns it, the index
+    array of its slots in a pinned row or column, e^{-2 rho} and
+    u = N_PIN."""
+    band, _, reach = banded_d2(grid)
+    n = grid.n
     decay = np.exp(-2.0 * grid.rho)
-    i = np.arange(2 * u + 1)[:, None] - u + np.arange(grid.n)[None, :]
-    valid = (i >= 0) & (i < grid.n)
-    scaled_d2 = band * np.where(valid, decay[np.clip(i, 0, grid.n - 1)], 0.0)
-    boundary = np.nonzero(valid & ((i == 0) | (i == grid.n - 1)))
-    return scaled_d2, boundary, decay, u
+    # the row and the column of each slot, ab[reach + i - j, j] holding (i, j)
+    i = np.arange(2 * reach + 1)[:, None] - reach + np.arange(n)[None, :]
+    j = np.broadcast_to(np.arange(n), i.shape)
+    evolving = (i >= N_PIN) & (i < n - N_PIN) & (j >= N_PIN) & (j < n - N_PIN)
+    scaled = np.where(evolving, band * decay[np.clip(i, 0, n - 1)], 0.0)
+    cut = slice(reach - N_PIN, reach + N_PIN + 1)
+    assert not np.delete(scaled, np.r_[cut], axis=0).any()
+    inside = (i[cut] >= 0) & (i[cut] < n)
+    return scaled[cut], np.nonzero(inside & ~evolving[cut]), decay, N_PIN
 
 
-def _reference_newton_matrix(beta, dt, m, a1, scaled_d2, boundary, decay, u):
+def _reference_rhs(b, d2, m, a1, decay):
+    """The Crank-Nicolson rhs a1 e^{-2 rho} (d2 + (m^2/2) sin 2b), d2 over
+    the whole mesh, zeroed on the N_PIN pinned rows at each end."""
+    out = a1 * decay * (d2 + 0.5 * m**2 * np.sin(2.0 * b))
+    out[:N_PIN] = out[-N_PIN:] = 0.0
+    return out
+
+
+def _reference_newton_matrix(beta, dt, m, a1, scaled_d2, pinned, decay, u):
     """The Crank-Nicolson Newton matrix at beta in diagonal-ordered
-    storage, entry (i, j) at row u + i - j, Dirichlet identity rows."""
+    storage, entry (i, j) at row u + i - j, with identity rows and
+    columns at the N_PIN pinned nodes at each end, for the _scaled_band
+    parts scaled_d2, pinned, decay and u."""
     ab = -0.5 * dt * a1 * scaled_d2
     ab[u, :] += 1.0 - 0.5 * dt * a1 * decay * m**2 * np.cos(2.0 * beta)
-    ab[boundary] = 0.0
-    ab[u, [0, -1]] = 1.0
+    ab[pinned] = 0.0
+    ab[u, :N_PIN] = ab[u, -N_PIN:] = 1.0
     return ab
 
 
 def _full_newton_step_scalar(beta, dt, grid, m, a1):
-    """The Crank-Nicolson step as the full Newton loop wrote it: seeded by
-    beta, a fresh 7-diagonal band matrix at every iterate, built from
-    banded_d2 here, scipy's solve_banded per iteration, and rhs evaluated
-    afresh at every iterate from d2_rho of the iterate. Returns the new
-    angle and the number of iterations."""
-    scaled_d2, boundary, decay, u = _scaled_band(grid)
+    """The Crank-Nicolson step as a full Newton loop: seeded by beta, a
+    fresh band matrix of 2 N_PIN + 1 diagonals at every iterate, built
+    from banded_d2 here, scipy's solve_banded per iteration, and rhs
+    evaluated afresh at every iterate from d2_rho of the iterate, zero on
+    the N_PIN pinned rows at each end. Returns the new angle and the
+    number of iterations."""
+    scaled_d2, pinned, decay, u = _scaled_band(grid)
 
     def rhs(b):
-        out = a1 * decay * (d2_rho(b, grid) + 0.5 * m**2 * np.sin(2.0 * b))
-        out[0] = out[-1] = 0.0
-        return out
+        return _reference_rhs(b, d2_rho(b, grid), m, a1, decay)
 
     rhs_old = rhs(beta)
     new = beta.copy()
     for it in range(1, evolve_llg.NEWTON_CAP + 1):
         resid = new - beta - 0.5 * dt * (rhs(new) + rhs_old)
-        resid[0] = resid[-1] = 0.0
-        ab = _reference_newton_matrix(new, dt, m, a1, scaled_d2, boundary, decay, u)
+        resid[:N_PIN] = resid[-N_PIN:] = 0.0
+        ab = _reference_newton_matrix(new, dt, m, a1, scaled_d2, pinned, decay, u)
         delta = solve_banded((u, u), ab, resid)
         new = new - delta
         if float(np.max(np.abs(delta))) < evolve_llg.NEWTON_TOL:
@@ -1491,24 +1509,22 @@ def _full_newton_step_scalar(beta, dt, grid, m, a1):
 
 def _reference_step_scalar(beta, dt, grid, m, a1, seed):
     """The seeded chord iteration of step_scalar, written independently: a
-    fresh 7-diagonal band from banded_d2, factored by dgbtrf and
-    back-solved by dgbtrs at l = u = 7, from seed, with
+    fresh band of 2 N_PIN + 1 diagonals from banded_d2, factored by dgbtrf
+    and back-solved by dgbtrs at l = u = N_PIN, from seed, with
     d2_rho(x) evaluated as d2_rho(beta) + d2_rho(x - beta) and a
     re-factor at the current iterate after each update larger than
     CHORD_CONTRACTION times the one before, a stop on an update below
     NEWTON_TOL or on an estimated remaining error at most
-    CHORD_KAPPA NEWTON_TOL, and beta's end values put back on the result.
+    CHORD_KAPPA NEWTON_TOL, and nothing put back on the pinned nodes.
     Returns the new angle, the number of iterations and the number of
     factorizations."""
-    scaled_d2, boundary, decay, u = _scaled_band(grid)
+    scaled_d2, pinned, decay, u = _scaled_band(grid)
     d2_beta = d2_rho(beta, grid)
 
     def rhs(b):
         # beta itself, at the step's start or as the first iterate
         d2 = d2_beta if b is beta else d2_beta + d2_rho(b - beta, grid)
-        out = a1 * decay * (d2 + 0.5 * m**2 * np.sin(2.0 * b))
-        out[0] = out[-1] = 0.0
-        return out
+        return _reference_rhs(b, d2, m, a1, decay)
 
     rhs_old = rhs(beta)
     new = seed
@@ -1516,10 +1532,10 @@ def _reference_step_scalar(beta, dt, grid, m, a1, seed):
     refactor = True
     for it in range(1, evolve_llg.NEWTON_CAP + 1):
         resid = new - beta - 0.5 * dt * (rhs(new) + rhs_old)
-        resid[0] = resid[-1] = 0.0
+        resid[:N_PIN] = resid[-N_PIN:] = 0.0
         if refactor:
             ab = np.zeros((3 * u + 1, grid.n))
-            ab[u:] = _reference_newton_matrix(new, dt, m, a1, scaled_d2, boundary, decay, u)
+            ab[u:] = _reference_newton_matrix(new, dt, m, a1, scaled_d2, pinned, decay, u)
             lu, piv, info = dgbtrf(ab, u, u)
             assert info == 0
             factors += 1
@@ -1535,7 +1551,6 @@ def _reference_step_scalar(beta, dt, grid, m, a1, seed):
             and size * size / (last - size) <= evolve_llg.CHORD_KAPPA * evolve_llg.NEWTON_TOL
         )
         if converged:
-            new[[0, -1]] = beta[[0, -1]]
             return new, it, factors
         refactor = last is not None and size > evolve_llg.CHORD_CONTRACTION * last
         last = size
@@ -1562,7 +1577,7 @@ def _run_scalar_seed(now, past, dt):
 
 def test_scalar_step_matches_reference_bytes(grid):
     """20 steps of step_scalar, seeded as run_scalar seeds them, reproduce
-    the independent 7-diagonal dgbtrf/dgbtrs chord loop bit for bit, with
+    the independent pinned-end dgbtrf/dgbtrs chord loop bit for bit, with
     the same iteration and factorization counts: ramped, and at one step
     size throughout, where the Newton matrix parts built for the first
     step serve every later one."""
@@ -1592,51 +1607,114 @@ def test_scalar_step_matches_reference_bytes(grid):
 
 @pytest.mark.parametrize("n", [16, 1024, 1536, 2048])
 def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
-    """The outermost diagonals of banded_d2 hold closure weights of rows 0
-    and n - 1 only, which the Newton matrix replaces with Dirichlet
-    identity rows; the scalar band can therefore drop them. The band
-    _ScalarWork builds directly equals the inner 13 rows of banded_d2
-    scaled by -e^{-2 rho}, with the boundary rows zeroed, and its Newton
-    matrix equals the reference one, byte for byte in every slot that
-    lies inside the matrix and off the stencil's zeros. Those zeros read
-    +0.0 here and -0.0 in the masked band; LAPACK carries the sign of a
-    zero into no nonzero result."""
+    """The diagonals of banded_d2 past the centered stencil's reach of
+    N_PIN = 3 hold closure weights of the N_PIN rows at each end only,
+    which the scalar scheme pins; its band therefore drops them. The band
+    _ScalarWork builds directly, u = N_PIN, equals the _scaled_band of
+    banded_d2 negated, with +0.0 in every slot of a pinned row or column,
+    and its Newton matrix equals the reference one, byte for byte in
+    every slot that lies inside the matrix."""
     grid = build_grid(-6.0, 10.0, n)
     band, l, u = banded_d2(grid)
     assert (l, u) == (7, 7)
     # ab[u + i - j, j] holds entry (i, j)
-    upper = np.nonzero(band[0])[0]
-    lower = np.nonzero(band[2 * u])[0]
-    assert list(upper - u) == [0]
-    assert list(lower + l) == [n - 1]
+    i = np.arange(2 * u + 1)[:, None] - u + np.arange(n)[None, :]
+    outer = (np.abs(np.arange(2 * u + 1) - u) > N_PIN)[:, None] & (band != 0)
+    assert outer.any()
+    assert set(i[outer]) <= {*range(N_PIN), *range(n - N_PIN, n)}
     m, a1, dt = 2, 0.7, 0.37
     work = _ScalarWork(grid, m, a1)
     u = work.u
-    assert u == 6
+    assert u == N_PIN == 3
     assert work.ab.shape == (3 * u + 1, n)
-    decay = np.exp(-2.0 * grid.rho)
+    scaled, pinned, decay, _ = _scaled_band(grid)
     i = np.arange(2 * u + 1)[:, None] - u + np.arange(n)[None, :]
     inside = (i >= 0) & (i < n)
-    boundary = inside & ((i == 0) | (i == n - 1))
-    stencil = inside & ~boundary & (band[1:-1] != 0)
-    scaled = band[1:-1] * np.where(inside, decay[np.clip(i, 0, n - 1)], 0.0)
-    scaled[boundary] = 0.0
-    assert np.array_equal(work.neg_d2[inside], -scaled[inside])
-    assert work.neg_d2[stencil].tobytes() == (-scaled)[stencil].tobytes()
-    # +0.0 in the boundary slots, as the masked band reset them
-    assert work.neg_d2[boundary].tobytes() == bytes(8 * int(boundary.sum()))
-    # the Newton matrix of the masked layout: (-dt/2) a1 times the scaled
-    # band, boundary slots reset to +0.0, identity rows at the ends
+    boundary = np.zeros_like(inside)
+    boundary[pinned] = True
+    assert not (scaled[inside & ~boundary] == 0).any()
+    # +0.0 in the pinned rows and columns, where -scaled reads -0.0
+    expected = np.where(boundary, 0.0, -scaled)
+    assert work.neg_d2[inside].tobytes() == expected[inside].tobytes()
     beta = stationary_angle(0.0, grid, m)
-    ref = -0.5 * dt * a1 * scaled
-    ref[u, :] += 1.0 - 0.5 * dt * a1 * decay * m**2 * np.cos(2.0 * beta)
-    ref[boundary] = 0.0
-    ref[u, [0, -1]] = 1.0
+    ref = _reference_newton_matrix(beta, dt, m, a1, scaled, pinned, decay, u)
     got = work.newton_matrix(beta, dt)[u:]
-    assert np.array_equal(got[inside], ref[inside])
-    nonzero = inside & (ref != 0)
-    assert got[nonzero].tobytes() == ref[nonzero].tobytes()
-    assert got[boundary].tobytes() == ref[boundary].tobytes()
+    assert got[inside].tobytes() == ref[inside].tobytes()
+
+
+def _step_residual(x, beta, dt, grid, m, a1):
+    """The Crank-Nicolson residual G(x) = x - beta - (dt/2) (f(x) + f(beta)),
+    f(b) = a1 e^{-2 rho} (d2_rho b + (m^2/2) sin 2b), on the evolving rows
+    and G(x) = x - beta on the N_PIN pinned rows at each end, for x of
+    shape (n,) or (n, k), real or complex."""
+    decay = np.exp(-2.0 * grid.rho)[:, None]
+    x = x if x.ndim == 2 else x[:, None]
+
+    def f(b):
+        return _reference_rhs(b, d2_rho(b, grid), m, a1, decay)
+
+    return x - beta[:, None] - 0.5 * dt * (f(x) + f(beta[:, None]))
+
+
+def _band_to_dense(ab, u):
+    """The n x n matrix of LAPACK gbtrf storage ab, entry (i, j) at row
+    2u + i - j."""
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for d in range(-u, u + 1):
+        i = np.arange(max(0, -d), min(n, n - d))
+        dense[i, i + d] = ab[2 * u - d, i + d]
+    return dense
+
+
+@st.composite
+def pinned_steps(draw):
+    """A grid of n nodes, n from 16 to 160, on rho in [rho_min, rho_min +
+    span] with rho_min as low as the tail run's -14, an angle beta, an
+    iterate x off beta by normal noise of scale 1e-8, 1e-3 or 0.3 on the
+    evolving nodes and equal to it on the N_PIN pinned nodes at each end,
+    a step dt from 1e-4 to 1e2, m and a1."""
+    n = draw(st.integers(16, 160))
+    rho_min = draw(st.floats(-14.0, 0.0))
+    span = draw(st.floats(4.0, 24.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    beta = rng.uniform(-2.0, 2.0, n)
+    x = beta + draw(st.sampled_from([1e-8, 1e-3, 0.3])) * rng.standard_normal(n)
+    x[:N_PIN], x[-N_PIN:] = beta[:N_PIN], beta[-N_PIN:]
+    dt = 10.0 ** draw(st.floats(-4.0, 2.0))
+    m, a1 = draw(st.sampled_from([1, 2, 3])), draw(st.sampled_from([0.25, 1.0]))
+    return build_grid(rho_min, rho_min + span, n), beta, x, dt, m, a1
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(pinned_steps())
+def test_scalar_newton_matrix_is_the_jacobian_on_the_evolving_block(case):
+    """The Newton matrix of _ScalarWork at x is, on the evolving block, the
+    Jacobian of the step's residual, taken here by the complex step
+    Im G(x + i h e_j)/h of a test-local residual over d2_rho, to 1e-13 of
+    each row's largest entry; its N_PIN pinned rows and columns at each
+    end are identity rows and columns, so it couples no evolving row into
+    a pinned node. One chord update, dgbtrf and solve_banded as _chord
+    takes them, then leaves the pinned nodes of x bit for bit."""
+    grid, beta, x, dt, m, a1 = case
+    n = grid.n
+    work = _ScalarWork(grid, m, a1)
+    ab = work.newton_matrix(x, dt)
+    got = _band_to_dense(ab, work.u)
+    h = 1e-20
+    jac = _step_residual(x[:, None] + 1j * h * np.eye(n), beta, dt, grid, m, a1).imag / h
+    body = slice(N_PIN, n - N_PIN)
+    scale = np.max(np.abs(jac[body, body]), axis=1, keepdims=True)
+    assert np.all(np.abs(got[body, body] - jac[body, body]) <= 1e-13 * scale)
+    ends = np.r_[:N_PIN, n - N_PIN : n]
+    eye = np.eye(n)
+    assert np.array_equal(got[ends], eye[ends])
+    assert np.array_equal(got[:, ends], eye[:, ends])
+    lu, piv, info = dgbtrf(ab, work.u, work.u)
+    assert info == 0
+    resid = _step_residual(x, beta, dt, grid, m, a1)[:, 0]
+    new = x - evolve_llg.solve_banded(lu, piv, resid, work.u)
+    assert new[ends].tobytes() == x[ends].tobytes()
 
 
 def test_scalar_step_reports_singular_matrix(grid, monkeypatch):

@@ -34,9 +34,12 @@ The inverse gauge transform does not re-run the forward one: no
 function in gauge calls hasimoto_forward.
 
 The equivariant Laplacian has one home, evolve_llg.laplace_operator: no
-function refers to a laplace_m, and no function of evolve_llg other than
-the scalar stepper step_scalar, and the functions nested in it, refers
-to d2_rho, so the vector path computes no closure row it then discards.
+function refers to a laplace_m.
+
+Both steppers step only rows on the centered stencil: no function of
+evolve_llg refers to d2_rho or to its one-sided closure weights _D2_EDGE.
+So neither path computes a closure row, and the scalar Newton band is
+only as wide as the centered stencil.
 
 Commands compute and the command line entry point reports: print is
 called only in cli_io.main.
@@ -338,15 +341,8 @@ def test_stencil_correlation_has_one_home():
 
 def laplacian_duplicates(src: Path) -> list[str]:
     """module.function of every function under src that refers to
-    laplace_m, and of every function of evolve_llg that refers to d2_rho
-    and is neither step_scalar nor nested in it."""
-    found = functions_referencing(src, "laplace_m")
-    found += [
-        name
-        for name in functions_referencing(src, "d2_rho")
-        if name.startswith("evolve_llg.") and name.split(".")[1] != "step_scalar"
-    ]
-    return sorted(found)
+    laplace_m."""
+    return functions_referencing(src, "laplace_m")
 
 
 def test_equivariant_laplacian_has_one_home():
@@ -355,9 +351,8 @@ def test_equivariant_laplacian_has_one_home():
 
 
 def test_laplacian_duplicates_are_found(tmp_path):
-    """A caller of laplace_m anywhere and a vector-side user of d2_rho in
-    evolve_llg are found; the scalar stepper's own use of d2_rho, in it
-    and in a function nested in it, and d2_rho elsewhere are not."""
+    """A caller of laplace_m anywhere is found, and laplace_m itself is
+    not."""
     (tmp_path / "harmonic_family.py").write_text(
         "from .radial_grid import d2_rho\n"
         "def laplace_m(v, grid, m):\n"
@@ -366,19 +361,49 @@ def test_laplacian_duplicates_are_found(tmp_path):
         "    return laplace_m(v, grid, m)\n",
         encoding="utf-8",
     )
+    assert laplacian_duplicates(tmp_path) == ["harmonic_family.energy"]
+
+
+def closure_row_users(src: Path) -> list[str]:
+    """module.function of every function of evolve_llg under src, nested
+    ones included, that refers to d2_rho or to _D2_EDGE."""
+    found = functions_referencing(src, "d2_rho") + functions_referencing(src, "_D2_EDGE")
+    return sorted({name for name in found if name.startswith("evolve_llg.")})
+
+
+def test_steppers_step_only_centered_stencil_rows():
+    assert closure_row_users(SRC) == []
+
+
+def test_closure_row_users_are_found(tmp_path):
+    """In evolve_llg, a function calling d2_rho, a method reading _D2_EDGE
+    and a function nested in a stepper calling d2_rho are found; the
+    centered stencil through _apply_stencil and _D2_CENTER, and d2_rho in
+    another module, are not."""
     (tmp_path / "evolve_llg.py").write_text(
-        "from .radial_grid import d2_rho\n"
+        "from .radial_grid import _D2_CENTER, _D2_EDGE, _apply_stencil, d2_rho\n"
         "def laplace_operator(v, grid, m):\n"
         "    return d2_rho(v, grid)\n"
+        "class _ScalarWork:\n"
+        "    def __init__(self, grid):\n"
+        "        self.taps = _D2_EDGE[1] / grid.drho**2\n"
         "def step_scalar(beta, grid):\n"
-        "    old = d2_rho(beta, grid)\n"
+        "    old = _apply_stencil(beta, _D2_CENTER) / grid.drho**2\n"
         "    def evaluate(x):\n"
         "        return old + d2_rho(x - beta, grid)\n"
         "    return evaluate(beta)\n",
         encoding="utf-8",
     )
-    assert laplacian_duplicates(tmp_path) == [
-        "evolve_llg.laplace_operator", "harmonic_family.energy"
+    (tmp_path / "harmonic_family.py").write_text(
+        "from .radial_grid import d2_rho\n"
+        "def tension(v, grid):\n"
+        "    return d2_rho(v, grid)\n",
+        encoding="utf-8",
+    )
+    assert closure_row_users(tmp_path) == [
+        "evolve_llg._ScalarWork.__init__",
+        "evolve_llg.laplace_operator",
+        "evolve_llg.step_scalar.evaluate",
     ]
 
 
