@@ -177,6 +177,15 @@ def _apply_stencil(f: np.ndarray, center, left=(), right=None, parity: float = 1
     right to the last nodes, or, with right None, mirror the left ones:
     row -1-i applies left[i] to the nodes counted from the end, times
     parity (-1 for an odd derivative).
+
+    A real 1-D field with no closure rows takes a direct path: the
+    interior rows are the one np.correlate of its contiguous copy (the
+    field itself when it is contiguous already), returned as it is. It
+    equals the per-column path bit for bit and skips that path's
+    real-column views, its output array and the copy of the correlation
+    into it. Every other field, (n, k) and complex ones included, takes
+    the per-column path. Fewer than 8 nodes raise ConfigError on either
+    path.
     """
     if f.shape[0] < 8:
         raise ConfigError(f"stencils need at least 8 nodes, got {f.shape[0]}")
@@ -184,6 +193,8 @@ def _apply_stencil(f: np.ndarray, center, left=(), right=None, parity: float = 1
     # from one over contiguous memory, so every product below reads a
     # contiguous copy
     f = np.ascontiguousarray(f, dtype=np.result_type(f.dtype, np.float64))
+    if f.ndim == 1 and f.dtype.kind != "c" and not left and not right:
+        return np.correlate(f, center, "valid")
     interior = f.shape[0] - len(center) + 1
     tail = len(left) if right is None else len(right)
     out = np.empty((len(left) + interior + tail,) + f.shape[1:], dtype=f.dtype)

@@ -34,7 +34,14 @@ from equiflow.evolve_llg import (
     step_vector,
 )
 from equiflow.harmonic_family import Mu, energy, h_profile
-from equiflow.radial_grid import _D2_CENTER, _D2_EDGE, RadialGrid, build_grid, d2_rho
+from equiflow.radial_grid import (
+    _D2_CENTER,
+    _D2_EDGE,
+    RadialGrid,
+    _apply_stencil,
+    build_grid,
+    d2_rho,
+)
 from equiflow.scenarios import TailFamily, build_initial_data
 
 
@@ -1603,6 +1610,80 @@ def test_scalar_step_matches_reference_bytes(grid):
         assert beta.tobytes() == ref.tobytes()
         assert work.iterations == ref_iters
         assert work.factorizations == ref_factors >= 20
+
+
+def _unfused_step_scalar(beta, t, dt, work, seed):
+    """step_scalar with one temporary per operation: d2 through
+    _apply_stencil's per-column path on the (n, 1) field, rhs as one
+    expression, the residual written into a zero array, and the Newton
+    matrix written into ab[u:], 7 of its 10 rows, the fill-in rows above
+    left as the last factorization left them; the chord iteration is
+    _chord's, on work."""
+    u, body = work.u, slice(N_PIN, -N_PIN)
+
+    def d2(f):
+        return _apply_stencil(f[:, None], _D2_CENTER)[:, 0] / work.grid.drho**2
+
+    def rhs(b, d2_b):
+        return work.a1_decay * (d2_b + 0.5 * work.m**2 * np.sin(2.0 * b[body]))
+
+    def newton_matrix(x):
+        band = np.multiply(0.5 * dt * work.a1, work.neg_d2, out=work.ab[u:])
+        cos = np.cos(2.0 * x[body])
+        band[u, body] += 1.0 - 0.5 * dt * work.a1 * work.decay * work.m**2 * cos
+        band[u, :N_PIN] = band[u, -N_PIN:] = 1.0
+        return work.ab
+
+    d2_old = d2(beta)
+    rhs_old = rhs(beta, d2_old)
+
+    def evaluate(x, factor):
+        rhs_x = rhs_old if x is beta else rhs(x, d2_old + d2(x - beta))
+        resid = np.zeros(x.shape)
+        resid[body] = (x - beta)[body] - 0.5 * dt * (rhs_x + rhs_old)
+        return resid, newton_matrix(x) if factor else None
+
+    work.lu = None
+    return evolve_llg._chord(
+        seed, evaluate, u, evolve_llg.NEWTON_TOL, evolve_llg.NEWTON_CAP, work, "Newton", t, dt
+    )
+
+
+def test_scalar_run_matches_the_unfused_step_bytes(monkeypatch):
+    """run_scalar on small m = 2 log_drift data, about 100 ramped steps to
+    t = 1e4, gives the same bytes, iterations and factorizations as with
+    _unfused_step_scalar in place of step_scalar: the in-place rhs and
+    residual, the direct stencil path and the one-product write of all of
+    ab change no bit. On about a third of the steps the LU leaves entries
+    in the fill-in rows of ab, which the unfused step leaves for dgbtrf
+    to clear; newton_matrix writes them as +0.0, whatever they held."""
+    grid = build_grid(-6.0, 10.0, 160)
+    beta0 = build_initial_data(TailFamily("log_drift", kappa=0.8), grid, m=2)[0].beta
+    cfg = FlowConfig(a=1.0, dt0=0.05, ramp=0.12)
+    records = np.geomspace(0.05, 1e4, 7)
+    filled, works = [], []
+    step = evolve_llg.step_scalar
+
+    def kept_step(beta, t, dt, work, seed):
+        out = step(beta, t, dt, work, seed)
+        filled.append(bool(work.ab[: work.u].any()))
+        works.append((work, dt))
+        return out
+
+    monkeypatch.setattr(evolve_llg, "step_scalar", kept_step)
+    series = run_scalar(beta0, grid, 2, cfg, 1e4, records)
+    monkeypatch.setattr(evolve_llg, "step_scalar", _unfused_step_scalar)
+    ref = run_scalar(beta0, grid, 2, cfg, 1e4, records)
+    assert 90 <= series.steps == ref.steps <= 110
+    assert series.steps / 5 < sum(filled) < series.steps / 2
+    for name in ("t", "v", "beta", "energy", "dissipated"):
+        assert getattr(series, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert series.iterations == ref.iterations > 3 * series.steps
+    assert series.factorizations == ref.factorizations > series.steps
+    work, dt = works[-1]
+    work.ab[: work.u] = np.nan
+    work.newton_matrix(series.beta[-1], dt)
+    assert work.ab[: work.u].tobytes() == np.zeros((work.u, grid.n)).tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 1024, 1536, 2048])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad as scipy_quad
 
+from equiflow import radial_grid
 from equiflow.errors import ConfigError
 from equiflow.radial_grid import (
     _CUM_CELL,
@@ -194,7 +195,8 @@ STENCILS = [
 def stencil_fields(draw):
     """A field of n nodes, real, (n, 3) or complex, with magnitudes from
     1e-8 to 1e8 and a drawn share of +-0.0 entries per real component,
-    stored C-ordered, F-ordered or as a view on every other row."""
+    stored C-ordered, F-ordered, as a view on every other row, reversed,
+    or, real only, as a column of an (n, 3) array."""
     n = draw(st.integers(8, 400))
     kind = draw(st.sampled_from(["real", "vector", "complex"]))
     ncols = {"real": 1, "vector": 3, "complex": 2}[kind]
@@ -211,13 +213,20 @@ def stencil_fields(draw):
     else:
         f = np.empty(n, dtype=complex)
         f.real, f.imag = vals[:, 0], vals[:, 1]
-    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    layouts = ["C", "F", "strided", "reversed"] + ["column"] * (kind == "real")
+    layout = draw(st.sampled_from(layouts))
     if layout == "F":
         return np.asfortranarray(f)
     if layout == "strided":
         big = np.zeros((2 * n,) + f.shape[1:], dtype=f.dtype)
         big[::2] = f
         return big[::2]
+    if layout == "reversed":
+        return np.ascontiguousarray(f[::-1])[::-1]
+    if layout == "column":
+        big = rng.standard_normal((n, 3))
+        big[:, 1] = f
+        return big[:, 1]
     return f
 
 
@@ -275,6 +284,70 @@ def test_derivatives_and_cells_match_per_weight_stencil_bytes(f, which):
         ref = _per_weight_stencil(c, _CUM_CELL[2], _CUM_CELL[:2], _CUM_CELL[3:]) * grid.drho
     assert got.dtype == ref.dtype and got.shape == ref.shape
     assert got.tobytes() == ref.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    stencil_fields().filter(lambda f: f.dtype.kind != "c"),
+    st.sampled_from([_D2_CENTER, _D1_CENTER, _D2_CENTER / 0.01**2]),
+)
+def test_apply_stencil_direct_path_matches_per_column_bytes(f, center):
+    """A real 1-D field with no closure rows takes the direct path, one
+    np.correlate on the field; it equals the per-column path, which an
+    (n, 1) or (n, 3) field takes, byte for byte, signed zeros included,
+    whatever the layout of the field: contiguous, F-ordered, every other
+    row, reversed or a column of an (n, 3) array."""
+    if f.ndim == 1:
+        got, ref = _apply_stencil(f, center), _apply_stencil(f[:, None], center)[:, 0]
+    else:
+        ref = _apply_stencil(f, center)
+        got = np.stack([_apply_stencil(f[:, c], center) for c in range(3)], axis=1)
+    assert got.dtype == ref.dtype == np.float64
+    assert got.shape == ref.shape == (f.shape[0] - 6,) + f.shape[1:]
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, closures, direct",
+    [
+        ("real", False, True),
+        ("strided", False, True),
+        ("real", True, False),
+        ("n_by_1", False, False),
+        ("complex", False, False),
+    ],
+)
+def test_apply_stencil_takes_the_direct_path_for_real_1d_fields_only(
+    field, closures, direct, monkeypatch
+):
+    """The direct path reads no real-column view: a 1-D real field with no
+    closure rows, contiguous or strided, takes it; one with closure rows,
+    an (n, 1) field and a complex one take the per-column path."""
+    views = []
+
+    def counted(a):
+        views.append(a.shape)
+        return _real_columns(a)
+
+    monkeypatch.setattr(radial_grid, "_real_columns", counted)
+    x = np.linspace(-1.0, 1.0, 32)
+    f = {
+        "real": x,
+        "strided": np.repeat(x, 2)[::2],
+        "n_by_1": x[:, None],
+        "complex": x + 1j * x[::-1],
+    }[field]
+    args = (_D2_CENTER, _D2_EDGE) if closures else (_D2_CENTER,)
+    out = _apply_stencil(f, *args)
+    assert bool(views) is not direct
+    assert out.shape[0] == (32 if closures else 26)
+
+
+@pytest.mark.parametrize("shape", [(7,), (1,), (7, 3)])
+def test_apply_stencil_rejects_fewer_than_8_nodes(shape):
+    """Fewer than 8 nodes raise ConfigError on either path."""
+    with pytest.raises(ConfigError, match="at least 8 nodes"):
+        _apply_stencil(np.ones(shape), _D2_CENTER)
 
 
 def test_cumint_dr_polynomial(grid):
