@@ -33,24 +33,24 @@ the energy and dissipation booked at a record time. The solvers are:
   beta_t = a1 e^{-2 rho} (beta_rhorho + (m^2/2) sin 2 beta).
   Crank-Nicolson with a banded Newton solve makes very long dissipative
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
-  hundred steps. The Newton matrix is written into one preallocated
-  array in LAPACK gbtrf storage, 3 diagonals wide on each side, first at
-  a seed extrapolated in time, from the third step on by the quadratic
-  through the last three accepted angles.
-  Within a step the stencil on an iterate is the stencil on the step's
-  start plus the stencil on the change, which keeps the stencil's
-  roundoff, and with it the floor of the Newton updates, well below
-  NEWTON_TOL. The band of -e^{-2 rho} times the stencil is built once
-  per grid directly in that layout, at the array's full height with the
-  fill-in rows and the pinned rows and columns zero; each factorization
-  scales all of it by (dt/2) a1 into the array in one contiguous product
-  and adds the cos(2 beta) diagonal. The stencil on the angle is one
-  correlation, _apply_stencil's direct path, and rhs is one array
-  updated in place.
+  hundred steps. Each evolving row of the step's residual is scaled by
+  w = 2 e^{2 rho}/(a1 dt), which makes the Newton matrix the mass term
+  over dt/2 plus the energy Hessian, symmetric and, at a step size
+  Crank-Nicolson can take, positive definite. It is written into one
+  preallocated array in LAPACK's upper symmetric band storage, 3
+  diagonals above the main one, and factored by dpbtrf, first at a seed
+  extrapolated in time, from the third step on by the quadratic through
+  the last three accepted angles. Within a step the stencil on an
+  iterate is the stencil on the step's start plus the stencil on the
+  change, which keeps the stencil's roundoff, and with it the floor of
+  the Newton updates, well below NEWTON_TOL. The stencil on the angle is
+  one correlation, _apply_stencil's direct path, and the tension
+  T = D2 beta + (m^2/2) sin 2 beta is one array updated in place.
 
 The chord iteration (Kelley, Iterative Methods for Linear and Nonlinear
-Equations, 1995, ch. 5) factors a band matrix with dgbtrf, does one
-dgbtrs back-solve per iteration, and re-factors at the current iterate
+Equations, 1995, ch. 5) factors a band matrix, by LU with dgbtrf on the
+vector path and by Cholesky with dpbtrf on the scalar one, does one
+back-solve per iteration, and re-factors at the current iterate
 only when an update has not shrunk to CHORD_CONTRACTION of the one
 before. It stops once the largest update is below MIDPOINT_TOL (vector)
 or NEWTON_TOL (scalar), or once the error the last update leaves is
@@ -85,7 +85,7 @@ import cmath
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from .errors import InstabilityError, StepError
 from .harmonic_family import _dot3, _norm3, cross, energy as map_energy, pa_apply
@@ -181,10 +181,10 @@ class RunSeries:
     book dissipated as its exact decrement. iterations is the total
     number of chord iterations, one back-solve each, on either path;
     max_step_iterations is the most of them taken in any single step.
-    factorizations counts the banded LU factorizations: on the scalar
-    path one per step plus the re-factors of the chord iteration, on the
-    vector path, which holds its LU across steps, one at the first step
-    plus the re-factors.
+    factorizations counts the band factorizations, Cholesky on the scalar
+    path, one per step plus the re-factors of the chord iteration, LU on
+    the vector path, which holds its LU across steps, one at the first
+    step plus the re-factors.
     """
 
     t: np.ndarray
@@ -289,6 +289,12 @@ class _ChordCounters:
     lu_dt = math.nan
     newton_k = None
     newton_k_age = 0
+    unfactorable = "singular"
+
+    @staticmethod
+    def factor(ab: np.ndarray, u: int):
+        """lu, piv, info of dgbtrf on ab, u sub- and super-diagonals."""
+        return dgbtrf(ab, u, u, overwrite_ab=True)
 
 
 def _remaining(d: float, before: float) -> float:
@@ -305,17 +311,17 @@ def _chord(
     """The chord iteration of both steppers: x with G(x) = 0, from x.
 
     evaluate(x, factor) returns G(x), flat, and when factor is true the
-    band array, in gbtrf storage with u sub- and super-diagonals, of a
-    matrix close to G'(x), else None. The iteration starts from the LU
-    that work holds, if it holds one made at a dt within CHORD_DT_DRIFT of
-    dt; else the matrix is factored with dgbtrf at the first iterate. It is
-    factored again at any iterate whose update has not shrunk to
-    CHORD_CONTRACTION of the one before, so a held LU whose updates grow is
-    replaced before the iteration can report a divergence. Each iteration
-    is one solve_banded back-solve, x <- x - G'^{-1} G(x), until the
-    largest update falls below tol. Convergence is measured on the update:
-    the raw residual sits on a roundoff floor amplified by e^{-2 rho} near
-    the inner boundary, which the solve removes.
+    band array, in the storage of work.factor with u off-diagonals on each
+    side, of a matrix close to G'(x), else None. The iteration starts from
+    the factors, LU or Cholesky, that work holds, if it holds ones made at
+    a dt within CHORD_DT_DRIFT of dt; else work.factor factors the matrix
+    at the first iterate, and again at any iterate whose update has not
+    shrunk to CHORD_CONTRACTION of the one before, so a held LU whose
+    updates grow is replaced before the iteration can report a divergence.
+    Each iteration is one solve_banded back-solve, x <- x - G'^{-1} G(x),
+    until the largest update falls below tol. Convergence is measured on
+    the update: the raw residual sits on a roundoff floor amplified by
+    e^{-2 rho} near the inner boundary, which the solve removes.
 
     It also stops on the estimated remaining error (Hairer and Wanner,
     sec. IV.8; Shampine, SIAM J. Sci. Stat. Comput. 1 (1980) 103-118):
@@ -342,10 +348,10 @@ def _chord(
     as the band array may already hold a new assembly. A non-finite
     residual raises InstabilityError before any solve; a non-finite update
     ends the iteration, for the finiteness check of step_scalar or
-    run_vector. A singular matrix, or cap iterations without convergence,
-    raises StepError naming the iteration by what; cap iterations whose
-    last update is larger than the first are reported as diverged,
-    otherwise as stalled.
+    run_vector. A matrix work.factor fails on, work.unfactorable, or cap
+    iterations without convergence, raises StepError naming the iteration
+    by what; cap iterations whose last update is larger than the first are
+    reported as diverged, otherwise as stalled.
     """
     lu, piv, lu_dt = work.lu, work.piv, work.lu_dt
     # the call takes the held LU; only a call that returns gives one back
@@ -362,9 +368,10 @@ def _chord(
         if not np.isfinite(resid).all():
             raise InstabilityError(f"non-finite {what} residual at t={t:.6g}, dt={dt:.3g}")
         if factor:
-            lu, piv, info = dgbtrf(ab, u, u, overwrite_ab=True)
+            lu, piv, info = work.factor(ab, u)
             if info != 0:
-                raise StepError(f"{what} matrix is singular at t={t:.6g}, dt={dt:.3g}")
+                fault = f"{what} matrix is {work.unfactorable} at t={t:.6g}, dt={dt:.3g}"
+                raise StepError(f"{fault}; reduce the step size")
             lu_dt = dt
             work.factorizations += 1
         step = solve_banded(lu, piv, resid, u)
@@ -400,10 +407,12 @@ def _chord(
 def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.ndarray:
     """The back-solve of the chord iteration of both steppers: x with
     A x = b, A factored by dgbtrf into lu and piv in gbtrf storage with u
-    sub- and super-diagonals. dgbtrs overwrites b with x. One module-level
+    sub- and super-diagonals, or, piv None, by dpbtrf into its Cholesky
+    factor lu. dgbtrs or dpbtrs overwrites b with x. One module-level
     name, so that the solves can be counted."""
-    x, _ = dgbtrs(lu, u, u, b, piv, overwrite_b=True)
-    return x
+    if piv is None:
+        return dpbtrs(lu, b, overwrite_b=True)[0]
+    return dgbtrs(lu, u, u, b, piv, overwrite_b=True)[0]
 
 
 class _VectorWork(_ChordCounters):
@@ -697,70 +706,72 @@ def scalar_energy(beta: np.ndarray, grid: RadialGrid, m: int) -> float:
 
 
 class _ScalarWork(_ChordCounters):
-    """The per-grid pieces of the Crank-Nicolson Jacobian and the one
-    array the Newton matrix is built and factored in.
+    """The per-grid pieces of the Crank-Nicolson Newton matrix and the one
+    array it is built and factored in.
 
-    The array ab is in LAPACK gbtrf storage: a Fortran-ordered (3u + 1, n)
-    array whose rows u: hold the Newton matrix, entry (i, j) at row
-    2u + i - j; its top u rows take the fill-in of the factorization,
-    which gbtrf clears itself. dgbtrf factors the matrix in place, so
-    after a factorization ab holds the LU factors the back-solves read.
-    The band is u = N_PIN = 3 diagonals wide on each side, the centered
-    stencil's reach. __init__ stores -e^{-2 rho} times the stencil in that
-    layout, entry (i, j) at row u + i - j of neg_d2, zero in the pinned
-    rows, where the Newton matrix holds identity rows, and in the pinned
-    columns, so that dgbtrf's row swaps cannot carry an e^{28} dt/drho^2
-    coupling into a pinned unknown: the pinned updates are exactly zero.
-    neg_d2 is the view from row u of template, an array shaped and ordered
-    as ab whose top u rows are zero, so that one contiguous product
-    (dt/2) a1 template writes all of ab, the fill-in rows as +0.0; each
-    Newton matrix is that plus its diagonal
-    1 - (dt/2) a1 e^{-2 rho} m^2 cos(2 beta) on the evolving rows. The
-    7 matrix rows alone are a strided block of ab, which numpy writes by
-    an inner loop 7 long per column: 33 us against 5.6 us for all 10 rows
-    at n = 1536. Every step factors afresh at its seed: an LU held
-    across steps made the ramped runs slower, as dt moves every step. The
-    fresh LU makes the Newton iteration converge quadratically, so a
-    scalar run takes _chord's early stop, newton_k unmeasured at first.
+    step_scalar scales each evolving row of its residual by w = weight/dt
+    = 2 e^{2 rho}/(a1 dt), so that the Newton matrix there is
+    diag(w) - D2 - m^2 diag(cos 2 beta), D2 the centered stencil over
+    drho^2 with the taps above the diagonal, as _D2_CENTER is symmetric
+    but for its last bits: symmetric, and positive definite unless a
+    linearized mode grows faster than 2/dt, which Crank-Nicolson cannot
+    step. ab holds it in LAPACK's upper symmetric band storage, a
+    Fortran-ordered (u + 1, n) array with entry (i, j), i <= j, at row
+    u + i - j, u = N_PIN = 3 the stencil's reach; dpbtrf factors it in
+    place into the Cholesky factor the back-solves read. The N_PIN rows
+    at each end are identity rows and the pinned columns are zero on the
+    evolving rows, which keeps the matrix symmetric and the pinned updates
+    exactly zero. template holds what depends on neither dt nor beta: the
+    off-diagonals -D2 and the diagonal, -D2's on the evolving rows and 1
+    on the pinned ones; each Newton matrix is a copy of it with
+    w - m^2 cos(2 beta) added on the evolving diagonal. Every step
+    factors afresh at its seed: a factorization held across steps made
+    the ramped runs slower, as dt moves every step, and the fresh one
+    makes the Newton iteration converge quadratically, so a scalar run
+    takes _chord's early stop, newton_k unmeasured at first.
     """
+
+    unfactorable = "not positive definite"
 
     def __init__(self, grid: RadialGrid, m: int, a1: float):
         n = grid.n
         self.grid = grid
         self.newton_k = math.inf
         self.m = m
-        self.a1 = a1
         self.u = u = N_PIN
-        self.decay = decay = grid.decay[N_PIN : n - N_PIN]
-        with np.errstate(over="ignore"):  # an infinite entry fails a step's checks, unwarned
-            self.a1_decay = a1 * decay
-        self.template = np.zeros((3 * u + 1, n), order="F")
-        self.neg_d2 = self.template[u:]
+        with np.errstate(all="ignore"):  # an infinite weight fails a step's checks, unwarned
+            self.weight = 2.0 / (a1 * grid.decay[N_PIN : n - N_PIN])
         taps = _D2_CENTER / grid.drho**2
-        for k, off in enumerate(range(-3, 4)):
-            self.neg_d2[u - off, N_PIN + off : n - N_PIN + off] = -taps[k] * decay
-        self.neg_d2[:, :N_PIN] = self.neg_d2[:, n - N_PIN :] = 0.0
-        self.ab = np.zeros((3 * u + 1, n), order="F")
+        self.template = np.zeros((u + 1, n), order="F")
+        for k in range(u + 1):
+            self.template[u - k, N_PIN + k : n - N_PIN] = -taps[3 + k]
+        self.template[u, :N_PIN] = self.template[u, n - N_PIN :] = 1.0
+        self.ab = np.zeros((u + 1, n), order="F")
 
-    def rhs(self, beta: np.ndarray, d2: np.ndarray) -> np.ndarray:
-        """a1 e^{-2 rho} (d2 + (m^2/2) sin 2 beta) on the evolving rows, for
-        d2 the centered second derivative of beta there, evaluated by the
-        caller: one new array, the products and sums in that order."""
+    @staticmethod
+    def factor(ab: np.ndarray, u: int):
+        """c, None, info of dpbtrf on ab in upper symmetric band storage."""
+        c, info = dpbtrf(ab, overwrite_ab=True)
+        return c, None, info
+
+    def tension(self, beta: np.ndarray, d2: np.ndarray) -> np.ndarray:
+        """T = d2 + (m^2/2) sin 2 beta on the evolving rows, for d2 the
+        centered second derivative of beta there, evaluated by the caller:
+        one new array, the products and sums in that order."""
         out = np.multiply(2.0, beta[N_PIN:-N_PIN])
         np.sin(out, out=out)
         out *= 0.5 * self.m**2
         out += d2
-        out *= self.a1_decay
         return out
 
-    def newton_matrix(self, beta: np.ndarray, dt: float) -> np.ndarray:
-        """The Newton matrix at beta, written into ab and returned: all of ab
-        by one product with template, then the diagonal."""
-        half = 0.5 * dt * self.a1
-        diag = np.multiply(half, self.template, out=self.ab)[2 * self.u]
-        cos = np.cos(2.0 * beta[N_PIN:-N_PIN])
-        diag[N_PIN:-N_PIN] += 1.0 - half * self.decay * self.m**2 * cos
-        diag[:N_PIN] = diag[-N_PIN:] = 1.0
+    def newton_matrix(self, beta: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The Newton matrix at beta for the row weights w, written into ab
+        and returned: a copy of template, then w - m^2 cos(2 beta) added on
+        the evolving diagonal, w first."""
+        np.copyto(self.ab, self.template)
+        diag = self.ab[self.u, N_PIN:-N_PIN]
+        diag += w
+        diag -= self.m**2 * np.cos(2.0 * beta[N_PIN:-N_PIN])
         return self.ab
 
 
@@ -773,21 +784,22 @@ def step_scalar(
 ) -> np.ndarray:
     """One Crank-Nicolson step of the great-circle angle.
 
-    The new angle x solves G(x) = x - beta - (dt/2) (f(x) + f(beta)) = 0,
-    f the rhs of work, by _chord with the Newton matrix G' of work, to
-    NEWTON_TOL in at most NEWTON_CAP iterations, factored afresh at seed.
-    An iteration whose estimated remaining error is at most
-    CHORD_KAPPA NEWTON_TOL also ends the step, the first one once work
-    has measured its Newton constant; see _chord. seed is the starting
-    iterate and must hold beta's values on the N_PIN pinned nodes at each
-    end, which the step leaves as they are. run_scalar passes beta itself
-    at the first step, the linear extrapolation in time of its last two
-    accepted angles at the second and the quadratic one of its last three
-    after.
+    The new angle x solves g(x) = w (x - beta) - T(x) - T(beta) = 0 on
+    the evolving rows, T the tension and w the row weights of work, by
+    _chord with the Newton matrix g' of work, to NEWTON_TOL in at most
+    NEWTON_CAP iterations, factored afresh at seed; one that is not
+    positive definite raises StepError before any back-solve. An
+    iteration whose estimated remaining error is at most CHORD_KAPPA
+    NEWTON_TOL also ends the step, the first one once work has measured
+    its Newton constant; see _chord. seed is the starting iterate and
+    must hold beta's values on the N_PIN pinned nodes at each end, which
+    the step leaves as they are. run_scalar passes beta itself at the
+    first step, the linear extrapolation in time of its last two accepted
+    angles at the second and the quadratic one of its last three after.
     """
     # d2 of an iterate x, on the evolving rows, is d2(beta) + d2(x - beta).
     # The stencil's roundoff scales with the values it reads: on the angle
-    # itself it leaves a noise in rhs that the Jacobian barely damps along
+    # itself it leaves a noise in T that the Jacobian barely damps along
     # the slow scale mode, a floor of 1e-10 to 4e-10 on the Newton updates
     # at the dt of 400 to 900 that long m = 2 runs reach, against
     # NEWTON_TOL = 1e-10. On the change over the step the noise shrinks
@@ -798,20 +810,22 @@ def step_scalar(
         return out
 
     d2_old = d2(beta)
-    rhs_old = work.rhs(beta, d2_old)
+    tension_old = work.tension(beta, d2_old)
+    w = work.weight / dt
 
     def evaluate(x: np.ndarray, factor: bool):
         resid = x - beta
-        rhs = rhs_old if x is beta else work.rhs(x, d2_old + d2(resid))
-        resid[N_PIN:-N_PIN] -= 0.5 * dt * (rhs + rhs_old)
+        tension = tension_old if x is beta else work.tension(x, d2_old + d2(resid))
+        resid[N_PIN:-N_PIN] *= w
+        resid[N_PIN:-N_PIN] -= tension + tension_old
         resid[:N_PIN] = resid[-N_PIN:] = 0.0  # the pinned rows
-        return resid, work.newton_matrix(x, dt) if factor else None
+        return resid, work.newton_matrix(x, w) if factor else None
 
     # The seed never comes from an explicit predictor: near the inner
     # boundary the e^{-2 rho} factor blows an explicit guess far outside the
     # convergence basin once dt is large. From beta itself, or extrapolated
     # from two or three accepted Crank-Nicolson states, which evaluates no
-    # rhs, the diffusion-dominated Jacobian reaches the solution in a few
+    # T, the diffusion-dominated Jacobian reaches the solution in a few
     # iterations; on long m = 2 runs, one per step from the quadratic seed on,
     # and a second on every NEWTON_REFRESH + 1-th step.
     work.lu = None

@@ -389,14 +389,16 @@ def test_rows_render_each_value_as_fmt():
     "keys",
     [
         dict(m=3, n=128, delta=0.01, a_re=1e300),
-        dict(family="log_drift", kappa=0.4, m=2, n=256, rho_min=-8.0, rho_max=12.0, a_re=1e300),
+        dict(family="log_drift", kappa=0.4, m=2, n=256, rho_min=-8.0, rho_max=12.0, a_re=1e-300),
     ],
     ids=["vector", "log_drift"],
 )
 def test_overflowing_run_prints_only_its_error_line(tmp_path, capsys, keys):
     """A flow coefficient that overflows the first step exits 3 with its
     error line and no floating-point warning, on the vector path and on
-    the scalar path of an m = 2 tail."""
+    the scalar path of an m = 2 tail. The scalar step scales its residual
+    by 2 e^{2 rho}/(a1 dt), which overflows at a1 = 1e-300; a1 = 1e300
+    only underflows it there."""
     cfg = write_config(tmp_path, **keys)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -404,6 +406,46 @@ def test_overflowing_run_prints_only_its_error_line(tmp_path, capsys, keys):
     assert [str(w.message) for w in caught] == []
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "non-finite" in err
+
+
+def test_scalar_step_crank_nicolson_cannot_take_fails_fast(tmp_path, capsys, monkeypatch):
+    """An m = 2 ln_ln_oscillation tail at kappa = 1, lam = 4, s0 = 0.3,
+    ramped at 0.1, reaches a step at t = 20.1762, dt = 2.02, where a
+    linearized mode grows faster than 2/dt. The Newton matrix there is not
+    positive definite: the run exits 3 with that one error line, and no
+    warning, before any back-solve of the step, where the Newton iteration
+    once took all NEWTON_CAP iterations to report a divergence."""
+    cfg = write_config(
+        tmp_path, family="ln_ln_oscillation", kappa=1, lam=4, m=2, s0=0.3,
+        rho_min=-14, rho_max=10, n=768, dt0=1e-4, ramp=0.1, t_end=1e5,
+    )
+    solves, per_step = [], []
+    solve, step = evolve_llg.solve_banded, evolve_llg.step_scalar
+
+    def counted_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    def counted_step(beta, t, dt, work, seed):
+        per_step.append(0)
+        before = len(solves)
+        try:
+            return step(beta, t, dt, work, seed)
+        finally:
+            per_step[-1] = len(solves) - before
+
+    monkeypatch.setattr(evolve_llg, "solve_banded", counted_solve)
+    monkeypatch.setattr(evolve_llg, "step_scalar", counted_step)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.endswith(
+        "Newton matrix is not positive definite at t=20.1762, dt=2.02; reduce the step size\n"
+    )
+    assert len(per_step) > 100 and per_step[-1] == 0 and min(per_step[:-1]) >= 1
 
 
 def test_rate_overflowing_after_the_last_step_prints_only_its_error_line(

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 
 from equiflow import evolve_llg
 from equiflow.errors import InstabilityError, StepError
@@ -818,7 +818,7 @@ def test_vector_run_layer_calls(grid, perturbed, monkeypatch):
 
 def test_scalar_run_layer_calls(grid, monkeypatch):
     """The scalar hot path: one evolve_llg.solve_banded back-solve per
-    Newton iteration, one dgbtrf per step plus a re-factor after each
+    Newton iteration, one dpbtrf per step plus a re-factor after each
     update that has not shrunk to CHORD_CONTRACTION of the one before, and
     one centered stencil on the evolving rows, _apply_stencil, per
     iteration plus one per step for the seed, the first step seeded with
@@ -828,7 +828,7 @@ def test_scalar_run_layer_calls(grid, monkeypatch):
     holding beta's values on the N_PIN pinned nodes at each end bit for
     bit; max_step_iterations is the most Newton iterations of one step."""
     solves, factors, stencils, per_step, seeds, quadratic = [], [], [], [], [], []
-    _count_calls(monkeypatch, evolve_llg, "dgbtrf", factors)
+    _count_calls(monkeypatch, evolve_llg, "dpbtrf", factors)
     _count_calls(monkeypatch, evolve_llg, "_apply_stencil", stencils)
     _count_calls(monkeypatch, evolve_llg, "_quadratic_seed", quadratic)
     solve = evolve_llg.solve_banded
@@ -1132,9 +1132,9 @@ def test_scalar_work_factors_afresh_at_the_same_dt(grid, monkeypatch):
     built = []
     newton_matrix = work.newton_matrix
 
-    def spy(x, dt):
+    def spy(x, w):
         built.append(x)
-        return newton_matrix(x, dt)
+        return newton_matrix(x, w)
 
     monkeypatch.setattr(work, "newton_matrix", spy)
     beta = stationary_angle(0.0, grid, 2) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
@@ -1227,10 +1227,10 @@ def test_scalar_relaxes_to_harmonic_energy(grid, monkeypatch):
     """A perturbed angle profile relaxes to the harmonic energy 8 pi under
     the heat flow, monotonically, in a few hundred ramped steps; the run
     counts one Newton iteration per back-solve and, per step, one banded
-    factorization plus the re-factors."""
+    Cholesky factorization, dpbtrf, plus the re-factors."""
     solves, factors = [], []
     _count_calls(monkeypatch, evolve_llg, "solve_banded", solves)
-    _count_calls(monkeypatch, evolve_llg, "dgbtrf", factors)
+    _count_calls(monkeypatch, evolve_llg, "dpbtrf", factors)
     beta0, cfg = _relaxation_run(grid)
     series = run_scalar(beta0, grid, 2, cfg, t_end=1e4)
     assert series.iterations == len(solves) >= series.steps
@@ -1335,24 +1335,22 @@ def test_scalar_tail_steps_take_one_newton_iteration(monkeypatch):
 
 def _newton_update_size(beta, new, dt, grid, band):
     """The largest entry of one Newton update from new for the
-    Crank-Nicolson step of size dt from beta: the Newton matrix built
-    from band, the _scaled_band of grid, and factored afresh at new, with
-    the second derivative of new evaluated as d2_rho(beta) + d2_rho(new -
+    Crank-Nicolson step of size dt from beta: the symmetric Newton matrix
+    built from band, the _stencil_band of grid, and factored afresh at
+    new by dpbtrf, applied by dpbtrs to the scaled residual, with the
+    second derivative of new evaluated as d2_rho(beta) + d2_rho(new -
     beta), as step_scalar evaluates it on the evolving rows, so the update
     is not held up by the stencil's roundoff on the angle itself; the
     N_PIN pinned rows at each end are identity rows with zero residual;
     m = 2 and a1 = 1, as on the tail run."""
     m, a1 = 2, 1.0
-    scaled_d2, pinned, decay, u = band
+    stencil, pinned, u = band
+    w = _row_weights(grid, a1, dt)
     d2_beta = d2_rho(beta, grid)
-    rhs_new = _reference_rhs(new, d2_beta + d2_rho(new - beta, grid), m, a1, decay)
-    resid = new - beta - 0.5 * dt * (rhs_new + _reference_rhs(beta, d2_beta, m, a1, decay))
-    resid[:N_PIN] = resid[-N_PIN:] = 0.0
-    ab = np.zeros((3 * u + 1, grid.n))
-    ab[u:] = _reference_newton_matrix(new, dt, m, a1, scaled_d2, pinned, decay, u)
-    lu, piv, info = dgbtrf(ab, u, u)
+    resid = _scaled_residual(new, beta, w, d2_beta + d2_rho(new - beta, grid), d2_beta, m)
+    chol, info = dpbtrf(_reference_newton_matrix(new, w, m, stencil, pinned, u))
     assert info == 0
-    update, info = dgbtrs(lu, u, u, resid, piv)
+    update, info = dpbtrs(chol, resid)
     assert info == 0
     return float(np.max(np.abs(update)))
 
@@ -1369,7 +1367,7 @@ def test_scalar_early_stop_leaves_less_than_newton_tol(ramp, t_end, monkeypatch)
     refreshed (NEWTON_REFRESH = inf), or the stop at K d1^2 <= NEWTON_TOL
     (CHORD_KAPPA = 1), leaves up to 7e-8 and 1.5e-9 there."""
     grid, beta0 = _tail_run_data()
-    band = _scaled_band(grid)
+    band = _stencil_band(grid)
     left, updates = [], []
     step, solve = evolve_llg.step_scalar, evolve_llg.solve_banded
 
@@ -1394,8 +1392,8 @@ def test_scalar_early_stop_leaves_less_than_newton_tol(ramp, t_end, monkeypatch)
 
 def test_scalar_run_holds_the_dirichlet_ends_exactly(grid):
     """Over the relaxation run, whose Newton matrices couple no evolving
-    row into a pinned node, so that dgbtrf's row swaps leave the pinned
-    unknowns alone and their updates are exactly zero, every recorded
+    row into a pinned node, so that their Cholesky factors leave the
+    pinned unknowns alone and their updates are exactly zero, every recorded
     angle keeps the initial values of the N_PIN pinned nodes at each end
     bit for bit, with no end put back after the step."""
     beta0, cfg = _relaxation_run(grid)
@@ -1428,9 +1426,7 @@ def banded_d2(grid: RadialGrid) -> tuple[np.ndarray, int, int]:
     """The d2_rho operator as a LAPACK band matrix.
 
     Returns (ab, l, u) with ab[u + i - j, j] holding entry (i, j), the
-    diagonal-ordered band of LAPACK: copied below l spare rows it is the
-    storage the band solvers gbsv and gbtrf take, once the caller has
-    added its own diagonal terms. Rows reproduce d2_rho exactly,
+    diagonal-ordered band of LAPACK. Rows reproduce d2_rho exactly,
     including the one-sided closures, so implicit solvers stay consistent
     with the explicit residual evaluation.
     """
@@ -1448,66 +1444,86 @@ def banded_d2(grid: RadialGrid) -> tuple[np.ndarray, int, int]:
     return ab, half, half
 
 
-def _scaled_band(grid):
-    """banded_d2 cut to the pinned-end scheme: scaled row-wise by
-    e^{-2 rho}, on the 2 N_PIN + 1 diagonals of the centered stencil, which
-    hold every entry of its evolving rows, with every slot in a pinned row
-    or a pinned column, or outside the matrix, zero. Returns it, the index
-    array of its slots in a pinned row or column, e^{-2 rho} and
-    u = N_PIN."""
+def _stencil_band(grid):
+    """banded_d2 cut to the pinned-end scheme, in LAPACK's upper symmetric
+    band storage, entry (i, j), i <= j, at row N_PIN + i - j: its N_PIN + 1
+    diagonals on and above the main one, with every slot in a pinned row
+    or a pinned column, or outside the matrix, zero. On the evolving block
+    banded_d2 holds nothing past the N_PIN diagonals on each side, and its
+    diagonals below the main one mirror those above to 1e-15 relative:
+    the centered weights are symmetric but for their last bits. Returns
+    the band, the index arrays of its slots in a pinned row or column
+    inside the matrix, and u = N_PIN."""
     band, _, reach = banded_d2(grid)
     n = grid.n
-    decay = np.exp(-2.0 * grid.rho)
-    # the row and the column of each slot, ab[reach + i - j, j] holding (i, j)
+    # the row and the column of each slot, band[reach + i - j, j] holding (i, j)
     i = np.arange(2 * reach + 1)[:, None] - reach + np.arange(n)[None, :]
     j = np.broadcast_to(np.arange(n), i.shape)
     evolving = (i >= N_PIN) & (i < n - N_PIN) & (j >= N_PIN) & (j < n - N_PIN)
-    scaled = np.where(evolving, band * decay[np.clip(i, 0, n - 1)], 0.0)
-    cut = slice(reach - N_PIN, reach + N_PIN + 1)
-    assert not np.delete(scaled, np.r_[cut], axis=0).any()
-    inside = (i[cut] >= 0) & (i[cut] < n)
-    return scaled[cut], np.nonzero(inside & ~evolving[cut]), decay, N_PIN
+    cut = np.where(evolving, band, 0.0)
+    assert not np.delete(cut, np.r_[reach - N_PIN : reach + N_PIN + 1], axis=0).any()
+    for k in range(1, N_PIN + 1):
+        # (j, j + k) above the main diagonal against (j + k, j) below it
+        above, below = cut[reach - k, k:], cut[reach + k, :-k]
+        assert np.all(np.abs(above - below) <= 1e-15 * np.abs(above))
+    upper = slice(reach - N_PIN, reach + 1)
+    return cut[upper], np.nonzero((i[upper] >= 0) & ~evolving[upper]), N_PIN
 
 
-def _reference_rhs(b, d2, m, a1, decay):
-    """The Crank-Nicolson rhs a1 e^{-2 rho} (d2 + (m^2/2) sin 2b), d2 over
-    the whole mesh, zeroed on the N_PIN pinned rows at each end."""
-    out = a1 * decay * (d2 + 0.5 * m**2 * np.sin(2.0 * b))
+def _row_weights(grid, a1, dt):
+    """The row weights w = 2 e^{2 rho}/(a1 dt) of the scaled Crank-Nicolson
+    residual over the whole mesh, in _ScalarWork's order of operations."""
+    return 2.0 / (a1 * np.exp(-2.0 * grid.rho)) / dt
+
+
+def _reference_tension(b, d2, m):
+    """The tension d2 + (m^2/2) sin 2b, d2 over the whole mesh, zeroed on
+    the N_PIN pinned rows at each end."""
+    out = d2 + 0.5 * m**2 * np.sin(2.0 * b)
     out[:N_PIN] = out[-N_PIN:] = 0.0
     return out
 
 
-def _reference_newton_matrix(beta, dt, m, a1, scaled_d2, pinned, decay, u):
-    """The Crank-Nicolson Newton matrix at beta in diagonal-ordered
-    storage, entry (i, j) at row u + i - j, with identity rows and
-    columns at the N_PIN pinned nodes at each end, for the _scaled_band
-    parts scaled_d2, pinned, decay and u."""
-    ab = -0.5 * dt * a1 * scaled_d2
-    ab[u, :] += 1.0 - 0.5 * dt * a1 * decay * m**2 * np.cos(2.0 * beta)
+def _scaled_residual(x, beta, w, d2_x, d2_beta, m):
+    """The scaled Crank-Nicolson residual w (x - beta) - (T(x) + T(beta)),
+    T from _reference_tension on the second derivatives d2_x of x and
+    d2_beta of beta, zero on the N_PIN pinned rows at each end."""
+    tension = _reference_tension(x, d2_x, m) + _reference_tension(beta, d2_beta, m)
+    resid = w * (x - beta) - tension
+    resid[:N_PIN] = resid[-N_PIN:] = 0.0
+    return resid
+
+
+def _reference_newton_matrix(beta, w, m, stencil, pinned, u):
+    """The symmetric Newton matrix diag(w) - D2 - m^2 diag(cos 2 beta) of
+    the scaled Crank-Nicolson step at beta, in upper symmetric band
+    storage, entry (i, j), i <= j, at row u + i - j, for the row weights w
+    over the whole mesh and the _stencil_band parts stencil, pinned and u,
+    with identity rows and zero columns at the N_PIN pinned nodes at each
+    end."""
+    ab = -stencil
+    ab[u] += w
+    ab[u] -= m**2 * np.cos(2.0 * beta)
     ab[pinned] = 0.0
     ab[u, :N_PIN] = ab[u, -N_PIN:] = 1.0
     return ab
 
 
 def _full_newton_step_scalar(beta, dt, grid, m, a1):
-    """The Crank-Nicolson step as a full Newton loop: seeded by beta, a
-    fresh band matrix of 2 N_PIN + 1 diagonals at every iterate, built
-    from banded_d2 here, scipy's solve_banded per iteration, and rhs
-    evaluated afresh at every iterate from d2_rho of the iterate, zero on
-    the N_PIN pinned rows at each end. Returns the new angle and the
-    number of iterations."""
-    scaled_d2, pinned, decay, u = _scaled_band(grid)
-
-    def rhs(b):
-        return _reference_rhs(b, d2_rho(b, grid), m, a1, decay)
-
-    rhs_old = rhs(beta)
+    """The Crank-Nicolson step as a full Newton loop on the scaled
+    residual: seeded by beta, a fresh symmetric band matrix at every
+    iterate, built from banded_d2 here, scipy's solveh_banded per
+    iteration, and the tension evaluated afresh at every iterate from
+    d2_rho of the iterate. Returns the new angle and the number of
+    iterations."""
+    stencil, pinned, u = _stencil_band(grid)
+    w = _row_weights(grid, a1, dt)
+    d2_beta = d2_rho(beta, grid)
     new = beta.copy()
     for it in range(1, evolve_llg.NEWTON_CAP + 1):
-        resid = new - beta - 0.5 * dt * (rhs(new) + rhs_old)
-        resid[:N_PIN] = resid[-N_PIN:] = 0.0
-        ab = _reference_newton_matrix(new, dt, m, a1, scaled_d2, pinned, decay, u)
-        delta = solve_banded((u, u), ab, resid)
+        resid = _scaled_residual(new, beta, w, d2_rho(new, grid), d2_beta, m)
+        ab = _reference_newton_matrix(new, w, m, stencil, pinned, u)
+        delta = solveh_banded(ab, resid)
         new = new - delta
         if float(np.max(np.abs(delta))) < evolve_llg.NEWTON_TOL:
             return new, it
@@ -1516,37 +1532,30 @@ def _full_newton_step_scalar(beta, dt, grid, m, a1):
 
 def _reference_step_scalar(beta, dt, grid, m, a1, seed):
     """The seeded chord iteration of step_scalar, written independently: a
-    fresh band of 2 N_PIN + 1 diagonals from banded_d2, factored by dgbtrf
-    and back-solved by dgbtrs at l = u = N_PIN, from seed, with
-    d2_rho(x) evaluated as d2_rho(beta) + d2_rho(x - beta) and a
-    re-factor at the current iterate after each update larger than
+    fresh symmetric band from banded_d2, factored by dpbtrf and
+    back-solved by dpbtrs, from seed, on the scaled residual with
+    d2_rho(x) evaluated as d2_rho(beta) + d2_rho(x - beta) and a re-factor
+    at the current iterate after each update larger than
     CHORD_CONTRACTION times the one before, a stop on an update below
     NEWTON_TOL or on an estimated remaining error at most
     CHORD_KAPPA NEWTON_TOL, and nothing put back on the pinned nodes.
     Returns the new angle, the number of iterations and the number of
     factorizations."""
-    scaled_d2, pinned, decay, u = _scaled_band(grid)
+    stencil, pinned, u = _stencil_band(grid)
+    w = _row_weights(grid, a1, dt)
     d2_beta = d2_rho(beta, grid)
-
-    def rhs(b):
-        # beta itself, at the step's start or as the first iterate
-        d2 = d2_beta if b is beta else d2_beta + d2_rho(b - beta, grid)
-        return _reference_rhs(b, d2, m, a1, decay)
-
-    rhs_old = rhs(beta)
     new = seed
     factors, last = 0, None
     refactor = True
     for it in range(1, evolve_llg.NEWTON_CAP + 1):
-        resid = new - beta - 0.5 * dt * (rhs(new) + rhs_old)
-        resid[:N_PIN] = resid[-N_PIN:] = 0.0
+        # beta itself, at the step's start or as the first iterate
+        d2_new = d2_beta if new is beta else d2_beta + d2_rho(new - beta, grid)
+        resid = _scaled_residual(new, beta, w, d2_new, d2_beta, m)
         if refactor:
-            ab = np.zeros((3 * u + 1, grid.n))
-            ab[u:] = _reference_newton_matrix(new, dt, m, a1, scaled_d2, pinned, decay, u)
-            lu, piv, info = dgbtrf(ab, u, u)
+            chol, info = dpbtrf(_reference_newton_matrix(new, w, m, stencil, pinned, u))
             assert info == 0
             factors += 1
-        delta, info = dgbtrs(lu, u, u, resid, piv)
+        delta, info = dpbtrs(chol, resid)
         assert info == 0
         new = new - delta
         size = float(np.max(np.abs(delta)))
@@ -1584,7 +1593,7 @@ def _run_scalar_seed(now, past, dt):
 
 def test_scalar_step_matches_reference_bytes(grid):
     """20 steps of step_scalar, seeded as run_scalar seeds them, reproduce
-    the independent pinned-end dgbtrf/dgbtrs chord loop bit for bit, with
+    the independent pinned-end dpbtrf/dpbtrs chord loop bit for bit, with
     the same iteration and factorization counts: ramped, and at one step
     size throughout, where the Newton matrix parts built for the first
     step serve every later one."""
@@ -1614,33 +1623,34 @@ def test_scalar_step_matches_reference_bytes(grid):
 
 def _unfused_step_scalar(beta, t, dt, work, seed):
     """step_scalar with one temporary per operation: d2 through
-    _apply_stencil's per-column path on the (n, 1) field, rhs as one
-    expression, the residual written into a zero array, and the Newton
-    matrix written into ab[u:], 7 of its 10 rows, the fill-in rows above
-    left as the last factorization left them; the chord iteration is
-    _chord's, on work."""
+    _apply_stencil's per-column path on the (n, 1) field, the tension as
+    one expression, the residual written into a zero array, and each
+    Newton matrix built in a new array, row by row from template, rather
+    than copied into the ab that holds the last Cholesky factor; the chord
+    iteration is _chord's, on work."""
     u, body = work.u, slice(N_PIN, -N_PIN)
+    w = work.weight / dt
 
     def d2(f):
         return _apply_stencil(f[:, None], _D2_CENTER)[:, 0] / work.grid.drho**2
 
-    def rhs(b, d2_b):
-        return work.a1_decay * (d2_b + 0.5 * work.m**2 * np.sin(2.0 * b[body]))
+    def tension(b, d2_b):
+        return d2_b + 0.5 * work.m**2 * np.sin(2.0 * b[body])
 
     def newton_matrix(x):
-        band = np.multiply(0.5 * dt * work.a1, work.neg_d2, out=work.ab[u:])
-        cos = np.cos(2.0 * x[body])
-        band[u, body] += 1.0 - 0.5 * dt * work.a1 * work.decay * work.m**2 * cos
-        band[u, :N_PIN] = band[u, -N_PIN:] = 1.0
-        return work.ab
+        band = np.zeros(work.ab.shape, order="F")
+        for row in range(u + 1):
+            band[row] = work.template[row]
+        band[u, body] = work.template[u, body] + w - work.m**2 * np.cos(2.0 * x[body])
+        return band
 
     d2_old = d2(beta)
-    rhs_old = rhs(beta, d2_old)
+    tension_old = tension(beta, d2_old)
 
     def evaluate(x, factor):
-        rhs_x = rhs_old if x is beta else rhs(x, d2_old + d2(x - beta))
+        tension_x = tension_old if x is beta else tension(x, d2_old + d2(x - beta))
         resid = np.zeros(x.shape)
-        resid[body] = (x - beta)[body] - 0.5 * dt * (rhs_x + rhs_old)
+        resid[body] = w * (x - beta)[body] - (tension_x + tension_old)
         return resid, newton_matrix(x) if factor else None
 
     work.lu = None
@@ -1652,21 +1662,19 @@ def _unfused_step_scalar(beta, t, dt, work, seed):
 def test_scalar_run_matches_the_unfused_step_bytes(monkeypatch):
     """run_scalar on small m = 2 log_drift data, about 100 ramped steps to
     t = 1e4, gives the same bytes, iterations and factorizations as with
-    _unfused_step_scalar in place of step_scalar: the in-place rhs and
-    residual, the direct stencil path and the one-product write of all of
-    ab change no bit. On about a third of the steps the LU leaves entries
-    in the fill-in rows of ab, which the unfused step leaves for dgbtrf
-    to clear; newton_matrix writes them as +0.0, whatever they held."""
+    _unfused_step_scalar in place of step_scalar: the in-place tension and
+    residual, the direct stencil path and the copy of template into the
+    ab that holds the last factor change no bit. newton_matrix writes all
+    of ab, whatever it held."""
     grid = build_grid(-6.0, 10.0, 160)
     beta0 = build_initial_data(TailFamily("log_drift", kappa=0.8), grid, m=2)[0].beta
     cfg = FlowConfig(a=1.0, dt0=0.05, ramp=0.12)
     records = np.geomspace(0.05, 1e4, 7)
-    filled, works = [], []
+    works = []
     step = evolve_llg.step_scalar
 
     def kept_step(beta, t, dt, work, seed):
         out = step(beta, t, dt, work, seed)
-        filled.append(bool(work.ab[: work.u].any()))
         works.append((work, dt))
         return out
 
@@ -1675,26 +1683,28 @@ def test_scalar_run_matches_the_unfused_step_bytes(monkeypatch):
     monkeypatch.setattr(evolve_llg, "step_scalar", _unfused_step_scalar)
     ref = run_scalar(beta0, grid, 2, cfg, 1e4, records)
     assert 90 <= series.steps == ref.steps <= 110
-    assert series.steps / 5 < sum(filled) < series.steps / 2
     for name in ("t", "v", "beta", "energy", "dissipated"):
         assert getattr(series, name).tobytes() == getattr(ref, name).tobytes(), name
     assert series.iterations == ref.iterations > 3 * series.steps
     assert series.factorizations == ref.factorizations > series.steps
     work, dt = works[-1]
-    work.ab[: work.u] = np.nan
-    work.newton_matrix(series.beta[-1], dt)
-    assert work.ab[: work.u].tobytes() == np.zeros((work.u, grid.n)).tobytes()
+    w = work.weight / dt
+    fresh = work.newton_matrix(series.beta[-1], w).copy()
+    work.ab[:] = np.nan
+    assert work.newton_matrix(series.beta[-1], w).tobytes() == fresh.tobytes()
+    assert work.ab[: work.u].tobytes() == work.template[: work.u].tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 1024, 1536, 2048])
 def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
     """The diagonals of banded_d2 past the centered stencil's reach of
     N_PIN = 3 hold closure weights of the N_PIN rows at each end only,
-    which the scalar scheme pins; its band therefore drops them. The band
-    _ScalarWork builds directly, u = N_PIN, equals the _scaled_band of
-    banded_d2 negated, with +0.0 in every slot of a pinned row or column,
-    and its Newton matrix equals the reference one, byte for byte in
-    every slot that lies inside the matrix."""
+    which the scalar scheme pins; its band therefore drops them. The
+    template _ScalarWork builds directly, in upper symmetric band storage
+    at u = N_PIN, equals the _stencil_band of banded_d2 negated off the
+    main diagonal, with +0.0 in every slot of a pinned row or column, and
+    its Newton matrix equals the reference one, byte for byte in every
+    slot that lies inside the matrix."""
     grid = build_grid(-6.0, 10.0, n)
     band, l, u = banded_d2(grid)
     assert (l, u) == (7, 7)
@@ -1707,19 +1717,20 @@ def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
     work = _ScalarWork(grid, m, a1)
     u = work.u
     assert u == N_PIN == 3
-    assert work.ab.shape == (3 * u + 1, n)
-    scaled, pinned, decay, _ = _scaled_band(grid)
-    i = np.arange(2 * u + 1)[:, None] - u + np.arange(n)[None, :]
-    inside = (i >= 0) & (i < n)
+    assert work.ab.shape == work.template.shape == (u + 1, n)
+    stencil, pinned, _ = _stencil_band(grid)
+    i = np.arange(u + 1)[:, None] - u + np.arange(n)[None, :]
+    inside = i >= 0
     boundary = np.zeros_like(inside)
     boundary[pinned] = True
-    assert not (scaled[inside & ~boundary] == 0).any()
-    # +0.0 in the pinned rows and columns, where -scaled reads -0.0
-    expected = np.where(boundary, 0.0, -scaled)
-    assert work.neg_d2[inside].tobytes() == expected[inside].tobytes()
+    assert not (stencil[inside & ~boundary] == 0).any()
+    # +0.0 in the pinned rows and columns, where -stencil reads -0.0
+    expected = np.where(boundary, 0.0, -stencil)
+    assert work.template[:u][inside[:u]].tobytes() == expected[:u][inside[:u]].tobytes()
     beta = stationary_angle(0.0, grid, m)
-    ref = _reference_newton_matrix(beta, dt, m, a1, scaled, pinned, decay, u)
-    got = work.newton_matrix(beta, dt)[u:]
+    w = _row_weights(grid, a1, dt)
+    ref = _reference_newton_matrix(beta, w, m, stencil, pinned, u)
+    got = work.newton_matrix(beta, work.weight / dt)
     assert got[inside].tobytes() == ref[inside].tobytes()
 
 
@@ -1727,24 +1738,25 @@ def _step_residual(x, beta, dt, grid, m, a1):
     """The Crank-Nicolson residual G(x) = x - beta - (dt/2) (f(x) + f(beta)),
     f(b) = a1 e^{-2 rho} (d2_rho b + (m^2/2) sin 2b), on the evolving rows
     and G(x) = x - beta on the N_PIN pinned rows at each end, for x of
-    shape (n,) or (n, k), real or complex."""
+    shape (n,) or (n, k), real or complex: the residual before the row
+    scaling of step_scalar."""
     decay = np.exp(-2.0 * grid.rho)[:, None]
     x = x if x.ndim == 2 else x[:, None]
 
     def f(b):
-        return _reference_rhs(b, d2_rho(b, grid), m, a1, decay)
+        return a1 * decay * _reference_tension(b, d2_rho(b, grid), m)
 
     return x - beta[:, None] - 0.5 * dt * (f(x) + f(beta[:, None]))
 
 
 def _band_to_dense(ab, u):
-    """The n x n matrix of LAPACK gbtrf storage ab, entry (i, j) at row
-    2u + i - j."""
+    """The symmetric n x n matrix of upper symmetric band storage ab:
+    entry (i, j), i <= j, at row u + i - j, and (j, i) equal to it."""
     n = ab.shape[1]
     dense = np.zeros((n, n))
-    for d in range(-u, u + 1):
-        i = np.arange(max(0, -d), min(n, n - d))
-        dense[i, i + d] = ab[2 * u - d, i + d]
+    for k in range(u + 1):
+        j = np.arange(k, n)
+        dense[j - k, j] = dense[j, j - k] = ab[u - k, j]
     return dense
 
 
@@ -1770,41 +1782,80 @@ def pinned_steps(draw):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(pinned_steps())
 def test_scalar_newton_matrix_is_the_jacobian_on_the_evolving_block(case):
-    """The Newton matrix of _ScalarWork at x is, on the evolving block, the
-    Jacobian of the step's residual, taken here by the complex step
-    Im G(x + i h e_j)/h of a test-local residual over d2_rho, to 1e-13 of
-    each row's largest entry; its N_PIN pinned rows and columns at each
-    end are identity rows and columns, so it couples no evolving row into
-    a pinned node. One chord update, dgbtrf and solve_banded as _chord
-    takes them, then leaves the pinned nodes of x bit for bit."""
+    """The Newton matrix S of _ScalarWork at x, read from its upper
+    symmetric band storage, equals its transpose bit for bit on the
+    evolving block and is there the Jacobian of the step's residual scaled
+    row by row by w = 2 e^{2 rho}/(a1 dt): S equals diag(w) times the
+    complex-step Jacobian Im G(x + i h e_j)/h of a test-local unscaled
+    residual over d2_rho to 1e-13 of each row's largest entry, in both
+    triangles, so the scaled Jacobian is symmetric to that accuracy. Its
+    N_PIN pinned rows and columns at each end are identity rows and
+    columns, so it couples no evolving row into a pinned node. Where
+    dpbtrf factors it, one chord update, work.factor and solve_banded as
+    _chord takes them, leaves the pinned nodes of x bit for bit; where it
+    finds S not positive definite, a step seeded at x raises that
+    StepError before any back-solve."""
     grid, beta, x, dt, m, a1 = case
     n = grid.n
     work = _ScalarWork(grid, m, a1)
-    ab = work.newton_matrix(x, dt)
+    w = work.weight / dt
+    ab = work.newton_matrix(x, w)
     got = _band_to_dense(ab, work.u)
+    body = slice(N_PIN, n - N_PIN)
+    assert got[body, body].tobytes() == got[body, body].T.tobytes()
     h = 1e-20
     jac = _step_residual(x[:, None] + 1j * h * np.eye(n), beta, dt, grid, m, a1).imag / h
-    body = slice(N_PIN, n - N_PIN)
-    scale = np.max(np.abs(jac[body, body]), axis=1, keepdims=True)
-    assert np.all(np.abs(got[body, body] - jac[body, body]) <= 1e-13 * scale)
+    scaled = w[:, None] * jac[body, body]
+    scale = np.max(np.abs(scaled), axis=1, keepdims=True)
+    assert np.all(np.abs(got[body, body] - scaled) <= 1e-13 * scale)
     ends = np.r_[:N_PIN, n - N_PIN : n]
     eye = np.eye(n)
     assert np.array_equal(got[ends], eye[ends])
     assert np.array_equal(got[:, ends], eye[:, ends])
-    lu, piv, info = dgbtrf(ab, work.u, work.u)
-    assert info == 0
-    resid = _step_residual(x, beta, dt, grid, m, a1)[:, 0]
-    new = x - evolve_llg.solve_banded(lu, piv, resid, work.u)
-    assert new[ends].tobytes() == x[ends].tobytes()
+    chol, piv, info = work.factor(ab.copy(), work.u)
+    if info == 0:
+        resid = _step_residual(x, beta, dt, grid, m, a1)[:, 0]
+        new = x - evolve_llg.solve_banded(chol, piv, resid, work.u)
+        assert new[ends].tobytes() == x[ends].tobytes()
+    else:
+        with pytest.raises(StepError, match="^Newton matrix is not positive definite at t=0,"):
+            step_scalar(beta, 0.0, dt, work, x)
+        assert work.iterations == work.factorizations == 0
 
 
 def test_scalar_step_reports_singular_matrix(grid, monkeypatch):
+    """A Newton matrix dpbtrf cannot factor, here an all-zero band, is
+    reported as not positive definite, with the step's time and size."""
     work = _ScalarWork(grid, 2, 1.0)
-    # an all-zero band: LAPACK finds a zero pivot and returns info > 0
-    monkeypatch.setattr(work, "newton_matrix", lambda beta, dt: np.zeros_like(work.ab))
+    # an all-zero band: dpbtrf finds a zero pivot and returns info > 0
+    monkeypatch.setattr(work, "newton_matrix", lambda beta, w: np.zeros_like(work.ab))
     beta = stationary_angle(0.0, grid, 2)
-    with pytest.raises(StepError, match="singular"):
+    message = "^Newton matrix is not positive definite at t=0, dt=0.01; reduce the step size$"
+    with pytest.raises(StepError, match=message):
         step_scalar(beta, 0.0, 0.01, work, beta)
+
+
+def test_scalar_step_on_an_unstable_angle_fails_before_any_back_solve(monkeypatch):
+    """The equator beta = 0, m = 2, is a steady state whose linearized
+    heat flow grows at rates up to a1 e^{-2 rho} m^2: on rho in [-4, 4]
+    the modes near the inner end grow faster than 2/dt at dt = 10, so
+    the Newton matrix is not positive definite there and step_scalar
+    raises StepError before any back-solve, with no factorization counted
+    and no factor held. At dt = 1e-4 every weight w = 2 e^{2 rho}/dt is
+    above m^2, the matrix is positive definite, and the step keeps the
+    steady state bit for bit."""
+    solves = []
+    _count_calls(monkeypatch, evolve_llg, "solve_banded", solves)
+    grid = build_grid(-4.0, 4.0, 64)
+    beta = np.zeros(grid.n)
+    work = _ScalarWork(grid, 2, 1.0)
+    message = "^Newton matrix is not positive definite at t=0.5, dt=10; reduce the step size$"
+    with pytest.raises(StepError, match=message):
+        step_scalar(beta, 0.5, 10.0, work, beta)
+    assert solves == []
+    assert (work.iterations, work.factorizations, work.lu) == (0, 0, None)
+    assert step_scalar(beta, 0.5, 1e-4, work, beta).tobytes() == beta.tobytes()
+    assert len(solves) == work.iterations == work.factorizations == 1
 
 
 def test_scalar_step_rejects_a_non_finite_angle(grid, monkeypatch):

@@ -12,9 +12,12 @@ count.
 The package reads no environment variable: every setting is a key of the
 one config schema, ExperimentConfig.
 
-The banded LU factorization and back-solve, LAPACK dgbtrf and dgbtrs, are
-each called from one function, so both implicit steppers share one chord
-iteration.
+The banded LU factorization and back-solve, LAPACK dgbtrf and dgbtrs, and
+the banded Cholesky factorization and back-solve of the scalar stepper's
+symmetric Newton matrix, dpbtrf and dpbtrs, are each called from one
+function, so both implicit steppers share one chord iteration. Both
+back-solves are in the module-level evolve_llg.solve_banded, which only
+_chord calls, so that every back-solve of either stepper can be counted.
 
 RunSeries(...) is called from one function, the run driver _drive, and
 run_vector and run_scalar both call it, so the record times, the record
@@ -229,8 +232,12 @@ def functions_referencing(src: Path, name: str, calls_only: bool = False) -> lis
 
 
 def test_banded_lapack_calls_have_one_home():
-    assert functions_referencing(SRC, "dgbtrf") == ["evolve_llg._chord"]
+    assert functions_referencing(SRC, "dgbtrf") == ["evolve_llg._ChordCounters.factor"]
     assert functions_referencing(SRC, "dgbtrs") == ["evolve_llg.solve_banded"]
+    assert functions_referencing(SRC, "dpbtrf") == ["evolve_llg._ScalarWork.factor"]
+    assert functions_referencing(SRC, "dpbtrs") == ["evolve_llg.solve_banded"]
+    assert functions_referencing(SRC, "factor", calls_only=True) == ["evolve_llg._chord"]
+    assert functions_referencing(SRC, "solve_banded", calls_only=True) == ["evolve_llg._chord"]
 
 
 def test_run_series_is_built_by_one_driver():
