@@ -21,9 +21,10 @@ the energy and dissipation booked at a record time. The solvers are:
   checks that, projects each node back to |v| = 1 and rejects a
   non-finite map. Three nodes at each end are pinned, which
   keeps every evolving row on the centered 6th-order stencil: the spatial
-  operator restricted to the evolving block is then an exactly
-  symmetric matrix, so the midpoint rule conserves the matching
-  quadratic energy to solver tolerance when the flow is purely
+  operator restricted to the evolving block is then a symmetric matrix,
+  to about 1e-15 relative, as the centered taps _D2_CENTER mirror each
+  other but for their last bits, so the midpoint rule conserves the
+  matching quadratic energy to solver tolerance when the flow is purely
   rotational (a = i) and dissipates it monotonically when Re a > 0.
   Harmonic profiles are discrete near-equilibria: their step residual
   sits at the stencil floor, orders of magnitude below the step size.
@@ -35,16 +36,18 @@ the energy and dissipation booked at a record time. The solvers are:
   runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
   hundred steps. Each evolving row of the step's residual is scaled by
   w = 2 e^{2 rho}/(a1 dt), which makes the Newton matrix the mass term
-  over dt/2 plus the energy Hessian, symmetric and, at a step size
+  over dt/2 plus the energy Hessian, exactly symmetric, as both of its
+  triangles hold the taps above the diagonal, and, at a step size
   Crank-Nicolson can take, positive definite. It is written into one
-  preallocated array in LAPACK's upper symmetric band storage, 3
-  diagonals above the main one, and factored by dpbtrf, first at a seed
+  preallocated array in LAPACK's lower symmetric band storage, 3
+  diagonals below the main one, and factored by dpbtrf, first at a seed
   extrapolated in time, from the third step on by the quadratic through
-  the last three accepted angles. Within a step the stencil on an
-  iterate is the stencil on the step's start plus the stencil on the
-  change, which keeps the stencil's roundoff, and with it the floor of
-  the Newton updates, well below NEWTON_TOL. The stencil on the angle is
-  one correlation, _apply_stencil's direct path, and the tension
+  the last three accepted angles; the factor is re-laid into a second
+  array in upper storage, which dpbtrs reads. Within a step the stencil
+  on an iterate is the stencil on the step's start plus the stencil on
+  the change, which keeps the stencil's roundoff, and with it the floor
+  of the Newton updates, well below NEWTON_TOL. The stencil on the angle
+  is one correlation, _apply_stencil's direct path, and the tension
   T = D2 beta + (m^2/2) sin 2 beta is one array updated in place.
 
 The chord iteration (Kelley, Iterative Methods for Linear and Nonlinear
@@ -407,9 +410,10 @@ def _chord(
 def solve_banded(lu: np.ndarray, piv: np.ndarray, b: np.ndarray, u: int) -> np.ndarray:
     """The back-solve of the chord iteration of both steppers: x with
     A x = b, A factored by dgbtrf into lu and piv in gbtrf storage with u
-    sub- and super-diagonals, or, piv None, by dpbtrf into its Cholesky
-    factor lu. dgbtrs or dpbtrs overwrites b with x. One module-level
-    name, so that the solves can be counted."""
+    sub- and super-diagonals, or, piv None, A = U^T U with lu the Cholesky
+    factor U in upper symmetric band storage, as _ScalarWork.factor lays
+    it out. dgbtrs or dpbtrs overwrites b with x. One module-level name,
+    so that the solves can be counted."""
     if piv is None:
         return dpbtrs(lu, b, overwrite_b=True)[0]
     return dgbtrs(lu, u, u, b, piv, overwrite_b=True)[0]
@@ -706,28 +710,34 @@ def scalar_energy(beta: np.ndarray, grid: RadialGrid, m: int) -> float:
 
 
 class _ScalarWork(_ChordCounters):
-    """The per-grid pieces of the Crank-Nicolson Newton matrix and the one
-    array it is built and factored in.
+    """The per-grid pieces of the Crank-Nicolson Newton matrix, the one
+    array it is built and factored in, and the one its factor is re-laid
+    in.
 
     step_scalar scales each evolving row of its residual by w = weight/dt
     = 2 e^{2 rho}/(a1 dt), so that the Newton matrix there is
     diag(w) - D2 - m^2 diag(cos 2 beta), D2 the centered stencil over
-    drho^2 with the taps above the diagonal, as _D2_CENTER is symmetric
-    but for its last bits: symmetric, and positive definite unless a
-    linearized mode grows faster than 2/dt, which Crank-Nicolson cannot
-    step. ab holds it in LAPACK's upper symmetric band storage, a
-    Fortran-ordered (u + 1, n) array with entry (i, j), i <= j, at row
-    u + i - j, u = N_PIN = 3 the stencil's reach; dpbtrf factors it in
-    place into the Cholesky factor the back-solves read. The N_PIN rows
-    at each end are identity rows and the pinned columns are zero on the
-    evolving rows, which keeps the matrix symmetric and the pinned updates
-    exactly zero. template holds what depends on neither dt nor beta: the
-    off-diagonals -D2 and the diagonal, -D2's on the evolving rows and 1
-    on the pinned ones; each Newton matrix is a copy of it with
-    w - m^2 cos(2 beta) added on the evolving diagonal. Every step
-    factors afresh at its seed: a factorization held across steps made
-    the ramped runs slower, as dt moves every step, and the fresh one
-    makes the Newton iteration converge quadratically, so a scalar run
+    drho^2 with the taps above the diagonal in both triangles, as
+    _D2_CENTER is symmetric but for its last bits: exactly symmetric, and
+    positive definite unless a linearized mode grows faster than 2/dt,
+    which Crank-Nicolson cannot step. ab holds it in LAPACK's lower
+    symmetric band storage, a Fortran-ordered (u + 1, n) array with entry
+    (i, j), i >= j, at row i - j, the diagonal in row 0, u = N_PIN = 3 the
+    stencil's reach. dpbtrf factors it in place into L with L L^T the
+    matrix, its rank-one updates on unit-stride vectors, which OpenBLAS
+    runs faster than the strided ones of upper storage; factor re-lays L
+    into chol as U = L^T in upper storage, entry (i, j), i <= j, at row
+    u + i - j, which the back-solves read: the bytes of the upper
+    factorization. The N_PIN rows at each end are identity rows and the
+    pinned columns are zero on the evolving rows, which keeps the matrix
+    symmetric and the pinned updates exactly zero. template holds what
+    depends on neither dt nor beta: the off-diagonals -D2, row k the tap
+    -taps[3 + k], and the diagonal, -D2's on the evolving rows and 1 on
+    the pinned ones; each Newton matrix is a copy of it with
+    w - m^2 cos(2 beta) added on the evolving diagonal. Every step factors
+    afresh at its seed: a factorization held across steps made the ramped
+    runs slower, as dt moves every step, and the fresh one makes the
+    Newton iteration converge quadratically, so a scalar run
     takes _chord's early stop, newton_k unmeasured at first.
     """
 
@@ -744,15 +754,18 @@ class _ScalarWork(_ChordCounters):
         taps = _D2_CENTER / grid.drho**2
         self.template = np.zeros((u + 1, n), order="F")
         for k in range(u + 1):
-            self.template[u - k, N_PIN + k : n - N_PIN] = -taps[3 + k]
-        self.template[u, :N_PIN] = self.template[u, n - N_PIN :] = 1.0
+            self.template[k, N_PIN : n - N_PIN - k] = -taps[3 + k]
+        self.template[0, :N_PIN] = self.template[0, n - N_PIN :] = 1.0
         self.ab = np.zeros((u + 1, n), order="F")
+        self.chol = np.zeros((u + 1, n), order="F")
 
-    @staticmethod
-    def factor(ab: np.ndarray, u: int):
-        """c, None, info of dpbtrf on ab in upper symmetric band storage."""
-        c, info = dpbtrf(ab, overwrite_ab=True)
-        return c, None, info
+    def factor(self, ab: np.ndarray, u: int):
+        """chol, None, info of dpbtrf on ab in lower symmetric band storage,
+        its factor L re-laid into chol as U = L^T in upper storage."""
+        c, info = dpbtrf(ab, lower=1, overwrite_ab=True)
+        for k in range(u + 1):
+            self.chol[u - k, k:] = c[k, : c.shape[1] - k]
+        return self.chol, None, info
 
     def tension(self, beta: np.ndarray, d2: np.ndarray) -> np.ndarray:
         """T = d2 + (m^2/2) sin 2 beta on the evolving rows, for d2 the
@@ -769,7 +782,7 @@ class _ScalarWork(_ChordCounters):
         and returned: a copy of template, then w - m^2 cos(2 beta) added on
         the evolving diagonal, w first."""
         np.copyto(self.ab, self.template)
-        diag = self.ab[self.u, N_PIN:-N_PIN]
+        diag = self.ab[0, N_PIN:-N_PIN]
         diag += w
         diag -= self.m**2 * np.cos(2.0 * beta[N_PIN:-N_PIN])
         return self.ab

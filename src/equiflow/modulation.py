@@ -182,7 +182,8 @@ def fit_mu(
     fails to halve the residual the Jacobian is re-estimated by finite
     differences.  Maps with an identically zero second component are fit
     with the rotation pinned to zero, its row of that Jacobian the
-    identity's.  A singular Jacobian or 50 iterations raise FitError.
+    identity's.  A singular Jacobian, an iterate whose scale e^{mu_1/m}
+    is not a positive finite float, or 50 iterations raise FitError.
 
     By default a residual coordinate exceeding 0.3 in sup norm is
     rejected: the decomposition is only meaningful close to the family.
@@ -212,7 +213,10 @@ def fit_mu(
     eps = 1e-7
 
     def evaluate(mc: complex) -> tuple[complex, np.ndarray]:
-        mu = Mu.from_complex(mc, m)
+        try:
+            mu = Mu.from_complex(mc, m)
+        except (ValueError, OverflowError) as exc:  # s = e^{mu_1/m} underflows or overflows
+            raise FitError(f"parameter fit left the family: mu = {mc:.6g}") from exc
         prof = h_profile(mu, grid)
         vres = v - prof.h
         z = _frame_coords(vres, prof.f)

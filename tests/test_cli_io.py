@@ -448,6 +448,30 @@ def test_scalar_step_crank_nicolson_cannot_take_fails_fast(tmp_path, capsys, mon
     assert len(per_step) > 100 and per_step[-1] == 0 and min(per_step[:-1]) >= 1
 
 
+def test_fit_leaving_the_family_ends_without_a_traceback(tmp_path, capsys):
+    """An m = 3 log_drift tail at kappa = 3, s0 = 3, ramped at 0.1: the
+    finite-difference Newton steps of the record fit of the initial map
+    take mu_1 = 3 log s from 3.3 to -5.9 and then to about -2807, where
+    the scale underflows to 0. The fit fails like any other, leaving its
+    row NaN, and simulate exits 0 with nothing on stderr, or 3 with one
+    tagged numerical error line, and no warning either way, where it once
+    ended in a ValueError traceback."""
+    cfg = write_config(
+        tmp_path, family="log_drift", kappa=3, m=3, s0=3,
+        rho_min=-14, rho_max=10, n=768, dt0=1e-4, ramp=0.1, t_end=1e5,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert code in (0, 3)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.startswith("equiflow error [numerical:")
+
+
 def test_rate_overflowing_after_the_last_step_prints_only_its_error_line(
     tmp_path, capsys, monkeypatch
 ):

@@ -777,12 +777,15 @@ def test_vector_early_stop_leaves_less_than_midpoint_tol(a, schedule, monkeypatc
     assert max(left) <= evolve_llg.MIDPOINT_TOL
 
 
-def _count_calls(monkeypatch, owner, name, log):
-    """Wrap owner.name so that each call appends its arguments to log."""
+def _count_calls(monkeypatch, owner, name, log, keywords=None):
+    """Wrap owner.name so that each call appends its positional arguments
+    to log and, if keywords is a list, its keyword arguments to keywords."""
     fn = getattr(owner, name)
 
     def counted(*args, **kwargs):
         log.append(args)
+        if keywords is not None:
+            keywords.append(kwargs)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counted)
@@ -1625,9 +1628,10 @@ def _unfused_step_scalar(beta, t, dt, work, seed):
     """step_scalar with one temporary per operation: d2 through
     _apply_stencil's per-column path on the (n, 1) field, the tension as
     one expression, the residual written into a zero array, and each
-    Newton matrix built in a new array, row by row from template, rather
-    than copied into the ab that holds the last Cholesky factor; the chord
-    iteration is _chord's, on work."""
+    Newton matrix built in a new array, row by row from template in lower
+    symmetric band storage, the diagonal in row 0, rather than copied into
+    the ab that holds the last Cholesky factor; the chord iteration is
+    _chord's, on work."""
     u, body = work.u, slice(N_PIN, -N_PIN)
     w = work.weight / dt
 
@@ -1641,7 +1645,7 @@ def _unfused_step_scalar(beta, t, dt, work, seed):
         band = np.zeros(work.ab.shape, order="F")
         for row in range(u + 1):
             band[row] = work.template[row]
-        band[u, body] = work.template[u, body] + w - work.m**2 * np.cos(2.0 * x[body])
+        band[0, body] = work.template[0, body] + w - work.m**2 * np.cos(2.0 * x[body])
         return band
 
     d2_old = d2(beta)
@@ -1665,7 +1669,8 @@ def test_scalar_run_matches_the_unfused_step_bytes(monkeypatch):
     _unfused_step_scalar in place of step_scalar: the in-place tension and
     residual, the direct stencil path and the copy of template into the
     ab that holds the last factor change no bit. newton_matrix writes all
-    of ab, whatever it held."""
+    of ab, whatever it held, the off-diagonal rows 1 to u as template holds
+    them."""
     grid = build_grid(-6.0, 10.0, 160)
     beta0 = build_initial_data(TailFamily("log_drift", kappa=0.8), grid, m=2)[0].beta
     cfg = FlowConfig(a=1.0, dt0=0.05, ramp=0.12)
@@ -1692,7 +1697,7 @@ def test_scalar_run_matches_the_unfused_step_bytes(monkeypatch):
     fresh = work.newton_matrix(series.beta[-1], w).copy()
     work.ab[:] = np.nan
     assert work.newton_matrix(series.beta[-1], w).tobytes() == fresh.tobytes()
-    assert work.ab[: work.u].tobytes() == work.template[: work.u].tobytes()
+    assert work.ab[1:].tobytes() == work.template[1:].tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 1024, 1536, 2048])
@@ -1700,11 +1705,12 @@ def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
     """The diagonals of banded_d2 past the centered stencil's reach of
     N_PIN = 3 hold closure weights of the N_PIN rows at each end only,
     which the scalar scheme pins; its band therefore drops them. The
-    template _ScalarWork builds directly, in upper symmetric band storage
-    at u = N_PIN, equals the _stencil_band of banded_d2 negated off the
-    main diagonal, with +0.0 in every slot of a pinned row or column, and
-    its Newton matrix equals the reference one, byte for byte in every
-    slot that lies inside the matrix."""
+    template _ScalarWork builds directly, in lower symmetric band storage
+    at u = N_PIN, equals the _stencil_band of banded_d2, re-laid by
+    _lower_band, negated off the main diagonal, with +0.0 in every slot
+    of a pinned row or column, and its Newton matrix equals the reference
+    one re-laid the same way, byte for byte in every slot that lies
+    inside the matrix."""
     grid = build_grid(-6.0, 10.0, n)
     band, l, u = banded_d2(grid)
     assert (l, u) == (7, 7)
@@ -1725,13 +1731,15 @@ def test_banded_d2_outer_diagonals_only_in_boundary_rows(n):
     boundary[pinned] = True
     assert not (stencil[inside & ~boundary] == 0).any()
     # +0.0 in the pinned rows and columns, where -stencil reads -0.0
-    expected = np.where(boundary, 0.0, -stencil)
-    assert work.template[:u][inside[:u]].tobytes() == expected[:u][inside[:u]].tobytes()
+    expected = _lower_band(np.where(boundary, 0.0, -stencil), u)
+    # ab[i - j, j] holds entry (i, j), i >= j: inside while i < n
+    low = np.arange(u + 1)[:, None] + np.arange(n)[None, :] < n
+    assert work.template[1:][low[1:]].tobytes() == expected[1:][low[1:]].tobytes()
     beta = stationary_angle(0.0, grid, m)
     w = _row_weights(grid, a1, dt)
-    ref = _reference_newton_matrix(beta, w, m, stencil, pinned, u)
+    ref = _lower_band(_reference_newton_matrix(beta, w, m, stencil, pinned, u), u)
     got = work.newton_matrix(beta, work.weight / dt)
-    assert got[inside].tobytes() == ref[inside].tobytes()
+    assert got[low].tobytes() == ref[low].tobytes()
 
 
 def _step_residual(x, beta, dt, grid, m, a1):
@@ -1749,14 +1757,25 @@ def _step_residual(x, beta, dt, grid, m, a1):
     return x - beta[:, None] - 0.5 * dt * (f(x) + f(beta[:, None]))
 
 
+def _lower_band(ab, u):
+    """The lower symmetric band storage of the matrix that ab holds in
+    upper storage: entry (i, j), i >= j, at row i - j, read from (j, i) at
+    row u + j - i; +0.0 in the slots outside the matrix."""
+    n = ab.shape[1]
+    low = np.zeros_like(ab)
+    for k in range(u + 1):
+        low[k, : n - k] = ab[u - k, k:]
+    return low
+
+
 def _band_to_dense(ab, u):
-    """The symmetric n x n matrix of upper symmetric band storage ab:
-    entry (i, j), i <= j, at row u + i - j, and (j, i) equal to it."""
+    """The symmetric n x n matrix of lower symmetric band storage ab:
+    entry (i, j), i >= j, at row i - j, and (j, i) equal to it."""
     n = ab.shape[1]
     dense = np.zeros((n, n))
     for k in range(u + 1):
-        j = np.arange(k, n)
-        dense[j - k, j] = dense[j, j - k] = ab[u - k, j]
+        j = np.arange(n - k)
+        dense[j + k, j] = dense[j, j + k] = ab[k, j]
     return dense
 
 
@@ -1782,7 +1801,7 @@ def pinned_steps(draw):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(pinned_steps())
 def test_scalar_newton_matrix_is_the_jacobian_on_the_evolving_block(case):
-    """The Newton matrix S of _ScalarWork at x, read from its upper
+    """The Newton matrix S of _ScalarWork at x, read from its lower
     symmetric band storage, equals its transpose bit for bit on the
     evolving block and is there the Jacobian of the step's residual scaled
     row by row by w = 2 e^{2 rho}/(a1 dt): S equals diag(w) times the
@@ -1856,6 +1875,68 @@ def test_scalar_step_on_an_unstable_angle_fails_before_any_back_solve(monkeypatc
     assert (work.iterations, work.factorizations, work.lu) == (0, 0, None)
     assert step_scalar(beta, 0.5, 1e-4, work, beta).tobytes() == beta.tobytes()
     assert len(solves) == work.iterations == work.factorizations == 1
+
+
+def test_scalar_run_factors_the_lower_band(grid, monkeypatch):
+    """Every dpbtrf of a scalar run factors the Newton matrix in place in
+    lower symmetric band storage, where LAPACK's rank-one updates read
+    unit-stride vectors."""
+    factors, keywords = [], []
+    _count_calls(monkeypatch, evolve_llg, "dpbtrf", factors, keywords)
+    beta0, cfg = _relaxation_run(grid)
+    series = run_scalar(beta0, grid, 2, cfg, t_end=1.0)
+    assert len(keywords) == series.factorizations > 0
+    assert all(kw == {"lower": 1, "overwrite_ab": True} for kw in keywords)
+
+
+@pytest.mark.parametrize("n", [16, 1536])
+def test_scalar_factor_is_the_upper_cholesky_factor(n):
+    """_ScalarWork.factor re-lays the lower Cholesky factor L of a Newton
+    matrix as U = L^T in upper symmetric band storage: byte for byte the
+    upper dpbtrf factor of the reference Newton matrix in every slot inside
+    the matrix, at dt from 1e-4 to 900 on the tail run's rho range. A band
+    that is not positive definite, the equator at m = 2 and dt = 10, still
+    gives the info of the upper factorization, > 0."""
+    grid = build_grid(-14.0, 10.0, n)
+    m, a1 = 2, 1.0
+    work = _ScalarWork(grid, m, a1)
+    u = work.u
+    stencil, pinned, _ = _stencil_band(grid)
+    inside = np.arange(u + 1)[:, None] - u + np.arange(n)[None, :] >= 0
+    beta = stationary_angle(0.0, grid, m) + 0.3 * np.exp(-((grid.rho - 1.0) ** 2))
+    for dt in (1e-4, 1.0, 900.0):
+        ref = _reference_newton_matrix(beta, _row_weights(grid, a1, dt), m, stencil, pinned, u)
+        chol_ref, info_ref = dpbtrf(ref)
+        chol, piv, info = work.factor(work.newton_matrix(beta, work.weight / dt), u)
+        assert (piv, info, info_ref) == (None, 0, 0)
+        assert chol is work.chol
+        assert chol[inside].tobytes() == chol_ref[inside].tobytes()
+    equator = np.zeros(n)
+    ref = _reference_newton_matrix(equator, _row_weights(grid, a1, 10.0), m, stencil, pinned, u)
+    info_ref = dpbtrf(ref)[1]
+    info = work.factor(work.newton_matrix(equator, work.weight / 10.0), u)[2]
+    assert info == info_ref > 0
+
+
+def test_scalar_step_after_a_failed_factor_matches_a_fresh_work():
+    """The re-laid Cholesky factor lives in one array on the work object,
+    which a failed factorization leaves partly written: after a step that
+    finds the Newton matrix not positive definite, a step at a quarter of
+    its dt on the same work gives the bytes, counts and factor of that
+    step on a fresh _ScalarWork."""
+    grid = build_grid(-4.0, 4.0, 64)
+    beta = 0.3 * np.exp(-(grid.rho**2))
+    work = _ScalarWork(grid, 2, 1.0)
+    with pytest.raises(StepError, match="^Newton matrix is not positive definite at t=0,"):
+        step_scalar(beta, 0.0, 0.02, work, beta)
+    assert work.chol.any()
+    got = step_scalar(beta, 0.0, 0.005, work, beta)
+    fresh = _ScalarWork(grid, 2, 1.0)
+    ref = step_scalar(beta, 0.0, 0.005, fresh, beta)
+    assert np.max(np.abs(ref - beta)) > 1e-3
+    assert got.tobytes() == ref.tobytes()
+    assert (work.iterations, work.factorizations) == (fresh.iterations, fresh.factorizations)
+    assert work.chol.tobytes() == fresh.chol.tobytes()
 
 
 def test_scalar_step_rejects_a_non_finite_angle(grid, monkeypatch):

@@ -273,6 +273,21 @@ def test_fit_error_on_a_pairing_blind_to_the_parameters(monkeypatch, alpha, mess
         fit_mu(vmap, None, bump_phi(m, grid), grid)
 
 
+@pytest.mark.parametrize("pull, cause", [(-1e4, ValueError), (1e4, OverflowError)])
+def test_fit_error_on_an_iterate_outside_the_family(monkeypatch, pull, cause):
+    """An identity step that moves mu_1 = m log s by -1e4 or +1e4 makes
+    the scale e^{mu_1/m} underflow to 0 or overflow: the fit raises
+    FitError, from the ValueError of Mu or the OverflowError of math.exp,
+    rather than either of those."""
+    m = 3
+    grid = build_grid(-6.0, 6.0, 512)
+    vmap = SphereMap(h_profile(Mu(1.0, 0.4, m), grid).h, m)
+    monkeypatch.setattr(modulation, "inner_product", lambda *args: complex(pull, 0.0))
+    with pytest.raises(FitError, match="^parameter fit left the family: mu = ") as info:
+        fit_mu(vmap, None, bump_phi(m, grid), grid)
+    assert type(info.value.__cause__) is cause
+
+
 def test_fit_error_after_fifty_iterations(monkeypatch):
     """A pairing that never moves from 1 fails the identity step, and its
     finite-difference Jacobian is the identity: every Newton step is
