@@ -95,13 +95,14 @@ class ExperimentConfig:
     t_end: float = _key(1.0, "final time of the run")
     t_record_min: float = _key(0.0, "first record time; 0 picks t_end / 100")
     records: int = _key(21, "number of geometrically spaced record times")
-    family: str = _key("none", "tail family: none | log_drift | ln_ln_oscillation | mixed")
-    kappa: float = _key(0.0, "tail amplitude")
-    lam: float = _key(1.0, "tail frequency (oscillating families)")
-    r1: float = _key(math.e, "tail activation radius (> 1)")
-    sign: int = _key(1, "tail orientation, +1 or -1")
-    s0: float = _key(1.0, "initial harmonic scale")
-    cut_width: float = _key(1.0, "width of the tail switch-on ramp in log radius")
+    family: str = _key(
+        TailFamily.family, "tail family: none | log_drift | ln_ln_oscillation | mixed"
+    )
+    kappa: float = _key(TailFamily.kappa, "tail amplitude; its sign sets the tail orientation")
+    lam: float = _key(TailFamily.lam, "tail frequency (oscillating families)")
+    r1: float = _key(TailFamily.r1, "tail activation radius (> 1)")
+    s0: float = _key(TailFamily.s0, "initial harmonic scale")
+    cut_width: float = _key(TailFamily.cut_width, "width of the tail switch-on ramp in log radius")
     delta: float = _key(0.0, "amplitude of the seeded random transverse perturbation")
     seed: int = _key(0, "random seed for the transverse perturbation")
     snapshot: str = _key("", "snapshot file to use as initial data instead of a family")
@@ -227,7 +228,6 @@ def parse_config(text: str) -> ExperimentConfig:
         0.0 <= cfg.t_record_min < cfg.t_end,
         "t_record_min must lie in [0, t_end)",
     )
-    check(cfg.cut_width > 0.0, "cut_width must be positive")
     check(
         0.0 <= cfg.delta <= _DELTA_MAX,
         f"delta must lie in [0, {_DELTA_MAX:g}], where the perturbed map can be renormalized",
@@ -429,9 +429,7 @@ def _initial_data(cfg: ExperimentConfig) -> tuple[SphereMap, RadialGrid, float]:
         excess = math.nan
     else:
         grid = cfg.grid()
-        vmap, excess = build_initial_data(
-            cfg.tail_family(), grid, m=cfg.m, cut_width=cfg.cut_width
-        )
+        vmap, excess = build_initial_data(cfg.tail_family(), grid, m=cfg.m)
     if cfg.delta > 0.0:
         v = _seeded_perturbation(vmap.v, grid, cfg.delta, cfg.seed)
         vmap = SphereMap(v=v, m=vmap.m)
@@ -617,7 +615,7 @@ def cmd_predict(cfg: ExperimentConfig, out_dir: Path) -> tuple[str, list[Path]]:
 def _sweep_row(cfg: ExperimentConfig, kappa: float, lam: float) -> tuple:
     grid = cfg.grid()
     fam = replace(cfg.tail_family(), kappa=kappa, lam=lam)
-    vmap, excess = build_initial_data(fam, grid, m=cfg.m, cut_width=cfg.cut_width)
+    vmap, excess = build_initial_data(fam, grid, m=cfg.m)
     pred, label = _predict(cfg, vmap, grid, s0=cfg.s0)
     return (kappa, lam, excess, pred.v1_form[-1], pred.q_form[-1], int(label))
 

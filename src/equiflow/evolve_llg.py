@@ -207,7 +207,7 @@ class RunSeries:
         return SphereMap(v=self.v[k], m=self.m, beta=beta)
 
 
-# nodes held fixed at each end of the mesh by the vector scheme; three per
+# nodes held fixed at each end of the mesh by both schemes; three per
 # side keeps every evolving row on the centered second-derivative stencil
 N_PIN = 3
 
@@ -215,8 +215,8 @@ N_PIN = 3
 def laplace_operator(v: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
     """The equivariant Laplacian (d_rr + d_r/r + (m^2/r^2) R^2) v, in log
     coordinates e^{-2 rho} (v_rhorho - m^2 (v1, v2, 0)), on the evolving
-    nodes by d2_rho's centered stencil alone, whose reach is the N_PIN
-    pinned nodes at each end; +0.0 on the pinned nodes."""
+    nodes by the centered stencil _D2_CENTER alone, whose reach is the
+    N_PIN pinned nodes at each end; +0.0 on the pinned nodes."""
     out = np.zeros(v.shape)
     decay = grid.decay[N_PIN:-N_PIN]
     # column by column, each on the stencil's direct path, so that every
@@ -704,11 +704,6 @@ def stationary_angle(log_s: float, grid: RadialGrid, m: int) -> np.ndarray:
     return np.arctan(np.sinh(m * (grid.rho - log_s)))
 
 
-def scalar_energy(beta: np.ndarray, grid: RadialGrid, m: int) -> float:
-    """Map energy of the great-circle field via the high-order quadrature."""
-    return map_energy(beta_to_map(beta), grid, m)
-
-
 class _ScalarWork(_ChordCounters):
     """The per-grid pieces of the Crank-Nicolson Newton matrix, the one
     array it is built and factored in, and the one its factor is re-laid
@@ -896,7 +891,7 @@ def run_scalar(
             return step_scalar(beta, t, dt, work, seed)
 
     def observe(beta: np.ndarray, k: int, t: float, energies: np.ndarray):
-        e_now = scalar_energy(beta, grid, m)
+        e_now = map_energy(beta_to_map(beta), grid, m)
         return e_now, (energies[0] if k else e_now) - e_now
 
     series = _drive(beta, work, m, config, t_end, record_times, advance, observe)

@@ -130,9 +130,7 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _frame_coords(field: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Complex coordinate of a tangent vector field in the frame e."""
-    return np.einsum("ij,ij->i", field, e.real) + 1j * np.einsum(
-        "ij,ij->i", field, e.imag
-    )
+    return _dot3(field, e.real) + 1j * _dot3(field, e.imag)
 
 
 def _gamma(z: np.ndarray) -> np.ndarray:

@@ -26,13 +26,7 @@ import numpy as np
 from .errors import ConfigError, FitError
 from .evolve_llg import SphereMap
 from .harmonic_family import Mu, _checked_cosh, _frame_coords, _gamma, _norm3, h_profile
-from .radial_grid import (
-    RadialGrid,
-    cell_dr,
-    inner_product,
-    interp_rho,
-    quad_rdr,
-)
+from .radial_grid import RadialGrid, cell_dr, inner_product, interp_rho
 
 _LN2 = math.log(2.0)
 
@@ -88,7 +82,7 @@ def bump_phi(m: int, grid: RadialGrid) -> BumpProfile:
     # profile is evaluated on the whole grid
     ex = np.exp(-np.abs(m * grid.rho))
     h1 = 2.0 * ex / (1.0 + ex * ex)
-    pairing = 2.0 * math.pi * quad_rdr(raw.shape(grid.rho) * h1, grid)
+    pairing = inner_product(raw.shape(grid.rho), h1, grid)
     return BumpProfile(m=int(m), norm_const=float(1.0 / pairing))
 
 
@@ -118,11 +112,11 @@ def r_inverse(g: np.ndarray, phi: BumpProfile, s: float, grid: RadialGrid) -> np
     u[k0 + 1 :] = h1s[k0 + 1 :] * np.cumsum(cells[k0:])
     u[:k0] = -h1s[:k0] * np.cumsum(cells[:k0][::-1])[::-1]
     phiv = phi.paired_values(grid, s)
-    w2 = 2.0 * math.pi * quad_rdr(h1s * phiv, grid)
+    w2 = inner_product(h1s, phiv, grid)
     window = np.abs(sigma) < _LN2
     avals = np.zeros_like(u)
     avals[window] = u[window] / h1s[window]
-    b2 = 2.0 * math.pi * quad_rdr(avals * phiv * h1s, grid)
+    b2 = inner_product(avals * phiv, h1s, grid)
     return w2 * u - b2 * h1s
 
 

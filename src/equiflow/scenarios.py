@@ -54,11 +54,12 @@ class BehaviorClass(IntEnum):
 class TailFamily:
     """Recipe for the far-field angle tail of great-circle initial data.
 
-    The tail adds -sign * P'(ln ln r) / ln r to the profile angle beyond
-    the activation radius r1, smoothly switched on over one log unit, so
-    that the first map component picks up +sign * P'(ln ln r) / ln r and
-    the predicted scale history sweeps out sign * P along the iterated
-    logarithm of time.  P is selected by `family`:
+    The tail adds -P'(ln ln r) / ln r to the profile angle beyond the
+    activation radius r1, smoothly switched on over cut_width log units,
+    so that the first map component picks up +P'(ln ln r) / ln r and the
+    predicted scale history sweeps out P along the iterated logarithm of
+    time.  P is selected by `family`, and the sign of kappa sets the
+    orientation of the tail:
 
       none               P = 0 (bare profile at scale s0)
       log_drift          P(u) = kappa * u
@@ -70,8 +71,8 @@ class TailFamily:
     kappa: float = 0.0
     lam: float = 1.0
     r1: float = math.e
-    sign: int = 1
     s0: float = 1.0
+    cut_width: float = 1.0
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -82,10 +83,10 @@ class TailFamily:
             raise ConfigError("activation radius r1 must exceed 1")
         if self.lam <= 0.0:
             raise ConfigError("tail frequency lam must be positive")
-        if self.sign not in (-1, 1):
-            raise ConfigError("sign must be -1 or +1")
         if not self.s0 > 0.0:
             raise ConfigError("initial scale s0 must be positive")
+        if not self.cut_width > 0.0:
+            raise ConfigError("cut_width must be positive")
 
     def p_prime(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the drift profile P at iterated-log radius u."""
@@ -131,28 +132,23 @@ def _smooth_step(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def tail_angle(fam: TailFamily, grid: RadialGrid, cut_width: float) -> np.ndarray:
+def tail_angle(fam: TailFamily, grid: RadialGrid) -> np.ndarray:
     """Angle perturbation of the tail recipe on the grid.
 
-    Zero below the activation radius, and -sign * P'(ln ln r)/ln r far
-    out, joined by a smooth switch over `cut_width` log units.
+    Zero below the activation radius, and -P'(ln ln r)/ln r far out,
+    joined by a smooth switch over fam.cut_width log units.
     """
     p = np.zeros(grid.n)
     rho1 = math.log(fam.r1)
-    chi = _smooth_step((grid.rho - rho1) / cut_width)
+    chi = _smooth_step((grid.rho - rho1) / fam.cut_width)
     live = chi > 0.0
     lnr = grid.rho[live]
     u = np.log(lnr)
-    p[live] = -fam.sign * fam.p_prime(u) * chi[live] / lnr
+    p[live] = -fam.p_prime(u) * chi[live] / lnr
     return p
 
 
-def build_initial_data(
-    fam: TailFamily,
-    grid: RadialGrid,
-    m: int = 2,
-    cut_width: float = 1.0,
-) -> tuple[SphereMap, float]:
+def build_initial_data(fam: TailFamily, grid: RadialGrid, m: int = 2) -> tuple[SphereMap, float]:
     """Great-circle initial data with the prescribed far-field tail.
 
     Returns the map and its energy excess over the harmonic floor.
@@ -162,7 +158,7 @@ def build_initial_data(
             "grid too narrow to resolve the iterated-log tail: need "
             f"r_max >= {_LNLN_HEADROOM * fam.r1:.3g}, have {grid.r[-1]:.3g}"
         )
-    beta = stationary_angle(math.log(fam.s0), grid, m) + tail_angle(fam, grid, cut_width)
+    beta = stationary_angle(math.log(fam.s0), grid, m) + tail_angle(fam, grid)
     v = beta_to_map(beta)
     excess = energy(v, grid, m) - 4.0 * math.pi * m
     return SphereMap(v=v, m=m, beta=beta), float(excess)

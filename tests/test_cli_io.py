@@ -1,5 +1,6 @@
 """Tests for config parsing, CSV/snapshot output, and the CLI commands."""
 
+import itertools
 import math
 import re
 import warnings
@@ -100,11 +101,11 @@ def test_syntax_errors_carry_line_numbers():
     assert "line 5: cannot parse 'fast' as float" in message
 
 
-@pytest.mark.parametrize("key, value", [("fit_cadence", 2), ("out", "x")])
+@pytest.mark.parametrize("key, value", [("fit_cadence", 2), ("out", "x"), ("sign", -1)])
 def test_removed_keys_are_unknown(tmp_path, capsys, key, value):
-    """Every record is fitted and --out is the one output setting, so
-    neither fit_cadence nor out is a config key: a config that sets one
-    exits 2."""
+    """Every record is fitted, --out is the one output setting and the
+    sign of kappa orients the tail, so neither fit_cadence, out nor sign
+    is a config key: a config that sets one exits 2."""
     cfg = write_config(tmp_path, **{key: value})
     assert main(["predict", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"line 1: unknown key {key!r}" in capsys.readouterr().err
@@ -122,7 +123,7 @@ def test_snapshot_and_family_conflict():
 
 
 def test_family_round_trip():
-    fam = TailFamily("ln_ln_oscillation", kappa=-0.37, lam=2.25, r1=3.5, sign=-1, s0=0.8)
+    fam = TailFamily("ln_ln_oscillation", kappa=0.37, lam=2.25, r1=3.5, s0=0.8)
     cfg = parse_config(config_text(fam))
     assert cfg.tail_family() == fam
 
@@ -470,6 +471,52 @@ def test_fit_leaving_the_family_ends_without_a_traceback(tmp_path, capsys):
         assert err == ""
     else:
         assert err.count("\n") == 1 and err.startswith("equiflow error [numerical:")
+
+
+# the tail recipes of the stress probe: every family, the oscillating ones
+# at two frequencies
+PROBE_TAILS = [
+    ("none", 1.0), ("log_drift", 1.0),
+    ("ln_ln_oscillation", 1.0), ("ln_ln_oscillation", 4.0), ("mixed", 1.0), ("mixed", 4.0),
+]
+# the completed runs of the probe today; a change that completes more
+# raises it
+PROBE_COMPLETED_FLOOR = 93
+
+
+def test_stress_probe_of_ramped_tail_runs(tmp_path, capsys):
+    """108 ramped simulate runs to t = 1e5 on rho in [-14, 10], n = 768:
+    each tail recipe at kappa in {0.3, 1, 3}, m in {2, 3} and s0 in
+    {0.3, 1, 3}. Every run exits 0 with nothing on stderr, or 3 with one
+    tagged numerical error line, and none raises or warns; at least
+    PROBE_COMPLETED_FLOOR of them exit 0."""
+    bad, completed = [], 0
+    for (family, lam), kappa, m, s0 in itertools.product(
+        PROBE_TAILS, (0.3, 1, 3), (2, 3), (0.3, 1, 3)
+    ):
+        run = f"family={family} lam={lam} kappa={kappa} m={m} s0={s0}"
+        cfg = write_config(
+            tmp_path, family=family, lam=lam, kappa=kappa, m=m, s0=s0,
+            rho_min=-14, rho_max=10, n=768, dt0=1e-4, ramp=0.1, t_end=1e5,
+        )
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except Exception as exc:  # the traceback the probe looks for
+                bad.append(f"{run}: raised {type(exc).__name__}: {exc}")
+                continue
+        err = capsys.readouterr().err
+        if caught:
+            bad.append(f"{run}: warned {[str(w.message) for w in caught]}")
+        if code == 0 and err == "":
+            completed += 1
+        elif not (code == 3 and err.count("\n") == 1
+                  and err.startswith("equiflow error [numerical:")):
+            bad.append(f"{run}: exit {code}, stderr {err!r}")
+    assert bad == []
+    assert completed >= PROBE_COMPLETED_FLOOR
 
 
 def test_rate_overflowing_after_the_last_step_prints_only_its_error_line(

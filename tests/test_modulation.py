@@ -222,8 +222,9 @@ def test_fit_falls_back_to_finite_difference_jacobian(monkeypatch):
         pairings += 1
         return inner_product(*args)
 
+    phi = bump_phi(m, grid)
     monkeypatch.setattr(modulation, "inner_product", counted)
-    state = fit_mu(SphereMap(v, m), None, bump_phi(m, grid), grid, strict=False)
+    state = fit_mu(SphereMap(v, m), None, phi, grid, strict=False)
     assert state.residual <= 1e-12
     # the identity Jacobian pairs once per iteration, the initial pairing
     # included; each finite-difference iteration pairs twice more
@@ -250,8 +251,9 @@ def test_fit_planar_map_falls_back_to_slope_of_real_part(monkeypatch):
         pairings += 1
         return inner_product(*args)
 
+    phi = bump_phi(m, grid)
     monkeypatch.setattr(modulation, "inner_product", counted)
-    state = fit_mu(SphereMap(v, m), None, bump_phi(m, grid), grid, strict=False)
+    state = fit_mu(SphereMap(v, m), None, phi, grid, strict=False)
     assert state.residual <= 1e-12
     assert state.mu.alpha == 0.0
     assert pairings > state.iterations + 1
@@ -268,9 +270,10 @@ def test_fit_error_on_a_pairing_blind_to_the_parameters(monkeypatch, alpha, mess
     m = 2
     grid = build_grid(-6.0, 6.0, 512)
     vmap = SphereMap(h_profile(Mu(1.0, alpha, m), grid).h, m)
+    phi = bump_phi(m, grid)
     monkeypatch.setattr(modulation, "inner_product", lambda *args: 0.3 + 0.2j)
     with pytest.raises(FitError, match=message):
-        fit_mu(vmap, None, bump_phi(m, grid), grid)
+        fit_mu(vmap, None, phi, grid)
 
 
 @pytest.mark.parametrize("pull, cause", [(-1e4, ValueError), (1e4, OverflowError)])
@@ -282,9 +285,10 @@ def test_fit_error_on_an_iterate_outside_the_family(monkeypatch, pull, cause):
     m = 3
     grid = build_grid(-6.0, 6.0, 512)
     vmap = SphereMap(h_profile(Mu(1.0, 0.4, m), grid).h, m)
+    phi = bump_phi(m, grid)
     monkeypatch.setattr(modulation, "inner_product", lambda *args: complex(pull, 0.0))
     with pytest.raises(FitError, match="^parameter fit left the family: mu = ") as info:
-        fit_mu(vmap, None, bump_phi(m, grid), grid)
+        fit_mu(vmap, None, phi, grid)
     assert type(info.value.__cause__) is cause
 
 
@@ -306,9 +310,10 @@ def test_fit_error_after_fifty_iterations(monkeypatch):
         probe = {0: 1.0, 1: 1j}.get(k % 3, 0.0) if k >= 0 else 0.0
         return 1.0 + 1e-7 * probe
 
+    phi = bump_phi(m, grid)
     monkeypatch.setattr(modulation, "inner_product", stuck)
     with pytest.raises(FitError, match="^parameter fit did not converge within 50 iterations$"):
-        fit_mu(vmap, None, bump_phi(m, grid), grid)
+        fit_mu(vmap, None, phi, grid)
     assert len(calls) == 2 + 3 * 49
 
 

@@ -78,7 +78,6 @@ CLI_VALUES = {
     "kappa": (["0", "0.8", "-1.2"], ["1e6", "-1e300", "1e-300"]),
     "lam": (["1", "0.5", "2"], ["0", "-1", "1e300"]),
     "r1": (["2.718281828", "2", "5"], ["1", "0.5", "1e300"]),
-    "sign": (["1", "-1"], ["0", "2"]),
     "s0": (["1", "0.5", "2"], ["0", "-1", "1e300", "1e-300", "1e20"]),
     "cut_width": (["1", "0.5", "2"], ["0", "-1", "1e300", "1e-300"]),
     "delta": (["0", "0.02", "0.1"], ["-0.1", "1e300", "1e-300", "10"]),

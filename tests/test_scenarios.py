@@ -31,7 +31,7 @@ def synthetic_planar_map(fam: TailFamily, grid) -> SphereMap:
     map, so prediction readouts over the fully switched-on region obey
     the antiderivative of P in closed form.
     """
-    v1 = -tail_angle(fam, grid, 1.0)
+    v1 = -tail_angle(fam, grid)
     beta = np.arccos(np.clip(v1, -1.0, 1.0))
     v = np.stack([np.cos(beta), np.zeros_like(beta), np.sin(beta)], axis=-1)
     return SphereMap(v=v, m=2, beta=beta)
@@ -49,9 +49,9 @@ def test_family_validation():
     with pytest.raises(ConfigError):
         TailFamily("ln_ln_oscillation", kappa=0.1, lam=0.0)
     with pytest.raises(ConfigError):
-        TailFamily("log_drift", kappa=0.1, sign=2)
-    with pytest.raises(ConfigError):
         TailFamily("log_drift", kappa=0.1, s0=0.0)
+    with pytest.raises(ConfigError):
+        TailFamily("log_drift", kappa=0.1, cut_width=0.0)
 
 
 def p_value(fam: TailFamily, u: np.ndarray) -> np.ndarray:
@@ -84,10 +84,10 @@ def test_drift_profile_consistency():
 
 def test_tail_angle_support_and_smoothness(grid):
     fam = TailFamily("log_drift", kappa=-0.8, r1=math.e)
-    p = tail_angle(fam, grid, 1.0)
+    p = tail_angle(fam, grid)
     assert np.all(p[grid.rho <= 1.0] == 0.0)
     assert np.all(p[grid.rho >= 2.5] != 0.0)
-    # the switched-on region carries -sign * P' / ln r exactly
+    # the switched-on region carries -P' / ln r exactly
     far = grid.rho >= 2.5
     expected = -fam.kappa / grid.rho[far]
     assert np.max(np.abs(p[far] - expected)) < 1e-12
@@ -97,8 +97,8 @@ def test_tail_angle_support_and_smoothness(grid):
 
 
 def test_tail_angle_cut_width(grid):
-    fam = TailFamily("log_drift", kappa=0.5)
-    wide = tail_angle(fam, grid, cut_width=3.0)
+    fam = TailFamily("log_drift", kappa=0.5, cut_width=3.0)
+    wide = tail_angle(fam, grid)
     assert np.all(wide[grid.rho <= 1.0] == 0.0)
     # with a 3 log-unit ramp the field is still partial at rho = 3
     j = np.searchsorted(grid.rho, 3.0)
@@ -126,12 +126,6 @@ def test_far_field_sign_follows_kappa(grid):
         vmap, _ = build_initial_data(TailFamily("log_drift", kappa=kappa), grid)
         v1 = vmap.v[last_decade, 0]
         assert np.all(np.sign(v1) == np.sign(kappa))
-
-
-def test_flip_sign_mirrors_tail(grid):
-    plus, _ = build_initial_data(TailFamily("log_drift", kappa=0.6, sign=1), grid)
-    minus, _ = build_initial_data(TailFamily("log_drift", kappa=-0.6, sign=-1), grid)
-    np.testing.assert_allclose(plus.beta, minus.beta, atol=1e-14)
 
 
 def test_excess_energy_matches_tail_quadrature(grid):
@@ -185,11 +179,11 @@ def test_narrow_grid_rejected():
 
 def test_prediction_closed_form_oracle(grid):
     # between radii where the switch is fully on, the first-component
-    # form telescopes to (2/pi) * sign * (P(u2) - P(u1)) with
+    # form telescopes to (2/pi) * (P(u2) - P(u1)) with
     # u = ln ln sqrt(a1 t); the synthetic map realizes the tail exactly
     cases = [
         (TailFamily("log_drift", kappa=-0.8), 1.0),
-        (TailFamily("log_drift", kappa=0.5, sign=-1), 1.0),
+        (TailFamily("log_drift", kappa=-0.5), 1.0),
         (TailFamily("ln_ln_oscillation", kappa=0.8, lam=2.0), 1.0),
         (TailFamily("mixed", kappa=0.4, lam=1.5), 2.0),
     ]
@@ -198,7 +192,7 @@ def test_prediction_closed_form_oracle(grid):
         t = np.array([math.exp(17.0) / a1, math.exp(19.6) / a1])
         pred = predict_log_s(vmap, a1, t, grid, s0=1.0)
         u = np.log(0.5 * np.log(a1 * t))
-        oracle = (2.0 / math.pi) * fam.sign * (p_value(fam, u[1]) - p_value(fam, u[0]))
+        oracle = (2.0 / math.pi) * (p_value(fam, u[1]) - p_value(fam, u[0]))
         got = pred.v1_form[1] - pred.v1_form[0]
         assert abs(got - oracle) <= 1e-6 * abs(oracle)
 

@@ -72,6 +72,12 @@ no other function divides by a difference one of whose operands is the
 dividend or an operand of it, and both the chord iteration and the
 inverse gauge transform call it.
 
+The tail keys of the config schema are the fields of TailFamily: the
+keys of cli_io.ExperimentConfig whose default is read from a TailFamily
+class attribute are exactly TailFamily's fields, each reading its own
+attribute, so ExperimentConfig.tail_family() takes every key it needs
+by name, and each tail default is written once.
+
 The flat-frame transform is a function of the map at one instant:
 hasimoto_forward takes no flow coefficient, and GaugeState holds no
 phase integral, no conserved-flow integrand and no flow coefficient.
@@ -79,9 +85,12 @@ The flow enters only through the phase that qeq_rhs computes.
 """
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import equiflow
+from equiflow.cli_io import ExperimentConfig
+from equiflow.scenarios import TailFamily
 
 SRC = Path(equiflow.__file__).resolve().parent
 
@@ -666,6 +675,52 @@ def test_dataclass_fields_are_found(tmp_path):
         encoding="utf-8",
     )
     assert dataclass_fields(tmp_path, "mod", "FlowConfig") == ["a", "dt0", "newton_tol"]
+
+
+def tail_keys(src: Path) -> dict[str, str]:
+    """key: attribute for every key of ExperimentConfig in src/cli_io.py
+    whose default, the first argument of its _key call, is an attribute
+    of TailFamily."""
+    tree = ast.parse((src / "cli_io.py").read_text(encoding="utf-8"))
+    (cls,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"
+    ]
+    found = {}
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.value, ast.Call):
+            default = node.value.args[0] if node.value.args else None
+            if (
+                isinstance(default, ast.Attribute)
+                and isinstance(default.value, ast.Name)
+                and default.value.id == "TailFamily"
+            ):
+                found[node.target.id] = default.attr
+    return found
+
+
+def test_tail_keys_are_the_tail_family_fields():
+    names = dataclass_fields(SRC, "scenarios", "TailFamily")
+    assert tail_keys(SRC) == {name: name for name in names}
+    schema = {key.name: key.default for key in fields(ExperimentConfig)}
+    assert {key.name: schema[key.name] for key in fields(TailFamily)} == {
+        key.name: key.default for key in fields(TailFamily)
+    }
+
+
+def test_tail_keys_are_found(tmp_path):
+    """A key whose default is a TailFamily attribute is found, under its
+    own name even when it reads another attribute; a key with a literal
+    default or with no _key call is not."""
+    (tmp_path / "cli_io.py").write_text(
+        "class ExperimentConfig:\n"
+        "    kappa: float = _key(TailFamily.kappa, 'tail amplitude')\n"
+        "    width: float = _key(TailFamily.cut_width, 'ramp width')\n"
+        "    sign: int = _key(1, 'tail orientation')\n"
+        "    n: int = 1024\n",
+        encoding="utf-8",
+    )
+    assert tail_keys(tmp_path) == {"kappa": "kappa", "width": "cut_width"}
 
 
 def parameters_of(src: Path, module: str, name: str) -> list[str]:
