@@ -245,8 +245,8 @@ def parse_config(text: str) -> ExperimentConfig:
         check(size <= cap, f"{what} must be at most {cap}, got {size}")
     try:
         cfg.tail_family()
-    except ConfigError as exc:
-        problems.append(str(exc))
+    except ConfigError as exc:  # one line per failed check
+        problems.extend(str(exc).splitlines())
     else:  # the profile at scale s0 is centred at rho = log s0
         log_s0 = math.log(cfg.s0)
         reach = cfg.m * max(cfg.rho_max - log_s0, log_s0 - cfg.rho_min)

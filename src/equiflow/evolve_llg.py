@@ -220,8 +220,7 @@ def laplace_operator(v: np.ndarray, grid: RadialGrid, m: int) -> np.ndarray:
     out = np.zeros(v.shape)
     decay = grid.decay[N_PIN:-N_PIN]
     # column by column, each on the stencil's direct path, so that every
-    # product runs along the nodes: e^{-2 rho} broadcast over the (n, 3)
-    # block at once runs an inner loop 3 long
+    # product runs along the nodes (the rule of harmonic_family's docstring)
     for c in range(3):
         col = _apply_stencil(v[:, c], _D2_CENTER)
         col /= grid.drho**2

@@ -117,12 +117,15 @@ def _transport_frame(v: np.ndarray, grid: RadialGrid, v_rho: np.ndarray) -> np.n
             f"the map comes within |P_v c| = {least:.3f} < {_MIN_OFF_AXIS} of "
             "the normal c of its nearest plane; the reference frame is not defined"
         )
-    off = np.sqrt(off2)[:, None]
-    g = (c - vc[:, None] * v) / off
-    b = vxc / off
-    theta += math.atan2(re0 @ b[-1], re0 @ g[-1]) - theta[-1]
-    re = np.cos(theta)[:, None] * g + np.sin(theta)[:, None] * b
-    return re + 1j * cross(v, re)
+    # g, b and the real leg as (3, n) rows: each product runs along the nodes
+    off = np.sqrt(off2)
+    g = (c.reshape(3, 1) - vc * v.T.copy()) / off
+    b = vxc.T.copy() / off
+    theta += math.atan2(re0 @ b[:, -1], re0 @ g[:, -1]) - theta[-1]
+    e = np.empty(v.shape, dtype=complex)
+    np.add(np.cos(theta) * g, np.sin(theta) * b, out=e.real.T)
+    e.imag = cross(v, e.real)
+    return e
 
 
 def _lstar(q: np.ndarray, v3: np.ndarray, m: int, grid: RadialGrid) -> np.ndarray:
@@ -183,11 +186,15 @@ def hasimoto_forward(vmap: SphereMap, mu: Mu, grid: RadialGrid) -> GaugeState:
     v_rho = d_rho(v, grid)
     e = _transport_frame(v, grid, v_rho)
     pk = project_tangent(v, np.array([0.0, 0.0, 1.0]))
-    w = v_rho / grid.r[:, None] - (m / grid.r)[:, None] * pk
+    w = np.empty_like(v)
+    for k in range(3):
+        w[:, k] = v_rho[:, k] / grid.r - m / grid.r * pk[:, k]
     # Both terms of w are tangent to the sphere for a unit map, so any
     # component along v is differentiation noise; removing it keeps the
     # identity w = (Re q) Re e + (Im q) Im e exact.
-    w -= np.einsum("ij,ij->i", w, v)[:, None] * v
+    wv = np.einsum("ij,ij->i", w, v)
+    for k in range(3):
+        w[:, k] -= wv * v[:, k]
     q = _frame_coords(w, e)
     nu = _frame_coords(pk, e)
 
@@ -259,7 +266,9 @@ def reconstruct_v(
         vres = terms[0] + terms[1] + terms[2]
         v = hmap + vres
         e = _transport_frame(v, grid, d_rho(v, grid))
-        eq = q.real[:, None] * e.real + q.imag[:, None] * e.imag
+        eq = np.empty(v.shape)
+        for k in range(3):
+            np.add(q.real * e.real[:, k], q.imag * e.imag[:, k], out=eq[:, k])
         mq = _frame_coords(eq, f)
         rhs = mq - (m / grid.r) * vres[:, 2] * z + (m / grid.r) * h1s * gamma
         z_new = r_inverse(rhs, phi, mu.s, grid)

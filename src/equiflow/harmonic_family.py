@@ -20,6 +20,13 @@ gauge lives here too: frame coordinates of tangent fields, and the map
 h + (Re z) Re f + (Im z) Im f + gamma h at residual coordinate z, with
 gamma = sqrt(1 - |z|^2) - 1. So does the tangent projection P^v_a of
 the flows; their equivariant Laplacian is evolve_llg.laplace_operator.
+
+Frame algebra here and in gauge runs its numpy loops along the nodes,
+one component at a time on 1-D node slices or on a contiguous (3, n) copy:
+a per-node scalar or a fixed 3-vector broadcast over an (n, 3) field makes
+numpy loop 3 elements long, n times, at several times the cost. The bytes
+are the broadcast form's, as each elementwise operation rounds the same
+way in any loop order and component sums keep the order 0.0 + p0 + p1 + p2.
 """
 
 from __future__ import annotations
@@ -122,15 +129,27 @@ def pa_apply(v: np.ndarray, w: np.ndarray, a: complex) -> np.ndarray:
 
 
 def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a x b over the last axis, broadcasting, by the component formula:
-    the operations of np.cross in its order, without its overhead."""
-    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+    """a x b over the last axis, broadcasting: np.cross's operations in its
+    order, so its bytes, without its overhead. Each component comes from
+    component slices of a and b, so its products run along the nodes, and
+    is written into its slot of one output of the broadcast shape and dtype."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
 
 
 def _frame_coords(field: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Complex coordinate of a tangent vector field in the frame e."""
-    return _dot3(field, e.real) + 1j * _dot3(field, e.imag)
+    """Complex coordinate of a tangent vector field in the frame e: its _dot3
+    with each leg as real and imaginary part, x + 1j * y's bytes if finite."""
+    out = np.empty(field.shape[:-1], dtype=complex)
+    for leg, part in ((e.real, out.real), (e.imag, out.imag)):
+        part[...] = 0.0 + field[..., 0] * leg[..., 0] + field[..., 1] * leg[..., 1]
+        part += field[..., 2] * leg[..., 2]
+    return out
 
 
 def _gamma(z: np.ndarray) -> np.ndarray:
@@ -146,9 +165,11 @@ def _residual_terms(z: np.ndarray, prof: HarmonicProfile) -> tuple[np.ndarray, t
     keeps its own rounding."""
     gamma = _gamma(z)
     f = prof.f
-    return gamma, (
-        z.real[:, None] * f.real, z.imag[:, None] * f.imag, gamma[:, None] * prof.h
-    )
+    terms = np.empty((3,) + prof.h.shape)
+    for term, coef, leg in zip(terms, (z.real, z.imag, gamma), (f.real, f.imag, prof.h)):
+        for k in range(3):
+            np.multiply(coef, leg[:, k], out=term[:, k])
+    return gamma, tuple(terms)
 
 
 def energy(v: np.ndarray, grid: RadialGrid, m: int) -> float:

@@ -75,18 +75,19 @@ class TailFamily:
     cut_width: float = 1.0
 
     def __post_init__(self):
+        failed = []
         if self.family not in _FAMILIES:
-            raise ConfigError(
-                f"unknown tail family {self.family!r}; expected one of {_FAMILIES}"
-            )
+            failed.append(f"unknown tail family {self.family!r}; expected one of {_FAMILIES}")
         if not self.r1 > 1.0:
-            raise ConfigError("activation radius r1 must exceed 1")
+            failed.append("activation radius r1 must exceed 1")
         if self.lam <= 0.0:
-            raise ConfigError("tail frequency lam must be positive")
+            failed.append("tail frequency lam must be positive")
         if not self.s0 > 0.0:
-            raise ConfigError("initial scale s0 must be positive")
+            failed.append("initial scale s0 must be positive")
         if not self.cut_width > 0.0:
-            raise ConfigError("cut_width must be positive")
+            failed.append("cut_width must be positive")
+        if failed:
+            raise ConfigError("\n".join(failed))  # every failed check, a line each
 
     def p_prime(self, u: np.ndarray) -> np.ndarray:
         """Derivative of the drift profile P at iterated-log radius u."""

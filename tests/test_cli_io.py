@@ -911,6 +911,24 @@ def test_bad_values_are_config_errors(tmp_path, capsys, monkeypatch, command, ke
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "predict"])
+def test_every_tail_violation_is_reported(tmp_path, capsys, command):
+    """A tail family that fails three of its checks exits 2 with one error
+    block naming each on its own line; before, only the first was named."""
+    cfg = write_config(tmp_path, family="log_drift", r1=0.5, cut_width=0, lam=-1)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("equiflow error") == 1
+    lines = err.splitlines()
+    assert lines[0] == "equiflow error [config] code=2: invalid config:"
+    assert lines[1:] == [
+        "  - activation radius r1 must exceed 1",
+        "  - tail frequency lam must be positive",
+        "  - cut_width must be positive",
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 OUT_OF_REACH = [
     ({"rho_min": -400.0, "rho_max": 400.0}, "grid spacing drho = 12.7 on [-400.0, 400.0] exceeds 2.0"),
     ({"s0": 1e300}, "s0 = 1e+300 puts log s0 = 690.8 outside the grid's rho range (-8.0, 8.0)"),

@@ -11,6 +11,7 @@ from equiflow.errors import ConfigError, GaugeError, ReconstructionError
 from equiflow.evolve_llg import (
     FlowConfig,
     SphereMap,
+    _remaining,
     beta_to_map,
     run_vector,
     stationary_angle,
@@ -25,7 +26,16 @@ from equiflow.gauge import (
     qeq_rhs,
     reconstruct_v,
 )
-from equiflow.harmonic_family import Mu, _frame_coords, _residual_terms, energy, h_profile
+from equiflow.harmonic_family import (
+    Mu,
+    _dot3,
+    _frame_coords,
+    _gamma,
+    _residual_terms,
+    energy,
+    h_profile,
+    project_tangent,
+)
 from equiflow.modulation import bump_phi, fit_mu, r_inverse
 from equiflow.radial_grid import build_grid, cumint_dr, d2_rho, d_rho, deriv_r, norm
 
@@ -455,6 +465,60 @@ def test_transport_frame_matches_reference_bytes(m, n, given_v_rho):
     assert e.tobytes() == _reference_transport_frame(v, g, ref_v_rho).tobytes()
 
 
+def _reference_frame_coords(field, e):
+    """_frame_coords in its broadcast form: _dot3 with each leg on the
+    whole (n, 3) arrays, joined as x + 1j * y."""
+    return _dot3(field, e.real) + 1j * _dot3(field, e.imag)
+
+
+def _reference_residual_terms(z, prof):
+    """_residual_terms in its broadcast form: each coefficient as an
+    (n, 1) column times its (n, 3) leg."""
+    gamma = _gamma(z)
+    f = prof.f
+    return gamma, (
+        z.real[:, None] * f.real, z.imag[:, None] * f.imag, gamma[:, None] * prof.h
+    )
+
+
+def test_frame_coords_match_broadcast_form_bytes(grid):
+    """Frame coordinates by component slices give the broadcast form's
+    bytes: on the transported frame and the profile frame, whose legs are
+    strided views of a complex array, on a frame cut out of a wider
+    complex array, on a transposed frame, and for the profile legs
+    f.real and f.imag that hasimoto_forward passes as fields."""
+    rng = np.random.default_rng(21)
+    v = perturbed_map(Mu(1.1, 0.7, 3), grid, amp_re=0.04, amp_im=0.02).v
+    e = _transport_frame(v, grid, d_rho(v, grid))
+    f = h_profile(Mu(0.9, 2.1, 3), grid).f
+    field = rng.normal(size=(grid.n, 3))
+    wide = rng.normal(size=(grid.n, 5)) + 1j * rng.normal(size=(grid.n, 5))
+    cases = [
+        (field, e), (field, f), (field, wide[:, 1:4]), (field, e.T.copy().T),
+        (f.real, e), (f.imag, e), (field[::-1], e),
+    ]
+    for fld, frame in cases:
+        got = _frame_coords(fld, frame)
+        assert got.tobytes() == _reference_frame_coords(fld, frame).tobytes()
+
+
+def test_residual_terms_match_broadcast_form_bytes(grid):
+    """The residual terms written column by column have the broadcast
+    form's bytes, zeros of z and its parts included."""
+    rng = np.random.default_rng(22)
+    prof = h_profile(Mu(1.2, 0.4, 2), grid)
+    z = 0.3 * (rng.uniform(-1.0, 1.0, grid.n) + 1j * rng.uniform(-1.0, 1.0, grid.n))
+    z[::7] = 0.0
+    z[1::7] = z[1::7].real
+    gamma, terms = _residual_terms(z, prof)
+    ref_gamma, ref_terms = _reference_residual_terms(z, prof)
+    assert gamma.tobytes() == ref_gamma.tobytes()
+    assert len(terms) == 3
+    for term, ref in zip(terms, ref_terms):
+        assert term.shape == ref.shape
+        assert term.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("where", [None, 0, 1000, 2047])
 def test_transport_frame_errors_match_reference(grid, where):
     """The noise map stops the transport as not resolved: it comes near
@@ -638,6 +702,63 @@ def test_reconstruction_transports_per_inverse(grid, bench_states, transports):
             counts.append(len(transports))
         assert min(counts) >= 2, (seed, counts)
         assert sum(counts) / len(counts) <= 4.5, (seed, counts)
+
+
+def _reference_forward(vmap, mu, grid):
+    """hasimoto_forward's w, q, nu and M in their broadcast forms, on the
+    plain-numpy frame."""
+    v, m = vmap.v, vmap.m
+    v_rho = d_rho(v, grid)
+    e = _reference_transport_frame(v, grid, v_rho)
+    pk = project_tangent(v, np.array([0.0, 0.0, 1.0]))
+    w = v_rho / grid.r[:, None] - (m / grid.r)[:, None] * pk
+    w -= np.einsum("ij,ij->i", w, v)[:, None] * v
+    f = h_profile(mu, grid).f
+    coords = [_reference_frame_coords(leg, e) for leg in (f.real, f.imag)]
+    mmat = np.stack([np.stack([c.real, c.imag], axis=-1) for c in coords], axis=1)
+    return w, _reference_frame_coords(w, e), _reference_frame_coords(pk, e), mmat
+
+
+def _reference_reconstruct(mu, q, phi, grid):
+    """reconstruct_v's fixed-point loop and stop rule in broadcast forms,
+    on the plain-numpy frame: the map and z."""
+    m = mu.m
+    prof = h_profile(mu, grid)
+    z = np.zeros(grid.n, dtype=complex)
+    gap = math.inf
+    for _ in range(200):
+        gamma, terms = _reference_residual_terms(z, prof)
+        vres = terms[0] + terms[1] + terms[2]
+        v = prof.h + vres
+        e = _reference_transport_frame(v, grid)
+        eq = q.real[:, None] * e.real + q.imag[:, None] * e.imag
+        mq = _reference_frame_coords(eq, prof.f)
+        rhs = mq - (m / grid.r) * vres[:, 2] * z + (m / grid.r) * prof.h1s * gamma
+        z_new = r_inverse(rhs, phi, mu.s, grid)
+        if float(np.max(np.abs(z_new))) > 0.1:
+            z_new = z + 0.5 * (z_new - z)
+        gap, before = norm(z_new - z, grid, kind="X"), gap
+        z = z_new
+        if gap <= 1e-10 or _remaining(gap, before) <= 1e-10:
+            break
+    _, terms = _reference_residual_terms(z, prof)
+    return prof.h + terms[0] + terms[1] + terms[2], z
+
+
+def test_round_trip_matches_broadcast_form_bytes(grid, bench_states):
+    """hasimoto_forward's w, q, nu and M, and reconstruct_v's map and z,
+    have the bytes of their broadcast forms on the first two bench-shaped
+    maps of seed 1, and on 8 q, whose iterates take damped steps."""
+    maps = bench_shaped_maps(1, grid)[:2]
+    for vm, (mu, q, phi) in zip(maps, bench_states[1]):
+        st = hasimoto_forward(vm, mu, grid)
+        for got, ref in zip((st.w, st.q, st.nu, st.M), _reference_forward(vm, mu, grid)):
+            assert got.tobytes() == ref.tobytes()
+        for scale in (1.0, 8.0):
+            vrec, z = reconstruct_v(mu, scale * q, phi, grid)
+            ref_v, ref_z = _reference_reconstruct(mu, scale * q, phi, grid)
+            assert vrec.v.tobytes() == ref_v.tobytes()
+            assert z.tobytes() == ref_z.tobytes()
 
 
 def test_degree_mismatch_rejected(grid):

@@ -162,6 +162,34 @@ def test_cross_matches_numpy_bytes(grid):
     assert cross(v, basis).tobytes() == np.cross(v, basis).tobytes()
 
 
+def _reference_cross(a, b):
+    """cross in its stacked form: the components moved to the front with
+    np.moveaxis, and the three results stacked back along the last axis."""
+    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
+def test_cross_matches_stacked_form_bytes(grid):
+    """cross written into one output has the stacked form's shape, dtype
+    and bytes: an (n, 3) field against a fixed 3-vector on either side,
+    transposed views of (3, n) rows as the vector stepper passes them, the
+    (n, 3) x (3, 1, 3) basis broadcast, and the strided legs of a complex
+    frame, alone and as a complex factor."""
+    rng = np.random.default_rng(9)
+    v = random_unit_field(rng, grid.n)
+    rows = rng.normal(size=(2, 3, grid.n))
+    c = rng.normal(size=3)
+    f = h_profile(Mu(1.3, 0.4, 2), grid).f
+    cases = [
+        (v, c), (c, v), (rows[0].T, rows[1].T), (v, np.eye(3)[:, None, :]),
+        (v, f.real), (f.imag, v), (v, f),
+    ]
+    for a, b in cases:
+        got, ref = cross(a, b), _reference_cross(a, b)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+
 def laplace_m(v, grid, m):
     """The equivariant tension field input (d_rr + d_r/r + (m^2/r^2) R^2) v
     on every node, d2_rho's closures included: in log coordinates

@@ -58,6 +58,13 @@ gauge._transport_frame has no loop, neither a for or while statement
 nor a comprehension: the frame is one cumulative integral over the
 nodes, not a chain of steps.
 
+The frame algebra of the gauge round trip runs its numpy loops along the
+nodes: harmonic_family.cross, _frame_coords and _residual_terms and
+gauge._transport_frame, hasimoto_forward and reconstruct_v hold no
+[:, None] or [..., None] subscript (None or np.newaxis), the broadcast of
+a per-node scalar over an (n, 3) field that makes numpy loop over the 3
+components.
+
 cli_io.load_snapshot parses its rows in one numpy call: no for or while
 statement and no comprehension in it calls the builtin float, directly or
 through map, so a snapshot is not read one Python float per value.
@@ -592,6 +599,65 @@ def test_loops_are_found(tmp_path):
     )
     assert loops_in(tmp_path, "mod", "chain") == ["mod:2", "mod:4", "mod:6", "mod:6", "mod:6"]
     assert loops_in(tmp_path, "mod", "flat") == []
+
+
+NODE_LOOP_FUNCTIONS = [
+    ("harmonic_family", "cross"),
+    ("harmonic_family", "_frame_coords"),
+    ("harmonic_family", "_residual_terms"),
+    ("gauge", "_transport_frame"),
+    ("gauge", "hasimoto_forward"),
+    ("gauge", "reconstruct_v"),
+]
+
+
+def _is_new_axis(node: ast.AST) -> bool:
+    """Whether node is None or an attribute newaxis."""
+    if isinstance(node, ast.Constant):
+        return node.value is None
+    return isinstance(node, ast.Attribute) and node.attr == "newaxis"
+
+
+def _is_whole_axis(node: ast.AST) -> bool:
+    """Whether node is a bare : or ...."""
+    if isinstance(node, ast.Slice):
+        return node.lower is None and node.upper is None and node.step is None
+    return isinstance(node, ast.Constant) and node.value is Ellipsis
+
+
+def column_broadcasts(src: Path, module: str, name: str) -> list[str]:
+    """module:line of every [:, None] or [..., None] subscript, None
+    written as such or as np.newaxis, in the module-level function name
+    of src/module.py."""
+    found = []
+    for node in ast.walk(_function(src, module, name)):
+        if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Tuple):
+            elts = node.slice.elts
+            if len(elts) == 2 and _is_whole_axis(elts[0]) and _is_new_axis(elts[1]):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_frame_algebra_loops_along_the_nodes():
+    found = [column_broadcasts(SRC, module, name) for module, name in NODE_LOOP_FUNCTIONS]
+    assert sum(found, []) == []
+
+
+def test_column_broadcasts_are_found(tmp_path):
+    """[:, None], [..., None] and [:, np.newaxis] are found; component
+    slices, a leading new axis, a reshape and [:, None, :] are not."""
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "def broadcast(s, v, q, e):\n"
+        "    a = s[:, None] * v\n"
+        "    b = q.real[..., None] * e.real\n"
+        "    return a + b + s[:, np.newaxis]\n"
+        "def along_nodes(s, v, c):\n"
+        "    return s * v[:, 0] + v[..., 1] + c.reshape(3, 1) + v[None] + v[:, None, :]\n",
+        encoding="utf-8",
+    )
+    assert column_broadcasts(tmp_path, "mod", "broadcast") == ["mod:3", "mod:4", "mod:5"]
+    assert column_broadcasts(tmp_path, "mod", "along_nodes") == []
 
 
 def _calls_float(node: ast.AST) -> bool:
