@@ -33,8 +33,9 @@ the energy and dissipation booked at a record time. The solvers are:
   with real a reduces to a single angle beta(rho, t) obeying
   beta_t = a1 e^{-2 rho} (beta_rhorho + (m^2/2) sin 2 beta).
   Crank-Nicolson with a banded Newton solve makes very long dissipative
-  runs cheap; a geometric time-step ramp covers t in [0, 1e5] in a few
-  hundred steps. Each evolving row of the step's residual is scaled by
+  runs cheap; a geometric time-step ramp from dt0 = 1e-4 reaches t = 1e5
+  in 1,755 steps at ramp 0.01, about 250 at 0.08. Each evolving row of
+  the step's residual is scaled by
   w = 2 e^{2 rho}/(a1 dt), which makes the Newton matrix the mass term
   over dt/2 plus the energy Hessian, exactly symmetric, as both of its
   triangles hold the taps above the diagonal, and, at a step size

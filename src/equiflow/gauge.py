@@ -29,9 +29,9 @@ import numpy as np
 from .errors import ConfigError, GaugeError, ReconstructionError
 from .evolve_llg import SphereMap, _remaining
 from .harmonic_family import (
-    Mu, _dot3, _frame_coords, _residual_terms, cross, h_profile, project_tangent
+    Mu, _dot3, _frame_coords, _profile_parts, _residual_terms, cross, h_profile, project_tangent
 )
-from .modulation import BumpProfile, r_inverse
+from .modulation import BumpProfile, RightInverse
 from .radial_grid import RadialGrid, cumint_dr, d2_rho, d_rho, norm
 
 # least |P_v c| along the map: the reference frame g, b stays defined
@@ -198,12 +198,13 @@ def hasimoto_forward(vmap: SphereMap, mu: Mu, grid: RadialGrid) -> GaugeState:
     q = _frame_coords(w, e)
     nu = _frame_coords(pk, e)
 
-    f = h_profile(mu, grid).f
+    # M pairs the profile's legs Re f and Im f with e, as _frame_coords sums
+    h1s, h3s, ca, sa = _profile_parts(mu, grid)
     mmat = np.empty((n, 2, 2))
-    for row, leg in enumerate((f.real, f.imag)):
-        coords = _frame_coords(leg, e)
-        mmat[:, row, 0] = coords.real
-        mmat[:, row, 1] = coords.imag
+    for col, leg in enumerate((e.real, e.imag)):
+        e0, e1, e2 = leg.T
+        mmat[:, 0, col] = 0.0 + h3s * ca * e0 + h3s * sa * e1 - h1s * e2
+        mmat[:, 1, col] = 0.0 - sa * e0 + ca * e1
     alpha_tilde = math.atan2(mmat[0, 1, 0], mmat[0, 0, 0])
 
     return GaugeState(e=e, w=w, q=q, nu=nu, M=mmat, v=v, alpha_tilde=alpha_tilde, grid=grid)
@@ -257,8 +258,10 @@ def reconstruct_v(
     q = grid.check_field(np.asarray(q, dtype=complex))
     if not np.all(np.isfinite(q)):
         raise ReconstructionError("the flat-frame field q has non-finite values")
+    invert = RightInverse(phi, mu.s, grid)
     prof = h_profile(mu, grid)
-    f, hmap, h1s = prof.f, prof.h, prof.h1s
+    f, hmap = prof.f, prof.h
+    m_r, m_r_h1s = m / grid.r, (m / grid.r) * prof.h1s
     z = np.zeros(grid.n, dtype=complex)
     gap = math.inf
     for _ in range(200):
@@ -270,8 +273,8 @@ def reconstruct_v(
         for k in range(3):
             np.add(q.real * e.real[:, k], q.imag * e.imag[:, k], out=eq[:, k])
         mq = _frame_coords(eq, f)
-        rhs = mq - (m / grid.r) * vres[:, 2] * z + (m / grid.r) * h1s * gamma
-        z_new = r_inverse(rhs, phi, mu.s, grid)
+        rhs = mq - m_r * vres[:, 2] * z + m_r_h1s * gamma
+        z_new = invert(rhs)
         zmax = float(np.max(np.abs(z_new)))
         if zmax > 0.3:
             raise ReconstructionError(

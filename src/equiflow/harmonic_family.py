@@ -27,6 +27,8 @@ a per-node scalar or a fixed 3-vector broadcast over an (n, 3) field makes
 numpy loop 3 elements long, n times, at several times the cost. The bytes
 are the broadcast form's, as each elementwise operation rounds the same
 way in any loop order and component sums keep the order 0.0 + p0 + p1 + p2.
+fit_mu and hasimoto_forward pair with the profile's 1-D parts from
+_profile_parts and build none of h_profile's (n, 3) arrays.
 """
 
 from __future__ import annotations
@@ -88,12 +90,16 @@ class HarmonicProfile:
     f: np.ndarray  # (n, 3) complex frame
 
 
+def _profile_parts(mu: Mu, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """h1s, h3s, cos alpha and sin alpha of h[mu]: h = (h1s cos, h1s sin, h3s),
+    Re f = (h3s cos, h3s sin, -h1s) and Im f = (-sin, cos, 0) up to the sign
+    of exact zeros, which no sum from +0.0 sees."""
+    x = mu.m * (grid.rho - mu.log_s)
+    return 1.0 / np.cosh(x), np.tanh(x), math.cos(mu.alpha), math.sin(mu.alpha)
+
+
 def h_profile(mu: Mu, grid: RadialGrid) -> HarmonicProfile:
-    sigma = grid.rho - mu.log_s
-    x = mu.m * sigma
-    h1s = 1.0 / np.cosh(x)
-    h3s = np.tanh(x)
-    ca, sa = math.cos(mu.alpha), math.sin(mu.alpha)
+    h1s, h3s, ca, sa = _profile_parts(mu, grid)
     h = np.stack([h1s * ca, h1s * sa, h3s], axis=1)
     f = np.stack(
         [h3s * ca - 1j * sa, h3s * sa + 1j * ca, -h1s + 0j],

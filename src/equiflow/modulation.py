@@ -7,9 +7,9 @@ bump window.  This module builds that window, fits the scale and
 rotation so the constraint holds, inverts the linearized radial operator
 on the constrained complement, and builds the adjoint window for the
 frozen-phase pairing, whose time integral tracks the parameter drift.
-The frame coordinate of the residual and the vertical correction gamma
-come from the frame algebra in harmonic_family, shared with the gauge
-transform.
+The frame coordinate of the residual pairs it with the profile's frame
+legs, built from harmonic_family._profile_parts; the vertical correction
+gamma comes from the frame algebra there, shared with the gauge transform.
 
 All pairings are planar inner products, 2 pi int f conj(g) r dr.
 """
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, FitError
 from .evolve_llg import SphereMap
-from .harmonic_family import Mu, _checked_cosh, _frame_coords, _gamma, _norm3, h_profile
+from .harmonic_family import Mu, _checked_cosh, _gamma, _profile_parts
 from .radial_grid import RadialGrid, cell_dr, inner_product, interp_rho
 
 _LN2 = math.log(2.0)
@@ -86,38 +86,50 @@ def bump_phi(m: int, grid: RadialGrid) -> BumpProfile:
     return BumpProfile(m=int(m), norm_const=float(1.0 / pairing))
 
 
-def r_inverse(g: np.ndarray, phi: BumpProfile, s: float, grid: RadialGrid) -> np.ndarray:
+class RightInverse:
     """Right inverse of the linearized radial operator at scale s.
 
-    Returns the field u with (d/dr + (m/r) tanh(m ln(r/s))) u = g whose
-    component against the rescaled bump window vanishes.  The double
-    integral collapses to one cumulative sum anchored at the window
+    Called on g, returns the field u with (d/dr + (m/r) tanh(m ln(r/s)))
+    u = g whose component against the rescaled bump window vanishes.  The
+    double integral collapses to one cumulative sum anchored at the window
     center; the exponentially growing integrating factor is multiplied
     back immediately, node by node, so every stored intermediate stays
-    bounded by the data (no large cancellations).
+    bounded by the data (no large cancellations).  The factors of window
+    and scale are computed once; a window the grid cuts (w2 < 1) raises.
     """
-    if not s > 0:
-        raise ConfigError("scale must be positive")
-    g = grid.check_field(g)
-    if g.ndim != 1:
-        raise ConfigError("right inverse expects a scalar radial field")
-    m = phi.m
-    sigma = grid.rho - math.log(s)
-    cosh = _checked_cosh(m * sigma, "integrating factor")
-    h1s = 1.0 / cosh
-    cells = cell_dr(g * cosh, grid)
-    k0 = int(np.argmin(np.abs(sigma)))
-    u = np.empty(grid.n, dtype=cells.dtype)
-    u[k0] = 0.0
-    u[k0 + 1 :] = h1s[k0 + 1 :] * np.cumsum(cells[k0:])
-    u[:k0] = -h1s[:k0] * np.cumsum(cells[:k0][::-1])[::-1]
-    phiv = phi.paired_values(grid, s)
-    w2 = inner_product(h1s, phiv, grid)
-    window = np.abs(sigma) < _LN2
-    avals = np.zeros_like(u)
-    avals[window] = u[window] / h1s[window]
-    b2 = inner_product(avals * phiv, h1s, grid)
-    return w2 * u - b2 * h1s
+
+    def __init__(self, phi: BumpProfile, s: float, grid: RadialGrid):
+        if not s > 0:
+            raise ConfigError("scale must be positive")
+        log_s = math.log(s)
+        if log_s - _LN2 < grid.rho_min or log_s + _LN2 > grid.rho_max:
+            raise ConfigError(f"the bump window, log s +- ln 2 at scale s = {s:.6g}, leaves the grid")
+        sigma = grid.rho - log_s
+        self.grid, self.k0, self.window = grid, int(np.argmin(np.abs(sigma))), np.abs(sigma) < _LN2
+        self.cosh = _checked_cosh(phi.m * sigma, "integrating factor")
+        self.h1s = 1.0 / self.cosh
+        self.phiv = phi.paired_values(grid, s)
+        self.w2 = inner_product(self.h1s, self.phiv, grid)
+
+    def __call__(self, g: np.ndarray) -> np.ndarray:
+        h1s, k0, window = self.h1s, self.k0, self.window
+        g = self.grid.check_field(g)
+        if g.ndim != 1:
+            raise ConfigError("right inverse expects a scalar radial field")
+        cells = cell_dr(g * self.cosh, self.grid)
+        u = np.empty(g.size, dtype=cells.dtype)
+        u[k0] = 0.0
+        u[k0 + 1 :] = h1s[k0 + 1 :] * np.cumsum(cells[k0:])
+        u[:k0] = -h1s[:k0] * np.cumsum(cells[:k0][::-1])[::-1]
+        avals = np.zeros_like(u)
+        avals[window] = u[window] / h1s[window]
+        b2 = inner_product(avals * self.phiv, h1s, self.grid)
+        return self.w2 * u - b2 * h1s
+
+
+def r_inverse(g: np.ndarray, phi: BumpProfile, s: float, grid: RadialGrid) -> np.ndarray:
+    """RightInverse(phi, s, grid) applied once to g."""
+    return RightInverse(phi, s, grid)(g)
 
 
 @dataclass
@@ -188,17 +200,22 @@ def fit_mu(
     if phi.m != vmap.m:
         raise ConfigError("bump window and map disagree on the degree m")
     m = vmap.m
-    v = vmap.v
-    planar_rigid = float(np.max(np.abs(v[:, 1]))) <= 1e-9
+    v0, v1, v2 = vmap.v.T.copy()
+    planar_rigid = float(np.max(np.abs(v1))) <= 1e-9
+
+    def residual(mu: Mu) -> tuple[tuple, tuple]:
+        """The rows v_k - h_k of the map's residual from h[mu], and h[mu]'s parts."""
+        h1s, h3s, ca, sa = parts = _profile_parts(mu, grid)
+        return (v0 - h1s * ca, v1 - h1s * sa, v2 - h3s), parts
 
     if mu_guess is not None and mu_guess.m != m:
         raise ConfigError("initial parameters and map disagree on the degree m")
     if mu_guess is not None:
-        gap = float(np.max(_norm3(v - h_profile(mu_guess, grid).h)))
+        gap = float(np.max(np.sqrt(sum((r * r for r in residual(mu_guess)[0]), 0.0))))
         if gap > 0.3:
             mu_guess = None
     if mu_guess is None:
-        mu_guess = _crossing_seed(v, m, grid)
+        mu_guess = _crossing_seed(vmap.v, m, grid)
     if planar_rigid:
         mu_guess = Mu(s=mu_guess.s, alpha=0.0, m=m)
 
@@ -211,9 +228,11 @@ def fit_mu(
             mu = Mu.from_complex(mc, m)
         except (ValueError, OverflowError) as exc:  # s = e^{mu_1/m} underflows or overflows
             raise FitError(f"parameter fit left the family: mu = {mc:.6g}") from exc
-        prof = h_profile(mu, grid)
-        vres = v - prof.h
-        z = _frame_coords(vres, prof.f)
+        # z pairs the residual with Re f and Im f, as _frame_coords sums
+        (r0, r1, r2), (h1s, h3s, ca, sa) = residual(mu)
+        z = np.empty(grid.n, dtype=complex)
+        z.real = 0.0 + r0 * (h3s * ca) + r1 * (h3s * sa) - r2 * h1s
+        z.imag = 0.0 - r0 * sa + r1 * ca
         phiv = phi.paired_values(grid, mu.s)
         val = complex(inner_product(z, phiv, grid))
         if planar_rigid:

@@ -340,11 +340,12 @@ def interp_rho(f: np.ndarray, grid: RadialGrid, rho_new: np.ndarray) -> np.ndarr
     j0 = np.clip(i - 1, 0, grid.n - 4)
     x = t - j0
     out = np.zeros((rho_new.size,) + f.shape[1:], dtype=f.dtype)
+    dx = [x - mth for mth in range(4)]
     for k in range(4):
-        lk = np.ones_like(x)
-        for mth in range(4):
-            if mth != k:
-                lk = lk * (x - mth) / (k - mth)
+        first, *rest = [mth for mth in range(4) if mth != k]
+        lk = dx[first] / (k - first)
+        for mth in rest:
+            lk = lk * dx[mth] / (k - mth)
         out += _along_nodes(lk, f) * f[j0 + k]
     lo = rho_new <= grid.rho_min
     hi = rho_new >= grid.rho_max

@@ -553,11 +553,11 @@ def test_reconstruction_error_when_the_fixed_point_cycles(monkeypatch):
     grid = build_grid(-6.0, 6.0, 256)
     calls = []
 
-    def alternating(rhs, phi, s, g):
+    def alternating(rhs):
         calls.append(1)
-        return (0.01 * (1 + len(calls) % 2) * np.exp(-(g.rho**2))).astype(complex)
+        return (0.01 * (1 + len(calls) % 2) * np.exp(-(grid.rho**2))).astype(complex)
 
-    monkeypatch.setattr(gauge, "r_inverse", alternating)
+    monkeypatch.setattr(gauge, "RightInverse", lambda phi, s, g: alternating)
     q = np.zeros(grid.n, dtype=complex)
     with pytest.raises(
         ReconstructionError, match="^fixed point did not contract to tolerance within 200 iterations$"
@@ -759,6 +759,21 @@ def test_round_trip_matches_broadcast_form_bytes(grid, bench_states):
             ref_v, ref_z = _reference_reconstruct(mu, scale * q, phi, grid)
             assert vrec.v.tobytes() == ref_v.tobytes()
             assert z.tobytes() == ref_z.tobytes()
+
+
+def test_flat_frame_rotation_matches_profile_form_bytes(grid):
+    """hasimoto_forward's M, paired with the profile's 1-D legs, and
+    alpha_tilde have the bytes of M built from h_profile's frame f, at
+    rotations at and near 0, +-pi/2 and pi, where cos or sin alpha is a
+    signed zero or a rounding residue."""
+    for alpha in (0.0, -0.0, 1e-17, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.pi - 1e-15):
+        mu = Mu(1.1, alpha, 3)
+        vm = perturbed_map(mu, grid, 0.05, 0.03)
+        st = hasimoto_forward(vm, mu, grid)
+        ref = _reference_forward(vm, mu, grid)[3]
+        assert st.M.tobytes() == ref.tobytes()
+        ref_alpha = math.atan2(ref[0, 1, 0], ref[0, 0, 0])
+        assert np.float64(st.alpha_tilde).tobytes() == np.float64(ref_alpha).tobytes()
 
 
 def test_degree_mismatch_rejected(grid):

@@ -190,6 +190,35 @@ def test_cross_matches_stacked_form_bytes(grid):
         assert got.tobytes() == ref.tobytes()
 
 
+def _reference_h_profile(mu, grid):
+    """h_profile's h1s, h3s, h and f in the stacked form, sigma and x
+    computed in their own steps."""
+    sigma = grid.rho - mu.log_s
+    x = mu.m * sigma
+    h1s = 1.0 / np.cosh(x)
+    h3s = np.tanh(x)
+    ca, sa = math.cos(mu.alpha), math.sin(mu.alpha)
+    h = np.stack([h1s * ca, h1s * sa, h3s], axis=1)
+    f = np.stack([h3s * ca - 1j * sa, h3s * sa + 1j * ca, -h1s + 0j], axis=1)
+    return h1s, h3s, h, f
+
+
+def test_h_profile_matches_stacked_form_bytes(grid):
+    """h_profile built from _profile_parts has the stacked form's bytes,
+    signed zeros included: at rotations 0, -0, +-pi/2, pi, -pi and 2.1, and
+    on a grid wide enough that cosh overflows and h1s is exactly zero."""
+    wide = build_grid(-200.0, 200.0, 512)
+    for g, m in ((grid, 2), (grid, 3), (wide, 4)):
+        for alpha in (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2.1):
+            mu = Mu(0.7, alpha, m)
+            with np.errstate(over="ignore"):
+                prof, ref = h_profile(mu, g), _reference_h_profile(mu, g)
+            for got, want in zip((prof.h1s, prof.h3s, prof.h, prof.f), ref):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+    assert np.any(prof.h1s == 0.0)
+
+
 def laplace_m(v, grid, m):
     """The equivariant tension field input (d_rr + d_r/r + (m^2/r^2) R^2) v
     on every node, d2_rho's closures included: in log coordinates

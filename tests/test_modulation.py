@@ -10,7 +10,7 @@ from equiflow.errors import ConfigError, FitError, NumericalError
 from equiflow.evolve_llg import FlowConfig, SphereMap, run_vector
 from equiflow import modulation
 from equiflow.gauge import _lstar, hasimoto_forward, reconstruct_v
-from equiflow.harmonic_family import Mu, h_profile, l_s_apply
+from equiflow.harmonic_family import Mu, _frame_coords, _norm3, h_profile, l_s_apply
 from equiflow.modulation import (
     bump_phi,
     fit_mu,
@@ -134,6 +134,31 @@ def test_right_inverse_overflow_guard():
     phi = bump_phi(4, g)
     with pytest.raises(NumericalError):
         r_inverse(np.zeros(g.n), phi, 1.0, g)
+
+
+@pytest.mark.parametrize("s", [2000.0, 3000.0, 1e4, 1.0 / 2000.0])
+def test_right_inverse_rejects_a_window_the_grid_cuts(s):
+    """Once the window log s +- ln 2 leaves [rho_min, rho_max], R would be
+    w2 times a right inverse, with w2 the cut window's pairing with h1s
+    (0.859 at s = 2000, 0.291 at 3000, 0 at 1e4): the inverse, and the
+    reconstruction built on it, raise ConfigError before any compute."""
+    g = build_grid(-8.0, 8.0, 512)
+    phi = bump_phi(2, g)
+    with pytest.raises(ConfigError, match="leaves the grid"):
+        r_inverse(np.exp(-((g.rho - math.log(s)) ** 2)), phi, s, g)
+    with pytest.raises(ConfigError, match="leaves the grid"):
+        reconstruct_v(Mu(s, 0.3, 2), np.zeros(g.n, dtype=complex), phi, g)
+
+
+def test_right_inverse_at_the_grid_edge():
+    """A window that just fits on the grid still inverts L."""
+    g = build_grid(-8.0, 8.0, 512)
+    phi = bump_phi(2, g)
+    for log_s in (8.0 - math.log(2.0) - 1e-9, -8.0 + math.log(2.0) + 1e-9):
+        s = math.exp(log_s)
+        f = np.exp(-((g.rho - log_s) ** 2))
+        lr = l_s_apply(r_inverse(f, phi, s, g), Mu(s, 0.0, 2), g)
+        assert np.abs(lr - f).max() <= 1e-3
 
 
 def test_fit_exact_profile(grid):
@@ -315,6 +340,104 @@ def test_fit_error_after_fifty_iterations(monkeypatch):
     with pytest.raises(FitError, match="^parameter fit did not converge within 50 iterations$"):
         fit_mu(vmap, None, phi, grid)
     assert len(calls) == 2 + 3 * 49
+
+
+def _reference_fit(vmap, mu_guess, phi, grid, strict=True):
+    """fit_mu's mu, z, residual and iterations in the profile form: each
+    evaluation builds h_profile and pairs the residual v - h with its frame
+    f by _frame_coords, and the gap check is _norm3(v - h)."""
+    m, v = vmap.m, vmap.v
+    planar_rigid = float(np.max(np.abs(v[:, 1]))) <= 1e-9
+    if mu_guess is not None and float(np.max(_norm3(v - h_profile(mu_guess, grid).h))) > 0.3:
+        mu_guess = None
+    if mu_guess is None:
+        mu_guess = modulation._crossing_seed(v, m, grid)
+    if planar_rigid:
+        mu_guess = Mu(s=mu_guess.s, alpha=0.0, m=m)
+    muc, use_fd, eps = mu_guess.as_complex, False, 1e-7
+
+    def evaluate(mc):
+        mu = Mu.from_complex(mc, m)
+        prof = h_profile(mu, grid)
+        z = _frame_coords(v - prof.h, prof.f)
+        val = complex(inner_product(z, phi.paired_values(grid, mu.s), grid))
+        return (complex(val.real, 0.0) if planar_rigid else val), z
+
+    F, z = evaluate(muc)
+    for iterations in range(1, 51):
+        if abs(F) <= 1e-12:
+            break
+        if use_fd:
+            f_s, _ = evaluate(muc + eps)
+            f_a = complex(F.real, F.imag + eps) if planar_rigid else evaluate(muc + 1j * eps)[0]
+            jac = np.array(
+                [
+                    [(f_s.real - F.real) / eps, (f_a.real - F.real) / eps],
+                    [(f_s.imag - F.imag) / eps, (f_a.imag - F.imag) / eps],
+                ]
+            )
+            dx = np.linalg.solve(jac, -np.array([F.real, F.imag]))
+            step = complex(dx[0], dx[1])
+        else:
+            step = F
+        F_new, z_new = evaluate(muc + step)
+        if not use_fd and abs(F_new) > 0.5 * abs(F) and abs(F_new) > 1e-12:
+            use_fd = True
+            continue
+        muc += step
+        F, z = F_new, z_new
+    if strict and float(np.max(np.abs(z))) > 0.3:
+        return None
+    return Mu.from_complex(muc, m), z, abs(F), iterations
+
+
+def _bumped_map(grid, mu, sizes):
+    """h[mu] plus Gaussian bumps of the given sizes along Re f and Im f,
+    renormalized."""
+    prof = h_profile(mu, grid)
+    v = prof.h.copy()
+    for size, centre, leg in zip(sizes, (0.4, -0.3), (prof.f.real, prof.f.imag)):
+        v += (size * np.exp(-(((grid.rho - centre) / 0.9) ** 2)))[:, None] * leg
+    return SphereMap(v / np.linalg.norm(v, axis=1, keepdims=True), mu.m)
+
+
+def test_fit_matches_profile_form_bytes(grid):
+    """fit_mu's mu, z, residual and iterations have the bytes of the
+    profile form on planar and non-planar maps, near the family and far
+    from it (sup |z| > 0.3), from no guess, from the fit of a neighbouring
+    map as a series chains them, and from a guess the 0.3 gap rejects,
+    with strict on and off; a strict fit is rejected where the reference
+    is."""
+    phi = {m: bump_phi(m, grid) for m in (2, 3)}
+    cases = [
+        (Mu(1.3, 0.0, 2), (0.06, 0.0)),
+        (Mu(0.9, 2.1, 3), (0.04, -0.03)),
+        (Mu(1.1, -0.7, 2), (0.03, 0.02)),
+        (Mu(1.0, 0.0, 2), (3.0, 0.0)),
+    ]
+    rejected = 0
+    for mu0, sizes in cases:
+        window = phi[mu0.m]
+        vm = _bumped_map(grid, mu0, sizes)
+        chained = fit_mu(_bumped_map(grid, mu0, (0.8 * sizes[0], sizes[1])), None, window, grid, False)
+        far_guess = Mu(4.0 * mu0.s, mu0.alpha + 1.0, mu0.m)
+        assert float(np.max(_norm3(vm.v - h_profile(far_guess, grid).h))) > 0.3
+        for guess in (None, chained.mu, far_guess):
+            for strict in (True, False):
+                ref = _reference_fit(vm, guess, window, grid, strict)
+                if ref is None:
+                    rejected += 1
+                    with pytest.raises(FitError, match="> 0.3"):
+                        fit_mu(vm, guess, window, grid, strict)
+                    continue
+                got = fit_mu(vm, guess, window, grid, strict)
+                mu, z, residual, iterations = ref
+                assert np.array([got.mu.s, got.mu.alpha, got.residual]).tobytes() == (
+                    np.array([mu.s, mu.alpha, residual]).tobytes()
+                )
+                assert got.z.tobytes() == z.tobytes()
+                assert got.iterations == iterations
+    assert rejected == 3
 
 
 def test_fit_error_without_crossing(grid):

@@ -483,6 +483,49 @@ def test_interp_rho_smooth_accuracy_and_clamping(grid):
     assert np.max(np.abs(got[1:4] - np.tanh(2 * rho_new[1:4]))) < 1e-7
 
 
+def _reference_interp_rho(f, grid, rho_new):
+    """interp_rho with each Lagrange weight started from np.ones_like and
+    x - j formed afresh in every factor."""
+    rho_new = np.atleast_1d(np.asarray(rho_new, dtype=float))
+    t = (rho_new - grid.rho_min) / grid.drho
+    i = np.clip(np.floor(t).astype(int), 0, grid.n - 2)
+    j0 = np.clip(i - 1, 0, grid.n - 4)
+    x = t - j0
+    out = np.zeros((rho_new.size,) + f.shape[1:], dtype=f.dtype)
+    for k in range(4):
+        lk = np.ones_like(x)
+        for mth in range(4):
+            if mth != k:
+                lk = lk * (x - mth) / (k - mth)
+        out += lk.reshape((-1,) + (1,) * (f.ndim - 1)) * f[j0 + k]
+    out[rho_new <= grid.rho_min] = f[0]
+    out[rho_new >= grid.rho_max] = f[-1]
+    return out
+
+
+def test_interp_rho_matches_product_form_bytes(grid):
+    """interp_rho has the bytes of the product form on (n,) real and
+    complex fields and an (n, 2) field, at queries on and between the
+    nodes and clamped beyond both ends."""
+    rng = np.random.default_rng(4)
+    rho_new = np.concatenate(
+        [
+            np.linspace(grid.rho_min - 2.0, grid.rho_max + 2.0, 1001),
+            grid.rho[::7],
+            [grid.rho_min, grid.rho_max, np.nextafter(grid.rho_max, 0.0)],
+        ]
+    )
+    fields = (
+        np.tanh(2.0 * grid.rho),
+        np.exp(-grid.rho**2) * (1.0 - 0.5j),
+        rng.normal(size=(grid.n, 2)),
+    )
+    for f in fields:
+        got, ref = interp_rho(f, grid, rho_new), _reference_interp_rho(f, grid, rho_new)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_grids_are_shared_and_read_only():
     grid = build_grid(-3.0, 5.0, 40)
     assert grid.decay.tobytes() == np.exp(-2.0 * grid.rho).tobytes()

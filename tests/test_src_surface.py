@@ -602,6 +602,7 @@ def test_loops_are_found(tmp_path):
 
 
 NODE_LOOP_FUNCTIONS = [
+    ("modulation", "fit_mu"),
     ("harmonic_family", "cross"),
     ("harmonic_family", "_frame_coords"),
     ("harmonic_family", "_residual_terms"),
@@ -658,6 +659,50 @@ def test_column_broadcasts_are_found(tmp_path):
     )
     assert column_broadcasts(tmp_path, "mod", "broadcast") == ["mod:3", "mod:4", "mod:5"]
     assert column_broadcasts(tmp_path, "mod", "along_nodes") == []
+
+
+def calls_of(src: Path, module: str, name: str, callee: str) -> list[str]:
+    """module:line of every call of callee, by its bare name or as an
+    attribute, in the module-level function name of src/module.py, its
+    nested functions included."""
+    found = []
+    for node in ast.walk(_function(src, module, name)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_fit_and_flat_frame_rotation_build_no_profile():
+    """fit_mu and hasimoto_forward pair against the profile's 1-D parts and
+    build none of h_profile's (n, 3) arrays."""
+    found = [
+        calls_of(SRC, module, name, "h_profile")
+        for module, name in (("modulation", "fit_mu"), ("gauge", "hasimoto_forward"))
+    ]
+    assert sum(found, []) == []
+
+
+def test_profile_calls_are_found(tmp_path):
+    """A call by bare name, one as a module attribute and one inside a
+    nested function are found; a call of another name, the bare name not
+    called and a same-named call in another function are not."""
+    (tmp_path / "mod.py").write_text(
+        "from pkg import harmonic_family as hf, h_profile\n"
+        "def fit(mu, grid):\n"
+        "    h = h_profile(mu, grid).h\n"
+        "    def evaluate(m):\n"
+        "        return hf.h_profile(m, grid).f\n"
+        "    return h, evaluate\n"
+        "def lean(mu, grid):\n"
+        "    return hf._profile_parts(mu, grid), h_profile\n"
+        "def other(mu, grid):\n"
+        "    return h_profile(mu, grid)\n",
+        encoding="utf-8",
+    )
+    assert calls_of(tmp_path, "mod", "fit", "h_profile") == ["mod:3", "mod:5"]
+    assert calls_of(tmp_path, "mod", "lean", "h_profile") == []
 
 
 def _calls_float(node: ast.AST) -> bool:
